@@ -26,7 +26,7 @@ from .geometry import (
     sample_linear,
     warp_image,
 )
-from .kernels import KernelSpec, default_scale, eval_kernel, eval_mixed, eval_partial, support_nodes
+from .kernels import KernelSpec, default_scale, eval_kernel, eval_mixed, eval_partial
 from .momenta import (
     MomentumSet,
     TimeMomenta,

@@ -27,7 +27,6 @@ from .geometry import (
     LandmarkSet,
     ScalarImage,
     VectorField,
-    box_downsample,
     interp_values,
     warp_image,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "run_experiment",
     "write_registration_artifacts",
     "demo_momentum",
-    "box_downsample",
     "METHODS",
 ]
 

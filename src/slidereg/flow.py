@@ -20,7 +20,6 @@ __all__ = [
     "FlowPath",
     "ParticleState",
     "integrate",
-    "integrate_inverse",
     "jacobian_fd",
     "shoot_particles",
     "inverse_consistency_error",
@@ -78,12 +77,6 @@ def _node_velocities(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> n
     for k, ms in enumerate(tm.steps):
         out[k] = asm.velocity(ms.m0, ms.m1)
     return out
-
-
-def integrate_inverse(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> list[np.ndarray]:
-    """Inverse-map target arrays (flattened) at every step, length T + 1."""
-    velocities = _node_velocities(tm, spec, grid)
-    return _advect_inverse(velocities, grid)
 
 
 def _advect_inverse(velocities: np.ndarray, grid: GridGeometry) -> list[np.ndarray]:

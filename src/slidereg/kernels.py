@@ -1,9 +1,9 @@
-"""Kernel families, their partial derivatives, and discrete support queries.
+"""Kernel families and their partial derivatives.
 
 Two families are provided:
 
 * ``gaussian``: K(x, y) = exp(-|x - y|^2 / scale^2), smooth and globally
-  supported (discretely truncated to the window footprint).
+  supported (synthesis truncates it to the window footprint).
 * ``wendland_c0_mult``: the product over axes of the one-dimensional C0
   kernel ((1 - |dx|/scale) clipped at 0)^2. Compactly supported: exactly
   zero as soon as any axis offset reaches ``scale``. Not differentiable on
@@ -17,7 +17,6 @@ value 0; the mixed second partial uses the positive diagonal limit
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "eval_kernel_many",
     "eval_partial_many",
     "eval_mixed_many",
-    "support_nodes",
     "default_scale",
 ]
 
@@ -130,38 +128,3 @@ def eval_mixed(spec: KernelSpec, i: int, x, y) -> float:
     if not 0 <= i < x.size:
         raise ValueError(f"axis {i} out of range for dimension {x.size}")
     return float(eval_mixed_many(spec, i, x[None, :], y)[0])
-
-
-def support_nodes(spec: KernelSpec, center, grid: GridGeometry) -> np.ndarray:
-    """Node multi-indices of the discrete kernel footprint around ``center``.
-
-    The footprint is the window x ... x window node block centered at the
-    node nearest to ``center``, clipped to the grid. For the wendland family
-    nodes outside the exact compact support are dropped; the gaussian is
-    simply truncated to the window.
-    """
-    center = np.asarray(center, float)
-    lo, hi = grid.bounds
-    if np.any(center < lo) or np.any(center > hi):
-        raise ValueError(f"center {center.tolist()} outside domain box {lo.tolist()}..{hi.tolist()}")
-    dims = np.asarray(grid.dims)
-    nearest = np.clip(np.rint(grid.to_index(center)).astype(int), 0, dims - 1)
-    half = spec.window // 2
-    ranges = [
-        np.arange(max(0, nearest[a] - half), min(dims[a], nearest[a] + half + 1))
-        for a in range(grid.ndim)
-    ]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=1)
-    if spec.family == "wendland_c0_mult":
-        pos = grid.to_physical(idx)
-        keep = np.all(np.abs(pos - center) < spec.scale, axis=1)
-        idx = idx[keep]
-    return idx
-
-
-def window_offsets(spec: KernelSpec, ndim: int) -> np.ndarray:
-    """All integer offsets of the window block, shape (window^d, d)."""
-    half = spec.window // 2
-    r = range(-half, half + 1)
-    return np.array(list(itertools.product(r, repeat=ndim)), dtype=int)

@@ -10,13 +10,18 @@ accumulated only over the discrete kernel footprint of each control point.
 Zeroth-order terms translate locally; first-order terms shear, and on the
 non-differentiable wendland kernel they produce velocity jumps across the
 axis hyperplanes through the control point (sliding).
+
+Both kernel families are products of 1D factors and a slot-i derivative
+changes only the axis-i factor, so synthesis, its adjoint and the Gram
+apply are Kronecker products of small per-axis matrices over the lattice
+of the control points' unique coordinates: the points themselves for a
+regular control lattice, up to n^d nodes for n scattered points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .geometry import GridGeometry, VectorField
@@ -123,107 +128,140 @@ def control_lattice(grid: GridGeometry, stride: int = 2) -> np.ndarray:
     return grid.to_physical(idx)
 
 
-class VelocityAssembler:
-    """Sparse synthesis operator from momenta to node velocities.
+def _factor(fn, spec: KernelSpec, offsets: np.ndarray, *slot) -> np.ndarray:
+    """Axis factor of a kernel term: ``fn``, a ``kernels.eval_*_many``, at 1D offsets x - y."""
+    return fn(spec, *slot, offsets.reshape(-1, 1), np.zeros(1)).reshape(offsets.shape)
 
-    Kernel values between grid nodes and control points are fixed once the
-    control points are placed, so synthesis is a sparse matrix product and
-    its adjoint is the transpose product. ``S0`` holds kernel values,
-    ``S1[i]`` the slot-``i`` partial derivatives, each of shape
-    (node_count, n_points) restricted to the discrete footprints.
+
+def _apply(mats, X: np.ndarray) -> np.ndarray:
+    """Kronecker product of ``mats`` applied to X, ``mats[a]`` acting on axis a.
+
+    One batched matrix product per axis on a contiguous reshape; trailing
+    axes of X ride along.
+    """
+    shape = X.shape
+    for a, A in enumerate(mats):
+        X = np.matmul(A, X.reshape(int(np.prod(shape[:a])), shape[a], -1))
+        shape = shape[:a] + (A.shape[0],) + shape[a + 1:]
+    return X.reshape(shape)
+
+
+def _per_order(k: list, slot: list) -> list:
+    """Factor lists of the zeroth order (``k``) and of each slot i (``slot[i]`` on axis i)."""
+    return [k] + [[s if a == i else A for a, A in enumerate(k)] for i, s in enumerate(slot)]
+
+
+def _orders(m0: np.ndarray, m1: np.ndarray) -> list:
+    """Momenta per order: m0, then the slot blocks m1[:, i, :]."""
+    return [m0, *np.moveaxis(m1, 1, 0)]
+
+
+class _Lattice:
+    """Embedding of points in the product of their per-axis unique coordinates.
+
+    Momenta scatter onto the lattice (momenta sharing a point add up) and
+    adjoints gather back. Both are reshapes when the points already are
+    the lattice in C order, the layout of ``control_lattice``.
+    """
+
+    def __init__(self, points: np.ndarray):
+        pairs = [np.unique(c, return_inverse=True) for c in np.asarray(points, float).T]
+        self.axes = [u for u, _ in pairs]
+        self.shape = tuple(u.size for u in self.axes)
+        flat = np.ravel_multi_index(tuple(inv for _, inv in pairs), self.shape)
+        self.flat = None if np.array_equal(flat, np.arange(np.prod(self.shape))) else flat
+
+    def scatter(self, m: np.ndarray) -> np.ndarray:
+        if self.flat is not None:
+            out = np.zeros((int(np.prod(self.shape)),) + m.shape[1:])
+            np.add.at(out, self.flat, m)
+            m = out
+        return m.reshape(self.shape + m.shape[1:])
+
+    def gather(self, M: np.ndarray) -> np.ndarray:
+        M = M.reshape((-1,) + M.shape[len(self.shape):])
+        return M if self.flat is None else M[self.flat]
+
+
+class VelocityAssembler:
+    """Separable synthesis operator from momenta to node velocities.
+
+    Per axis a, an N_a x n_a matrix holds the 1D kernel factor between the
+    grid and lattice coordinates, masked to the discrete footprint: the
+    window of nodes around the node nearest each control coordinate,
+    clipped to the grid. Zeroth-order synthesis is the Kronecker product
+    of these; slot i swaps in the partial factor on axis i. The adjoint
+    uses the transposes.
     """
 
     def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray):
-        self.spec = spec
         self.grid = grid
         self.points = np.asarray(points, float)
-        d = grid.ndim
-        n = self.points.shape[0]
-        N = grid.node_count
-        dims = grid.dims
-        rows, cols = [], []
-        vals0 = []
-        vals1 = [[] for _ in range(d)]
-        for j in range(n):
-            idx = kernels.support_nodes(spec, self.points[j], grid)
-            if idx.size == 0:
-                continue
-            pos = grid.to_physical(idx)
-            flat = np.ravel_multi_index(tuple(idx.T), dims)
-            rows.append(flat)
-            cols.append(np.full(flat.shape, j))
-            vals0.append(kernels.eval_kernel_many(spec, pos, self.points[j]))
-            for i in range(d):
-                vals1[i].append(kernels.eval_partial_many(spec, i, pos, self.points[j]))
-        if rows:
-            r = np.concatenate(rows)
-            c = np.concatenate(cols)
-            self.S0 = sp.csr_matrix((np.concatenate(vals0), (r, c)), shape=(N, n))
-            self.S1 = [
-                sp.csr_matrix((np.concatenate(vals1[i]), (r, c)), shape=(N, n))
-                for i in range(d)
-            ]
-        else:
-            self.S0 = sp.csr_matrix((N, n))
-            self.S1 = [sp.csr_matrix((N, n)) for _ in range(d)]
+        lo, hi = grid.bounds
+        if np.any(self.points < lo) or np.any(self.points > hi):
+            raise ValueError("control points must lie inside the domain bounding box")
+        self.lattice = _Lattice(self.points)
+        k, dk = [], []
+        for a, u in enumerate(self.lattice.axes):
+            nodes = np.arange(grid.dims[a])
+            near = np.clip(np.rint((u - grid.origin[a]) / grid.spacing[a]), 0, grid.dims[a] - 1)
+            mask = np.abs(nodes[:, None] - near) <= spec.window // 2
+            offsets = (grid.origin[a] + grid.spacing[a] * nodes)[:, None] - u
+            k.append(mask * _factor(kernels.eval_kernel_many, spec, offsets))
+            dk.append(mask * _factor(kernels.eval_partial_many, spec, offsets, 0))
+        self.ops = _per_order(k, dk)
+        # contiguous transposes: batched matmul is slow on transposed views
+        self.ops_T = [[np.ascontiguousarray(A.T) for A in mats] for mats in self.ops]
 
     def velocity(self, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
         """Node velocities, shape (node_count, d)."""
-        v = self.S0 @ m0
-        for i in range(self.grid.ndim):
-            v = v + self.S1[i] @ m1[:, i, :]
-        return v
+        v = sum(_apply(mats, self.lattice.scatter(m)) for mats, m in zip(self.ops, _orders(m0, m1)))
+        return v.reshape(-1, self.grid.ndim)
 
     def adjoint(self, vbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pull node-velocity adjoints back to (m0bar, m1bar)."""
-        d = self.grid.ndim
-        m0bar = self.S0.T @ vbar
-        m1bar = np.empty((self.points.shape[0], d, d))
-        for i in range(d):
-            m1bar[:, i, :] = self.S1[i].T @ vbar
-        return m0bar, m1bar
+        V = vbar.reshape(self.grid.dims + (self.grid.ndim,))
+        bars = [self.lattice.gather(_apply(mats, V)) for mats in self.ops_T]
+        return bars[0], np.stack(bars[1:], axis=1)
 
 
 class KernelGrams:
-    """Dense per-order Gram matrices over a fixed control-point set.
+    """Separable per-order Gram operators over a fixed control-point set.
 
     G0[j, k] = K(x_j, x_k); G1[i][j, k] = d^2 K / dx_i dy_i (x_j, x_k).
-    The energy has no cross-order blocks: it is the sum of the per-order
-    quadratic forms.
+    Each is a Kronecker product of untruncated n_a x n_a axis factors on
+    the points' lattice (slot i swaps in the mixed factor on axis i) and
+    is never formed. The energy has no cross-order blocks: it is the sum
+    of the per-order quadratic forms.
     """
 
     def __init__(self, spec: KernelSpec, points: np.ndarray):
-        pts = np.asarray(points, float)
-        n, d = pts.shape
-        self.G0 = np.empty((n, n))
-        self.G1 = [np.empty((n, n)) for _ in range(d)]
-        for k in range(n):
-            self.G0[:, k] = kernels.eval_kernel_many(spec, pts, pts[k])
-            for i in range(d):
-                self.G1[i][:, k] = kernels.eval_mixed_many(spec, i, pts, pts[k])
+        self.lattice = _Lattice(points)
+        offsets = [u[:, None] - u for u in self.lattice.axes]
+        self.ops = _per_order(
+            [_factor(kernels.eval_kernel_many, spec, o) for o in offsets],
+            [_factor(kernels.eval_mixed_many, spec, o, 0) for o in offsets],
+        )
+
+    def _products(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G0 m0, G1_i m1_i)."""
+        lat = self.lattice
+        g = [lat.gather(_apply(mats, lat.scatter(m))) for mats, m in zip(self.ops, _orders(m0, m1))]
+        return g[0], np.stack(g[1:], axis=1)
 
     def energy(self, m0: np.ndarray, m1: np.ndarray) -> float:
-        e = float(np.sum(m0 * (self.G0 @ m0)))
-        for i, g in enumerate(self.G1):
-            e += float(np.sum(m1[:, i, :] * (g @ m1[:, i, :])))
-        return e
+        g0, g1 = self._products(m0, m1)
+        return float(np.sum(m0 * g0) + np.sum(m1 * g1))
 
     def grad(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of :meth:`energy`: (2 G0 m0, 2 G1_i m1_i)."""
-        g0 = 2.0 * (self.G0 @ m0)
-        g1 = np.empty_like(m1)
-        for i, g in enumerate(self.G1):
-            g1[:, i, :] = 2.0 * (g @ m1[:, i, :])
-        return g0, g1
+        g0, g1 = self._products(m0, m1)
+        return 2.0 * g0, 2.0 * g1
 
 
 def synth_velocity(ms: MomentumSet, spec: KernelSpec, grid: GridGeometry) -> VectorField:
     """Velocity field synthesized from zeroth- and first-order momenta."""
-    lo, hi = grid.bounds
-    if np.any(ms.points < lo) or np.any(ms.points > hi):
-        raise ValueError("control points must lie inside the domain bounding box")
-    asm = VelocityAssembler(spec, grid, ms.points)
-    v = asm.velocity(ms.m0, ms.m1)
+    v = VelocityAssembler(spec, grid, ms.points).velocity(ms.m0, ms.m1)
     return VectorField(grid, v.reshape(grid.dims + (grid.ndim,)))
 
 

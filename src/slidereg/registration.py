@@ -310,16 +310,21 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
     return m0, m1, trace, iterations, converged
 
 
-def _prolong_momenta(coarse_pts, cm0, cm1, fine_pts):
-    """Copy coarse momenta onto the nearest matching fine lattice points."""
-    m0 = np.zeros((fine_pts.shape[0],) + cm0.shape[1:])
-    m1 = np.zeros((fine_pts.shape[0],) + cm1.shape[1:])
-    for j, p in enumerate(coarse_pts):
-        dist = np.max(np.abs(fine_pts - p), axis=1)
-        k = int(np.argmin(dist))
-        if dist[k] <= 1.0:
-            m0[k] = cm0[j]
-            m1[k] = cm1[j]
+def _prolong_momenta(coarse_pts, cm0, cm1, fine_grid: GridGeometry, stride: int):
+    """Copy per-step coarse momenta (T, n_c, ...) onto the fine control lattice.
+
+    The fine lattice is ``control_lattice(fine_grid, stride)``. Matching
+    runs in its index space: a coarse point lands on the nearest fine
+    control node, which lies within half a lattice step on every axis;
+    points more than half a step outside the lattice are dropped.
+    """
+    shape = tuple(len(range(0, n, stride)) for n in fine_grid.dims)
+    idx = np.rint(fine_grid.to_index(coarse_pts) / stride).astype(int)
+    keep = np.all((idx >= 0) & (idx < shape), axis=1)
+    flat = np.ravel_multi_index(tuple(idx[keep].T), shape)
+    m0 = np.zeros((cm0.shape[0], int(np.prod(shape))) + cm0.shape[2:])
+    m1 = np.zeros(m0.shape + cm0.shape[2:])
+    m0[:, flat], m1[:, flat] = cm0[:, keep], cm1[:, keep]
     return m0, m1
 
 
@@ -344,8 +349,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         c_eng = _make_engine(coarse_cfg, c_I0.geometry)
         cm0, cm1 = c_eng.zero_theta()
         cm0, cm1, _, _, _ = _descend(c_eng, cm0, cm1, c_I0, c_I1)
-        for k in range(cfg.T):
-            m0[k], m1[k] = _prolong_momenta(c_eng.points, cm0[k], cm1[k], eng.points)
+        m0, m1 = _prolong_momenta(c_eng.points, cm0, cm1, I0.geometry, cfg.control_stride)
         if not eng.first_order:
             m1[:] = 0.0
 

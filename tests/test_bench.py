@@ -6,7 +6,6 @@ from scipy.ndimage import gaussian_filter
 
 from slidereg.bench import (
     ExperimentSpec,
-    box_downsample,
     demo_momentum,
     gen_rectangle,
     gen_wheel,
@@ -18,7 +17,15 @@ from slidereg.bench import (
     tre,
 )
 from slidereg.flow import jacobian_fd
-from slidereg.geometry import DeformationMap, GridGeometry, LandmarkSet, ScalarImage, identity_map, warp_image
+from slidereg.geometry import (
+    DeformationMap,
+    GridGeometry,
+    LandmarkSet,
+    ScalarImage,
+    box_downsample,
+    identity_map,
+    warp_image,
+)
 from slidereg.kernels import KernelSpec
 from slidereg.registration import RegistrationConfig
 

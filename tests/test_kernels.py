@@ -10,8 +10,8 @@ from slidereg.kernels import (
     eval_kernel,
     eval_mixed,
     eval_partial,
-    support_nodes,
 )
+from slidereg.momenta import MomentumSet, synth_velocity
 
 GAUSS = KernelSpec("gaussian", 1.3, 9)
 WEND = KernelSpec("wendland_c0_mult", 1.3, 9)
@@ -181,31 +181,41 @@ class TestCompactSupport:
         assert eval_mixed(WEND, 0, [0.0, 0.0], [WEND.scale, 0.0]) == 0.0
 
 
+def footprint(spec, center, grid):
+    """Node multi-indices where a unit zeroth momentum at ``center`` is nonzero."""
+    ms = MomentumSet(np.array([center], float), np.ones((1, grid.ndim)), np.zeros((1, grid.ndim, grid.ndim)))
+    v = synth_velocity(ms, spec, grid).vectors
+    return np.argwhere(np.any(v != 0.0, axis=-1))
+
+
 class TestSupportNodes:
+    """The discrete kernel footprint that synthesis accumulates over."""
+
     def test_interior_window_at_most_81(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
         spec = KernelSpec("gaussian", 4.0, 9)
-        nodes = support_nodes(spec, [16.0, 16.0], grid)
+        nodes = footprint(spec, [16.0, 16.0], grid)
         assert len(nodes) == 81
+        assert np.all(np.abs(nodes - 16) <= 4)
 
     def test_corner_clipped(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
         spec = KernelSpec("gaussian", 4.0, 9)
-        nodes = support_nodes(spec, [0.0, 0.0], grid)
+        nodes = footprint(spec, [0.0, 0.0], grid)
         assert len(nodes) == 25  # 5 x 5 quarter window
-        assert nodes.min() == 0
+        assert nodes.min() == 0 and nodes.max() == 4
 
     def test_tiny_wendland_support_keeps_center_only(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
         spec = KernelSpec("wendland_c0_mult", 0.9, 9)
-        nodes = support_nodes(spec, [16.0, 16.0], grid)
+        nodes = footprint(spec, [16.0, 16.0], grid)
         assert nodes.shape == (1, 2)
         np.testing.assert_array_equal(nodes[0], [16, 16])
 
     def test_wendland_filtered_by_exact_support(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
         spec = KernelSpec("wendland_c0_mult", 3.0, 9)
-        nodes = support_nodes(spec, [16.0, 16.0], grid)
+        nodes = footprint(spec, [16.0, 16.0], grid)
         assert len(nodes) == 25  # offsets -2..2 per axis survive |dx| < 3
         pos = grid.to_physical(nodes)
         assert np.all(np.abs(pos - [16.0, 16.0]) < spec.scale)
@@ -213,4 +223,4 @@ class TestSupportNodes:
     def test_center_outside_domain_rejected(self):
         grid = GridGeometry((8, 8), (1.0, 1.0), (0.0, 0.0))
         with pytest.raises(ValueError):
-            support_nodes(GAUSS, [20.0, 0.0], grid)
+            footprint(GAUSS, [20.0, 0.0], grid)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidereg.geometry import GridGeometry
-from slidereg.kernels import KernelSpec, eval_kernel, eval_mixed
+from slidereg.kernels import KernelSpec, eval_kernel, eval_kernel_many, eval_mixed, eval_partial_many
 from slidereg.momenta import (
     KernelGrams,
     MomentumSet,
@@ -23,9 +23,53 @@ WEND = KernelSpec("wendland_c0_mult", 4.0, 9)
 GAUSS = KernelSpec("gaussian", 4.0, 9)
 
 
+GRID3 = GridGeometry((9, 8, 7), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+ANISO = GridGeometry((20, 14), (0.7, 1.9), (-3.0, 5.0))
+SMALL = KernelSpec("wendland_c0_mult", 2.0, 5)
+SMALL_GAUSS = KernelSpec("gaussian", 1.5, 5)
+
+
 def random_set(rng, n=4, lo=6.0, hi=17.0):
     pts = rng.uniform(lo, hi, (n, 2))
     return MomentumSet(pts, rng.standard_normal((n, 2)), rng.standard_normal((n, 2, 2)))
+
+
+def random_momenta(rng, pts):
+    n, d = pts.shape
+    return MomentumSet(pts, rng.standard_normal((n, d)), rng.standard_normal((n, d, d)))
+
+
+def with_duplicate(pts):
+    """The points with the first one repeated at the end."""
+    return np.vstack([pts, pts[:1]])
+
+
+# (spec, grid, points) cases beyond the default 2D unit grid; the
+# gaussian window of the point at the origin is clipped by the boundary
+OPERATOR_CASES = [
+    pytest.param(WEND, GRID3, control_lattice(GRID3, 3), id="wendland-3d-lattice"),
+    pytest.param(GAUSS, GRID3, control_lattice(GRID3, 3), id="gaussian-3d-lattice"),
+    pytest.param(SMALL, ANISO, control_lattice(ANISO, 3), id="wendland-aniso-offset"),
+    pytest.param(SMALL_GAUSS, ANISO, control_lattice(ANISO, 3), id="gaussian-aniso-offset"),
+    pytest.param(GAUSS, GRID, np.array([[0.0, 0.0], [1.4, 22.6], [12.0, 12.0]]), id="gaussian-clipped"),
+    pytest.param(WEND, GRID, with_duplicate(control_lattice(GRID, 5)), id="wendland-duplicate"),
+    pytest.param(GAUSS, GRID3, with_duplicate(control_lattice(GRID3, 4)), id="gaussian-3d-duplicate"),
+]
+
+
+def footprint_oracle(spec, grid, ms):
+    """Sum over every (node, point) pair, masked to each point's window."""
+    pos = grid.node_positions().reshape(-1, grid.ndim)
+    nodes = np.indices(grid.dims).reshape(grid.ndim, -1).T
+    half = spec.window // 2
+    want = np.zeros_like(pos)
+    for j, y in enumerate(ms.points):
+        near = np.clip(np.rint(grid.to_index(y)), 0, np.asarray(grid.dims) - 1)
+        inside = np.all(np.abs(nodes - near) <= half, axis=1)[:, None]
+        want += inside * eval_kernel_many(spec, pos, y)[:, None] * ms.m0[j]
+        for i in range(grid.ndim):
+            want += inside * eval_partial_many(spec, i, pos, y)[:, None] * ms.m1[j, i]
+    return want
 
 
 class TestContainers:
@@ -94,20 +138,25 @@ class TestSynthVelocity:
         with pytest.raises(ValueError):
             synth_velocity(ms, WEND, GRID)
 
-    def test_matches_brute_force_sum(self, rng):
-        # dense re-evaluation over every (node, point) pair, no footprints
-        ms = random_set(rng, n=3, lo=8.0, hi=15.0)
-        got = synth_velocity(ms, WEND, GRID).vectors
-        pos = GRID.node_positions().reshape(-1, 2)
-        want = np.zeros_like(pos)
-        from slidereg.kernels import eval_partial
-
-        for x_i, x in enumerate(pos):
-            for j in range(3):
-                want[x_i] += eval_kernel(WEND, x, ms.points[j]) * ms.m0[j]
-                for i in range(2):
-                    want[x_i] += eval_partial(WEND, i, x, ms.points[j]) * ms.m1[j, i]
-        np.testing.assert_allclose(got.reshape(-1, 2), want, atol=1e-12)
+    @pytest.mark.parametrize(
+        "spec, grid, points",
+        [pytest.param(WEND, GRID, None, id="wendland-2d")] + OPERATOR_CASES,
+    )
+    def test_matches_brute_force_sum(self, spec, grid, points, rng):
+        ms = random_set(rng, n=3, lo=8.0, hi=15.0) if points is None else random_momenta(rng, points)
+        got = synth_velocity(ms, spec, grid).vectors.reshape(-1, grid.ndim)
+        want = footprint_oracle(spec, grid, ms)
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got, want, **tol)
+        if points is not None and len(np.unique(points, axis=0)) < len(points):
+            # two momenta at one point synthesize as their sum
+            merged = MomentumSet(
+                points[:-1],
+                np.vstack([ms.m0[:1] + ms.m0[-1:], ms.m0[1:-1]]),
+                np.concatenate([ms.m1[:1] + ms.m1[-1:], ms.m1[1:-1]]),
+            )
+            again = synth_velocity(merged, spec, grid).vectors.reshape(-1, grid.ndim)
+            np.testing.assert_allclose(got, again, **tol)
 
 
 class TestVEnergy:
@@ -120,14 +169,19 @@ class TestVEnergy:
         ms = MomentumSet(np.array([[10.0, 10.0]]), a[None, :], np.zeros((1, 2, 2)))
         assert v_energy(ms, spec) == pytest.approx(float(a @ a))
 
-    @pytest.mark.parametrize("spec", [WEND, GAUSS])
-    def test_matches_dense_gram_oracle(self, spec, rng):
-        ms = random_set(rng, n=5)
+    @pytest.mark.parametrize(
+        "spec, grid, points",
+        [pytest.param(WEND, GRID, None, id="spec0"), pytest.param(GAUSS, GRID, None, id="spec1")]
+        + OPERATOR_CASES,
+    )
+    def test_matches_dense_gram_oracle(self, spec, grid, points, rng):
+        ms = random_set(rng, n=5) if points is None else random_momenta(rng, points)
+        n, d = ms.m0.shape
         want = 0.0
-        for j in range(5):
-            for k in range(5):
+        for j in range(n):
+            for k in range(n):
                 want += ms.m0[j] @ ms.m0[k] * eval_kernel(spec, ms.points[j], ms.points[k])
-                for i in range(2):
+                for i in range(d):
                     want += ms.m1[j, i] @ ms.m1[k, i] * eval_mixed(
                         spec, i, ms.points[j], ms.points[k]
                     )
@@ -224,16 +278,41 @@ class TestDirectionalEquivalence:
 
 
 class TestAssemblerAdjoint:
-    @pytest.mark.parametrize("spec", [WEND, GAUSS])
-    def test_adjoint_identity(self, spec, rng):
-        pts = control_lattice(GRID, 4)
-        asm = VelocityAssembler(spec, GRID, pts)
-        n, d = pts.shape
+    @pytest.mark.parametrize(
+        "spec, grid, points",
+        [
+            pytest.param(WEND, GRID, control_lattice(GRID, 4), id="spec0"),
+            pytest.param(GAUSS, GRID, control_lattice(GRID, 4), id="spec1"),
+        ]
+        + OPERATOR_CASES,
+    )
+    def test_adjoint_identity(self, spec, grid, points, rng):
+        asm = VelocityAssembler(spec, grid, points)
+        n, d = points.shape
         m0 = rng.standard_normal((n, d))
         m1 = rng.standard_normal((n, d, d))
-        vbar = rng.standard_normal((GRID.node_count, d))
+        vbar = rng.standard_normal((grid.node_count, d))
         v = asm.velocity(m0, m1)
         a0, a1 = asm.adjoint(vbar)
         lhs = float(np.sum(v * vbar))
         rhs = float(np.sum(m0 * a0) + np.sum(m1 * a1))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestLatticeScale:
+    def test_48_cubed_control_lattice(self):
+        # n = 13,824 control points: dense Grams would need about 6 GB
+        grid = GridGeometry((48, 48, 48), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        pts = control_lattice(grid, 2)
+        n = pts.shape[0]
+        assert n == 13824
+        asm = VelocityAssembler(WEND, grid, pts)
+        grams = KernelGrams(WEND, pts)
+        j = int(np.flatnonzero(np.all(pts == [24.0, 10.0, 36.0], axis=1))[0])
+        a = np.array([0.5, -1.0, 2.0])
+        m0 = np.zeros((n, 3))
+        m0[j] = a
+        m1 = np.zeros((n, 3, 3))
+        v = asm.velocity(m0, m1).reshape(grid.dims + (3,))
+        np.testing.assert_allclose(v[24, 10, 36], a, atol=1e-14)
+        assert grams.energy(m0, m1) == pytest.approx(float(a @ a), rel=1e-14)

@@ -5,7 +5,7 @@ import pytest
 
 from slidereg.bench import gen_rectangle
 from slidereg.flow import integrate
-from slidereg.geometry import GridGeometry, ScalarImage, sample_linear, warp_image
+from slidereg.geometry import GridGeometry, ScalarImage, box_downsample, sample_linear, warp_image
 from slidereg.kernels import KernelSpec
 from slidereg.momenta import KernelGrams, MomentumSet, TimeMomenta, control_lattice
 from slidereg.registration import (
@@ -17,6 +17,7 @@ from slidereg.registration import (
     optimize,
     ssd,
     total_energy,
+    _prolong_momenta,
 )
 
 GRID16 = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
@@ -279,6 +280,30 @@ class TestPyramid:
         assert warm.energy_trace[0].total < cold.energy_trace[0].total
         totals = [p.total for p in warm.energy_trace]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
+
+
+    @pytest.mark.parametrize("spacing", [(2.5, 2.5), (2.5, 1.0)])
+    def test_every_coarse_momentum_lands(self, spacing):
+        # the coarse grid of a box-downsampled image is offset by half a
+        # fine spacing, more than 1 physical unit once spacing > 2
+        fine = GridGeometry((32, 32), spacing, (0.0, 0.0))
+        coarse = box_downsample(ScalarImage(fine, np.zeros(fine.dims))).geometry
+        coarse_pts = control_lattice(coarse, 2)
+        fine_pts = control_lattice(fine, 2)
+        n = coarse_pts.shape[0]
+        cm0 = np.arange(1.0, 2 * n + 1).reshape(1, n, 2)
+        cm1 = np.arange(1.0, 4 * n + 1).reshape(1, n, 2, 2)
+        m0, m1 = _prolong_momenta(coarse_pts, cm0, cm1, fine, 2)
+        assert m0.shape == (1,) + fine_pts.shape
+        hit = np.flatnonzero(np.any(m0[0] != 0.0, axis=1))
+        assert len(hit) == n == 64
+        np.testing.assert_array_equal(np.sort(m0[0, hit].ravel()), cm0.ravel())
+        np.testing.assert_array_equal(np.sort(m1[0, hit].ravel()), cm1.ravel())
+        # each lands on the fine node nearest to it
+        for j, p in enumerate(coarse_pts):
+            k = int(np.flatnonzero(m0[0, :, 0] == cm0[0, j, 0])[0])
+            assert np.all(np.abs(fine_pts[k] - p) <= np.asarray(spacing))
+            np.testing.assert_array_equal(m1[0, k], cm1[0, j])
 
 
 class TestConfigRoundTrip:
