@@ -119,6 +119,7 @@ def _cmd_register(args) -> int:
     summary = {
         "iterations": result.iterations_used,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "ssd_initial": first.similarity,
         "ssd_final": last.similarity,
         "total_initial": first.total,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, UnsupportedKernelError
-from .geometry import DeformationMap, GridGeometry, interp_values
+from .geometry import DeformationMap, GridGeometry, Stencil, interp_values
 from .kernels import KernelSpec, eval_kernel_many, eval_partial_many
 from .momenta import TimeMomenta, VelocityAssembler
 
@@ -71,51 +71,43 @@ class ParticleState:
         object.__setattr__(self, "momenta", mom)
 
 
-def _node_velocities(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> np.ndarray:
-    asm = VelocityAssembler(spec, grid, tm.points)
-    out = np.empty((tm.T, grid.node_count, grid.ndim))
-    for k, ms in enumerate(tm.steps):
-        out[k] = asm.velocity(ms.m0, ms.m1)
-    return out
+def _advect_inverse(velocities, grid: GridGeometry, T: int) -> tuple[list, list]:
+    """Semi-Lagrangian transport of the inverse map, the one transport loop.
 
-
-def _advect_inverse(velocities: np.ndarray, grid: GridGeometry) -> list[np.ndarray]:
-    T = velocities.shape[0]
+    ``velocities`` is any iterable (a generator will do) of the T per-step
+    node velocities, each (node_count, d). Step k samples the previous map
+    at the upwind points ``x - v_k / T`` through one :class:`Stencil`.
+    Returns the maps psi_0..psi_T as (node_count, d) arrays and the T
+    step stencils, which the exact adjoint reuses.
+    """
     dt = 1.0 / T
     X = grid.node_positions().reshape(-1, grid.ndim)
-    psi = [X]
     field_shape = grid.dims + (grid.ndim,)
-    for k in range(T):
-        lookup = X - dt * velocities[k]
-        nxt = interp_values(psi[-1].reshape(field_shape), grid, lookup)
-        if not np.all(np.isfinite(nxt)):
+    psis, stencils = [X], []
+    for k, v in enumerate(velocities):
+        stencils.append(Stencil(grid, X - dt * v))
+        psis.append(stencils[-1].gather(psis[-1].reshape(field_shape)))
+        if not np.all(np.isfinite(psis[-1])):
             raise DivergenceError(f"inverse map non-finite after step {k + 1}", step=k + 1)
-        psi.append(np.ascontiguousarray(nxt))
-    return psi
+    return psis, stencils
 
 
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
     """Integrate forward and inverse maps from per-step momenta."""
-    velocities = _node_velocities(tm, spec, grid)
-    T = tm.T
-    dt = 1.0 / T
+    asm = VelocityAssembler(spec, grid, tm.points)
+    velocities = [asm.velocity(ms.m0, ms.m1) for ms in tm.steps]
+    dt = 1.0 / tm.T
     X = grid.node_positions().reshape(-1, grid.ndim)
     field_shape = grid.dims + (grid.ndim,)
     phi = [X]
-    for k in range(T):
-        vfield = velocities[k].reshape(field_shape)
-        v_at = interp_values(vfield, grid, phi[-1])
-        nxt = phi[-1] + dt * v_at
+    for k, v in enumerate(velocities):
+        nxt = phi[-1] + dt * interp_values(v.reshape(field_shape), grid, phi[-1])
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError(f"forward map non-finite after step {k + 1}", step=k + 1)
         phi.append(nxt)
-    psi = _advect_inverse(velocities, grid)
-    maps = tuple(
-        DeformationMap(grid, p.reshape(field_shape), "forward") for p in phi
-    )
-    inv_maps = tuple(
-        DeformationMap(grid, p.reshape(field_shape), "inverse") for p in psi
-    )
+    psi = _advect_inverse(velocities, grid, tm.T)[0]  # drop the stencils before the copies below
+    maps = tuple(DeformationMap(grid, p.reshape(field_shape), "forward") for p in phi)
+    inv_maps = tuple(DeformationMap(grid, p.reshape(field_shape), "inverse") for p in psi)
     return FlowPath(maps, inv_maps)
 
 

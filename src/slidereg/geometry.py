@@ -24,6 +24,7 @@ __all__ = [
     "gradient_central",
     "box_downsample",
     "identity_map",
+    "Stencil",
     "interp_values",
     "interp_with_point_grad",
     "splat_adjoint",
@@ -210,25 +211,101 @@ def identity_map(geom: GridGeometry, direction: str = "forward") -> DeformationM
 def _locate(geom: GridGeometry, pts: np.ndarray):
     """Cell indices, in-cell fractions, and the clamp pass-through mask.
 
-    Returns (i0, frac, unclamped) for flattened points of shape (m, d).
+    Returns (i0, frac, unclamped), each (d, m), for flattened points (m, d);
+    axis-major rows keep numpy on contiguous data with scalar operands.
     ``unclamped`` is True per axis where the raw coordinate lies strictly
     inside the domain, i.e. where the clamp is locally the identity.
     """
-    dims = np.asarray(geom.dims)
-    u = geom.to_index(pts)
-    hi = dims - 1.0
-    uc = np.clip(u, 0.0, hi)
-    i0 = np.minimum(uc.astype(np.intp), dims - 2)
-    frac = uc - i0
-    unclamped = (u > 0.0) & (u < hi)
+    rows = np.ascontiguousarray(pts.T)
+    i0, frac, unclamped = (np.empty(rows.shape, t) for t in (np.intp, float, bool))
+    for a, p in enumerate(rows):
+        u = (p - geom.origin[a]) / geom.spacing[a]
+        hi = geom.dims[a] - 1.0
+        uc = np.clip(u, 0.0, hi)
+        i0[a] = np.minimum(uc.astype(np.intp), geom.dims[a] - 2)
+        frac[a] = uc - i0[a]
+        unclamped[a] = (u > 0.0) & (u < hi)
     return i0, frac, unclamped
 
 
-def _corner_weights(frac: np.ndarray, corner: tuple[int, ...]) -> np.ndarray:
-    w = np.ones(frac.shape[0])
-    for a, bit in enumerate(corner):
-        w = w * (frac[:, a] if bit else 1.0 - frac[:, a])
-    return w
+class Stencil:
+    """Multilinear interpolation stencil of a point set on a grid.
+
+    Locates the points once and keeps the flat index of each point's lowest
+    cell corner, its in-cell fractions and its clamp mask; the gather, its
+    point derivative and its transpose (the splat) share that lookup. Corner
+    weights are recomputed per use, not stored 2^d times, always in the same
+    corner and axis order, so results match a per-corner loop bit for bit.
+    """
+
+    def __init__(self, geom: GridGeometry, pts):
+        pts = np.asarray(pts, float)
+        d = geom.ndim
+        self.geom = geom
+        self.lead = pts.shape[:-1]
+        i0, self.frac, self.unclamped = _locate(geom, pts.reshape(-1, d))
+        self.base = np.ravel_multi_index(tuple(i0), geom.dims)
+        corners = itertools.product((0, 1), repeat=d)
+        self.corners = [(c, int(np.ravel_multi_index(c, geom.dims))) for c in corners]
+
+    def _weight(self, corner: tuple[int, ...], skip: int = -1) -> np.ndarray:
+        """Product over axes a != skip of frac (bit 1) or 1 - frac (bit 0)."""
+        w = None
+        for a, bit in enumerate(corner):
+            if a != skip:
+                f = self.frac[a] if bit else 1.0 - self.frac[a]
+                w = f if w is None else w * f
+        return w
+
+    def _rows(self, values: np.ndarray):
+        """Channel shape and the node data as contiguous (c, node_count) rows."""
+        channels = values.shape[self.geom.ndim:]
+        return channels, np.ascontiguousarray(values.reshape(self.geom.node_count, -1).T)
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Interpolate ``values`` (shape ``dims`` or ``dims + (c,)``) at the points.
+
+        Returns shape ``lead`` or ``lead + (c,)``.
+        """
+        channels, rows = self._rows(values)
+        acc = np.zeros((rows.shape[0], self.base.size))
+        for corner, off in self.corners:
+            acc += self._weight(corner) * np.take(rows, self.base + off, axis=1)
+        return np.ascontiguousarray(acc.T).reshape(self.lead + channels)
+
+    def point_grad(self, values: np.ndarray) -> np.ndarray:
+        """Derivative of :meth:`gather` with respect to the point.
+
+        Shape ``lead + channels + (d,)``: ``grad[..., a] = d(gather)/dp_a``,
+        zero along any axis on which the point was clamped.
+        """
+        d = self.geom.ndim
+        channels, rows = self._rows(values)
+        inv_spacing = 1.0 / np.asarray(self.geom.spacing)
+        grad = np.zeros((d, rows.shape[0], self.base.size))
+        for corner, off in self.corners:
+            node = np.take(rows, self.base + off, axis=1)
+            for a in range(d):
+                dw = self._weight(corner, skip=a)
+                if corner[a] == 0:
+                    dw = -dw
+                grad[a] += dw * inv_spacing[a] * self.unclamped[a] * node
+        return np.ascontiguousarray(grad.transpose(2, 1, 0)).reshape(self.lead + channels + (d,))
+
+    def splat(self, adj) -> np.ndarray:
+        """Transpose of :meth:`gather`: accumulate ``adj`` onto the nodes.
+
+        ``adj`` (shape ``lead`` or ``lead + (c,)``) becomes ``(node_count,)``
+        or ``(node_count, c)``. One ``np.bincount`` per channel over the
+        corner-major indices adds in the order of a per-corner scatter.
+        """
+        adj = np.asarray(adj, float)
+        channels = adj.shape[len(self.lead):]
+        idx = np.concatenate([self.base + off for _, off in self.corners])
+        w = np.concatenate([self._weight(corner) for corner, _ in self.corners])
+        n, k = self.geom.node_count, len(self.corners)
+        out = [np.bincount(idx, w * np.tile(col, k), minlength=n) for col in adj.reshape(self.base.size, -1).T]
+        return np.stack(out, axis=-1).reshape((n,) + channels)
 
 
 def interp_values(values: np.ndarray, geom: GridGeometry, pts) -> np.ndarray:
@@ -237,55 +314,16 @@ def interp_values(values: np.ndarray, geom: GridGeometry, pts) -> np.ndarray:
     ``values`` has shape ``dims`` (scalar) or ``dims + (c,)`` (c channels);
     ``pts`` has shape ``(..., d)``. Returns shape ``(...,)`` or ``(..., c)``.
     """
-    pts = np.asarray(pts, float)
-    lead = pts.shape[:-1]
-    d = geom.ndim
-    flat = pts.reshape(-1, d)
-    i0, frac, _ = _locate(geom, flat)
-    channels = values.shape[d:]
-    acc = np.zeros((flat.shape[0],) + channels)
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = tuple(i0[:, a] + corner[a] for a in range(d))
-        w = _corner_weights(frac, corner)
-        acc += w.reshape((-1,) + (1,) * len(channels)) * values[idx]
-    return acc.reshape(lead + channels)
+    return Stencil(geom, pts).gather(values)
 
 
 def interp_with_point_grad(values: np.ndarray, geom: GridGeometry, pts):
     """Interpolated values and their derivative with respect to the point.
 
-    For flattened points (m, d) returns ``(vals, grad)`` where grad has
-    shape ``(m, d)`` for scalar data or ``(m, c, d)`` for c channels:
-    ``grad[..., a] = ∂(interp)/∂p_a``. The derivative is zero along any
-    axis on which the point was clamped.
+    Returns ``(vals, grad)``; see :meth:`Stencil.point_grad` for the layout.
     """
-    pts = np.asarray(pts, float)
-    d = geom.ndim
-    flat = pts.reshape(-1, d)
-    m = flat.shape[0]
-    i0, frac, unclamped = _locate(geom, flat)
-    channels = values.shape[d:]
-    vals = np.zeros((m,) + channels)
-    grad = np.zeros((m,) + channels + (d,))
-    inv_spacing = 1.0 / np.asarray(geom.spacing)
-    cshape = (1,) * len(channels)
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = tuple(i0[:, a] + corner[a] for a in range(d))
-        node = values[idx]
-        w = _corner_weights(frac, corner)
-        vals += w.reshape((-1,) + cshape) * node
-        for a in range(d):
-            dw = np.ones(m)
-            for b, bit in enumerate(corner):
-                if b == a:
-                    continue
-                dw = dw * (frac[:, b] if bit else 1.0 - frac[:, b])
-            if corner[a] == 0:
-                dw = -dw
-            dw = dw * inv_spacing[a] * unclamped[:, a]
-            grad[..., a] += dw.reshape((-1,) + cshape) * node
-    lead = pts.shape[:-1]
-    return vals.reshape(lead + channels), grad.reshape(lead + channels + (d,))
+    st = Stencil(geom, pts)
+    return st.gather(values), st.point_grad(values)
 
 
 def splat_adjoint(shape: tuple, geom: GridGeometry, pts, adj) -> np.ndarray:
@@ -295,18 +333,8 @@ def splat_adjoint(shape: tuple, geom: GridGeometry, pts, adj) -> np.ndarray:
     ``shape`` (``dims`` or ``dims + (c,)``) using the same corner weights the
     interpolation gather would use at ``pts``.
     """
-    pts = np.asarray(pts, float)
-    d = geom.ndim
-    flat = pts.reshape(-1, d)
-    adj = np.asarray(adj, float).reshape((flat.shape[0],) + shape[d:])
-    out = np.zeros(shape)
-    i0, frac, _ = _locate(geom, flat)
-    cshape = (1,) * (len(shape) - d)
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = tuple(i0[:, a] + corner[a] for a in range(d))
-        w = _corner_weights(frac, corner).reshape((-1,) + cshape)
-        np.add.at(out, idx, w * adj)
-    return out
+    st = Stencil(geom, pts)
+    return st.splat(np.reshape(adj, st.lead + tuple(shape[geom.ndim:]))).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

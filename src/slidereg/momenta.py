@@ -156,6 +156,12 @@ def _orders(m0: np.ndarray, m1: np.ndarray) -> list:
     return [m0, *np.moveaxis(m1, 1, 0)]
 
 
+def _split(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-order blocks back to (order 0, slots stacked on axis 1); zero slots if only order 0 ran."""
+    b0, slots = blocks[0], blocks[1:]
+    return b0, np.stack(slots, axis=1) if slots else np.zeros(b0.shape + b0.shape[-1:])
+
+
 class _Lattice:
     """Embedding of points in the product of their per-axis unique coordinates.
 
@@ -191,10 +197,11 @@ class VelocityAssembler:
     window of nodes around the node nearest each control coordinate,
     clipped to the grid. Zeroth-order synthesis is the Kronecker product
     of these; slot i swaps in the partial factor on axis i. The adjoint
-    uses the transposes.
+    uses the transposes. With ``first_order=False`` only the zeroth order
+    is synthesized: ``m1`` is ignored and its adjoint reads zero.
     """
 
-    def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray):
+    def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray, first_order: bool = True):
         self.grid = grid
         self.points = np.asarray(points, float)
         lo, hi = grid.bounds
@@ -208,7 +215,8 @@ class VelocityAssembler:
             mask = np.abs(nodes[:, None] - near) <= spec.window // 2
             offsets = (grid.origin[a] + grid.spacing[a] * nodes)[:, None] - u
             k.append(mask * _factor(kernels.eval_kernel_many, spec, offsets))
-            dk.append(mask * _factor(kernels.eval_partial_many, spec, offsets, 0))
+            if first_order:
+                dk.append(mask * _factor(kernels.eval_partial_many, spec, offsets, 0))
         self.ops = _per_order(k, dk)
         # contiguous transposes: batched matmul is slow on transposed views
         self.ops_T = [[np.ascontiguousarray(A.T) for A in mats] for mats in self.ops]
@@ -221,8 +229,7 @@ class VelocityAssembler:
     def adjoint(self, vbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pull node-velocity adjoints back to (m0bar, m1bar)."""
         V = vbar.reshape(self.grid.dims + (self.grid.ndim,))
-        bars = [self.lattice.gather(_apply(mats, V)) for mats in self.ops_T]
-        return bars[0], np.stack(bars[1:], axis=1)
+        return _split([self.lattice.gather(_apply(mats, V)) for mats in self.ops_T])
 
 
 class KernelGrams:
@@ -232,30 +239,34 @@ class KernelGrams:
     Each is a Kronecker product of untruncated n_a x n_a axis factors on
     the points' lattice (slot i swaps in the mixed factor on axis i) and
     is never formed. The energy has no cross-order blocks: it is the sum
-    of the per-order quadratic forms.
+    of the per-order quadratic forms. With ``first_order=False`` only G0
+    is applied and the first-order products read zero.
     """
 
-    def __init__(self, spec: KernelSpec, points: np.ndarray):
+    def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
         self.lattice = _Lattice(points)
         offsets = [u[:, None] - u for u in self.lattice.axes]
         self.ops = _per_order(
             [_factor(kernels.eval_kernel_many, spec, o) for o in offsets],
-            [_factor(kernels.eval_mixed_many, spec, o, 0) for o in offsets],
+            [_factor(kernels.eval_mixed_many, spec, o, 0) for o in offsets] if first_order else [],
         )
 
-    def _products(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def products(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(G0 m0, G1_i m1_i)."""
         lat = self.lattice
-        g = [lat.gather(_apply(mats, lat.scatter(m))) for mats, m in zip(self.ops, _orders(m0, m1))]
-        return g[0], np.stack(g[1:], axis=1)
+        return _split([lat.gather(_apply(mats, lat.scatter(m))) for mats, m in zip(self.ops, _orders(m0, m1))])
+
+    @staticmethod
+    def energy_of(m0, m1, products) -> float:
+        """Energy from precomputed :meth:`products` of the same momenta."""
+        return float(np.sum(m0 * products[0]) + np.sum(m1 * products[1]))
 
     def energy(self, m0: np.ndarray, m1: np.ndarray) -> float:
-        g0, g1 = self._products(m0, m1)
-        return float(np.sum(m0 * g0) + np.sum(m1 * g1))
+        return self.energy_of(m0, m1, self.products(m0, m1))
 
     def grad(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of :meth:`energy`: (2 G0 m0, 2 G1_i m1_i)."""
-        g0, g1 = self._products(m0, m1)
+        g0, g1 = self.products(m0, m1)
         return 2.0 * g0, 2.0 * g1
 
 

@@ -10,7 +10,7 @@ what makes the finite-difference gradient check pass to tight tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -19,12 +19,11 @@ from .errors import DivergenceError
 from .geometry import (
     GridGeometry,
     ScalarImage,
+    Stencil,
     VectorField,
     box_downsample,
     gradient_central,
-    interp_values,
-    interp_with_point_grad,
-    splat_adjoint,
+    interp_values,  # noqa: F401 - kept importable here for perfbench's tracer
     warp_image,
 )
 from .kernels import KernelSpec
@@ -103,12 +102,19 @@ class EnergyParts(NamedTuple):
 
 @dataclass(frozen=True)
 class RegistrationResult:
+    """Solution of :func:`optimize`.
+
+    ``stop_reason`` is ``gradient_zero``, ``rel_tol``, ``max_iters`` or
+    ``line_search_stalled``; ``converged`` holds for the first two.
+    """
+
     momenta: TimeMomenta
     flow: flowmod.FlowPath
     warped: ScalarImage
     energy_trace: tuple
     iterations_used: int
     converged: bool
+    stop_reason: str
 
 
 def ssd(a: ScalarImage, b: ScalarImage) -> float:
@@ -129,18 +135,21 @@ def eulerian_grad_ssd(warped: ScalarImage, ref: ScalarImage) -> VectorField:
 
 
 class _Engine:
-    """Precomputed operators and the forward/backward energy pipeline."""
+    """Precomputed operators and the forward/backward energy pipeline.
+
+    In ``zeroth_only`` mode the operators run the zeroth order alone, so
+    first-order momenta are ignored and their gradient is zero.
+    """
 
     def __init__(self, cfg: RegistrationConfig, grid: GridGeometry, points: np.ndarray):
         self.cfg = cfg
         self.grid = grid
         self.points = points
-        self.asm = VelocityAssembler(cfg.kernel, grid, points)
-        self.grams = KernelGrams(cfg.kernel, points)
-        self.X = grid.node_positions().reshape(-1, grid.ndim)
+        self.first_order = cfg.orders == "zeroth_and_first"
+        self.asm = VelocityAssembler(cfg.kernel, grid, points, self.first_order)
+        self.grams = KernelGrams(cfg.kernel, points, self.first_order)
         d = grid.ndim
         self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d)
-        self.first_order = cfg.orders == "zeroth_and_first"
 
     # momenta are carried as flat arrays: m0 (T, n, d), m1 (T, n, d, d)
 
@@ -149,81 +158,59 @@ class _Engine:
         n, d = self.points.shape
         return np.zeros((T, n, d)), np.zeros((T, n, d, d))
 
-    def theta_from(self, tm: TimeMomenta):
-        m0 = np.stack([ms.m0 for ms in tm.steps])
-        m1 = np.stack([ms.m1 for ms in tm.steps])
-        return m0, m1
-
     def to_time_momenta(self, m0, m1) -> TimeMomenta:
         return TimeMomenta(
             tuple(MomentumSet(self.points, m0[k], m1[k]) for k in range(self.cfg.T))
         )
 
     def forward(self, m0, m1, I0: ScalarImage, I1: ScalarImage, keep: bool = False):
-        cfg = self.cfg
-        grid = self.grid
-        T = cfg.T
-        dt = 1.0 / T
-        d = grid.ndim
-        field_shape = grid.dims + (d,)
-        psi = self.X
-        vs = np.empty((T, self.X.shape[0], d)) if keep else None
-        psis = [psi] if keep else None
-        reg = 0.0
-        for k in range(T):
-            v = self.asm.velocity(m0[k], m1[k])
-            lookup = self.X - dt * v
-            psi = interp_values(psi.reshape(field_shape), grid, lookup)
-            if not np.all(np.isfinite(psi)):
-                raise DivergenceError(f"inverse map non-finite after step {k + 1}", step=k + 1)
-            reg += self.grams.energy(m0[k], m1[k])
-            if keep:
-                vs[k] = v
-                psis.append(psi)
-        warped = interp_values(I0.values, grid, psi).reshape(grid.dims)
-        resid = warped - I1.values
+        """Energy parts; with ``keep`` also what the adjoint reuses: the inverse
+        maps, step stencils, final-sample stencil, Gram products and residual."""
+        cfg, grid, T = self.cfg, self.grid, self.cfg.T
+        gms = []
+
+        def velocities():
+            for k in range(T):
+                gms.append(self.grams.products(m0[k], m1[k]))
+                yield self.asm.velocity(m0[k], m1[k])
+
+        psis, stencils = flowmod._advect_inverse(velocities(), grid, T)
+        final = Stencil(grid, psis[-1])
+        resid = final.gather(I0.values).reshape(grid.dims) - I1.values
         e_sim = 0.5 * float(np.mean(resid * resid))
+        reg = 0.0
+        for k, gm in enumerate(gms):
+            reg += KernelGrams.energy_of(m0[k], m1[k], gm)
         e_reg = cfg.reg_weight * reg / (2.0 * T)
         ms0 = MomentumSet(self.points, m0[0], m1[0])
         e_sparse = sparsity(ms0, self.lam, cfg.sparsity_eps)
         parts = EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
         if keep:
-            return parts, (vs, psis, resid)
+            return parts, (psis, stencils, final, gms, resid)
         return parts
 
     def energy_and_grad(self, m0, m1, I0: ScalarImage, I1: ScalarImage):
-        cfg = self.cfg
-        grid = self.grid
-        T = cfg.T
+        cfg, grid, T = self.cfg, self.grid, self.cfg.T
         dt = 1.0 / T
-        d = grid.ndim
-        N = self.X.shape[0]
-        field_shape = grid.dims + (d,)
-        parts, (vs, psis, resid) = self.forward(m0, m1, I0, I1, keep=True)
+        field_shape = grid.dims + (grid.ndim,)
+        parts, (psis, stencils, final, gms, resid) = self.forward(m0, m1, I0, I1, keep=True)
 
-        g0 = np.empty_like(m0)
-        g1 = np.empty_like(m1)
+        g0, g1 = np.empty_like(m0), np.empty_like(m1)
 
-        # d E_S / d warped, then through the final image interpolation
-        wbar = (resid / N).reshape(-1)
-        _, gpt = interp_with_point_grad(I0.values, grid, psis[-1])
-        psibar = wbar[:, None] * gpt  # (N, d)
+        # d E_S / d warped, then through the final image interpolation: (N, d)
+        psibar = (resid / grid.node_count).reshape(-1)[:, None] * final.point_grad(I0.values)
 
+        scale = cfg.reg_weight / (2.0 * T)
         for k in range(T - 1, -1, -1):
-            lookup = self.X - dt * vs[k]
-            _, J = interp_with_point_grad(psis[k].reshape(field_shape), grid, lookup)
+            J = stencils[k].point_grad(psis[k].reshape(field_shape))
             vbar = -dt * np.einsum("nci,nc->ni", J, psibar)
             a0, a1 = self.asm.adjoint(vbar)
-            r0, r1 = self.grams.grad(m0[k], m1[k])
-            scale = cfg.reg_weight / (2.0 * T)
-            g0[k] = a0 + scale * r0
-            g1[k] = a1 + scale * r1
+            g0[k] = a0 + scale * (2.0 * gms[k][0])
+            g1[k] = a1 + scale * (2.0 * gms[k][1])
             if k > 0:
-                psibar = splat_adjoint(field_shape, grid, lookup, psibar).reshape(N, d)
+                psibar = stencils[k].splat(psibar)
 
-        s0, s1 = sparsity_grad(
-            MomentumSet(self.points, m0[0], m1[0]), self.lam, cfg.sparsity_eps
-        )
+        s0, s1 = sparsity_grad(MomentumSet(self.points, m0[0], m1[0]), self.lam, cfg.sparsity_eps)
         g0[0] += s0
         g1[0] += s1
         if not self.first_order:
@@ -237,25 +224,24 @@ def _make_engine(cfg: RegistrationConfig, grid: GridGeometry, points=None) -> _E
     return _Engine(cfg, grid, np.asarray(points, float))
 
 
-def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
-    """Energy parts (similarity, regularization, sparsity, total) of a state."""
+def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage):
+    """Checked engine at the state's control points, and the state as (m0, m1) arrays."""
     _check_pair_geometry(I0, I1)
     if tm.T != cfg.T:
         raise ValueError(f"momenta have T={tm.T} but config says T={cfg.T}")
     eng = _make_engine(cfg, I0.geometry, tm.points)
-    m0 = np.stack([ms.m0 for ms in tm.steps])
-    m1 = np.stack([ms.m1 for ms in tm.steps])
+    return eng, np.stack([ms.m0 for ms in tm.steps]), np.stack([ms.m1 for ms in tm.steps])
+
+
+def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
+    """Energy parts (similarity, regularization, sparsity, total) of a state."""
+    eng, m0, m1 = _engine_for(cfg, tm, I0, I1)
     return eng.forward(m0, m1, I0, I1)
 
 
 def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> TimeMomenta:
     """Exact gradient of :func:`total_energy` in TimeMomenta shape."""
-    _check_pair_geometry(I0, I1)
-    if tm.T != cfg.T:
-        raise ValueError(f"momenta have T={tm.T} but config says T={cfg.T}")
-    eng = _make_engine(cfg, I0.geometry, tm.points)
-    m0 = np.stack([ms.m0 for ms in tm.steps])
-    m1 = np.stack([ms.m1 for ms in tm.steps])
+    eng, m0, m1 = _engine_for(cfg, tm, I0, I1)
     _, g0, g1 = eng.energy_and_grad(m0, m1, I0, I1)
     return eng.to_time_momenta(g0, g1)
 
@@ -272,7 +258,7 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
     if not np.isfinite(parts.total):
         raise DivergenceError("energy non-finite at initialization")
     trace = [parts]
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
     alpha_prev = cfg.armijo_init
 
@@ -280,7 +266,7 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
         parts, g0, g1 = eng.energy_and_grad(m0, m1, I0, I1)
         gnorm2 = float(np.sum(g0 * g0) + np.sum(g1 * g1))
         if gnorm2 <= 1e-30:
-            converged = True
+            stop_reason = "gradient_zero"
             break
         alpha = min(cfg.armijo_init, 2.0 * alpha_prev)
         accepted = False
@@ -296,7 +282,8 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
                 break
             alpha *= cfg.armijo_shrink
         if not accepted:
-            break  # stagnation: no further descent possible
+            stop_reason = "line_search_stalled"
+            break
         m0, m1 = c0, c1
         alpha_prev = alpha
         trace.append(cand)
@@ -305,9 +292,9 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
             past = trace[-6].total
             drop = (past - trace[-1].total) / max(abs(past), 1e-30)
             if drop < cfg.stop_rel_tol:
-                converged = True
+                stop_reason = "rel_tol"
                 break
-    return m0, m1, trace, iterations, converged
+    return m0, m1, trace, iterations, stop_reason
 
 
 def _prolong_momenta(coarse_pts, cm0, cm1, fine_grid: GridGeometry, stride: int):
@@ -331,12 +318,14 @@ def _prolong_momenta(coarse_pts, cm0, cm1, fine_grid: GridGeometry, stride: int)
 def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> RegistrationResult:
     """Gradient descent with Armijo backtracking from zero initial momenta.
 
-    Stops when the relative total-energy decrease over 5 accepted
-    iterations falls below ``stop_rel_tol`` (converged), on ``max_iters``,
-    or when the line search stagnates (``max_shrinks`` failures;
-    converged stays False). With ``cfg.pyramid`` a half-resolution solve
-    (box-downsampled images, half the iterations) warm-starts the
-    full-resolution descent; the reported trace is the fine-level one.
+    Stops when the gradient vanishes (``gradient_zero``), when the
+    relative total-energy decrease over 5 accepted iterations falls below
+    ``stop_rel_tol`` (``rel_tol``), on ``max_iters``, or when the line
+    search stagnates after ``max_shrinks`` shrinks (``line_search_stalled``);
+    ``converged`` holds for the first two. With ``cfg.pyramid`` a
+    half-resolution solve (box-downsampled images, half the iterations)
+    warm-starts the full-resolution descent; the reported trace is the
+    fine-level one.
     """
     _check_pair_geometry(I0, I1)
     eng = _make_engine(cfg, I0.geometry)
@@ -353,7 +342,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         if not eng.first_order:
             m1[:] = 0.0
 
-    m0, m1, trace, iterations, converged = _descend(eng, m0, m1, I0, I1)
+    m0, m1, trace, iterations, stop_reason = _descend(eng, m0, m1, I0, I1)
 
     tm = eng.to_time_momenta(m0, m1)
     fp = flowmod.integrate(tm, cfg.kernel, I0.geometry)
@@ -364,7 +353,8 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         warped=warped,
         energy_trace=tuple(trace),
         iterations_used=iterations,
-        converged=converged,
+        converged=stop_reason in ("gradient_zero", "rel_tol"),
+        stop_reason=stop_reason,
     )
 
 
@@ -372,27 +362,10 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
 
 
 def config_to_dict(cfg: RegistrationConfig) -> dict:
-    return {
-        "kernel": {
-            "family": cfg.kernel.family,
-            "scale": cfg.kernel.scale,
-            "window": cfg.kernel.window,
-        },
-        "orders": cfg.orders,
-        "T": cfg.T,
-        "lambda0": cfg.lambda0,
-        "lambda1": cfg.lambda1,
-        "reg_weight": cfg.reg_weight,
-        "max_iters": cfg.max_iters,
-        "armijo_init": cfg.armijo_init,
-        "armijo_shrink": cfg.armijo_shrink,
-        "armijo_slope": cfg.armijo_slope,
-        "stop_rel_tol": cfg.stop_rel_tol,
-        "control_stride": cfg.control_stride,
-        "sparsity_eps": cfg.sparsity_eps,
-        "max_shrinks": cfg.max_shrinks,
-        "pyramid": cfg.pyramid,
-    }
+    data = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    k = cfg.kernel
+    data["kernel"] = {"family": k.family, "scale": k.scale, "window": k.window}
+    return data
 
 
 def config_from_dict(data: dict) -> RegistrationConfig:
@@ -403,12 +376,7 @@ def config_from_dict(data: dict) -> RegistrationConfig:
         scale=float(kspec["scale"]),
         window=int(kspec.get("window", 9)),
     )
-    known = {
-        "orders", "T", "lambda0", "lambda1", "reg_weight", "max_iters",
-        "armijo_init", "armijo_shrink", "armijo_slope", "stop_rel_tol",
-        "control_stride", "sparsity_eps", "max_shrinks", "pyramid",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(RegistrationConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return RegistrationConfig(kernel=kernel, **data)

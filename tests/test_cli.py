@@ -73,6 +73,8 @@ class TestRegister:
         assert code == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["ssd_final"] <= summary["ssd_initial"]
+        assert summary["stop_reason"] in ("gradient_zero", "rel_tol", "max_iters", "line_search_stalled")
+        assert summary["converged"] == (summary["stop_reason"] in ("gradient_zero", "rel_tol"))
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm", "trace.csv"):
             assert (out_dir / artifact).exists()
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from slidereg.geometry import (
     DeformationMap,
     GridGeometry,
     ScalarImage,
+    Stencil,
     VectorField,
     gradient_central,
     identity_map,
@@ -203,3 +206,112 @@ class TestInterpInternals:
         splatted = splat_adjoint(grid2d_aniso.dims, grid2d_aniso, pts, adj)
         # <gather(v), adj> == <v, splat(adj)> for the same points
         assert np.dot(gathered, adj) == pytest.approx(np.sum(vals * splatted), rel=1e-12)
+
+
+def _oracle(values, geom, pts, adj):
+    """Per-point, per-corner scalar loops: gather, point gradient and splat.
+
+    Same arithmetic and accumulation order as the multilinear stencil, one
+    Python float at a time; the splat adds corner by corner, point by point.
+    """
+    d = geom.ndim
+    chan = values.reshape(geom.dims + (-1,))
+    c = chan.shape[-1]
+    m = pts.shape[0]
+    vals, grad = np.zeros((m, c)), np.zeros((m, c, d))
+    splat = np.zeros(geom.dims + (c,))
+    cells = []
+    for j, p in enumerate(pts):
+        i0, f, inside = [], [], []
+        for a in range(d):
+            u = (float(p[a]) - geom.origin[a]) / geom.spacing[a]
+            hi = geom.dims[a] - 1.0
+            uc = min(max(u, 0.0), hi)
+            i0.append(min(int(uc), geom.dims[a] - 2))
+            f.append(uc - i0[-1])
+            inside.append(1.0 if 0.0 < u < hi else 0.0)
+        cells.append((i0, f))
+        for corner in itertools.product((0, 1), repeat=d):
+            node = chan[tuple(i + b for i, b in zip(i0, corner))]
+            w = 1.0
+            for a, bit in enumerate(corner):
+                w = w * (f[a] if bit else 1.0 - f[a])
+            for k in range(c):
+                vals[j, k] = vals[j, k] + w * node[k]
+            for a in range(d):
+                dw = 1.0
+                for b, bit in enumerate(corner):
+                    if b != a:
+                        dw = dw * (f[b] if bit else 1.0 - f[b])
+                if corner[a] == 0:
+                    dw = -dw
+                dw = dw * (1.0 / geom.spacing[a]) * inside[a]
+                for k in range(c):
+                    grad[j, k, a] = grad[j, k, a] + dw * node[k]
+    for corner in itertools.product((0, 1), repeat=d):
+        for j, (i0, f) in enumerate(cells):
+            w = 1.0
+            for a, bit in enumerate(corner):
+                w = w * (f[a] if bit else 1.0 - f[a])
+            idx = tuple(i + b for i, b in zip(i0, corner))
+            for k in range(c):
+                splat[idx + (k,)] = splat[idx + (k,)] + w * adj.reshape(m, c)[j, k]
+    return vals, grad, splat
+
+
+def _probe_points(geom, rng):
+    """Interior points, nodes, the upper faces, and points clamped past every face and corner."""
+    lo, hi = geom.bounds
+    span = hi - lo
+    inner = lo + span * rng.uniform(0, 1, (40, geom.ndim))
+    nodes = geom.to_physical(rng.integers(0, np.asarray(geom.dims), (6, geom.ndim)))
+    outside = []
+    for side in itertools.product((-1, 0, 1), repeat=geom.ndim):
+        q = lo + span * rng.uniform(0.1, 0.9, geom.ndim)
+        side = np.asarray(side)
+        q = np.where(side < 0, lo - 1.5 * np.asarray(geom.spacing), q)
+        q = np.where(side > 0, hi + 2.5 * np.asarray(geom.spacing), q)
+        outside.append(q)
+    return np.concatenate([inner, nodes, [hi, lo], outside])
+
+
+class TestStencil:
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            GridGeometry((8, 10), (0.5, 2.0), (-1.0, 3.0)),
+            GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5)),
+        ],
+        ids=["2d", "3d"],
+    )
+    @pytest.mark.parametrize("channels", [(), (3,)], ids=["scalar", "channels"])
+    def test_matches_per_corner_loop(self, geom, channels, rng):
+        pts = _probe_points(geom, rng)
+        values = rng.standard_normal(geom.dims + channels)
+        adj = rng.standard_normal((pts.shape[0],) + channels)
+        vals, grad, splat = _oracle(values, geom, pts, adj)
+        st = Stencil(geom, pts)
+        np.testing.assert_array_equal(st.gather(values), vals.reshape(st.gather(values).shape))
+        np.testing.assert_array_equal(st.point_grad(values), grad.reshape((-1,) + channels + (geom.ndim,)))
+        np.testing.assert_array_equal(
+            st.splat(adj).reshape(geom.dims + channels), splat.reshape(geom.dims + channels)
+        )
+
+    def test_clamped_axes_have_zero_gradient(self, rng):
+        geom = GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5))
+        pts = _probe_points(geom, rng)
+        lo, hi = geom.bounds
+        grad = Stencil(geom, pts).point_grad(rng.standard_normal(geom.dims))
+        outside = (pts <= lo) | (pts >= hi)
+        assert outside.any()
+        assert np.all(grad[outside] == 0.0)
+
+    def test_wrappers_keep_leading_shape(self, grid2d_aniso, rng):
+        vals = rng.standard_normal(grid2d_aniso.dims + (2,))
+        pts = _probe_points(grid2d_aniso, rng)[:30].reshape(5, 6, 2)
+        assert interp_values(vals, grid2d_aniso, pts).shape == (5, 6, 2)
+        v, g = interp_with_point_grad(vals, grid2d_aniso, pts)
+        assert v.shape == (5, 6, 2) and g.shape == (5, 6, 2, 2)
+        out = splat_adjoint(grid2d_aniso.dims + (2,), grid2d_aniso, pts, np.ones((30, 2)))
+        assert out.shape == grid2d_aniso.dims + (2,)
+        assert np.sum(out) == pytest.approx(60.0, rel=1e-12)

@@ -228,6 +228,35 @@ class TestGradient:
         for ms in g.steps:
             assert np.all(ms.m1 == 0.0)
 
+    @pytest.mark.parametrize("family", ["gaussian", "wendland_c0_mult"])
+    def test_zeroth_only_equals_both_orders_at_zero_m1(self, family, rng):
+        # zeroth_only skips the first-order work; each skipped term adds
+        # exactly zero when m1 = 0, so the results match bit for bit
+        pair = gen_rectangle(16, 2)
+        both = small_config(family)
+        zeroth = small_config(family, orders="zeroth_only")
+        tm = random_momenta(both, GRID16, rng, scale1=0.0)
+        assert total_energy(zeroth, tm, pair.template, pair.reference) == total_energy(
+            both, tm, pair.template, pair.reference
+        )
+        gz = gradient(zeroth, tm, pair.template, pair.reference)
+        gb = gradient(both, tm, pair.template, pair.reference)
+        for a, b in zip(gz.steps, gb.steps):
+            np.testing.assert_array_equal(a.m0, b.m0)
+
+    def test_one_lookup_per_point_set(self, rng, monkeypatch):
+        # the backward pass reuses the forward stencils: T transport steps
+        # plus the final template sample locate their points once each
+        from slidereg import geometry
+
+        calls = []
+        real = geometry._locate
+        monkeypatch.setattr(geometry, "_locate", lambda *a: calls.append(1) or real(*a))
+        pair = gen_rectangle(16, 2)
+        cfg = small_config()
+        gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
+        assert len(calls) == cfg.T + 1
+
 
 class TestOptimize:
     def test_identical_images_converges_immediately(self):
@@ -235,9 +264,29 @@ class TestOptimize:
         cfg = small_config()
         res = optimize(cfg, pair.template, pair.template)
         assert res.converged
+        assert res.stop_reason == "gradient_zero"
         assert res.iterations_used <= 2
         for ms in res.momenta.steps:
             assert np.all(ms.m0 == 0.0) and np.all(ms.m1 == 0.0)
+
+    def test_stops_on_relative_tolerance(self):
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(stop_rel_tol=1.0), pair.template, pair.reference)
+        assert res.stop_reason == "rel_tol" and res.converged
+        assert res.iterations_used == 5
+
+    def test_stops_on_max_iters(self):
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(max_iters=3, stop_rel_tol=0.0), pair.template, pair.reference)
+        assert res.stop_reason == "max_iters" and not res.converged
+        assert res.iterations_used == 3
+
+    def test_stops_when_line_search_stalls(self):
+        # no step can meet an absurd sufficient-decrease slope
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(armijo_slope=1e12, max_shrinks=2), pair.template, pair.reference)
+        assert res.stop_reason == "line_search_stalled" and not res.converged
+        assert res.iterations_used == 0 and len(res.energy_trace) == 1
 
     def test_monotone_energy_trace(self, rng):
         pair = gen_rectangle(32, 3)
