@@ -59,7 +59,6 @@ from .nonsmooth import (
 from .registration import (
     RegistrationConfig,
     RegistrationResult,
-    eulerian_grad_ssd,
     gradient,
     optimize,
     ssd,

@@ -78,17 +78,19 @@ def _advect_inverse(velocities, grid: GridGeometry, T: int) -> tuple[list, list]
     node velocities, each (node_count, d). Step k samples the previous map
     at the upwind points ``x - v_k / T`` through one :class:`Stencil`.
     Returns the maps psi_0..psi_T as (node_count, d) arrays and the T
-    step stencils, which the exact adjoint reuses.
+    step stencils, which the exact adjoint reuses. A non-finite velocity
+    raises :class:`DivergenceError`; finite ones keep every map finite,
+    since each gather is a convex combination of the previous map's nodes.
     """
     dt = 1.0 / T
     X = grid.node_positions().reshape(-1, grid.ndim)
     field_shape = grid.dims + (grid.ndim,)
     psis, stencils = [X], []
     for k, v in enumerate(velocities):
+        if not np.all(np.isfinite(v)):
+            raise DivergenceError(f"velocity non-finite at step {k + 1}", step=k + 1)
         stencils.append(Stencil(grid, X - dt * v))
         psis.append(stencils[-1].gather(psis[-1].reshape(field_shape)))
-        if not np.all(np.isfinite(psis[-1])):
-            raise DivergenceError(f"inverse map non-finite after step {k + 1}", step=k + 1)
     return psis, stencils
 
 

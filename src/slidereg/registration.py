@@ -20,9 +20,7 @@ from .geometry import (
     GridGeometry,
     ScalarImage,
     Stencil,
-    VectorField,
     box_downsample,
-    gradient_central,
     interp_values,  # noqa: F401 - kept importable here for perfbench's tracer
     warp_image,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "RegistrationResult",
     "EnergyParts",
     "ssd",
-    "eulerian_grad_ssd",
     "total_energy",
     "gradient",
     "optimize",
@@ -125,15 +122,6 @@ def ssd(a: ScalarImage, b: ScalarImage) -> float:
     return 0.5 * float(np.mean(diff * diff))
 
 
-def eulerian_grad_ssd(warped: ScalarImage, ref: ScalarImage) -> VectorField:
-    """Pointwise residual times image gradient, (1/N)(warped - ref) grad(warped)."""
-    if warped.geometry.dims != ref.geometry.dims:
-        raise ValueError(f"geometry mismatch: {warped.geometry.dims} vs {ref.geometry.dims}")
-    resid = (warped.values - ref.values) / warped.geometry.node_count
-    g = gradient_central(warped)
-    return VectorField(warped.geometry, resid[..., None] * g.vectors)
-
-
 class _Engine:
     """Precomputed operators and the forward/backward energy pipeline.
 
@@ -163,8 +151,8 @@ class _Engine:
             tuple(MomentumSet(self.points, m0[k], m1[k]) for k in range(self.cfg.T))
         )
 
-    def forward(self, m0, m1, I0: ScalarImage, I1: ScalarImage, keep: bool = False):
-        """Energy parts; with ``keep`` also what the adjoint reuses: the inverse
+    def forward(self, m0, m1, I0: ScalarImage, I1: ScalarImage):
+        """Energy parts and the state :meth:`backward` consumes: the inverse
         maps, step stencils, final-sample stencil, Gram products and residual."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
         gms = []
@@ -185,15 +173,14 @@ class _Engine:
         ms0 = MomentumSet(self.points, m0[0], m1[0])
         e_sparse = sparsity(ms0, self.lam, cfg.sparsity_eps)
         parts = EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
-        if keep:
-            return parts, (psis, stencils, final, gms, resid)
-        return parts
+        return parts, (psis, stencils, final, gms, resid)
 
-    def energy_and_grad(self, m0, m1, I0: ScalarImage, I1: ScalarImage):
+    def backward(self, m0, m1, I0: ScalarImage, state):
+        """Exact adjoint of :meth:`forward` at (m0, m1), from its state: (g0, g1)."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
         dt = 1.0 / T
         field_shape = grid.dims + (grid.ndim,)
-        parts, (psis, stencils, final, gms, resid) = self.forward(m0, m1, I0, I1, keep=True)
+        psis, stencils, final, gms, resid = state
 
         g0, g1 = np.empty_like(m0), np.empty_like(m1)
 
@@ -215,7 +202,11 @@ class _Engine:
         g1[0] += s1
         if not self.first_order:
             g1[:] = 0.0
-        return parts, g0, g1
+        return g0, g1
+
+    def energy_and_grad(self, m0, m1, I0: ScalarImage, I1: ScalarImage):
+        parts, state = self.forward(m0, m1, I0, I1)
+        return (parts,) + self.backward(m0, m1, I0, state)
 
 
 def _make_engine(cfg: RegistrationConfig, grid: GridGeometry, points=None) -> _Engine:
@@ -236,7 +227,7 @@ def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: S
 def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
     """Energy parts (similarity, regularization, sparsity, total) of a state."""
     eng, m0, m1 = _engine_for(cfg, tm, I0, I1)
-    return eng.forward(m0, m1, I0, I1)
+    return eng.forward(m0, m1, I0, I1)[0]
 
 
 def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> TimeMomenta:
@@ -252,9 +243,12 @@ def _check_pair_geometry(I0: ScalarImage, I1: ScalarImage) -> None:
 
 
 def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
-    """Armijo gradient descent from the given momenta; returns the trace."""
+    """Armijo gradient descent from the given momenta; returns the trace.
+
+    The accepted candidate's forward state feeds the next gradient, and each
+    state is dropped once spent or rejected, so at most one is alive."""
     cfg = eng.cfg
-    parts = eng.forward(m0, m1, I0, I1)
+    parts, state = eng.forward(m0, m1, I0, I1)
     if not np.isfinite(parts.total):
         raise DivergenceError("energy non-finite at initialization")
     trace = [parts]
@@ -263,28 +257,27 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
     alpha_prev = cfg.armijo_init
 
     for _ in range(cfg.max_iters):
-        parts, g0, g1 = eng.energy_and_grad(m0, m1, I0, I1)
+        g0, g1 = eng.backward(m0, m1, I0, state)
         gnorm2 = float(np.sum(g0 * g0) + np.sum(g1 * g1))
         if gnorm2 <= 1e-30:
             stop_reason = "gradient_zero"
             break
         alpha = min(cfg.armijo_init, 2.0 * alpha_prev)
-        accepted = False
         for _shrink in range(cfg.max_shrinks + 1):
+            state = None
             c0 = m0 - alpha * g0
             c1 = m1 - alpha * g1
             try:
-                cand = eng.forward(c0, c1, I0, I1)
+                cand, state = eng.forward(c0, c1, I0, I1)
             except DivergenceError:
                 cand = None
             if cand is not None and cand.total <= parts.total - cfg.armijo_slope * alpha * gnorm2:
-                accepted = True
                 break
             alpha *= cfg.armijo_shrink
-        if not accepted:
+        else:
             stop_reason = "line_search_stalled"
             break
-        m0, m1 = c0, c1
+        m0, m1, parts = c0, c1, cand
         alpha_prev = alpha
         trace.append(cand)
         iterations += 1

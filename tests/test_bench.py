@@ -15,6 +15,7 @@ from slidereg.bench import (
     sign_flip,
     transition_width,
     tre,
+    _interior_jacobian_dets,
 )
 from slidereg.flow import jacobian_fd
 from slidereg.geometry import (
@@ -298,6 +299,44 @@ class TestExperimentSpec:
                            generator={"kind": "rectangle"})
 
 
+class TestInteriorJacobian:
+    @staticmethod
+    def per_node_dets(dmap):
+        # the per-node jacobian_fd loop the vectorised version replaces
+        geom = dmap.geometry
+        step = max(1, min(geom.dims) // 32)
+        sl = tuple(slice(2, n - 2, step) for n in geom.dims)
+        h = 0.5 * min(geom.spacing)
+        return np.array([np.linalg.det(jacobian_fd(dmap, x, h)) for x in geom.node_positions()[sl].reshape(-1, geom.ndim)])
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0), (0.5, 2.0)])
+    def test_matches_per_node_jacobian_fd(self, spacing, rng):
+        geom = GridGeometry((20, 24), spacing, (-1.0, 3.0))
+        pos = geom.node_positions()
+        targets = pos + 0.3 * rng.standard_normal(pos.shape)
+        dmap = DeformationMap(geom, targets, "inverse")
+        np.testing.assert_allclose(_interior_jacobian_dets(dmap), self.per_node_dets(dmap), rtol=1e-12, atol=1e-12)
+
+    def test_sampled_3d_nodes(self, rng):
+        # 64^3 samples every second node from the third face layer on
+        geom = GridGeometry((64, 64, 64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        dets = _interior_jacobian_dets(identity_map(geom, "inverse"))
+        assert dets.shape == (30**3,)
+        np.testing.assert_allclose(dets, 1.0, rtol=1e-12)
+
+    def test_counts_folded_nodes(self):
+        # columns past x = 10 are mirrored back: det -1 there and 0 on the
+        # crease column, where the central difference straddles the fold
+        geom = GridGeometry((20, 20), (1.0, 1.0), (0.0, 0.0))
+        targets = geom.node_positions()
+        x = targets[..., 1]
+        targets[..., 1] = np.where(x <= 10.0, x, 20.0 - x)
+        dets = _interior_jacobian_dets(DeformationMap(geom, targets, "forward"))
+        assert dets.size == 16 * 16
+        assert int(np.count_nonzero(dets <= 0.0)) == 16 * 8
+        assert dets.min() == -1.0
+
+
 class TestRunExperiment:
     def test_identical_images_all_zero(self, tmp_path):
         cfg = RegistrationConfig(
@@ -312,6 +351,8 @@ class TestRunExperiment:
         assert report.ssd_after["gaussian"] == pytest.approx(0.0, abs=1e-12)
         payload = json.loads((tmp_path / "null" / "report.json").read_text())
         assert payload["ssd_before"] == 0.0
+        assert payload["fold_count"] == {"gaussian": 0}
+        assert payload["jacobian_min"]["gaussian"] == pytest.approx(1.0)
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm", "trace.csv"):
             assert (tmp_path / "null" / "gaussian" / artifact).exists()
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from slidereg.errors import UnsupportedKernelError
+from slidereg.errors import DivergenceError, UnsupportedKernelError
 from slidereg.flow import (
     ParticleState,
     integrate,
     inverse_consistency_error,
     jacobian_fd,
     shoot_particles,
+    _advect_inverse,
 )
 from slidereg.geometry import DeformationMap, GridGeometry, identity_map
 from slidereg.kernels import KernelSpec, eval_kernel
@@ -86,6 +87,24 @@ class TestIntegrate:
         pos = GRID.node_positions()
         for x in pos[2:-2:3, 2:-2:3].reshape(-1, 2):
             assert np.linalg.det(jacobian_fd(fp.final, x, 0.5)) > 0.0
+
+
+class TestAdvectInverse:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_velocity_raises(self, bad):
+        v = np.zeros((GRID.node_count, 2))
+        v[7, 1] = bad
+        with pytest.raises(DivergenceError) as err:
+            _advect_inverse([v], GRID, 1)
+        assert err.value.step == 1
+
+    def test_raises_at_the_bad_step(self):
+        v = np.zeros((GRID.node_count, 2))
+        bad = v.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(DivergenceError) as err:
+            _advect_inverse([v, v, bad], GRID, 3)
+        assert err.value.step == 3
 
 
 class TestJacobianFD:

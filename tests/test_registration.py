@@ -5,18 +5,19 @@ import pytest
 
 from slidereg.bench import gen_rectangle
 from slidereg.flow import integrate
-from slidereg.geometry import GridGeometry, ScalarImage, box_downsample, sample_linear, warp_image
+from slidereg.errors import DivergenceError
+from slidereg.geometry import GridGeometry, ScalarImage, box_downsample, warp_image
 from slidereg.kernels import KernelSpec
 from slidereg.momenta import KernelGrams, MomentumSet, TimeMomenta, control_lattice
 from slidereg.registration import (
     RegistrationConfig,
     config_from_dict,
     config_to_dict,
-    eulerian_grad_ssd,
     gradient,
     optimize,
     ssd,
     total_energy,
+    _make_engine,
     _prolong_momenta,
 )
 
@@ -48,6 +49,40 @@ def random_momenta(cfg, grid, rng, scale0=0.4, scale1=0.3):
     return TimeMomenta(steps)
 
 
+def oracle_descend(eng, I0, I1):
+    """Armijo descent from zero that reruns each iterate's forward pass in
+    ``energy_and_grad``; returns the final momenta, the energy trace and the
+    number of line-search candidates evaluated."""
+    cfg = eng.cfg
+    m0, m1 = eng.zero_theta()
+    trace = [eng.forward(m0, m1, I0, I1)[0]]
+    alpha_prev = cfg.armijo_init
+    candidates = 0
+    for _ in range(cfg.max_iters):
+        parts, g0, g1 = eng.energy_and_grad(m0, m1, I0, I1)
+        gnorm2 = float(np.sum(g0 * g0) + np.sum(g1 * g1))
+        if gnorm2 <= 1e-30:
+            break
+        alpha = min(cfg.armijo_init, 2.0 * alpha_prev)
+        for _shrink in range(cfg.max_shrinks + 1):
+            c0, c1 = m0 - alpha * g0, m1 - alpha * g1
+            candidates += 1
+            try:
+                cand = eng.forward(c0, c1, I0, I1)[0]
+            except DivergenceError:
+                cand = None
+            if cand is not None and cand.total <= parts.total - cfg.armijo_slope * alpha * gnorm2:
+                break
+            alpha *= cfg.armijo_shrink
+        else:
+            break
+        m0, m1, alpha_prev = c0, c1, alpha
+        trace.append(cand)
+        if len(trace) > 5 and (trace[-6].total - cand.total) / max(abs(trace[-6].total), 1e-30) < cfg.stop_rel_tol:
+            break
+    return m0, m1, trace, candidates
+
+
 class TestSSD:
     def test_identical_zero(self, random_image):
         assert ssd(random_image, random_image) == 0.0
@@ -69,41 +104,6 @@ class TestSSD:
         other = GridGeometry((5, 5), (1.0, 1.0), (0.0, 0.0))
         with pytest.raises(ValueError):
             ssd(ScalarImage(grid2d, np.zeros(grid2d.dims)), ScalarImage(other, np.zeros((5, 5))))
-
-
-class TestEulerianGradSSD:
-    def test_zero_when_equal(self, random_image):
-        g = eulerian_grad_ssd(random_image, random_image)
-        assert np.all(g.vectors == 0.0)
-
-    def test_zero_for_constant_image(self, grid2d):
-        warped = ScalarImage(grid2d, np.full(grid2d.dims, 5.0))
-        ref = ScalarImage(grid2d, np.zeros(grid2d.dims))
-        g = eulerian_grad_ssd(warped, ref)
-        np.testing.assert_allclose(g.vectors[1:-1, 1:-1], 0.0, atol=1e-12)
-
-    def test_matches_advection_fd_oracle(self, rng):
-        # perturb the warped image by advecting along a smooth interior field
-        # and compare d(ssd)/d(eps) against the assembled gradient
-        geom = GridGeometry((20, 20), (1.0, 1.0), (0.0, 0.0))
-        pos = geom.node_positions()
-        smooth = np.sin(pos[..., 0] / 3.0) * np.cos(pos[..., 1] / 2.5) * 40 + 80
-        warped = ScalarImage(geom, smooth)
-        ref = ScalarImage(geom, rng.uniform(0, 160, geom.dims))
-        window = np.zeros(geom.dims)
-        window[4:-4, 4:-4] = 1.0
-        u = np.stack([window * np.cos(pos[..., 1] / 4.0), window * np.sin(pos[..., 0] / 5.0)], axis=-1)
-
-        def advected(eps):
-            pts = (pos - eps * u).reshape(-1, 2)
-            vals = np.array([sample_linear(warped, p) for p in pts])
-            return ScalarImage(geom, vals.reshape(geom.dims))
-
-        eps = 1e-5
-        fd = (ssd(advected(eps), ref) - ssd(advected(-eps), ref)) / (2 * eps)
-        g = eulerian_grad_ssd(warped, ref)
-        dd = -float(np.sum(g.vectors * u))
-        assert dd == pytest.approx(fd, rel=1e-4)
 
 
 class TestTotalEnergy:
@@ -148,6 +148,14 @@ class TestTotalEnergy:
             cfg, TimeMomenta.zeros(pts, cfg.T), pair.template, pair.reference
         )
         assert with_motion.similarity < at_zero.similarity
+
+    def test_nan_momenta_raise_divergence(self):
+        pair = gen_rectangle(16, 2)
+        eng = _make_engine(small_config(), GRID16)
+        m0, m1 = eng.zero_theta()
+        m0[1, 3, 0] = np.nan
+        with pytest.raises(DivergenceError):
+            eng.forward(m0, m1, pair.template, pair.reference)
 
 
 class TestGradient:
@@ -259,6 +267,60 @@ class TestGradient:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("orders", ["zeroth_only", "zeroth_and_first"])
+    @pytest.mark.parametrize("family", ["gaussian", "wendland_c0_mult"])
+    def test_matches_descent_that_recomputes_each_iterate(self, family, orders):
+        # reusing the accepted candidate's forward state for the next
+        # gradient must not change a single bit of the descent
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(family, orders=orders, max_iters=8, stop_rel_tol=0.0)
+        m0, m1, trace, candidates = oracle_descend(_make_engine(cfg, GRID16), pair.template, pair.reference)
+        assert candidates > cfg.max_iters  # some candidates were rejected
+        res = optimize(cfg, pair.template, pair.reference)
+        assert res.iterations_used == len(trace) - 1 == cfg.max_iters
+        np.testing.assert_array_equal(np.array(res.energy_trace), np.array(trace))
+        np.testing.assert_array_equal(np.stack([ms.m0 for ms in res.momenta.steps]), m0)
+        np.testing.assert_array_equal(np.stack([ms.m1 for ms in res.momenta.steps]), m1)
+
+    def test_one_transport_per_iterate(self, monkeypatch):
+        # the initial energy, each line-search candidate and the final
+        # flow.integrate transport once each; gradients transport nothing
+        from slidereg import flow
+
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(max_iters=6, stop_rel_tol=0.0)
+        _, _, _, candidates = oracle_descend(_make_engine(cfg, GRID16), pair.template, pair.reference)
+        calls = []
+        real = flow._advect_inverse
+        monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
+        optimize(cfg, pair.template, pair.reference)
+        assert len(calls) == 1 + candidates + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_candidate_is_rejected(self, monkeypatch):
+        # the first step overflows the momenta, and synthesis turns inf * 0
+        # into NaN velocities; the line search must shrink past it (the
+        # subnormal shrink factor takes alpha from 1e308 to 0.1)
+        from slidereg import flow
+
+        raised = []
+        real = flow._advect_inverse
+
+        def advect(*a):
+            try:
+                return real(*a)
+            except DivergenceError as err:
+                raised.append(err.step)
+                raise
+
+        monkeypatch.setattr(flow, "_advect_inverse", advect)
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(max_iters=3, armijo_init=1e308, armijo_shrink=1e-309)
+        res = optimize(cfg, pair.template, pair.reference)
+        assert raised[0] == 1
+        assert res.iterations_used == 3
+        assert res.energy_trace[-1].total < res.energy_trace[0].total
+
     def test_identical_images_converges_immediately(self):
         pair = gen_rectangle(16, 2)
         cfg = small_config()
