@@ -19,7 +19,7 @@ from scipy.ndimage import gaussian_filter
 
 from . import registration as reg
 from .errors import DivergenceError
-from .fileio import write_pgm
+from .fileio import read_image, read_landmarks, write_pgm
 from .flow import FlowPath, integrate
 from .geometry import (
     DeformationMap,
@@ -361,6 +361,8 @@ class MetricsReport:
     transition_width_rows: dict | None
     jacobian_min: dict
     fold_count: dict
+    stop_reason: dict
+    iterations: dict
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -373,31 +375,27 @@ def _method_config(base: reg.RegistrationConfig, method: str) -> reg.Registratio
 
 
 def _load_pair(spec: ExperimentSpec):
+    """(template, reference, template landmarks, reference landmarks,
+    interface row), each of the last three None where the source has none."""
     if spec.generator is not None:
         g = dict(spec.generator)
         kind = g.pop("kind")
         if kind == "rectangle":
-            return gen_rectangle(**g), "rectangle"
+            p = gen_rectangle(**g)
+            return p.template, p.reference, p.landmarks_template, p.landmarks_reference, p.interface_row
         if kind == "wheel":
-            return gen_wheel(**g), "wheel"
+            p = gen_wheel(**g)
+            return p.template, p.reference, None, None, None
         raise ValueError(f"unknown generator kind {kind!r}")
-    from .fileio import read_landmarks, read_pgm, read_raw16
-
     ds = spec.dataset
-    def _read(path):
-        p = os.fspath(path)
-        if p.endswith(".pgm"):
-            return read_pgm(p)
-        return read_raw16(p, ds.get("sidecar", p + ".json"))
-
-    template = _read(ds["template"])
-    reference = _read(ds["reference"])
+    template = read_image(ds["template"], ds.get("sidecar"))
+    reference = read_image(ds["reference"], ds.get("sidecar"))
     lms_t = lms_r = None
     if "template_landmarks" in ds:
         base = int(ds.get("landmark_base", 1))
         lms_t = read_landmarks(ds["template_landmarks"], base, template.geometry.dims)
         lms_r = read_landmarks(ds["reference_landmarks"], base, reference.geometry.dims)
-    return (template, reference, lms_t, lms_r), "dataset"
+    return template, reference, lms_t, lms_r, None
 
 
 def _grid_image(geom: GridGeometry, every: int = 4) -> ScalarImage:
@@ -447,16 +445,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     experiment root receives ``report.json``. Partial artifacts are
     removed when any method fails.
     """
-    data, kind = _load_pair(spec)
-    if kind == "rectangle":
-        template, reference = data.template, data.reference
-        lms_t, lms_r = data.landmarks_template, data.landmarks_reference
-    elif kind == "wheel":
-        template, reference = data.template, data.reference
-        lms_t = lms_r = None
-    else:
-        template, reference, lms_t, lms_r = data
-
+    template, reference, lms_t, lms_r, interface_row = _load_pair(spec)
     out_root = os.path.join(spec.out_dir, spec.name)
     existed = os.path.isdir(out_root)
     os.makedirs(out_root, exist_ok=True)
@@ -471,6 +460,8 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     widths: dict = {}
     jac_min: dict = {}
     folds: dict = {}
+    stops: dict = {}
+    iters: dict = {}
     extras: dict = {}
     try:
         for method in spec.methods:
@@ -483,12 +474,11 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
             dets = _interior_jacobian_dets(result.flow.final)
             jac_min[method] = float(dets.min())
             folds[method] = int(np.count_nonzero(dets <= 0.0))
+            stops[method], iters[method] = result.stop_reason, result.iterations_used
             if lms_t is not None:
                 tre_after[method] = tre(lms_r, lms_t, spacing, result.flow.final_inverse)
-            if kind == "rectangle":
-                widths[method] = transition_width(
-                    result.flow.final_inverse, 0, data.interface_row
-                )
+            if interface_row is not None:
+                widths[method] = transition_width(result.flow.final_inverse, 0, interface_row)
         report = MetricsReport(
             ssd_before=ssd_before,
             ssd_after=ssd_after,
@@ -497,6 +487,8 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
             transition_width_rows=widths or None,
             jacobian_min=jac_min,
             fold_count=folds,
+            stop_reason=stops,
+            iterations=iters,
         )
         payload = report.to_dict()
         payload["name"] = spec.name

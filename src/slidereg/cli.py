@@ -73,16 +73,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_image(path: str) -> ScalarImage:
-    if path.endswith(".pgm"):
-        return fileio.read_pgm(path)
-    sidecar = path + ".json"
-    if not os.path.exists(sidecar):
-        base, _ = os.path.splitext(path)
-        sidecar = base + ".json"
-    return fileio.read_raw16(path, sidecar)
-
-
 def _cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.scene == "rectangle":
@@ -109,8 +99,8 @@ def _cmd_synth(args) -> int:
 def _cmd_register(args) -> int:
     with open(args.config) as fh:
         cfg = reg.config_from_dict(json.load(fh))
-    template = _load_image(args.template)
-    reference = _load_image(args.reference)
+    template = fileio.read_image(args.template)
+    reference = fileio.read_image(args.reference)
     result = reg.optimize(cfg, template, reference)
     os.makedirs(args.out, exist_ok=True)
     scales = bench.write_registration_artifacts(args.out, result)

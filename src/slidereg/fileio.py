@@ -10,7 +10,8 @@ slowest, described by a mandatory JSON sidecar::
 
     {"dims": [94, 256, 256], "spacing": [2.5, 0.97, 0.97], "origin": [0, 0, 0]}
 
-``origin`` is optional (defaults to zeros).
+``origin`` is optional (defaults to zeros). :func:`read_image` looks for
+the sidecar at ``<path>.json``, then at ``<stem>.json``.
 
 Landmarks: plain text, one point per line, whitespace-separated numbers,
 1-based indices by default.
@@ -29,6 +30,7 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "read_raw16",
+    "read_image",
     "read_landmarks",
 ]
 
@@ -133,6 +135,19 @@ def read_raw16(path, meta_path) -> ScalarImage:
         )
     values = np.fromfile(path, dtype="<i2").astype(float).reshape(dims)
     return ScalarImage(GridGeometry(dims, spacing, origin), values)
+
+
+def read_image(path, sidecar=None) -> ScalarImage:
+    """Read a ``.pgm`` file, or else a raw16 volume whose sidecar is
+    ``sidecar`` if given, else ``<path>.json`` if it exists, else ``<stem>.json``."""
+    path = os.fspath(path)
+    if path.endswith(".pgm"):
+        return read_pgm(path)
+    if sidecar is None:
+        sidecar = path + ".json"
+        if not os.path.exists(sidecar):
+            sidecar = os.path.splitext(path)[0] + ".json"
+    return read_raw16(path, sidecar)
 
 
 def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:

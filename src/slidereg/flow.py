@@ -94,23 +94,28 @@ def _advect_inverse(velocities, grid: GridGeometry, T: int) -> tuple[list, list]
     return psis, stencils
 
 
-def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
-    """Integrate forward and inverse maps from per-step momenta."""
-    asm = VelocityAssembler(spec, grid, tm.points)
-    velocities = [asm.velocity(ms.m0, ms.m1) for ms in tm.steps]
-    dt = 1.0 / tm.T
-    X = grid.node_positions().reshape(-1, grid.ndim)
+def _flow_path(velocities, psis, grid: GridGeometry) -> FlowPath:
+    """FlowPath of the inverse maps ``psis`` (``psis[0]`` is the node positions)
+    and of the forward maps, an Euler push of ``psis[0]`` by ``velocities``."""
+    dt = 1.0 / len(velocities)
     field_shape = grid.dims + (grid.ndim,)
-    phi = [X]
+    phi = [psis[0]]
     for k, v in enumerate(velocities):
         nxt = phi[-1] + dt * interp_values(v.reshape(field_shape), grid, phi[-1])
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError(f"forward map non-finite after step {k + 1}", step=k + 1)
         phi.append(nxt)
-    psi = _advect_inverse(velocities, grid, tm.T)[0]  # drop the stencils before the copies below
     maps = tuple(DeformationMap(grid, p.reshape(field_shape), "forward") for p in phi)
-    inv_maps = tuple(DeformationMap(grid, p.reshape(field_shape), "inverse") for p in psi)
+    inv_maps = tuple(DeformationMap(grid, p.reshape(field_shape), "inverse") for p in psis)
     return FlowPath(maps, inv_maps)
+
+
+def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
+    """Integrate forward and inverse maps from per-step momenta."""
+    asm = VelocityAssembler(spec, grid, tm.points)
+    velocities = [asm.velocity(ms.m0, ms.m1) for ms in tm.steps]
+    psis = _advect_inverse(velocities, grid, tm.T)[0]  # drop the stencils before the copies
+    return _flow_path(velocities, psis, grid)
 
 
 def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:

@@ -183,17 +183,6 @@ class LandmarkSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def validate_inside(self, dims) -> None:
-        dims = np.asarray(dims, float)
-        bad = np.nonzero(
-            np.any((self.points < 0) | (self.points > dims - 1), axis=1)
-        )[0]
-        if bad.size:
-            raise ValueError(
-                f"landmark {int(bad[0])} at {self.points[bad[0]].tolist()} "
-                f"outside grid dims {tuple(int(n) for n in dims)}"
-            )
-
 
 def identity_map(geom: GridGeometry, direction: str = "forward") -> DeformationMap:
     return DeformationMap(geom, geom.node_positions(), direction)

@@ -243,10 +243,12 @@ def _check_pair_geometry(I0: ScalarImage, I1: ScalarImage) -> None:
 
 
 def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
-    """Armijo gradient descent from the given momenta; returns the trace.
+    """Armijo gradient descent from the given momenta.
 
-    The accepted candidate's forward state feeds the next gradient, and each
-    state is dropped once spent or rejected, so at most one is alive."""
+    Returns the final momenta, the trace, the iteration count, the stop
+    reason and the forward state of the final momenta. The accepted
+    candidate's state feeds the next gradient, and each state is dropped
+    once spent or rejected, so at most one is alive."""
     cfg = eng.cfg
     parts, state = eng.forward(m0, m1, I0, I1)
     if not np.isfinite(parts.total):
@@ -263,19 +265,24 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
             stop_reason = "gradient_zero"
             break
         alpha = min(cfg.armijo_init, 2.0 * alpha_prev)
+        state = None
         for _shrink in range(cfg.max_shrinks + 1):
-            state = None
-            c0 = m0 - alpha * g0
-            c1 = m1 - alpha * g1
-            try:
-                cand, state = eng.forward(c0, c1, I0, I1)
-            except DivergenceError:
-                cand = None
+            with np.errstate(over="ignore"):
+                c0 = m0 - alpha * g0
+                c1 = m1 - alpha * g1
+            cand = None
+            if np.all(np.isfinite(c0)) and np.all(np.isfinite(c1)):
+                try:
+                    cand, state = eng.forward(c0, c1, I0, I1)
+                except DivergenceError:
+                    pass
             if cand is not None and cand.total <= parts.total - cfg.armijo_slope * alpha * gnorm2:
                 break
+            state = None
             alpha *= cfg.armijo_shrink
         else:
             stop_reason = "line_search_stalled"
+            state = eng.forward(m0, m1, I0, I1)[1]
             break
         m0, m1, parts = c0, c1, cand
         alpha_prev = alpha
@@ -287,7 +294,7 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
             if drop < cfg.stop_rel_tol:
                 stop_reason = "rel_tol"
                 break
-    return m0, m1, trace, iterations, stop_reason
+    return m0, m1, trace, iterations, stop_reason, state
 
 
 def _prolong_momenta(coarse_pts, cm0, cm1, fine_grid: GridGeometry, stride: int):
@@ -330,15 +337,17 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         c_I1 = box_downsample(I1)
         c_eng = _make_engine(coarse_cfg, c_I0.geometry)
         cm0, cm1 = c_eng.zero_theta()
-        cm0, cm1, _, _, _ = _descend(c_eng, cm0, cm1, c_I0, c_I1)
+        cm0, cm1 = _descend(c_eng, cm0, cm1, c_I0, c_I1)[:2]
         m0, m1 = _prolong_momenta(c_eng.points, cm0, cm1, I0.geometry, cfg.control_stride)
         if not eng.first_order:
             m1[:] = 0.0
 
-    m0, m1, trace, iterations, stop_reason = _descend(eng, m0, m1, I0, I1)
-
+    m0, m1, trace, iterations, stop_reason, state = _descend(eng, m0, m1, I0, I1)
+    psis = state[0]
+    del state  # drop the stencils before the map copies
+    velocities = [eng.asm.velocity(m0[k], m1[k]) for k in range(cfg.T)]
+    fp = flowmod._flow_path(velocities, psis, I0.geometry)
     tm = eng.to_time_momenta(m0, m1)
-    fp = flowmod.integrate(tm, cfg.kernel, I0.geometry)
     warped = warp_image(I0, fp.final_inverse)
     return RegistrationResult(
         momenta=tm,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,17 @@ def rng():
 @pytest.fixture
 def random_image(grid2d, rng):
     return ScalarImage(grid2d, rng.uniform(0.0, 255.0, grid2d.dims))
+
+
+@pytest.fixture
+def write_raw16():
+    """Writer of ``<stem>.raw`` (int16 values) and its ``<stem>.json`` sidecar;
+    returns the raw path."""
+
+    def write(stem, values, spacing):
+        values = np.asarray(values)
+        stem.with_suffix(".raw").write_bytes(values.astype("<i2").tobytes())
+        stem.with_suffix(".json").write_text(json.dumps({"dims": list(values.shape), "spacing": list(spacing)}))
+        return stem.with_suffix(".raw")
+
+    return write

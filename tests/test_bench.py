@@ -17,6 +17,7 @@ from slidereg.bench import (
     tre,
     _interior_jacobian_dets,
 )
+from slidereg.fileio import write_pgm
 from slidereg.flow import jacobian_fd
 from slidereg.geometry import (
     DeformationMap,
@@ -352,6 +353,8 @@ class TestRunExperiment:
         payload = json.loads((tmp_path / "null" / "report.json").read_text())
         assert payload["ssd_before"] == 0.0
         assert payload["fold_count"] == {"gaussian": 0}
+        assert payload["stop_reason"] == {"gaussian": "gradient_zero"}
+        assert payload["iterations"] == {"gaussian": 0}
         assert payload["jacobian_min"]["gaussian"] == pytest.approx(1.0)
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm", "trace.csv"):
             assert (tmp_path / "null" / "gaussian" / artifact).exists()
@@ -364,10 +367,54 @@ class TestRunExperiment:
             "small", cfg, str(tmp_path), methods=("gaussian",),
             generator={"kind": "rectangle", "size": 32, "shift": 2},
         )
-        run_experiment(spec)
+        report = run_experiment(spec)
         lines = (tmp_path / "small" / "gaussian" / "trace.csv").read_text().splitlines()
         assert lines[0] == "iter,E_S,E_R,sparsity,total"
-        assert len(lines) >= 2
+        assert len(lines) == 2 + report.iterations["gaussian"]
+
+    def test_dataset_pgm_pair_with_one_based_landmarks(self, tmp_path):
+        pair = gen_rectangle(32, 2)
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, img in (("tpl.pgm", pair.template), ("ref.pgm", pair.reference)):
+            write_pgm(data / name, ScalarImage(img.geometry, np.rint(img.values)))
+        np.savetxt(data / "tpl_lms.txt", pair.landmarks_template.points + 1.0, fmt="%.1f")
+        np.savetxt(data / "ref_lms.txt", pair.landmarks_reference.points + 1.0, fmt="%.1f")
+        cfg = RegistrationConfig(kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=3, control_stride=4)
+        spec = ExperimentSpec(
+            "pgm", cfg, str(tmp_path / "out"), methods=("wendland_both",),
+            dataset={
+                "template": str(data / "tpl.pgm"),
+                "reference": str(data / "ref.pgm"),
+                "template_landmarks": str(data / "tpl_lms.txt"),
+                "reference_landmarks": str(data / "ref_lms.txt"),
+            },
+        )
+        report = run_experiment(spec)
+        # the generator's 0-based landmarks sit 2 px apart along the rows
+        assert report.tre_before_mm == pytest.approx(2.0)
+        assert set(report.tre_after_mm) == {"wendland_both"}
+        assert report.transition_width_rows is None
+        payload = json.loads((tmp_path / "out" / "pgm" / "report.json").read_text())
+        assert payload["tre_after_mm"] == report.tre_after_mm
+        assert payload["iterations"]["wendland_both"] == 3
+        assert payload["stop_reason"]["wendland_both"] == "max_iters"
+
+    def test_dataset_raw16_pair_with_stem_sidecars(self, tmp_path, write_raw16):
+        pair = gen_rectangle(24, 2)
+        tpl = write_raw16(tmp_path / "tpl", np.rint(pair.template.values), (1.5, 1.0))
+        ref = write_raw16(tmp_path / "ref", np.rint(pair.reference.values), (1.5, 1.0))
+        cfg = RegistrationConfig(kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=2, control_stride=4)
+        spec = ExperimentSpec(
+            "raw", cfg, str(tmp_path / "out"), methods=("gaussian",),
+            dataset={"template": str(tpl), "reference": str(ref)},
+        )
+        report = run_experiment(spec)
+        expected = 0.5 * np.mean((np.rint(pair.template.values) - np.rint(pair.reference.values)) ** 2)
+        assert report.ssd_before == pytest.approx(expected)
+        assert report.ssd_after["gaussian"] < report.ssd_before
+        assert report.tre_before_mm is None and report.tre_after_mm is None
+        assert (tmp_path / "out" / "raw" / "gaussian" / "warped.pgm").exists()
 
     def test_failure_removes_partial_artifacts(self, tmp_path, monkeypatch):
         import slidereg.bench as bench_mod

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from slidereg.bench import gen_rectangle
 from slidereg.cli import main
 from slidereg.fileio import read_pgm
 
@@ -77,6 +78,28 @@ class TestRegister:
         assert summary["converged"] == (summary["stop_reason"] in ("gradient_zero", "rel_tol"))
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm", "trace.csv"):
             assert (out_dir / artifact).exists()
+
+    def test_raw16_pair(self, tmp_path, capsys, write_raw16):
+        # each image finds its <stem>.json sidecar
+        pair = gen_rectangle(24, 2)
+        tpl = write_raw16(tmp_path / "tpl", np.rint(pair.template.values), (1.5, 1.0))
+        ref = write_raw16(tmp_path / "ref", np.rint(pair.reference.values), (1.5, 1.0))
+        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+               "control_stride": 4}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "result"
+        code, _, err = run(
+            ["register", "--template", str(tpl), "--reference", str(ref),
+             "--config", str(cfg_path), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["ssd_final"] < summary["ssd_initial"]
+        inverse = np.load(out_dir / "inverse_map.npy")
+        assert inverse.shape == (24, 24, 2)
+        assert inverse[-1, -1, 0] == pytest.approx(23 * 1.5, abs=0.5)  # rows in sidecar spacing
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(

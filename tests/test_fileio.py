@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slidereg.errors import FormatError
-from slidereg.fileio import read_landmarks, read_pgm, read_raw16, write_pgm
+from slidereg.fileio import read_image, read_landmarks, read_pgm, read_raw16, write_pgm
 from slidereg.geometry import GridGeometry, ScalarImage
 
 
@@ -80,6 +80,25 @@ class TestRaw16:
         meta.write_text(json.dumps({"dims": [1, 1, 1]}))
         with pytest.raises(FormatError, match="spacing"):
             read_raw16(raw, meta)
+
+
+class TestReadImage:
+    def test_pgm_by_extension(self, tmp_path, rng):
+        img = ScalarImage(GridGeometry((5, 7), (1.0, 1.0), (0.0, 0.0)), rng.integers(0, 256, (5, 7)).astype(float))
+        write_pgm(tmp_path / "a.pgm", img)
+        np.testing.assert_array_equal(read_image(tmp_path / "a.pgm").values, img.values)
+
+    def test_sidecar_precedence(self, tmp_path, rng, write_raw16):
+        vals = rng.integers(-1200, 1200, (3, 4, 5))
+        raw = write_raw16(tmp_path / "vol", vals, (2.5, 1.0, 1.0))  # writes vol.json
+        img = read_image(raw)  # no vol.raw.json: falls back to the stem sidecar
+        np.testing.assert_array_equal(img.values, vals)
+        assert img.geometry.spacing == (2.5, 1.0, 1.0)
+        (tmp_path / "vol.raw.json").write_text(json.dumps({"dims": [3, 4, 5], "spacing": [3.0, 1.0, 1.0]}))
+        assert read_image(raw).geometry.spacing == (3.0, 1.0, 1.0)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"dims": [3, 4, 5], "spacing": [4.0, 1.0, 1.0]}))
+        assert read_image(raw, other).geometry.spacing == (4.0, 1.0, 1.0)
 
 
 class TestLandmarks:

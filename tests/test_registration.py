@@ -283,8 +283,8 @@ class TestOptimize:
         np.testing.assert_array_equal(np.stack([ms.m1 for ms in res.momenta.steps]), m1)
 
     def test_one_transport_per_iterate(self, monkeypatch):
-        # the initial energy, each line-search candidate and the final
-        # flow.integrate transport once each; gradients transport nothing
+        # the initial energy and each line-search candidate transport once
+        # each; gradients and the result's flow transport nothing
         from slidereg import flow
 
         pair = gen_rectangle(16, 2)
@@ -294,30 +294,77 @@ class TestOptimize:
         real = flow._advect_inverse
         monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
         optimize(cfg, pair.template, pair.reference)
-        assert len(calls) == 1 + candidates + 1
+        assert len(calls) == 1 + candidates
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("pyramid, levels", [(False, 1), (True, 2)])
+    def test_one_assembler_per_level(self, monkeypatch, pyramid, levels):
+        from slidereg.momenta import VelocityAssembler
+
+        calls = []
+        real = VelocityAssembler.__init__
+        monkeypatch.setattr(VelocityAssembler, "__init__", lambda self, *a: calls.append(1) or real(self, *a))
+        pair = gen_rectangle(16, 2)
+        optimize(small_config(max_iters=4, pyramid=pyramid), pair.template, pair.reference)
+        assert len(calls) == levels
+
+    @pytest.mark.parametrize(
+        "stop_reason, kw",
+        [
+            ("max_iters", dict(max_iters=4, stop_rel_tol=0.0)),
+            ("max_iters", dict(max_iters=4, stop_rel_tol=0.0, orders="zeroth_only")),
+            ("rel_tol", dict(stop_rel_tol=1.0)),
+            ("gradient_zero", dict()),
+            ("line_search_stalled", dict(max_shrinks=2, stop_rel_tol=0.0)),
+            ("max_iters", dict(max_iters=6, stop_rel_tol=0.0, pyramid=True)),
+        ],
+        ids=["max_iters", "zeroth_only", "rel_tol", "gradient_zero", "line_search_stalled", "pyramid"],
+    )
+    def test_result_equals_integrate_of_momenta(self, stop_reason, kw):
+        # the flow taken from the descent's final state must be the one
+        # flow.integrate computes from scratch for the returned momenta
+        pair = gen_rectangle(16, 2)
+        reference = pair.template if stop_reason == "gradient_zero" else pair.reference
+        cfg = small_config(**kw)
+        res = optimize(cfg, pair.template, reference)
+        assert res.stop_reason == stop_reason
+        if stop_reason == "line_search_stalled":
+            assert res.iterations_used > 0  # the stall comes after accepted steps
+        fp = integrate(res.momenta, cfg.kernel, GRID16)
+        assert len(res.flow.maps) == len(fp.maps) == cfg.T + 1
+        for got, want in zip(res.flow.maps + res.flow.inv_maps, fp.maps + fp.inv_maps):
+            assert got.direction == want.direction
+            np.testing.assert_array_equal(got.targets, want.targets)
+        np.testing.assert_array_equal(res.warped.values, warp_image(pair.template, fp.final_inverse).values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_candidate_is_rejected(self, monkeypatch):
-        # the first step overflows the momenta, and synthesis turns inf * 0
-        # into NaN velocities; the line search must shrink past it (the
-        # subnormal shrink factor takes alpha from 1e308 to 0.1)
+        # the first step overflows the momenta; the line search must reject
+        # it before synthesis, without a floating-point warning, and shrink
+        # past it (the subnormal shrink factor takes alpha from 1e308 to 0.1)
         from slidereg import flow
 
-        raised = []
-        real = flow._advect_inverse
-
-        def advect(*a):
-            try:
-                return real(*a)
-            except DivergenceError as err:
-                raised.append(err.step)
-                raise
-
-        monkeypatch.setattr(flow, "_advect_inverse", advect)
         pair = gen_rectangle(16, 2)
         cfg = small_config(max_iters=3, armijo_init=1e308, armijo_shrink=1e-309)
+        eng = _make_engine(cfg, GRID16)
+        m0, m1 = eng.zero_theta()
+        _, g0, g1 = eng.energy_and_grad(m0, m1, pair.template, pair.reference)
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(1e308 * g0))
+
+        finite = []
+        real = flow._advect_inverse
+
+        def advect(velocities, *a):
+            def seen():
+                for v in velocities:
+                    finite.append(bool(np.all(np.isfinite(v))))
+                    yield v
+
+            return real(seen(), *a)
+
+        monkeypatch.setattr(flow, "_advect_inverse", advect)
         res = optimize(cfg, pair.template, pair.reference)
-        assert raised[0] == 1
+        assert finite and all(finite)  # no transport saw the overflowing candidate
         assert res.iterations_used == 3
         assert res.energy_trace[-1].total < res.energy_trace[0].total
 
