@@ -399,25 +399,35 @@ def _load_pair(spec: ExperimentSpec):
 
 
 def _grid_image(geom: GridGeometry, every: int = 4) -> ScalarImage:
+    """Grid lines along the last two axes, so every axis-0 slice shows the grid."""
     vals = np.zeros(geom.dims)
-    vals[::every, :] = 255.0
-    vals[:, ::every] = 255.0
+    vals[..., ::every, :] = 255.0
+    vals[..., ::every] = 255.0
     return ScalarImage(geom, vals)
 
 
+def _write_pgm_view(path: str, geom: GridGeometry, values: np.ndarray) -> None:
+    """Write rounded ``values`` as PGM: a 2D grid whole, a volume as its central axis-0 slice."""
+    if geom.ndim == 3:
+        geom = GridGeometry(geom.dims[1:], geom.spacing[1:], geom.origin[1:])
+        values = values[values.shape[0] // 2]
+    write_pgm(path, ScalarImage(geom, np.rint(values)))
+
+
 def write_registration_artifacts(out: str, result: reg.RegistrationResult) -> dict:
+    """Write the warped image, deformation magnitude and deformed grid (PGM) and the energy trace (CSV)."""
     os.makedirs(out, exist_ok=True)
     geom = result.warped.geometry
-    write_pgm(os.path.join(out, "warped.pgm"), ScalarImage(geom, np.rint(np.clip(result.warped.values, 0, 255))))
+    _write_pgm_view(os.path.join(out, "warped.pgm"), geom, np.clip(result.warped.values, 0, 255))
 
     disp = result.flow.final_inverse.displacement()
     mag = np.linalg.norm(disp, axis=-1)
     peak = float(mag.max())
     scale = 255.0 / peak if peak > 0 else 1.0
-    write_pgm(os.path.join(out, "deformation_magnitude.pgm"), ScalarImage(geom, np.rint(mag * scale)))
+    _write_pgm_view(os.path.join(out, "deformation_magnitude.pgm"), geom, mag * scale)
 
     grid_img = warp_image(_grid_image(geom), result.flow.final_inverse)
-    write_pgm(os.path.join(out, "deformed_grid.pgm"), ScalarImage(geom, np.rint(np.clip(grid_img.values, 0, 255))))
+    _write_pgm_view(os.path.join(out, "deformed_grid.pgm"), geom, np.clip(grid_img.values, 0, 255))
 
     with open(os.path.join(out, "trace.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

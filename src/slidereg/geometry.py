@@ -224,7 +224,8 @@ class Stencil:
     cell corner, its in-cell fractions and its clamp mask; the gather, its
     point derivative and its transpose (the splat) share that lookup. Corner
     weights are recomputed per use, not stored 2^d times, always in the same
-    corner and axis order, so results match a per-corner loop bit for bit.
+    corner and axis order, so gather, point_grad and splat match a per-corner
+    loop bit for bit; point_grad_dot regroups its sums.
     """
 
     def __init__(self, geom: GridGeometry, pts):
@@ -237,14 +238,20 @@ class Stencil:
         corners = itertools.product((0, 1), repeat=d)
         self.corners = [(c, int(np.ravel_multi_index(c, geom.dims))) for c in corners]
 
-    def _weight(self, corner: tuple[int, ...], skip: int = -1) -> np.ndarray:
-        """Product over axes a != skip of frac (bit 1) or 1 - frac (bit 0)."""
-        w = None
-        for a, bit in enumerate(corner):
-            if a != skip:
-                f = self.frac[a] if bit else 1.0 - self.frac[a]
-                w = f if w is None else w * f
-        return w
+    def _weights(self, skip: int = -1, fac=None):
+        """Corner weights in ``corners`` order: the left-to-right product over axes
+        a != skip of ``fac[bit][a]``, with ``fac = (1 - frac, frac)``. A corner
+        reuses the partial product of the leading bits it shares with the last."""
+        fac = fac or (1.0 - self.frac, self.frac)
+        prefix, last = [None], ()
+        for corner, _ in self.corners:
+            keep = next((a for a, (b, c) in enumerate(zip(corner, last)) if b != c), 0)
+            del prefix[keep + 1:]
+            for a in range(keep, len(corner)):
+                w, f = prefix[a], fac[corner[a]][a]
+                prefix.append(w if a == skip else f if w is None else w * f)
+            last = corner
+            yield prefix[-1]
 
     def _rows(self, values: np.ndarray):
         """Channel shape and the node data as contiguous (c, node_count) rows."""
@@ -258,8 +265,8 @@ class Stencil:
         """
         channels, rows = self._rows(values)
         acc = np.zeros((rows.shape[0], self.base.size))
-        for corner, off in self.corners:
-            acc += self._weight(corner) * np.take(rows, self.base + off, axis=1)
+        for (_, off), w in zip(self.corners, self._weights()):
+            acc += w * np.take(rows, self.base + off, axis=1)
         return np.ascontiguousarray(acc.T).reshape(self.lead + channels)
 
     def point_grad(self, values: np.ndarray) -> np.ndarray:
@@ -271,15 +278,41 @@ class Stencil:
         d = self.geom.ndim
         channels, rows = self._rows(values)
         inv_spacing = 1.0 / np.asarray(self.geom.spacing)
+        fac = (1.0 - self.frac, self.frac)
         grad = np.zeros((d, rows.shape[0], self.base.size))
-        for corner, off in self.corners:
+        per_axis = zip(*(self._weights(a, fac) for a in range(d)))
+        for (corner, off), dws in zip(self.corners, per_axis):
             node = np.take(rows, self.base + off, axis=1)
-            for a in range(d):
-                dw = self._weight(corner, skip=a)
+            for a, dw in enumerate(dws):
                 if corner[a] == 0:
                     dw = -dw
                 grad[a] += dw * inv_spacing[a] * self.unclamped[a] * node
         return np.ascontiguousarray(grad.transpose(2, 1, 0)).reshape(self.lead + channels + (d,))
+
+    def point_grad_dot(self, values: np.ndarray, adj) -> np.ndarray:
+        """:meth:`point_grad` contracted with ``adj`` (shaped like :meth:`gather`'s
+        output) over the channels, without forming it; shape ``lead + (d,)``.
+        Each corner's node data is dotted with ``adj`` once; along axis a, the
+        differences of those dots across a are weighted by the other axes' factors."""
+        d, m = self.geom.ndim, self.base.size
+        rows = self._rows(values)[1]
+        adj = np.ascontiguousarray(np.reshape(adj, (m, -1)).T)
+        dots = np.empty((len(self.corners), m))
+        for j, (_, off) in enumerate(self.corners):
+            np.einsum("cn,cn->n", np.take(rows, self.base + off, axis=1), adj, out=dots[j])
+        dots = dots.reshape((2,) * d + (m,))
+        inv_spacing = 1.0 / np.asarray(self.geom.spacing)
+        fac = (1.0 - self.frac, self.frac)
+        out = np.empty((m, d))
+        for a in range(d):
+            lo, hi = np.moveaxis(dots, a, 0)
+            t = hi - lo
+            for b in [b for b in reversed(range(d)) if b != a]:
+                t, t1 = t[..., 0, :], t[..., 1, :]
+                t *= fac[0][b]
+                t += t1 * fac[1][b]
+            out[:, a] = t * inv_spacing[a] * self.unclamped[a]
+        return out.reshape(self.lead + (d,))
 
     def splat(self, adj) -> np.ndarray:
         """Transpose of :meth:`gather`: accumulate ``adj`` onto the nodes.
@@ -291,7 +324,7 @@ class Stencil:
         adj = np.asarray(adj, float)
         channels = adj.shape[len(self.lead):]
         idx = np.concatenate([self.base + off for _, off in self.corners])
-        w = np.concatenate([self._weight(corner) for corner, _ in self.corners])
+        w = np.concatenate(list(self._weights()))
         n, k = self.geom.node_count, len(self.corners)
         out = [np.bincount(idx, w * np.tile(col, k), minlength=n) for col in adj.reshape(self.base.size, -1).T]
         return np.stack(out, axis=-1).reshape((n,) + channels)

@@ -19,6 +19,7 @@ regular control lattice, up to n^d nodes for n scattered points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ def _apply(mats, X: np.ndarray) -> np.ndarray:
     """
     shape = X.shape
     for a, A in enumerate(mats):
-        X = np.matmul(A, X.reshape(int(np.prod(shape[:a])), shape[a], -1))
+        X = np.matmul(A, X.reshape(math.prod(shape[:a]), shape[a], -1))
         shape = shape[:a] + (A.shape[0],) + shape[a + 1:]
     return X.reshape(shape)
 
@@ -152,14 +153,14 @@ def _per_order(k: list, slot: list) -> list:
 
 
 def _orders(m0: np.ndarray, m1: np.ndarray) -> list:
-    """Momenta per order: m0, then the slot blocks m1[:, i, :]."""
-    return [m0, *np.moveaxis(m1, 1, 0)]
+    """Momenta per order: m0, then the slot blocks m1[..., i, :]."""
+    return [m0, *np.moveaxis(m1, -2, 0)]
 
 
 def _split(blocks: list) -> tuple[np.ndarray, np.ndarray]:
-    """Per-order blocks back to (order 0, slots stacked on axis 1); zero slots if only order 0 ran."""
+    """Per-order blocks back to (order 0, slots stacked on axis -2); zero slots if only order 0 ran."""
     b0, slots = blocks[0], blocks[1:]
-    return b0, np.stack(slots, axis=1) if slots else np.zeros(b0.shape + b0.shape[-1:])
+    return b0, np.stack(slots, axis=-2) if slots else np.zeros(b0.shape + b0.shape[-1:])
 
 
 class _Lattice:
@@ -252,9 +253,11 @@ class KernelGrams:
         )
 
     def products(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(G0 m0, G1_i m1_i)."""
-        lat = self.lattice
-        return _split([lat.gather(_apply(mats, lat.scatter(m))) for mats, m in zip(self.ops, _orders(m0, m1))])
+        """(G0 m0, G1_i m1_i); a leading step axis on both rides along at the back."""
+        lat, steps = self.lattice, range(m0.ndim - 2)
+        back = range(-len(steps), 0)
+        return _split([np.moveaxis(lat.gather(_apply(mats, lat.scatter(np.moveaxis(m, steps, back)))), back, steps)
+                       for mats, m in zip(self.ops, _orders(m0, m1))])
 
     @staticmethod
     def energy_of(m0, m1, products) -> float:

@@ -155,23 +155,16 @@ class _Engine:
         """Energy parts and the state :meth:`backward` consumes: the inverse
         maps, step stencils, final-sample stencil, Gram products and residual."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
-        gms = []
-
-        def velocities():
-            for k in range(T):
-                gms.append(self.grams.products(m0[k], m1[k]))
-                yield self.asm.velocity(m0[k], m1[k])
-
-        psis, stencils = flowmod._advect_inverse(velocities(), grid, T)
+        velocities = (self.asm.velocity(m0[k], m1[k]) for k in range(T))
+        psis, stencils = flowmod._advect_inverse(velocities, grid, T)
         final = Stencil(grid, psis[-1])
         resid = final.gather(I0.values).reshape(grid.dims) - I1.values
         e_sim = 0.5 * float(np.mean(resid * resid))
-        reg = 0.0
-        for k, gm in enumerate(gms):
-            reg += KernelGrams.energy_of(m0[k], m1[k], gm)
-        e_reg = cfg.reg_weight * reg / (2.0 * T)
-        ms0 = MomentumSet(self.points, m0[0], m1[0])
-        e_sparse = sparsity(ms0, self.lam, cfg.sparsity_eps)
+        # huge but finite candidate momenta overflow here; the caller rejects the non-finite total
+        with np.errstate(over="ignore", invalid="ignore"):
+            gms = self.grams.products(m0, m1)
+            e_reg = cfg.reg_weight * KernelGrams.energy_of(m0, m1, gms) / (2.0 * T)
+            e_sparse = sparsity(MomentumSet(self.points, m0[0], m1[0]), self.lam, cfg.sparsity_eps)
         parts = EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
         return parts, (psis, stencils, final, gms, resid)
 
@@ -179,21 +172,19 @@ class _Engine:
         """Exact adjoint of :meth:`forward` at (m0, m1), from its state: (g0, g1)."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
         dt = 1.0 / T
-        field_shape = grid.dims + (grid.ndim,)
         psis, stencils, final, gms, resid = state
 
         g0, g1 = np.empty_like(m0), np.empty_like(m1)
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
-        psibar = (resid / grid.node_count).reshape(-1)[:, None] * final.point_grad(I0.values)
+        psibar = final.point_grad_dot(I0.values, resid.reshape(-1) / grid.node_count)
 
         scale = cfg.reg_weight / (2.0 * T)
         for k in range(T - 1, -1, -1):
-            J = stencils[k].point_grad(psis[k].reshape(field_shape))
-            vbar = -dt * np.einsum("nci,nc->ni", J, psibar)
+            vbar = -dt * stencils[k].point_grad_dot(psis[k], psibar)
             a0, a1 = self.asm.adjoint(vbar)
-            g0[k] = a0 + scale * (2.0 * gms[k][0])
-            g1[k] = a1 + scale * (2.0 * gms[k][1])
+            g0[k] = a0 + scale * (2.0 * gms[0][k])
+            g1[k] = a1 + scale * (2.0 * gms[1][k])
             if k > 0:
                 psibar = stencils[k].splat(psibar)
 

@@ -17,7 +17,7 @@ from slidereg.bench import (
     tre,
     _interior_jacobian_dets,
 )
-from slidereg.fileio import write_pgm
+from slidereg.fileio import read_pgm, write_pgm
 from slidereg.flow import jacobian_fd
 from slidereg.geometry import (
     DeformationMap,
@@ -415,6 +415,23 @@ class TestRunExperiment:
         assert report.ssd_after["gaussian"] < report.ssd_before
         assert report.tre_before_mm is None and report.tre_after_mm is None
         assert (tmp_path / "out" / "raw" / "gaussian" / "warped.pgm").exists()
+
+    def test_dataset_raw16_volume(self, tmp_path, write_raw16):
+        # a volume's PGM views are its central axis-0 slices
+        _, y, x = np.mgrid[0:8, 0:16, 0:16]
+        inside = (np.abs(y - 7.5) < 4) & (np.abs(x - 7.5) < 4)
+        tpl = write_raw16(tmp_path / "tpl", np.where(inside, 200, 20), (2.0, 1.0, 1.0))
+        ref = write_raw16(tmp_path / "ref", np.where(np.roll(inside, 1, axis=2), 200, 20), (2.0, 1.0, 1.0))
+        cfg = RegistrationConfig(kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=2, control_stride=4)
+        spec = ExperimentSpec(
+            "vol", cfg, str(tmp_path / "out"), methods=("gaussian",),
+            dataset={"template": str(tpl), "reference": str(ref)},
+        )
+        report = run_experiment(spec)
+        assert report.ssd_after["gaussian"] < report.ssd_before
+        assert report.fold_count["gaussian"] == 0
+        for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm"):
+            assert read_pgm(tmp_path / "out" / "vol" / "gaussian" / artifact).geometry.dims == (16, 16)
 
     def test_failure_removes_partial_artifacts(self, tmp_path, monkeypatch):
         import slidereg.bench as bench_mod

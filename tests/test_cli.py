@@ -101,6 +101,29 @@ class TestRegister:
         assert inverse.shape == (24, 24, 2)
         assert inverse[-1, -1, 0] == pytest.approx(23 * 1.5, abs=0.5)  # rows in sidecar spacing
 
+    def test_raw16_volume_pair(self, tmp_path, capsys, write_raw16):
+        # a volume registers end to end; its PGM views are central axis-0 slices
+        _, y, x = np.mgrid[0:8, 0:16, 0:16]
+        inside = (np.abs(y - 7.5) < 4) & (np.abs(x - 7.5) < 4)
+        tpl = write_raw16(tmp_path / "tpl", np.where(inside, 200, 20), (2.0, 1.0, 1.0))
+        ref = write_raw16(tmp_path / "ref", np.where(np.roll(inside, 1, axis=2), 200, 20), (2.0, 1.0, 1.0))
+        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+               "control_stride": 4}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "result"
+        code, _, err = run(
+            ["register", "--template", str(tpl), "--reference", str(ref),
+             "--config", str(cfg_path), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["ssd_final"] < summary["ssd_initial"]
+        assert np.load(out_dir / "inverse_map.npy").shape == (8, 16, 16, 3)
+        for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm"):
+            assert read_pgm(out_dir / artifact).geometry.dims == (16, 16)
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             [

@@ -296,15 +296,25 @@ class TestStencil:
         np.testing.assert_array_equal(
             st.splat(adj).reshape(geom.dims + channels), splat.reshape(geom.dims + channels)
         )
+        # the contraction regroups the oracle's sums, so it matches to rounding
+        want = np.einsum("nca,nc->na", grad, adj.reshape(pts.shape[0], -1))
+        got = st.point_grad_dot(values, adj)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_clamped_axes_have_zero_gradient(self, rng):
         geom = GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5))
         pts = _probe_points(geom, rng)
         lo, hi = geom.bounds
-        grad = Stencil(geom, pts).point_grad(rng.standard_normal(geom.dims))
         outside = (pts <= lo) | (pts >= hi)
         assert outside.any()
-        assert np.all(grad[outside] == 0.0)
+        st = Stencil(geom, pts)
+        for channels in [(), (3,)]:
+            values = rng.standard_normal(geom.dims + channels)
+            grad = st.point_grad(values)
+            dot = st.point_grad_dot(values, rng.standard_normal((pts.shape[0],) + channels))
+            assert np.all(np.moveaxis(grad, -1, 1)[outside] == 0.0)
+            assert np.all(dot[outside] == 0.0)
 
     def test_wrappers_keep_leading_shape(self, grid2d_aniso, rng):
         vals = rng.standard_normal(grid2d_aniso.dims + (2,))

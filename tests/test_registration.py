@@ -49,6 +49,36 @@ def random_momenta(cfg, grid, rng, scale0=0.4, scale1=0.3):
     return TimeMomenta(steps)
 
 
+def fd_gradient_error(cfg, tm, I0, I1, rng, directions=5, eps=1e-4):
+    """Worst relative gap between the gradient's directional derivative and
+    a central difference of the total energy, over random unit directions."""
+    g = gradient(cfg, tm, I0, I1)
+    n, d = tm.points.shape
+    worst = 0.0
+    for _ in range(directions):
+        h0 = rng.standard_normal((cfg.T, n, d))
+        h1 = rng.standard_normal((cfg.T, n, d, d))
+        nrm = np.sqrt(np.sum(h0**2) + np.sum(h1**2))
+        h0 /= nrm
+        h1 /= nrm
+        dd = sum(
+            float(np.sum(g.steps[k].m0 * h0[k]) + np.sum(g.steps[k].m1 * h1[k]))
+            for k in range(cfg.T)
+        )
+
+        def shifted(s):
+            return TimeMomenta(
+                tuple(
+                    MomentumSet(tm.points, tm.steps[k].m0 + s * eps * h0[k], tm.steps[k].m1 + s * eps * h1[k])
+                    for k in range(cfg.T)
+                )
+            )
+
+        fd = (total_energy(cfg, shifted(+1), I0, I1).total - total_energy(cfg, shifted(-1), I0, I1).total) / (2 * eps)
+        worst = max(worst, abs(fd - dd) / max(abs(fd), abs(dd), 1e-300))
+    return worst
+
+
 def oracle_descend(eng, I0, I1):
     """Armijo descent from zero that reruns each iterate's forward pass in
     ``energy_and_grad``; returns the final momenta, the energy trace and the
@@ -173,39 +203,19 @@ class TestGradient:
         pair = gen_rectangle(16, 2)
         cfg = small_config(family)
         tm = random_momenta(cfg, GRID16, rng)
-        g = gradient(cfg, tm, pair.template, pair.reference)
-        pts = tm.points
-        n, d = pts.shape
-        worst = 0.0
-        for _ in range(5):
-            h0 = rng.standard_normal((cfg.T, n, d))
-            h1 = rng.standard_normal((cfg.T, n, d, d))
-            nrm = np.sqrt(np.sum(h0**2) + np.sum(h1**2))
-            h0 /= nrm
-            h1 /= nrm
-            dd = sum(
-                float(np.sum(g.steps[k].m0 * h0[k]) + np.sum(g.steps[k].m1 * h1[k]))
-                for k in range(cfg.T)
-            )
-            eps = 1e-4
+        assert fd_gradient_error(cfg, tm, pair.template, pair.reference, rng) <= 1e-4
 
-            def shifted(s):
-                return TimeMomenta(
-                    tuple(
-                        MomentumSet(
-                            pts,
-                            tm.steps[k].m0 + s * eps * h0[k],
-                            tm.steps[k].m1 + s * eps * h1[k],
-                        )
-                        for k in range(cfg.T)
-                    )
-                )
+    @pytest.mark.parametrize("family", ["gaussian", "wendland_c0_mult"])
+    def test_directional_derivative_matches_fd_3d(self, family, rng):
+        grid = GridGeometry((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        x = grid.node_positions()
 
-            ep = total_energy(cfg, shifted(+1), pair.template, pair.reference).total
-            em = total_energy(cfg, shifted(-1), pair.template, pair.reference).total
-            fd = (ep - em) / (2 * eps)
-            worst = max(worst, abs(fd - dd) / max(abs(fd), abs(dd), 1e-300))
-        assert worst <= 1e-4
+        def blob(center):
+            return ScalarImage(grid, 200.0 * np.exp(-np.sum((x - center) ** 2, axis=-1) / 8.0))
+
+        cfg = small_config(family, control_stride=2)
+        tm = random_momenta(cfg, grid, rng)
+        assert fd_gradient_error(cfg, tm, blob([3.5, 3.5, 3.5]), blob([3.5, 4.5, 3.0]), rng) <= 1e-4
 
     def test_pure_regularizer_gradient_is_gram_product(self, rng):
         from dataclasses import replace
@@ -264,6 +274,20 @@ class TestGradient:
         cfg = small_config()
         gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
         assert len(calls) == cfg.T + 1
+
+    def test_never_forms_point_jacobian(self, rng, monkeypatch):
+        # the adjoint contracts psibar into each stencil through
+        # point_grad_dot instead of forming the (N, c, d) point Jacobian
+        from slidereg.geometry import Stencil
+
+        def forbidden(*a):
+            raise AssertionError("Stencil.point_grad called")
+
+        monkeypatch.setattr(Stencil, "point_grad", forbidden)
+        pair = gen_rectangle(16, 2)
+        cfg = small_config()
+        g = gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
+        assert any(np.any(ms.m0 != 0.0) for ms in g.steps)
 
 
 class TestOptimize:
@@ -367,6 +391,16 @@ class TestOptimize:
         assert finite and all(finite)  # no transport saw the overflowing candidate
         assert res.iterations_used == 3
         assert res.energy_trace[-1].total < res.energy_trace[0].total
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_candidates_are_rejected_quietly(self):
+        # alpha halves from 1e308: past the first few candidates the momenta
+        # stay finite, but their regulariser and sparsity overflow; each is
+        # rejected without a floating-point warning until the search stalls
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(armijo_init=1e308), pair.template, pair.reference)
+        assert res.stop_reason == "line_search_stalled"
+        assert res.iterations_used == 0 and len(res.energy_trace) == 1
 
     def test_identical_images_converges_immediately(self):
         pair = gen_rectangle(16, 2)
