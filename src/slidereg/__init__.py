@@ -13,7 +13,6 @@ from .errors import (
     DivergenceError,
     FormatError,
     TangentialCrossingError,
-    UnsupportedKernelError,
 )
 from .geometry import (
     DeformationMap,
@@ -21,9 +20,7 @@ from .geometry import (
     LandmarkSet,
     ScalarImage,
     VectorField,
-    gradient_central,
     identity_map,
-    sample_linear,
     warp_image,
 )
 from .kernels import KernelSpec, default_scale, eval_kernel, eval_mixed, eval_partial
@@ -38,11 +35,9 @@ from .momenta import (
 )
 from .flow import (
     FlowPath,
-    ParticleState,
     integrate,
     inverse_consistency_error,
     jacobian_fd,
-    shoot_particles,
 )
 from .nonsmooth import (
     AffineVelocity,

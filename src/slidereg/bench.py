@@ -30,7 +30,7 @@ from .geometry import (
     interp_values,
     warp_image,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, default_scale
 from .momenta import MomentumSet, TimeMomenta, synth_velocity
 
 __all__ = [
@@ -545,7 +545,7 @@ def demo_momentum(kind: str, out_dir: str | None = None, size: int = 64) -> Demo
     if kind not in DEMO_KINDS:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
     geom = _unit_grid(size)
-    scale = 4.0 * min(geom.spacing)
+    scale = default_scale(geom)
     center = np.asarray(geom.to_physical([size // 2, size // 2]), float)
     d = 2
     m0 = np.zeros((1, d))

@@ -20,6 +20,3 @@ class DegenerateCrossingError(RuntimeError):
 class TangentialCrossingError(RuntimeError):
     """Transversality fails: the flow meets the boundary tangentially."""
 
-
-class UnsupportedKernelError(ValueError):
-    """The requested operation needs a kernel family with more smoothness."""

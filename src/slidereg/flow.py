@@ -1,4 +1,4 @@
-"""Time integration of deformation maps and zeroth-order particle dynamics.
+"""Time integration of deformation maps.
 
 Forward maps follow an explicit Euler push of material points through the
 per-step velocity; inverse maps are transported semi-Lagrangian style, so
@@ -11,17 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, UnsupportedKernelError
+from .errors import DivergenceError
 from .geometry import DeformationMap, GridGeometry, Stencil, interp_values
-from .kernels import KernelSpec, eval_kernel_many, eval_partial_many
+from .kernels import KernelSpec
 from .momenta import TimeMomenta, VelocityAssembler
 
 __all__ = [
     "FlowPath",
-    "ParticleState",
     "integrate",
     "jacobian_fd",
-    "shoot_particles",
     "inverse_consistency_error",
 ]
 
@@ -50,25 +48,6 @@ class FlowPath:
     @property
     def final_inverse(self) -> DeformationMap:
         return self.inv_maps[-1]
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    """Point-supported zeroth-order momenta: positions, momenta, time."""
-
-    positions: np.ndarray
-    momenta: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, float)
-        mom = np.asarray(self.momenta, float)
-        if pos.shape != mom.shape or pos.ndim != 2:
-            raise ValueError(f"positions {pos.shape} and momenta {mom.shape} must both be (m, d)")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(mom))):
-            raise ValueError("particle state must be finite")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "momenta", mom)
 
 
 def _advect_inverse(velocities, grid: GridGeometry, T: int) -> tuple[list, list]:
@@ -134,40 +113,6 @@ def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:
         fm = interp_values(dmap.targets, geom, (x - e)[None, :])[0]
         J[:, i] = (fp - fm) / (2.0 * h)
     return J
-
-
-def shoot_particles(init: ParticleState, spec: KernelSpec, T: int) -> list[ParticleState]:
-    """Euler trajectory of point-supported zeroth-order momenta over [0, 1].
-
-    Positions follow the synthesized velocity; momenta follow the co-state
-    rule mdot_j = -(Dv(x_j))^T m_j. Requires the gaussian family: particle
-    momenta sit exactly on the wendland kink, where Dv is undefined.
-    """
-    if spec.family != "gaussian":
-        raise UnsupportedKernelError(
-            f"particle shooting needs a differentiable kernel, got {spec.family!r}"
-        )
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
-    dt = 1.0 / T
-    d = init.positions.shape[1]
-    states = [ParticleState(init.positions, init.momenta, 0.0)]
-    for k in range(T):
-        pos, mom = states[-1].positions, states[-1].momenta
-        vel = np.zeros_like(pos)
-        dv = np.zeros((pos.shape[0], d, d))
-        for j in range(pos.shape[0]):
-            kv = eval_kernel_many(spec, pos, pos[j])
-            vel += kv[:, None] * mom[j]
-            for b in range(d):
-                # derivative w.r.t. the evaluation point = -(partial w.r.t. y)
-                dv[:, :, b] += (-eval_partial_many(spec, b, pos, pos[j]))[:, None] * mom[j]
-        new_pos = pos + dt * vel
-        new_mom = mom - dt * np.einsum("jab,ja->jb", dv, mom)
-        if not (np.all(np.isfinite(new_pos)) and np.all(np.isfinite(new_mom))):
-            raise DivergenceError(f"particle state non-finite after step {k + 1}", step=k + 1)
-        states.append(ParticleState(new_pos, new_mom, (k + 1) * dt))
-    return states
 
 
 def inverse_consistency_error(fp: FlowPath, region: np.ndarray) -> float:

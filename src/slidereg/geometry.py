@@ -19,9 +19,7 @@ __all__ = [
     "VectorField",
     "DeformationMap",
     "LandmarkSet",
-    "sample_linear",
     "warp_image",
-    "gradient_central",
     "box_downsample",
     "identity_map",
     "Stencil",
@@ -222,10 +220,10 @@ class Stencil:
 
     Locates the points once and keeps the flat index of each point's lowest
     cell corner, its in-cell fractions and its clamp mask; the gather, its
-    point derivative and its transpose (the splat) share that lookup. Corner
-    weights are recomputed per use, not stored 2^d times, always in the same
-    corner and axis order, so gather, point_grad and splat match a per-corner
-    loop bit for bit; point_grad_dot regroups its sums.
+    contracted point derivative and its transpose (the splat) share that
+    lookup. Corner weights are recomputed per use, not stored 2^d times,
+    always in the same corner and axis order, so gather and splat match a
+    per-corner loop bit for bit; point_grad_dot regroups its sums.
     """
 
     def __init__(self, geom: GridGeometry, pts):
@@ -238,18 +236,18 @@ class Stencil:
         corners = itertools.product((0, 1), repeat=d)
         self.corners = [(c, int(np.ravel_multi_index(c, geom.dims))) for c in corners]
 
-    def _weights(self, skip: int = -1, fac=None):
-        """Corner weights in ``corners`` order: the left-to-right product over axes
-        a != skip of ``fac[bit][a]``, with ``fac = (1 - frac, frac)``. A corner
-        reuses the partial product of the leading bits it shares with the last."""
-        fac = fac or (1.0 - self.frac, self.frac)
+    def _weights(self):
+        """Corner weights in ``corners`` order: the left-to-right product over the
+        axes of ``1 - frac`` or ``frac`` by corner bit. A corner reuses the
+        partial product of the leading bits it shares with the last."""
+        fac = (1.0 - self.frac, self.frac)
         prefix, last = [None], ()
         for corner, _ in self.corners:
             keep = next((a for a, (b, c) in enumerate(zip(corner, last)) if b != c), 0)
             del prefix[keep + 1:]
             for a in range(keep, len(corner)):
                 w, f = prefix[a], fac[corner[a]][a]
-                prefix.append(w if a == skip else f if w is None else w * f)
+                prefix.append(f if w is None else w * f)
             last = corner
             yield prefix[-1]
 
@@ -269,29 +267,10 @@ class Stencil:
             acc += w * np.take(rows, self.base + off, axis=1)
         return np.ascontiguousarray(acc.T).reshape(self.lead + channels)
 
-    def point_grad(self, values: np.ndarray) -> np.ndarray:
-        """Derivative of :meth:`gather` with respect to the point.
-
-        Shape ``lead + channels + (d,)``: ``grad[..., a] = d(gather)/dp_a``,
-        zero along any axis on which the point was clamped.
-        """
-        d = self.geom.ndim
-        channels, rows = self._rows(values)
-        inv_spacing = 1.0 / np.asarray(self.geom.spacing)
-        fac = (1.0 - self.frac, self.frac)
-        grad = np.zeros((d, rows.shape[0], self.base.size))
-        per_axis = zip(*(self._weights(a, fac) for a in range(d)))
-        for (corner, off), dws in zip(self.corners, per_axis):
-            node = np.take(rows, self.base + off, axis=1)
-            for a, dw in enumerate(dws):
-                if corner[a] == 0:
-                    dw = -dw
-                grad[a] += dw * inv_spacing[a] * self.unclamped[a] * node
-        return np.ascontiguousarray(grad.transpose(2, 1, 0)).reshape(self.lead + channels + (d,))
-
     def point_grad_dot(self, values: np.ndarray, adj) -> np.ndarray:
-        """:meth:`point_grad` contracted with ``adj`` (shaped like :meth:`gather`'s
-        output) over the channels, without forming it; shape ``lead + (d,)``.
+        """Derivative of :meth:`gather` with respect to the point, contracted with
+        ``adj`` (shaped like :meth:`gather`'s output) over the channels; shape
+        ``lead + (d,)``, zero along any axis on which the point was clamped.
         Each corner's node data is dotted with ``adj`` once; along axis a, the
         differences of those dots across a are weighted by the other axes' factors."""
         d, m = self.geom.ndim, self.base.size
@@ -342,10 +321,15 @@ def interp_values(values: np.ndarray, geom: GridGeometry, pts) -> np.ndarray:
 def interp_with_point_grad(values: np.ndarray, geom: GridGeometry, pts):
     """Interpolated values and their derivative with respect to the point.
 
-    Returns ``(vals, grad)``; see :meth:`Stencil.point_grad` for the layout.
+    Returns ``(vals, grad)``; ``grad`` has shape ``lead + channels + (d,)``
+    with ``grad[..., a] = d(vals)/dp_a``, one :meth:`Stencil.point_grad_dot`
+    per channel with a unit adjoint.
     """
     st = Stencil(geom, pts)
-    return st.gather(values), st.point_grad(values)
+    vals = st.gather(values)
+    chan = values.reshape(geom.dims + (-1,))
+    grad = [st.point_grad_dot(chan[..., k], np.ones(st.lead)) for k in range(chan.shape[-1])]
+    return vals, np.stack(grad, axis=-2).reshape(vals.shape + (geom.ndim,))
 
 
 def splat_adjoint(shape: tuple, geom: GridGeometry, pts, adj) -> np.ndarray:
@@ -364,16 +348,6 @@ def splat_adjoint(shape: tuple, geom: GridGeometry, pts, adj) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sample_linear(img: ScalarImage, p) -> float:
-    """Multilinear sample of an image at one physical point (clamped)."""
-    p = np.asarray(p, float)
-    if p.shape != (img.geometry.ndim,):
-        raise ValueError(f"point shape {p.shape} != ({img.geometry.ndim},)")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"sample point must be finite, got {p}")
-    return float(interp_values(img.values, img.geometry, p[None, :])[0])
-
-
 def warp_image(img: ScalarImage, inv_map: DeformationMap) -> ScalarImage:
     """Pull an image back through an inverse map: out(x) = img(inv_map(x))."""
     if inv_map.direction != "inverse":
@@ -384,12 +358,6 @@ def warp_image(img: ScalarImage, inv_map: DeformationMap) -> ScalarImage:
         )
     warped = interp_values(img.values, img.geometry, inv_map.targets)
     return ScalarImage(inv_map.geometry, warped)
-
-
-def gradient_central(img: ScalarImage) -> VectorField:
-    """Spatial gradient: central differences inside, one-sided at borders."""
-    grads = np.gradient(img.values, *img.geometry.spacing, edge_order=1)
-    return VectorField(img.geometry, np.stack(grads, axis=-1))
 
 
 def box_downsample(img: ScalarImage, factor: int = 2) -> ScalarImage:

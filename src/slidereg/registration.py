@@ -88,6 +88,16 @@ class RegistrationConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.lambda0 < 0 or self.lambda1 < 0 or self.reg_weight < 0:
             raise ValueError("weights must be >= 0")
+        if not self.armijo_init > 0:
+            raise ValueError(f"armijo_init must be > 0, got {self.armijo_init}")
+        if not 0 < self.armijo_shrink < 1:
+            raise ValueError(f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}")
+        if not self.armijo_slope >= 0:
+            raise ValueError(f"armijo_slope must be >= 0, got {self.armijo_slope}")
+        if self.max_shrinks < 0:
+            raise ValueError(f"max_shrinks must be >= 0, got {self.max_shrinks}")
+        if not self.stop_rel_tol >= 0:
+            raise ValueError(f"stop_rel_tol must be >= 0, got {self.stop_rel_tol}")
 
 
 class EnergyParts(NamedTuple):

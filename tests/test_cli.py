@@ -124,6 +124,24 @@ class TestRegister:
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm"):
             assert read_pgm(out_dir / artifact).geometry.dims == (16, 16)
 
+    def test_invalid_line_search_config_is_usage_error(self, tmp_path, capsys):
+        # a zero shrink factor would take zero-length steps and report convergence
+        data = tmp_path / "data"
+        assert run(["synth", "rectangle", "--size", "16", "--shift", "2", "--out", str(data)], capsys)[0] == 0
+        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+               "control_stride": 4, "armijo_shrink": 0.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "result"
+        code, _, err = run(
+            ["register", "--template", str(data / "template.pgm"), "--reference", str(data / "reference.pgm"),
+             "--config", str(cfg_path), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert "armijo_shrink" in err
+        assert not out_dir.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             [

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from slidereg.errors import DivergenceError, UnsupportedKernelError
+from slidereg.errors import DivergenceError
 from slidereg.flow import (
-    ParticleState,
     integrate,
     inverse_consistency_error,
     jacobian_fd,
-    shoot_particles,
     _advect_inverse,
 )
 from slidereg.geometry import DeformationMap, GridGeometry, identity_map
-from slidereg.kernels import KernelSpec, eval_kernel
+from slidereg.kernels import KernelSpec
 from slidereg.momenta import MomentumSet, TimeMomenta
 
 GRID = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
@@ -122,58 +120,6 @@ class TestJacobianFD:
     def test_boundary_proximity_rejected(self):
         with pytest.raises(ValueError):
             jacobian_fd(identity_map(GRID), [0.2, 10.0], 0.5)
-
-
-class TestShootParticles:
-    def test_wendland_rejected(self):
-        init = ParticleState(np.array([[10.0, 10.0]]), np.array([[1.0, 0.0]]))
-        with pytest.raises(UnsupportedKernelError):
-            shoot_particles(init, KernelSpec("wendland_c0_mult", 4.0, 9), 10)
-
-    def test_single_particle_straight_line(self):
-        init = ParticleState(np.array([[10.0, 10.0]]), np.array([[1.0, 2.0]]))
-        states = shoot_particles(init, GAUSS, 50)
-        np.testing.assert_allclose(states[-1].momenta, init.momenta, atol=1e-12)
-        np.testing.assert_allclose(
-            states[-1].positions, init.positions + init.momenta, atol=1e-12
-        )
-
-    def test_mirror_symmetry_preserved(self):
-        pos = np.array([[12.0, 10.0], [12.0, 22.0]])
-        mom = np.array([[0.0, 1.0], [0.0, -1.0]])
-        states = shoot_particles(ParticleState(pos, mom), GAUSS, 100)
-        for s in states:
-            np.testing.assert_allclose(s.positions[0, 0], s.positions[1, 0], atol=1e-10)
-            np.testing.assert_allclose(
-                s.positions[0, 1] - 16.0, 16.0 - s.positions[1, 1], atol=1e-10
-            )
-
-    def test_total_momentum_conserved(self):
-        rng = np.random.default_rng(3)
-        pos = rng.uniform(8, 24, (4, 2))
-        mom = rng.standard_normal((4, 2))
-        states = shoot_particles(ParticleState(pos, mom), GAUSS, 200)
-        total0 = mom.sum(axis=0)
-        for s in states:
-            np.testing.assert_allclose(s.momenta.sum(axis=0), total0, atol=1e-10)
-
-    def test_two_particle_energy_drift_below_one_percent(self):
-        pos = np.array([[14.0, 13.0], [18.0, 19.0]])
-        mom = np.array([[0.0, 1.2], [0.4, -0.8]])
-        states = shoot_particles(ParticleState(pos, mom), GAUSS, 400)
-
-        def v_norm_sq(s):
-            e = 0.0
-            for j in range(2):
-                for k in range(2):
-                    e += s.momenta[j] @ s.momenta[k] * eval_kernel(
-                        GAUSS, s.positions[j], s.positions[k]
-                    )
-            return e
-
-        e0 = v_norm_sq(states[0])
-        drift = max(abs(v_norm_sq(s) - e0) for s in states)
-        assert drift <= 0.01 * e0
 
 
 class TestInverseConsistency:

@@ -39,6 +39,20 @@ def small_config(family="wendland_c0_mult", **kw):
     return RegistrationConfig(**defaults)
 
 
+def blob_pair_3d(size):
+    """A Gaussian blob on a size^3 unit grid and the same blob one voxel
+    further along the last axis."""
+    geom = GridGeometry((size,) * 3, (1.0,) * 3, (0.0,) * 3)
+    pos = geom.node_positions()
+    center = np.full(3, (size - 1) / 2.0)
+
+    def blob(shift):
+        r2 = np.sum((pos - center - [0.0, 0.0, shift]) ** 2, axis=-1)
+        return ScalarImage(geom, 100.0 * np.exp(-r2 / 8.0))
+
+    return blob(0.0), blob(1.0)
+
+
 def random_momenta(cfg, grid, rng, scale0=0.4, scale1=0.3):
     pts = control_lattice(grid, cfg.control_stride)
     n, d = pts.shape
@@ -278,12 +292,12 @@ class TestGradient:
     def test_never_forms_point_jacobian(self, rng, monkeypatch):
         # the adjoint contracts psibar into each stencil through
         # point_grad_dot instead of forming the (N, c, d) point Jacobian
-        from slidereg.geometry import Stencil
+        from slidereg import geometry
 
         def forbidden(*a):
-            raise AssertionError("Stencil.point_grad called")
+            raise AssertionError("geometry.interp_with_point_grad called")
 
-        monkeypatch.setattr(Stencil, "point_grad", forbidden)
+        monkeypatch.setattr(geometry, "interp_with_point_grad", forbidden)
         pair = gen_rectangle(16, 2)
         cfg = small_config()
         g = gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
@@ -332,33 +346,40 @@ class TestOptimize:
         assert len(calls) == levels
 
     @pytest.mark.parametrize(
-        "stop_reason, kw",
+        "stop_reason, kw, ndim",
         [
-            ("max_iters", dict(max_iters=4, stop_rel_tol=0.0)),
-            ("max_iters", dict(max_iters=4, stop_rel_tol=0.0, orders="zeroth_only")),
-            ("rel_tol", dict(stop_rel_tol=1.0)),
-            ("gradient_zero", dict()),
-            ("line_search_stalled", dict(max_shrinks=2, stop_rel_tol=0.0)),
-            ("max_iters", dict(max_iters=6, stop_rel_tol=0.0, pyramid=True)),
+            ("max_iters", dict(max_iters=4, stop_rel_tol=0.0), 2),
+            ("max_iters", dict(max_iters=4, stop_rel_tol=0.0, orders="zeroth_only"), 2),
+            ("rel_tol", dict(stop_rel_tol=1.0), 2),
+            ("gradient_zero", dict(), 2),
+            ("line_search_stalled", dict(max_shrinks=2, stop_rel_tol=0.0), 2),
+            ("max_iters", dict(max_iters=6, stop_rel_tol=0.0, pyramid=True), 2),
+            ("max_iters", dict(max_iters=6, stop_rel_tol=0.0, pyramid=True, control_stride=2), 3),
         ],
-        ids=["max_iters", "zeroth_only", "rel_tol", "gradient_zero", "line_search_stalled", "pyramid"],
+        ids=["max_iters", "zeroth_only", "rel_tol", "gradient_zero", "line_search_stalled", "pyramid",
+             "pyramid_3d"],
     )
-    def test_result_equals_integrate_of_momenta(self, stop_reason, kw):
+    def test_result_equals_integrate_of_momenta(self, stop_reason, kw, ndim):
         # the flow taken from the descent's final state must be the one
         # flow.integrate computes from scratch for the returned momenta
-        pair = gen_rectangle(16, 2)
-        reference = pair.template if stop_reason == "gradient_zero" else pair.reference
+        if ndim == 2:
+            pair = gen_rectangle(16, 2)
+            template, reference = pair.template, pair.reference
+        else:
+            template, reference = blob_pair_3d(12)
+        if stop_reason == "gradient_zero":
+            reference = template
         cfg = small_config(**kw)
-        res = optimize(cfg, pair.template, reference)
+        res = optimize(cfg, template, reference)
         assert res.stop_reason == stop_reason
         if stop_reason == "line_search_stalled":
             assert res.iterations_used > 0  # the stall comes after accepted steps
-        fp = integrate(res.momenta, cfg.kernel, GRID16)
+        fp = integrate(res.momenta, cfg.kernel, template.geometry)
         assert len(res.flow.maps) == len(fp.maps) == cfg.T + 1
         for got, want in zip(res.flow.maps + res.flow.inv_maps, fp.maps + fp.inv_maps):
             assert got.direction == want.direction
             np.testing.assert_array_equal(got.targets, want.targets)
-        np.testing.assert_array_equal(res.warped.values, warp_image(pair.template, fp.final_inverse).values)
+        np.testing.assert_array_equal(res.warped.values, warp_image(template, fp.final_inverse).values)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_candidate_is_rejected(self, monkeypatch):
@@ -474,17 +495,18 @@ class TestPyramid:
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
 
-    @pytest.mark.parametrize("spacing", [(2.5, 2.5), (2.5, 1.0)])
+    @pytest.mark.parametrize("spacing", [(2.5, 2.5), (2.5, 1.0), (2.5, 1.0, 2.5)])
     def test_every_coarse_momentum_lands(self, spacing):
         # the coarse grid of a box-downsampled image is offset by half a
         # fine spacing, more than 1 physical unit once spacing > 2
-        fine = GridGeometry((32, 32), spacing, (0.0, 0.0))
+        d = len(spacing)
+        fine = GridGeometry((32 if d == 2 else 16,) * d, spacing, (0.0,) * d)
         coarse = box_downsample(ScalarImage(fine, np.zeros(fine.dims))).geometry
         coarse_pts = control_lattice(coarse, 2)
         fine_pts = control_lattice(fine, 2)
         n = coarse_pts.shape[0]
-        cm0 = np.arange(1.0, 2 * n + 1).reshape(1, n, 2)
-        cm1 = np.arange(1.0, 4 * n + 1).reshape(1, n, 2, 2)
+        cm0 = np.arange(1.0, d * n + 1).reshape(1, n, d)
+        cm1 = np.arange(1.0, d * d * n + 1).reshape(1, n, d, d)
         m0, m1 = _prolong_momenta(coarse_pts, cm0, cm1, fine, 2)
         assert m0.shape == (1,) + fine_pts.shape
         hit = np.flatnonzero(np.any(m0[0] != 0.0, axis=1))
@@ -513,3 +535,24 @@ class TestConfigRoundTrip:
     def test_orders_validated(self):
         with pytest.raises(ValueError):
             small_config(orders="fifth")
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(armijo_init=0.0),
+            dict(armijo_init=-1.0),
+            dict(armijo_shrink=0.0),
+            dict(armijo_shrink=1.0),
+            dict(armijo_shrink=1.5),
+            dict(armijo_slope=-1.0),
+            dict(armijo_slope=float("nan")),
+            dict(max_shrinks=-1),
+            dict(stop_rel_tol=-1e-6),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_line_search_settings_validated(self, kw):
+        # zero-length steps report convergence, a negative slope accepts
+        # energy increases, and the others make the stop rules meaningless
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            small_config(**kw)
