@@ -223,7 +223,8 @@ class Stencil:
     contracted point derivative and its transpose (the splat) share that
     lookup. Corner weights are recomputed per use, not stored 2^d times,
     always in the same corner and axis order, so gather and splat match a
-    per-corner loop bit for bit; point_grad_dot regroups its sums.
+    per-corner loop bit for bit; point_grad_dot regroups its sums. gather's
+    channel-major output enters every method without a transposing copy.
     """
 
     def __init__(self, geom: GridGeometry, pts):
@@ -259,13 +260,14 @@ class Stencil:
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Interpolate ``values`` (shape ``dims`` or ``dims + (c,)``) at the points.
 
-        Returns shape ``lead`` or ``lead + (c,)``.
+        Returns shape ``lead`` or ``lead + (c,)``, as a channel-major view
+        that is not C-contiguous when there are several channels.
         """
         channels, rows = self._rows(values)
         acc = np.zeros((rows.shape[0], self.base.size))
         for (_, off), w in zip(self.corners, self._weights()):
             acc += w * np.take(rows, self.base + off, axis=1)
-        return np.ascontiguousarray(acc.T).reshape(self.lead + channels)
+        return acc.T.reshape(self.lead + channels)
 
     def point_grad_dot(self, values: np.ndarray, adj) -> np.ndarray:
         """Derivative of :meth:`gather` with respect to the point, contracted with
@@ -297,15 +299,18 @@ class Stencil:
         """Transpose of :meth:`gather`: accumulate ``adj`` onto the nodes.
 
         ``adj`` (shape ``lead`` or ``lead + (c,)``) becomes ``(node_count,)``
-        or ``(node_count, c)``. One ``np.bincount`` per channel over the
-        corner-major indices adds in the order of a per-corner scatter.
+        or ``(node_count, c)``. One ``np.bincount`` per channel over a
+        corner-major ``(2^d, m)`` block of flat indices and weight-times-adjoint
+        products adds in the order of a per-corner scatter.
         """
         adj = np.asarray(adj, float)
         channels = adj.shape[len(self.lead):]
-        idx = np.concatenate([self.base + off for _, off in self.corners])
-        w = np.concatenate(list(self._weights()))
-        n, k = self.geom.node_count, len(self.corners)
-        out = [np.bincount(idx, w * np.tile(col, k), minlength=n) for col in adj.reshape(self.base.size, -1).T]
+        idx = (self.base + np.array([off for _, off in self.corners])[:, None]).ravel()
+        w = np.empty((len(self.corners), self.base.size))
+        for row, wj in zip(w, self._weights()):
+            row[...] = wj
+        n = self.geom.node_count
+        out = [np.bincount(idx, (w * col).ravel(), minlength=n) for col in adj.reshape(self.base.size, -1).T]
         return np.stack(out, axis=-1).reshape((n,) + channels)
 
 

@@ -10,6 +10,7 @@ what makes the finite-difference gradient check pass to tight tolerance.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -60,7 +61,9 @@ class RegistrationConfig:
     regularizer. The Armijo line search starts each iteration at
     ``armijo_init`` capped by twice the previously accepted step, shrinks
     by ``armijo_shrink`` up to ``max_shrinks`` times, and accepts on the
-    ``armijo_slope`` sufficient-decrease rule.
+    ``armijo_slope`` sufficient-decrease rule. The counts ``T``,
+    ``max_iters``, ``control_stride`` and ``max_shrinks`` must be integers;
+    an integral float such as ``10.0`` becomes an int.
     """
 
     kernel: KernelSpec
@@ -80,6 +83,12 @@ class RegistrationConfig:
     pyramid: bool = False
 
     def __post_init__(self):
+        for name in ("T", "max_iters", "control_stride", "max_shrinks"):
+            v = getattr(self, name)
+            integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+            if isinstance(v, bool) or not integral:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.orders not in ORDERS:
             raise ValueError(f"orders must be one of {ORDERS}, got {self.orders!r}")
         if self.T < 1:

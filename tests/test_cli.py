@@ -142,6 +142,25 @@ class TestRegister:
         assert "armijo_shrink" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key", ["T", "max_iters", "control_stride"])
+    def test_fractional_count_is_usage_error(self, tmp_path, capsys, key):
+        # a float T or max_iters used to end in a TypeError traceback mid-solve
+        data = tmp_path / "data"
+        assert run(["synth", "rectangle", "--size", "16", "--shift", "2", "--out", str(data)], capsys)[0] == 0
+        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+               "control_stride": 4, key: 2.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "result"
+        code, _, err = run(
+            ["register", "--template", str(data / "template.pgm"), "--reference", str(data / "reference.pgm"),
+             "--config", str(cfg_path), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             [

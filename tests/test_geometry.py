@@ -227,15 +227,30 @@ def _probe_points(geom, rng):
     return np.concatenate([inner, nodes, [hi, lo], outside])
 
 
+def _collision_points(geom, rng):
+    """Many points in the 2^d cells around one node, which reach it through
+    different corners, repeats of one point, and points clamped onto the same
+    boundary nodes from several sides, shuffled together."""
+    lo, hi = geom.bounds
+    spacing = np.asarray(geom.spacing)
+    cell = lo + spacing * (1.0 + rng.uniform(0, 2, (60, geom.ndim)))
+    repeats = np.tile(lo + spacing * 1.25, (5, 1))
+    below = lo - spacing * rng.uniform(0.5, 3.0, (8, geom.ndim))
+    above = hi + spacing * rng.uniform(0.5, 3.0, (8, geom.ndim))
+    onto_lo = np.concatenate([below, np.repeat(lo[None], 4, axis=0)])
+    edge = np.where(rng.uniform(0, 1, (8, geom.ndim)) < 0.5, hi, hi + spacing)
+    pts = np.concatenate([cell, repeats, onto_lo, above, edge])
+    return pts[rng.permutation(len(pts))]
+
+
+GEOMS = [
+    GridGeometry((8, 10), (0.5, 2.0), (-1.0, 3.0)),
+    GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5)),
+]
+
+
 class TestStencil:
-    @pytest.mark.parametrize(
-        "geom",
-        [
-            GridGeometry((8, 10), (0.5, 2.0), (-1.0, 3.0)),
-            GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5)),
-        ],
-        ids=["2d", "3d"],
-    )
+    @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
     @pytest.mark.parametrize("channels", [(), (3,)], ids=["scalar", "channels"])
     def test_matches_per_corner_loop(self, geom, channels, rng):
         pts = _probe_points(geom, rng)
@@ -256,6 +271,44 @@ class TestStencil:
         jac = interp_with_point_grad(values, geom, pts)[1]
         assert jac.shape == (pts.shape[0],) + channels + (geom.ndim,)
         assert np.max(np.abs(jac - grad.reshape(jac.shape))) <= 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
+    @pytest.mark.parametrize("channels", [(), (3,)], ids=["scalar", "channels"])
+    def test_colliding_points_match_per_corner_loop(self, geom, channels, rng):
+        # the splat adds many weights onto the same nodes, so its order shows
+        pts = _collision_points(geom, rng)
+        values = rng.standard_normal(geom.dims + channels)
+        adj = rng.standard_normal((pts.shape[0],) + channels)
+        vals, _, splat = _oracle(values, geom, pts, adj)
+        st = Stencil(geom, pts)
+        np.testing.assert_array_equal(st.gather(values), vals.reshape((pts.shape[0],) + channels))
+        np.testing.assert_array_equal(st.splat(adj), splat.reshape((geom.node_count,) + channels))
+
+    @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
+    def test_channel_major_gather_output_feeds_back(self, geom, rng):
+        # the transport passes each gathered map on as node data, adjoint
+        # and points; its layout must not change any result
+        lo, hi = geom.bounds
+        st = Stencil(geom, lo + (hi - lo) * rng.uniform(-0.1, 1.1, geom.dims + (geom.ndim,)))
+        out = st.gather(rng.standard_normal(geom.dims + (geom.ndim,)))
+        assert not out.flags.c_contiguous
+        copy = np.ascontiguousarray(out)
+        values = rng.standard_normal(geom.dims + (geom.ndim,))
+        np.testing.assert_array_equal(st.gather(out), st.gather(copy))
+        np.testing.assert_array_equal(st.point_grad_dot(out, values), st.point_grad_dot(copy, values))
+        np.testing.assert_array_equal(st.point_grad_dot(values, out), st.point_grad_dot(values, copy))
+        np.testing.assert_array_equal(st.splat(out), st.splat(copy))
+        again, again_copy = Stencil(geom, out), Stencil(geom, copy)
+        for name in ("base", "frac", "unclamped"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(again_copy, name))
+        np.testing.assert_array_equal(again.gather(values), again_copy.gather(values))
+
+    def test_gather_output_rows_are_not_copied(self, rng):
+        geom = GEOMS[0]
+        st = Stencil(geom, geom.node_positions() + rng.uniform(-1.0, 1.0, geom.dims + (2,)))
+        out = st.gather(rng.standard_normal(geom.dims + (3,)))
+        assert out.shape == geom.dims + (3,)
+        assert np.shares_memory(st._rows(out)[1], out)
 
     def test_clamped_axes_have_zero_gradient(self, rng):
         geom = GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5))

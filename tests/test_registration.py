@@ -556,3 +556,28 @@ class TestConfigRoundTrip:
         # energy increases, and the others make the stop rules meaningless
         with pytest.raises(ValueError, match=next(iter(kw))):
             small_config(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(T=2.5),
+            dict(max_iters=2.5),
+            dict(control_stride=2.5),
+            dict(max_shrinks=2.5),
+            dict(T=True),
+            dict(max_iters=float("nan")),
+            dict(max_shrinks=float("inf")),
+            dict(control_stride="4"),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
+    )
+    def test_counts_validated(self, kw):
+        # a float T or max_iters crashes the solve with a TypeError, and a
+        # fractional stride puts control points between the nodes
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            small_config(**kw)
+
+    def test_integral_float_counts_become_ints(self):
+        cfg = small_config(T=2.0, max_iters=np.int64(3), control_stride=4.0, max_shrinks=5.0)
+        assert (cfg.T, cfg.max_iters, cfg.control_stride, cfg.max_shrinks) == (2, 3, 4, 5)
+        assert all(type(v) is int for v in (cfg.T, cfg.max_iters, cfg.control_stride, cfg.max_shrinks))
