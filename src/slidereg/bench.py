@@ -363,6 +363,7 @@ class MetricsReport:
     fold_count: dict
     stop_reason: dict
     iterations: dict
+    forward_passes: dict
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -415,7 +416,10 @@ def _write_pgm_view(path: str, geom: GridGeometry, values: np.ndarray) -> None:
 
 
 def write_registration_artifacts(out: str, result: reg.RegistrationResult) -> dict:
-    """Write the warped image, deformation magnitude and deformed grid (PGM) and the energy trace (CSV)."""
+    """Write the warped image, deformation magnitude and deformed grid (PGM) and the energy trace (CSV).
+
+    The trace has one row per iterate; from row 1 on it also gives the
+    accepted line-search step ``alpha`` and the ``candidates`` tried."""
     os.makedirs(out, exist_ok=True)
     geom = result.warped.geometry
     _write_pgm_view(os.path.join(out, "warped.pgm"), geom, np.clip(result.warped.values, 0, 255))
@@ -431,9 +435,10 @@ def write_registration_artifacts(out: str, result: reg.RegistrationResult) -> di
 
     with open(os.path.join(out, "trace.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "E_S", "E_R", "sparsity", "total"])
-        for i, p in enumerate(result.energy_trace):
-            writer.writerow([i, repr(p.similarity), repr(p.regularization), repr(p.sparsity), repr(p.total)])
+        writer.writerow(["iter", "E_S", "E_R", "sparsity", "total", "alpha", "candidates"])
+        writer.writerow([0, *map(repr, result.energy_trace[0]), "", ""])
+        for i, (p, step) in enumerate(zip(result.energy_trace[1:], result.line_search), 1):
+            writer.writerow([i, *map(repr, p), repr(step.alpha), step.candidates])
     return {"magnitude_scale": scale}
 
 
@@ -472,6 +477,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     folds: dict = {}
     stops: dict = {}
     iters: dict = {}
+    passes: dict = {}
     extras: dict = {}
     try:
         for method in spec.methods:
@@ -485,6 +491,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
             jac_min[method] = float(dets.min())
             folds[method] = int(np.count_nonzero(dets <= 0.0))
             stops[method], iters[method] = result.stop_reason, result.iterations_used
+            passes[method] = result.forward_passes
             if lms_t is not None:
                 tre_after[method] = tre(lms_r, lms_t, spacing, result.flow.final_inverse)
             if interface_row is not None:
@@ -499,6 +506,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
             fold_count=folds,
             stop_reason=stops,
             iterations=iters,
+            forward_passes=passes,
         )
         payload = report.to_dict()
         payload["name"] = spec.name

@@ -110,6 +110,7 @@ def _cmd_register(args) -> int:
         "iterations": result.iterations_used,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
+        "forward_passes": result.forward_passes,
         "ssd_initial": first.similarity,
         "ssd_final": last.similarity,
         "total_initial": first.total,

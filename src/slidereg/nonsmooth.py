@@ -228,6 +228,16 @@ def saltation_sliding(n) -> np.ndarray:
     return np.eye(n.size) - np.outer(n, n)
 
 
+def _euler_step(M, h: float, Dv, t: float):
+    """One explicit Euler step of dM/dt = Dv M, ending at time t; an
+    overflowing product raises DivergenceError instead of warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = M + h * (Dv @ M)
+    if not np.all(np.isfinite(M)):
+        raise DivergenceError(f"fundamental matrix non-finite at t = {t:.6f}")
+    return M
+
+
 def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -> FundamentalMatrix:
     """Integrate the flow and its state-transition Jacobian from x0 to time t.
 
@@ -236,6 +246,7 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
     follow dM/dt = Dv M by explicit Euler with the given step; each detected
     crossing multiplies in the appropriate saltation matrix (sliding when
     the boundary is flagged, transversal otherwise) and is recorded.
+    A non-finite trajectory or matrix raises DivergenceError.
     """
     x = np.asarray(x0, float).copy()
     d = x.size
@@ -291,12 +302,12 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
                 hit = (found[0], found[1], bi)
 
         if hit is None:
-            M = M + dt * (Dv @ M)
+            M = _euler_step(M, dt, Dv, t_next)
             x, now = x_next, t_next
             continue
 
         t1, x1, bi = hit
-        M = M + (t1 - now) * (Dv @ M)
+        M = _euler_step(M, t1 - now, Dv, t1)
         b = bounds[bi]
         nvec = b.unit_normal(t1, x1)
         v_minus = piece.velocity(x1) if sliding_on is None else v

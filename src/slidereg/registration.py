@@ -41,6 +41,7 @@ __all__ = [
     "RegistrationConfig",
     "RegistrationResult",
     "EnergyParts",
+    "LineSearchStep",
     "ssd",
     "total_energy",
     "gradient",
@@ -58,10 +59,12 @@ class RegistrationConfig:
 
     ``lambda0``/``lambda1`` weight the sparsity prior on zeroth- and
     first-order initial momenta; ``reg_weight`` scales the kernel-norm
-    regularizer. The Armijo line search starts each iteration at
-    ``armijo_init`` capped by twice the previously accepted step, shrinks
-    by ``armijo_shrink`` up to ``max_shrinks`` times, and accepts on the
-    ``armijo_slope`` sufficient-decrease rule. The counts ``T``,
+    regularizer. The Armijo line search shrinks its step by
+    ``armijo_shrink`` up to ``max_shrinks`` times and accepts on the
+    ``armijo_slope`` sufficient-decrease rule. The first search starts at
+    ``armijo_init``. A later one starts at the previously accepted step
+    if that search had to shrink, and otherwise at twice that step,
+    capped by ``armijo_init``. The counts ``T``,
     ``max_iters``, ``control_stride`` and ``max_shrinks`` must be integers;
     an integral float such as ``10.0`` becomes an int.
     """
@@ -116,12 +119,24 @@ class EnergyParts(NamedTuple):
     total: float
 
 
+class LineSearchStep(NamedTuple):
+    """One accepted iterate: its step ``alpha`` and the ``candidates`` tried."""
+
+    alpha: float
+    candidates: int
+
+
 @dataclass(frozen=True)
 class RegistrationResult:
     """Solution of :func:`optimize`.
 
     ``stop_reason`` is ``gradient_zero``, ``rel_tol``, ``max_iters`` or
     ``line_search_stalled``; ``converged`` holds for the first two.
+    ``line_search`` holds one :class:`LineSearchStep` per accepted iterate
+    of the reported (fine-level) trace. ``forward_passes`` counts the
+    transports the solve ran, pyramid levels included: the initial
+    energy, each transported candidate, and the recomputed state after a
+    stalled search.
     """
 
     momenta: TimeMomenta
@@ -131,6 +146,8 @@ class RegistrationResult:
     iterations_used: int
     converged: bool
     stop_reason: str
+    line_search: tuple
+    forward_passes: int
 
 
 def ssd(a: ScalarImage, b: ScalarImage) -> float:
@@ -157,6 +174,7 @@ class _Engine:
         self.grams = KernelGrams(cfg.kernel, points, self.first_order)
         d = grid.ndim
         self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d)
+        self.forward_passes = 0
 
     # momenta are carried as flat arrays: m0 (T, n, d), m1 (T, n, d, d)
 
@@ -174,6 +192,7 @@ class _Engine:
         """Energy parts and the state :meth:`backward` consumes: the inverse
         maps, step stencils, final-sample stencil, Gram products and residual."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
+        self.forward_passes += 1
         velocities = (self.asm.velocity(m0[k], m1[k]) for k in range(T))
         psis, stencils = flowmod._advect_inverse(velocities, grid, T)
         final = Stencil(grid, psis[-1])
@@ -255,18 +274,21 @@ def _check_pair_geometry(I0: ScalarImage, I1: ScalarImage) -> None:
 def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
     """Armijo gradient descent from the given momenta.
 
-    Returns the final momenta, the trace, the iteration count, the stop
-    reason and the forward state of the final momenta. The accepted
-    candidate's state feeds the next gradient, and each state is dropped
-    once spent or rejected, so at most one is alive."""
+    Returns the final momenta, the trace, one :class:`LineSearchStep` per
+    accepted iterate, the stop reason and the forward state of the final
+    momenta. The accepted candidate's state feeds the next gradient, and
+    each state is dropped once spent or rejected, so at most one is alive.
+    Each search starts as :class:`RegistrationConfig` states, so a step
+    the last search just found too long is not tried again (Nocedal &
+    Wright, *Numerical Optimization*, sec. 3.5)."""
     cfg = eng.cfg
     parts, state = eng.forward(m0, m1, I0, I1)
     if not np.isfinite(parts.total):
         raise DivergenceError("energy non-finite at initialization")
     trace = [parts]
+    steps = []
     stop_reason = "max_iters"
-    iterations = 0
-    alpha_prev = cfg.armijo_init
+    alpha_prev, shrunk = cfg.armijo_init, False
 
     for _ in range(cfg.max_iters):
         g0, g1 = eng.backward(m0, m1, I0, state)
@@ -274,9 +296,9 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
         if gnorm2 <= 1e-30:
             stop_reason = "gradient_zero"
             break
-        alpha = min(cfg.armijo_init, 2.0 * alpha_prev)
+        alpha = alpha_prev if shrunk else min(cfg.armijo_init, 2.0 * alpha_prev)
         state = None
-        for _shrink in range(cfg.max_shrinks + 1):
+        for tried in range(1, cfg.max_shrinks + 2):
             with np.errstate(over="ignore"):
                 c0 = m0 - alpha * g0
                 c1 = m1 - alpha * g1
@@ -295,16 +317,16 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
             state = eng.forward(m0, m1, I0, I1)[1]
             break
         m0, m1, parts = c0, c1, cand
-        alpha_prev = alpha
+        alpha_prev, shrunk = alpha, tried > 1
         trace.append(cand)
-        iterations += 1
+        steps.append(LineSearchStep(alpha, tried))
         if len(trace) > 5:
             past = trace[-6].total
             drop = (past - trace[-1].total) / max(abs(past), 1e-30)
             if drop < cfg.stop_rel_tol:
                 stop_reason = "rel_tol"
                 break
-    return m0, m1, trace, iterations, stop_reason, state
+    return m0, m1, trace, steps, stop_reason, state
 
 
 def _prolong_momenta(coarse_pts, cm0, cm1, fine_grid: GridGeometry, stride: int):
@@ -340,6 +362,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     _check_pair_geometry(I0, I1)
     eng = _make_engine(cfg, I0.geometry)
     m0, m1 = eng.zero_theta()
+    coarse_passes = 0
 
     if cfg.pyramid:
         coarse_cfg = replace(cfg, pyramid=False, max_iters=max(1, cfg.max_iters // 2))
@@ -348,11 +371,12 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         c_eng = _make_engine(coarse_cfg, c_I0.geometry)
         cm0, cm1 = c_eng.zero_theta()
         cm0, cm1 = _descend(c_eng, cm0, cm1, c_I0, c_I1)[:2]
+        coarse_passes = c_eng.forward_passes
         m0, m1 = _prolong_momenta(c_eng.points, cm0, cm1, I0.geometry, cfg.control_stride)
         if not eng.first_order:
             m1[:] = 0.0
 
-    m0, m1, trace, iterations, stop_reason, state = _descend(eng, m0, m1, I0, I1)
+    m0, m1, trace, steps, stop_reason, state = _descend(eng, m0, m1, I0, I1)
     psis = state[0]
     del state  # drop the stencils before the map copies
     velocities = [eng.asm.velocity(m0[k], m1[k]) for k in range(cfg.T)]
@@ -364,9 +388,11 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         flow=fp,
         warped=warped,
         energy_trace=tuple(trace),
-        iterations_used=iterations,
+        iterations_used=len(steps),
         converged=stop_reason in ("gradient_zero", "rel_tol"),
         stop_reason=stop_reason,
+        line_search=tuple(steps),
+        forward_passes=coarse_passes + eng.forward_passes,
     )
 
 

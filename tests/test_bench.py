@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -355,6 +356,7 @@ class TestRunExperiment:
         assert payload["fold_count"] == {"gaussian": 0}
         assert payload["stop_reason"] == {"gaussian": "gradient_zero"}
         assert payload["iterations"] == {"gaussian": 0}
+        assert payload["forward_passes"] == {"gaussian": 1}
         assert payload["jacobian_min"]["gaussian"] == pytest.approx(1.0)
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm", "trace.csv"):
             assert (tmp_path / "null" / "gaussian" / artifact).exists()
@@ -369,8 +371,13 @@ class TestRunExperiment:
         )
         report = run_experiment(spec)
         lines = (tmp_path / "small" / "gaussian" / "trace.csv").read_text().splitlines()
-        assert lines[0] == "iter,E_S,E_R,sparsity,total"
+        assert lines[0] == "iter,E_S,E_R,sparsity,total,alpha,candidates"
         assert len(lines) == 2 + report.iterations["gaussian"]
+        rows = list(csv.reader(lines[1:]))
+        assert rows[0][5:] == ["", ""]  # the initial energy has no line search
+        candidates = [int(row[6]) for row in rows[1:]]
+        assert all(float(row[5]) > 0.0 for row in rows[1:]) and min(candidates) >= 1
+        assert report.forward_passes["gaussian"] == 1 + sum(candidates)
 
     def test_dataset_pgm_pair_with_one_based_landmarks(self, tmp_path):
         pair = gen_rectangle(32, 2)

@@ -76,6 +76,7 @@ class TestRegister:
         assert summary["ssd_final"] <= summary["ssd_initial"]
         assert summary["stop_reason"] in ("gradient_zero", "rel_tol", "max_iters", "line_search_stalled")
         assert summary["converged"] == (summary["stop_reason"] in ("gradient_zero", "rel_tol"))
+        assert summary["forward_passes"] > summary["iterations"]  # the initial energy and each candidate
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm", "trace.csv"):
             assert (out_dir / artifact).exists()
 
@@ -234,6 +235,21 @@ class TestNonsmoothCheck:
         path.write_text(json.dumps(scenario))
         code, out, _ = run(["nonsmooth-check", "--scenario", str(path)], capsys)
         assert code == 2
+
+    def test_overflowing_fundamental_matrix_fails_numerically(self, tmp_path, capsys):
+        # the trajectory rests at the origin while M grows by 1e197 per step;
+        # the overflow is a numerical failure, raised without a RuntimeWarning
+        scenario = {
+            "boundaries": [],
+            "pieces": [{"when": [], "A": [[1e200, 0.0], [0.0, 1e200]]}],
+            "x0": [0.0, 0.0],
+            "t": 1.0,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
+        assert code == 2
+        assert "fundamental matrix non-finite" in err and out == ""
 
     def test_grazing_scenario_reports_numerical_failure(self, tmp_path, capsys):
         scenario = {

@@ -100,15 +100,16 @@ def oracle_descend(eng, I0, I1):
     cfg = eng.cfg
     m0, m1 = eng.zero_theta()
     trace = [eng.forward(m0, m1, I0, I1)[0]]
-    alpha_prev = cfg.armijo_init
+    alpha_prev, shrunk = cfg.armijo_init, False
     candidates = 0
     for _ in range(cfg.max_iters):
         parts, g0, g1 = eng.energy_and_grad(m0, m1, I0, I1)
         gnorm2 = float(np.sum(g0 * g0) + np.sum(g1 * g1))
         if gnorm2 <= 1e-30:
             break
-        alpha = min(cfg.armijo_init, 2.0 * alpha_prev)
-        for _shrink in range(cfg.max_shrinks + 1):
+        # a search that had to shrink hands its accepted step to the next one
+        alpha = alpha_prev if shrunk else min(cfg.armijo_init, 2.0 * alpha_prev)
+        for shrinks in range(cfg.max_shrinks + 1):
             c0, c1 = m0 - alpha * g0, m1 - alpha * g1
             candidates += 1
             try:
@@ -120,7 +121,7 @@ def oracle_descend(eng, I0, I1):
             alpha *= cfg.armijo_shrink
         else:
             break
-        m0, m1, alpha_prev = c0, c1, alpha
+        m0, m1, alpha_prev, shrunk = c0, c1, alpha, shrinks > 0
         trace.append(cand)
         if len(trace) > 5 and (trace[-6].total - cand.total) / max(abs(trace[-6].total), 1e-30) < cfg.stop_rel_tol:
             break
@@ -333,6 +334,47 @@ class TestOptimize:
         monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
         optimize(cfg, pair.template, pair.reference)
         assert len(calls) == 1 + candidates
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(max_iters=6, stop_rel_tol=0.0), dict(max_shrinks=2, stop_rel_tol=0.0),
+         dict(max_iters=6, stop_rel_tol=0.0, pyramid=True)],
+        ids=["max_iters", "line_search_stalled", "pyramid"],
+    )
+    def test_forward_passes_counts_transports(self, monkeypatch, kw):
+        from slidereg import flow
+
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(**kw)
+        calls = []
+        real = flow._advect_inverse
+        monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
+        res = optimize(cfg, pair.template, pair.reference)
+        assert res.forward_passes == len(calls)
+        assert len(res.line_search) == res.iterations_used == len(res.energy_trace) - 1
+        accepted = 1 + sum(s.candidates for s in res.line_search)
+        if res.stop_reason == "line_search_stalled":
+            # the failed search transports its candidates, then the state is recomputed
+            assert accepted + 1 < res.forward_passes <= accepted + cfg.max_shrinks + 2
+        elif cfg.pyramid:
+            assert res.forward_passes > accepted  # the coarse level's transports count too
+        else:
+            assert res.forward_passes == accepted
+
+    @pytest.mark.parametrize("family", ["gaussian", "wendland_c0_mult"])
+    def test_search_starts_at_accepted_step_after_a_shrink(self, family):
+        # a search that accepted its first candidate lets the next one try
+        # twice its step; one that had to shrink hands on its accepted step
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(family, max_iters=8, stop_rel_tol=0.0)
+        steps = optimize(cfg, pair.template, pair.reference).line_search
+        assert len(steps) == cfg.max_iters
+        assert steps[0].alpha == cfg.armijo_init * cfg.armijo_shrink ** (steps[0].candidates - 1)
+        previous = [s.candidates for s in steps[:-1]]
+        assert 1 in previous and any(c > 1 for c in previous)  # both branches are exercised
+        for prev, cur in zip(steps, steps[1:]):
+            start = min(cfg.armijo_init, 2.0 * prev.alpha) if prev.candidates == 1 else prev.alpha
+            assert cur.alpha == start * cfg.armijo_shrink ** (cur.candidates - 1)
 
     @pytest.mark.parametrize("pyramid, levels", [(False, 1), (True, 2)])
     def test_one_assembler_per_level(self, monkeypatch, pyramid, levels):
