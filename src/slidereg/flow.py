@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DivergenceError
 from .geometry import DeformationMap, GridGeometry, Stencil, interp_values
 from .kernels import KernelSpec
-from .momenta import TimeMomenta, VelocityAssembler
+from .momenta import TimeMomenta, VelocityAssembler, _block
 
 __all__ = [
     "FlowPath",
@@ -92,7 +92,7 @@ def _flow_path(velocities, psis, grid: GridGeometry) -> FlowPath:
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
     """Integrate forward and inverse maps from per-step momenta."""
     asm = VelocityAssembler(spec, grid, tm.points)
-    velocities = [asm.velocity(ms.m0, ms.m1) for ms in tm.steps]
+    velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
     psis = _advect_inverse(velocities, grid, tm.T)[0]  # drop the stencils before the copies
     return _flow_path(velocities, psis, grid)
 

@@ -152,15 +152,15 @@ def _per_order(k: list, slot: list) -> list:
     return [k] + [[s if a == i else A for a, A in enumerate(k)] for i, s in enumerate(slot)]
 
 
-def _orders(m0: np.ndarray, m1: np.ndarray) -> list:
-    """Momenta per order: m0, then the slot blocks m1[..., i, :]."""
-    return [m0, *np.moveaxis(m1, -2, 0)]
+def _block(m0: np.ndarray, m1: np.ndarray, slots: int | None = None) -> np.ndarray:
+    """Momenta as one block (..., orders, d): order 0, then the first ``slots`` slots of m1 (all by default)."""
+    return np.concatenate([m0[..., None, :], m1[..., :slots, :]], axis=-2)
 
 
-def _split(blocks: list) -> tuple[np.ndarray, np.ndarray]:
-    """Per-order blocks back to (order 0, slots stacked on axis -2); zero slots if only order 0 ran."""
-    b0, slots = blocks[0], blocks[1:]
-    return b0, np.stack(slots, axis=-2) if slots else np.zeros(b0.shape + b0.shape[-1:])
+def _unblock(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block back to (m0, m1); slots past the block's orders read zero."""
+    M = np.pad(M, [(0, 0)] * (M.ndim - 2) + [(0, M.shape[-1] + 1 - M.shape[-2]), (0, 0)])
+    return M[..., 0, :], M[..., 1:, :]
 
 
 class _Lattice:
@@ -198,8 +198,9 @@ class VelocityAssembler:
     window of nodes around the node nearest each control coordinate,
     clipped to the grid. Zeroth-order synthesis is the Kronecker product
     of these; slot i swaps in the partial factor on axis i. The adjoint
-    uses the transposes. With ``first_order=False`` only the zeroth order
-    is synthesized: ``m1`` is ignored and its adjoint reads zero.
+    uses the transposes. Momenta come as a block (n, orders, d), order 0
+    first, then the slots; with ``first_order=False`` the block holds
+    order 0 alone.
     """
 
     def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray, first_order: bool = True):
@@ -222,15 +223,15 @@ class VelocityAssembler:
         # contiguous transposes: batched matmul is slow on transposed views
         self.ops_T = [[np.ascontiguousarray(A.T) for A in mats] for mats in self.ops]
 
-    def velocity(self, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-        """Node velocities, shape (node_count, d)."""
-        v = sum(_apply(mats, self.lattice.scatter(m)) for mats, m in zip(self.ops, _orders(m0, m1)))
+    def velocity(self, M: np.ndarray) -> np.ndarray:
+        """Node velocities of the block M, shape (node_count, d)."""
+        v = sum(_apply(mats, self.lattice.scatter(M[:, o])) for o, mats in enumerate(self.ops))
         return v.reshape(-1, self.grid.ndim)
 
-    def adjoint(self, vbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pull node-velocity adjoints back to (m0bar, m1bar)."""
+    def adjoint(self, vbar: np.ndarray) -> np.ndarray:
+        """Pull node-velocity adjoints back to a block (n, orders, d)."""
         V = vbar.reshape(self.grid.dims + (self.grid.ndim,))
-        return _split([self.lattice.gather(_apply(mats, V)) for mats in self.ops_T])
+        return np.stack([self.lattice.gather(_apply(mats, V)) for mats in self.ops_T], axis=1)
 
 
 class KernelGrams:
@@ -240,8 +241,9 @@ class KernelGrams:
     Each is a Kronecker product of untruncated n_a x n_a axis factors on
     the points' lattice (slot i swaps in the mixed factor on axis i) and
     is never formed. The energy has no cross-order blocks: it is the sum
-    of the per-order quadratic forms. With ``first_order=False`` only G0
-    is applied and the first-order products read zero.
+    of the per-order quadratic forms. Momenta come as a block
+    (..., n, orders, d) with any leading step axes; with
+    ``first_order=False`` the block holds order 0 alone and only G0 runs.
     """
 
     def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
@@ -252,36 +254,58 @@ class KernelGrams:
             [_factor(kernels.eval_mixed_many, spec, o, 0) for o in offsets] if first_order else [],
         )
 
-    def products(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(G0 m0, G1_i m1_i); a leading step axis on both rides along at the back."""
-        lat, steps = self.lattice, range(m0.ndim - 2)
+    def products(self, M: np.ndarray) -> np.ndarray:
+        """Block of G0 M_0, then G1_i M_i; leading step axes ride along at the back."""
+        lat, steps = self.lattice, range(M.ndim - 3)
         back = range(-len(steps), 0)
-        return _split([np.moveaxis(lat.gather(_apply(mats, lat.scatter(np.moveaxis(m, steps, back)))), back, steps)
-                       for mats, m in zip(self.ops, _orders(m0, m1))])
+        M = np.moveaxis(M, steps, back)
+        return np.stack([np.moveaxis(lat.gather(_apply(mats, lat.scatter(M[:, o]))), back, steps)
+                         for o, mats in enumerate(self.ops)], axis=-2)
 
     @staticmethod
-    def energy_of(m0, m1, products) -> float:
-        """Energy from precomputed :meth:`products` of the same momenta."""
-        return float(np.sum(m0 * products[0]) + np.sum(m1 * products[1]))
+    def energy_of(M: np.ndarray, products: np.ndarray) -> float:
+        """Energy from precomputed :meth:`products` of the same momenta. Order 0 and the
+        slots sum apart, so a block without slots sums bit for bit like one with zero slots."""
+        return float(np.sum(M[..., :1, :] * products[..., :1, :]) + np.sum(M[..., 1:, :] * products[..., 1:, :]))
 
-    def energy(self, m0: np.ndarray, m1: np.ndarray) -> float:
-        return self.energy_of(m0, m1, self.products(m0, m1))
+    def energy(self, M: np.ndarray) -> float:
+        return self.energy_of(M, self.products(M))
 
-    def grad(self, m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of :meth:`energy`: (2 G0 m0, 2 G1_i m1_i)."""
-        g0, g1 = self.products(m0, m1)
-        return 2.0 * g0, 2.0 * g1
+    def grad(self, M: np.ndarray) -> np.ndarray:
+        """Gradient of :meth:`energy`: 2 G M, order by order."""
+        return 2.0 * self.products(M)
 
 
 def synth_velocity(ms: MomentumSet, spec: KernelSpec, grid: GridGeometry) -> VectorField:
     """Velocity field synthesized from zeroth- and first-order momenta."""
-    v = VelocityAssembler(spec, grid, ms.points).velocity(ms.m0, ms.m1)
+    v = VelocityAssembler(spec, grid, ms.points).velocity(_block(ms.m0, ms.m1))
     return VectorField(grid, v.reshape(grid.dims + (grid.ndim,)))
 
 
 def v_energy(ms: MomentumSet, spec: KernelSpec) -> float:
     """Sum of per-order squared kernel norms of the synthesized field."""
-    return KernelGrams(spec, ms.points).energy(ms.m0, ms.m1)
+    return KernelGrams(spec, ms.points).energy(_block(ms.m0, ms.m1))
+
+
+def _sparsity_weights(lam, eps: float, d: int) -> np.ndarray:
+    """``lam`` as d + 1 checked weights, zeroth order first; ``eps`` must be > 0."""
+    lam = np.asarray(lam, float)
+    if lam.shape != (d + 1,):
+        raise ValueError(f"need {d + 1} weights (zeroth + {d} slots), got shape {lam.shape}")
+    if np.any(lam < 0) or not eps > 0:
+        raise ValueError("weights must be >= 0 and eps > 0")
+    return lam
+
+
+def _sparsity(M: np.ndarray, lam: np.ndarray, eps: float) -> float:
+    """The :func:`sparsity` of a block (n, orders, d) with one weight per order, summed order by order."""
+    norms = np.sqrt(np.sum(M**2, axis=-1) + eps**2) - eps
+    return float(sum(w * np.sum(norms[:, o]) for o, w in enumerate(lam)))
+
+
+def _sparsity_grad(M: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
+    """Gradient of :func:`_sparsity`, a block like M."""
+    return lam[:, None] * M / np.sqrt(np.sum(M**2, axis=-1) + eps**2)[..., None]
 
 
 def sparsity(ms: MomentumSet, lam, eps: float = 1e-6) -> float:
@@ -289,30 +313,15 @@ def sparsity(ms: MomentumSet, lam, eps: float = 1e-6) -> float:
 
     ``lam`` holds d + 1 weights: index 0 for the zeroth order, 1..d for the
     first-order slots. Smoothing keeps the penalty differentiable at 0.
+    The solver applies the same core to its momentum block, where in
+    ``zeroth_only`` mode the block and the weights stop at order 0.
     """
-    d = ms.ndim
-    lam = np.asarray(lam, float)
-    if lam.shape != (d + 1,):
-        raise ValueError(f"need {d + 1} weights (zeroth + {d} slots), got shape {lam.shape}")
-    if np.any(lam < 0) or not eps > 0:
-        raise ValueError("weights must be >= 0 and eps > 0")
-    total = lam[0] * np.sum(np.sqrt(np.sum(ms.m0**2, axis=1) + eps**2) - eps)
-    for i in range(d):
-        norms = np.sqrt(np.sum(ms.m1[:, i, :] ** 2, axis=1) + eps**2) - eps
-        total += lam[i + 1] * np.sum(norms)
-    return float(total)
+    return _sparsity(_block(ms.m0, ms.m1), _sparsity_weights(lam, eps, ms.ndim), eps)
 
 
 def sparsity_grad(ms: MomentumSet, lam, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of :func:`sparsity` with respect to (m0, m1)."""
-    d = ms.ndim
-    lam = np.asarray(lam, float)
-    g0 = lam[0] * ms.m0 / np.sqrt(np.sum(ms.m0**2, axis=1) + eps**2)[:, None]
-    g1 = np.empty_like(ms.m1)
-    for i in range(d):
-        block = ms.m1[:, i, :]
-        g1[:, i, :] = lam[i + 1] * block / np.sqrt(np.sum(block**2, axis=1) + eps**2)[:, None]
-    return g0, g1
+    """Gradient of :func:`sparsity` with respect to (m0, m1); checks ``lam`` and ``eps`` alike."""
+    return _unblock(_sparsity_grad(_block(ms.m0, ms.m1), _sparsity_weights(lam, eps, ms.ndim), eps))
 
 
 def directional_kernel_velocity(a, w, y, spec: KernelSpec, grid: GridGeometry) -> VectorField:

@@ -23,7 +23,6 @@ from .geometry import (
     Stencil,
     box_downsample,
     interp_values,  # noqa: F401 - kept importable here for perfbench's tracer
-    warp_image,
 )
 from .kernels import KernelSpec
 from .momenta import (
@@ -31,9 +30,12 @@ from .momenta import (
     MomentumSet,
     TimeMomenta,
     VelocityAssembler,
+    _block,
+    _sparsity,
+    _sparsity_grad,
+    _sparsity_weights,
+    _unblock,
     control_lattice,
-    sparsity,
-    sparsity_grad,
 )
 from . import flow as flowmod
 
@@ -57,9 +59,11 @@ ORDERS = ("zeroth_only", "zeroth_and_first")
 class RegistrationConfig:
     """All solver hyperparameters.
 
-    ``lambda0``/``lambda1`` weight the sparsity prior on zeroth- and
-    first-order initial momenta; ``reg_weight`` scales the kernel-norm
-    regularizer. The Armijo line search shrinks its step by
+    ``orders`` is ``zeroth_and_first`` or ``zeroth_only``; the latter
+    ignores first-order momenta in every energy term, sparsity included,
+    and reports their gradient as zero. ``lambda0``/``lambda1`` weight the
+    sparsity prior on zeroth- and first-order initial momenta;
+    ``reg_weight`` scales the kernel-norm regularizer. The Armijo line search shrinks its step by
     ``armijo_shrink`` up to ``max_shrinks`` times and accepts on the
     ``armijo_slope`` sufficient-decrease rule. The first search starts at
     ``armijo_init``. A later one starts at the previously accepted step
@@ -161,58 +165,55 @@ def ssd(a: ScalarImage, b: ScalarImage) -> float:
 class _Engine:
     """Precomputed operators and the forward/backward energy pipeline.
 
-    In ``zeroth_only`` mode the operators run the zeroth order alone, so
-    first-order momenta are ignored and their gradient is zero.
+    The momenta of all T steps are one block M of shape (T, n, orders, d):
+    ``M[..., 0, :]`` is the zeroth order and ``M[..., 1:, :]`` the
+    first-order slots. In ``zeroth_only`` mode the block holds order 0
+    alone, so first-order momenta are ignored everywhere, sparsity
+    included, and their gradient is zero.
     """
 
     def __init__(self, cfg: RegistrationConfig, grid: GridGeometry, points: np.ndarray):
         self.cfg = cfg
         self.grid = grid
         self.points = points
-        self.first_order = cfg.orders == "zeroth_and_first"
-        self.asm = VelocityAssembler(cfg.kernel, grid, points, self.first_order)
-        self.grams = KernelGrams(cfg.kernel, points, self.first_order)
         d = grid.ndim
-        self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d)
+        first_order = cfg.orders == "zeroth_and_first"
+        self.orders = d + 1 if first_order else 1
+        self.asm = VelocityAssembler(cfg.kernel, grid, points, first_order)
+        self.grams = KernelGrams(cfg.kernel, points, first_order)
+        self.lam = _sparsity_weights([cfg.lambda0] + [cfg.lambda1] * d, cfg.sparsity_eps, d)[: self.orders]
         self.forward_passes = 0
 
-    # momenta are carried as flat arrays: m0 (T, n, d), m1 (T, n, d, d)
+    def zero_theta(self) -> np.ndarray:
+        return np.zeros((self.cfg.T, len(self.points), self.orders, self.grid.ndim))
 
-    def zero_theta(self):
-        T = self.cfg.T
-        n, d = self.points.shape
-        return np.zeros((T, n, d)), np.zeros((T, n, d, d))
+    def to_time_momenta(self, M) -> TimeMomenta:
+        m0, m1 = _unblock(M)
+        return TimeMomenta(tuple(MomentumSet(self.points, m0[k], m1[k]) for k in range(self.cfg.T)))
 
-    def to_time_momenta(self, m0, m1) -> TimeMomenta:
-        return TimeMomenta(
-            tuple(MomentumSet(self.points, m0[k], m1[k]) for k in range(self.cfg.T))
-        )
-
-    def forward(self, m0, m1, I0: ScalarImage, I1: ScalarImage):
+    def forward(self, M, I0: ScalarImage, I1: ScalarImage):
         """Energy parts and the state :meth:`backward` consumes: the inverse
         maps, step stencils, final-sample stencil, Gram products and residual."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
         self.forward_passes += 1
-        velocities = (self.asm.velocity(m0[k], m1[k]) for k in range(T))
-        psis, stencils = flowmod._advect_inverse(velocities, grid, T)
+        psis, stencils = flowmod._advect_inverse((self.asm.velocity(M[k]) for k in range(T)), grid, T)
         final = Stencil(grid, psis[-1])
         resid = final.gather(I0.values).reshape(grid.dims) - I1.values
         e_sim = 0.5 * float(np.mean(resid * resid))
         # huge but finite candidate momenta overflow here; the caller rejects the non-finite total
         with np.errstate(over="ignore", invalid="ignore"):
-            gms = self.grams.products(m0, m1)
-            e_reg = cfg.reg_weight * KernelGrams.energy_of(m0, m1, gms) / (2.0 * T)
-            e_sparse = sparsity(MomentumSet(self.points, m0[0], m1[0]), self.lam, cfg.sparsity_eps)
+            gms = self.grams.products(M)
+            e_reg = cfg.reg_weight * KernelGrams.energy_of(M, gms) / (2.0 * T)
+            e_sparse = _sparsity(M[0], self.lam, cfg.sparsity_eps)
         parts = EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
         return parts, (psis, stencils, final, gms, resid)
 
-    def backward(self, m0, m1, I0: ScalarImage, state):
-        """Exact adjoint of :meth:`forward` at (m0, m1), from its state: (g0, g1)."""
+    def backward(self, M, I0: ScalarImage, state) -> np.ndarray:
+        """Exact adjoint of :meth:`forward` at M, from its state: the gradient block."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
         dt = 1.0 / T
         psis, stencils, final, gms, resid = state
-
-        g0, g1 = np.empty_like(m0), np.empty_like(m1)
+        G = np.empty_like(M)
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
         psibar = final.point_grad_dot(I0.values, resid.reshape(-1) / grid.node_count)
@@ -220,22 +221,16 @@ class _Engine:
         scale = cfg.reg_weight / (2.0 * T)
         for k in range(T - 1, -1, -1):
             vbar = -dt * stencils[k].point_grad_dot(psis[k], psibar)
-            a0, a1 = self.asm.adjoint(vbar)
-            g0[k] = a0 + scale * (2.0 * gms[0][k])
-            g1[k] = a1 + scale * (2.0 * gms[1][k])
+            G[k] = self.asm.adjoint(vbar) + scale * (2.0 * gms[k])
             if k > 0:
                 psibar = stencils[k].splat(psibar)
 
-        s0, s1 = sparsity_grad(MomentumSet(self.points, m0[0], m1[0]), self.lam, cfg.sparsity_eps)
-        g0[0] += s0
-        g1[0] += s1
-        if not self.first_order:
-            g1[:] = 0.0
-        return g0, g1
+        G[0] += _sparsity_grad(M[0], self.lam, cfg.sparsity_eps)
+        return G
 
-    def energy_and_grad(self, m0, m1, I0: ScalarImage, I1: ScalarImage):
-        parts, state = self.forward(m0, m1, I0, I1)
-        return (parts,) + self.backward(m0, m1, I0, state)
+    def energy_and_grad(self, M, I0: ScalarImage, I1: ScalarImage):
+        parts, state = self.forward(M, I0, I1)
+        return parts, self.backward(M, I0, state)
 
 
 def _make_engine(cfg: RegistrationConfig, grid: GridGeometry, points=None) -> _Engine:
@@ -245,25 +240,24 @@ def _make_engine(cfg: RegistrationConfig, grid: GridGeometry, points=None) -> _E
 
 
 def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage):
-    """Checked engine at the state's control points, and the state as (m0, m1) arrays."""
+    """Checked engine at the state's control points, and the state as its momentum block."""
     _check_pair_geometry(I0, I1)
     if tm.T != cfg.T:
         raise ValueError(f"momenta have T={tm.T} but config says T={cfg.T}")
     eng = _make_engine(cfg, I0.geometry, tm.points)
-    return eng, np.stack([ms.m0 for ms in tm.steps]), np.stack([ms.m1 for ms in tm.steps])
+    return eng, np.stack([_block(ms.m0, ms.m1, eng.orders - 1) for ms in tm.steps])
 
 
 def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
     """Energy parts (similarity, regularization, sparsity, total) of a state."""
-    eng, m0, m1 = _engine_for(cfg, tm, I0, I1)
-    return eng.forward(m0, m1, I0, I1)[0]
+    eng, M = _engine_for(cfg, tm, I0, I1)
+    return eng.forward(M, I0, I1)[0]
 
 
 def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> TimeMomenta:
     """Exact gradient of :func:`total_energy` in TimeMomenta shape."""
-    eng, m0, m1 = _engine_for(cfg, tm, I0, I1)
-    _, g0, g1 = eng.energy_and_grad(m0, m1, I0, I1)
-    return eng.to_time_momenta(g0, g1)
+    eng, M = _engine_for(cfg, tm, I0, I1)
+    return eng.to_time_momenta(eng.energy_and_grad(M, I0, I1)[1])
 
 
 def _check_pair_geometry(I0: ScalarImage, I1: ScalarImage) -> None:
@@ -271,10 +265,10 @@ def _check_pair_geometry(I0: ScalarImage, I1: ScalarImage) -> None:
         raise ValueError(f"image dims differ: {I0.geometry.dims} vs {I1.geometry.dims}")
 
 
-def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
-    """Armijo gradient descent from the given momenta.
+def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
+    """Armijo gradient descent from the momentum block M.
 
-    Returns the final momenta, the trace, one :class:`LineSearchStep` per
+    Returns the final block, the trace, one :class:`LineSearchStep` per
     accepted iterate, the stop reason and the forward state of the final
     momenta. The accepted candidate's state feeds the next gradient, and
     each state is dropped once spent or rejected, so at most one is alive.
@@ -282,7 +276,7 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
     the last search just found too long is not tried again (Nocedal &
     Wright, *Numerical Optimization*, sec. 3.5)."""
     cfg = eng.cfg
-    parts, state = eng.forward(m0, m1, I0, I1)
+    parts, state = eng.forward(M, I0, I1)
     if not np.isfinite(parts.total):
         raise DivergenceError("energy non-finite at initialization")
     trace = [parts]
@@ -291,8 +285,8 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
     alpha_prev, shrunk = cfg.armijo_init, False
 
     for _ in range(cfg.max_iters):
-        g0, g1 = eng.backward(m0, m1, I0, state)
-        gnorm2 = float(np.sum(g0 * g0) + np.sum(g1 * g1))
+        G = eng.backward(M, I0, state)
+        gnorm2 = float(np.sum(G * G))
         if gnorm2 <= 1e-30:
             stop_reason = "gradient_zero"
             break
@@ -300,12 +294,11 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
         state = None
         for tried in range(1, cfg.max_shrinks + 2):
             with np.errstate(over="ignore"):
-                c0 = m0 - alpha * g0
-                c1 = m1 - alpha * g1
+                C = M - alpha * G
             cand = None
-            if np.all(np.isfinite(c0)) and np.all(np.isfinite(c1)):
+            if np.all(np.isfinite(C)):
                 try:
-                    cand, state = eng.forward(c0, c1, I0, I1)
+                    cand, state = eng.forward(C, I0, I1)
                 except DivergenceError:
                     pass
             if cand is not None and cand.total <= parts.total - cfg.armijo_slope * alpha * gnorm2:
@@ -314,9 +307,9 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
             alpha *= cfg.armijo_shrink
         else:
             stop_reason = "line_search_stalled"
-            state = eng.forward(m0, m1, I0, I1)[1]
+            state = eng.forward(M, I0, I1)[1]
             break
-        m0, m1, parts = c0, c1, cand
+        M, parts = C, cand
         alpha_prev, shrunk = alpha, tried > 1
         trace.append(cand)
         steps.append(LineSearchStep(alpha, tried))
@@ -326,11 +319,11 @@ def _descend(eng: _Engine, m0, m1, I0: ScalarImage, I1: ScalarImage):
             if drop < cfg.stop_rel_tol:
                 stop_reason = "rel_tol"
                 break
-    return m0, m1, trace, steps, stop_reason, state
+    return M, trace, steps, stop_reason, state
 
 
-def _prolong_momenta(coarse_pts, cm0, cm1, fine_grid: GridGeometry, stride: int):
-    """Copy per-step coarse momenta (T, n_c, ...) onto the fine control lattice.
+def _prolong_momenta(coarse_pts, CM, fine_grid: GridGeometry, stride: int):
+    """Copy a per-step coarse momentum block (T, n_c, orders, d) onto the fine control lattice.
 
     The fine lattice is ``control_lattice(fine_grid, stride)``. Matching
     runs in its index space: a coarse point lands on the nearest fine
@@ -340,11 +333,9 @@ def _prolong_momenta(coarse_pts, cm0, cm1, fine_grid: GridGeometry, stride: int)
     shape = tuple(len(range(0, n, stride)) for n in fine_grid.dims)
     idx = np.rint(fine_grid.to_index(coarse_pts) / stride).astype(int)
     keep = np.all((idx >= 0) & (idx < shape), axis=1)
-    flat = np.ravel_multi_index(tuple(idx[keep].T), shape)
-    m0 = np.zeros((cm0.shape[0], int(np.prod(shape))) + cm0.shape[2:])
-    m1 = np.zeros(m0.shape + cm0.shape[2:])
-    m0[:, flat], m1[:, flat] = cm0[:, keep], cm1[:, keep]
-    return m0, m1
+    M = np.zeros((CM.shape[0], int(np.prod(shape))) + CM.shape[2:])
+    M[:, np.ravel_multi_index(tuple(idx[keep].T), shape)] = CM[:, keep]
+    return M
 
 
 def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> RegistrationResult:
@@ -361,7 +352,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     """
     _check_pair_geometry(I0, I1)
     eng = _make_engine(cfg, I0.geometry)
-    m0, m1 = eng.zero_theta()
+    M = eng.zero_theta()
     coarse_passes = 0
 
     if cfg.pyramid:
@@ -369,22 +360,18 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         c_I0 = box_downsample(I0)
         c_I1 = box_downsample(I1)
         c_eng = _make_engine(coarse_cfg, c_I0.geometry)
-        cm0, cm1 = c_eng.zero_theta()
-        cm0, cm1 = _descend(c_eng, cm0, cm1, c_I0, c_I1)[:2]
+        CM = _descend(c_eng, c_eng.zero_theta(), c_I0, c_I1)[0]
         coarse_passes = c_eng.forward_passes
-        m0, m1 = _prolong_momenta(c_eng.points, cm0, cm1, I0.geometry, cfg.control_stride)
-        if not eng.first_order:
-            m1[:] = 0.0
+        M = _prolong_momenta(c_eng.points, CM, I0.geometry, cfg.control_stride)
 
-    m0, m1, trace, steps, stop_reason, state = _descend(eng, m0, m1, I0, I1)
-    psis = state[0]
-    del state  # drop the stencils before the map copies
-    velocities = [eng.asm.velocity(m0[k], m1[k]) for k in range(cfg.T)]
+    M, trace, steps, stop_reason, state = _descend(eng, M, I0, I1)
+    psis, final = state[0], state[2]
+    warped = ScalarImage(I0.geometry, final.gather(I0.values).reshape(I0.geometry.dims))
+    del state, final  # drop the stencils before the map copies
+    velocities = [eng.asm.velocity(M[k]) for k in range(cfg.T)]
     fp = flowmod._flow_path(velocities, psis, I0.geometry)
-    tm = eng.to_time_momenta(m0, m1)
-    warped = warp_image(I0, fp.final_inverse)
     return RegistrationResult(
-        momenta=tm,
+        momenta=eng.to_time_momenta(M),
         flow=fp,
         warped=warped,
         energy_trace=tuple(trace),

@@ -10,6 +10,8 @@ from slidereg.momenta import (
     MomentumSet,
     TimeMomenta,
     VelocityAssembler,
+    _block,
+    _unblock,
     control_lattice,
     directional_kernel_velocity,
     sparsity,
@@ -83,6 +85,19 @@ class TestContainers:
         b = MomentumSet.zeros(rng.uniform(2, 20, (3, 2)))
         with pytest.raises(ValueError):
             TimeMomenta((a, b))
+
+    def test_block_round_trip(self, rng):
+        # order 0 first, then the slots; slots left out of a block read zero
+        m0, m1 = rng.standard_normal((5, 4, 3)), rng.standard_normal((5, 4, 3, 3))
+        M = _block(m0, m1)
+        assert M.shape == (5, 4, 4, 3)
+        np.testing.assert_array_equal(M[..., 0, :], m0)
+        np.testing.assert_array_equal(M[..., 1:, :], m1)
+        for got, want in zip(_unblock(M), (m0, m1)):
+            np.testing.assert_array_equal(got, want)
+        b0, b1 = _unblock(_block(m0, m1, 0))
+        np.testing.assert_array_equal(b0, m0)
+        assert b1.shape == m1.shape and np.all(b1 == 0.0)
 
     def test_control_lattice_stride(self):
         pts = control_lattice(GRID, 2)
@@ -204,14 +219,12 @@ class TestVEnergy:
     def test_grams_grad_matches_quadratic_form(self, rng):
         ms = random_set(rng, n=5)
         grams = KernelGrams(WEND, ms.points)
-        g0, g1 = grams.grad(ms.m0, ms.m1)
+        M = _block(ms.m0, ms.m1)
+        G = grams.grad(M)
         eps = 1e-6
-        d0 = rng.standard_normal(ms.m0.shape)
-        d1 = rng.standard_normal(ms.m1.shape)
-        ep = grams.energy(ms.m0 + eps * d0, ms.m1 + eps * d1)
-        em = grams.energy(ms.m0 - eps * d0, ms.m1 - eps * d1)
-        dd = (ep - em) / (2 * eps)
-        assert float(np.sum(g0 * d0) + np.sum(g1 * d1)) == pytest.approx(dd, rel=1e-7)
+        D = rng.standard_normal(M.shape)
+        dd = (grams.energy(M + eps * D) - grams.energy(M - eps * D)) / (2 * eps)
+        assert float(np.sum(G * D)) == pytest.approx(dd, rel=1e-7)
 
 
 class TestSparsity:
@@ -235,6 +248,34 @@ class TestSparsity:
         ms = MomentumSet.zeros(rng.uniform(4, 20, (4, 2)))
         with pytest.raises(ValueError):
             sparsity(ms, [0.5, 0.5])
+
+    @pytest.mark.parametrize("fn", [sparsity, sparsity_grad])
+    @pytest.mark.parametrize(
+        "lam, eps",
+        [([0.5, 0.5], 1e-6), ([0.5], 1e-6), ([0.5, 0.5, 0.5, 0.5], 1e-6), ([0.5, -0.1, 0.5], 1e-6),
+         ([0.5, 0.5, 0.5], 0.0)],
+        ids=["two_weights", "one_weight", "four_weights", "negative_weight", "zero_eps"],
+    )
+    def test_weights_and_eps_checked(self, rng, fn, lam, eps):
+        # a single weight must not broadcast over the orders
+        ms = random_set(rng)
+        with pytest.raises(ValueError):
+            fn(ms, lam, eps)
+
+    def test_matches_per_order_loop(self, rng):
+        # the block core sums and scales order by order, bit for bit like a loop
+        ms = random_set(rng, n=6)
+        lam, eps = np.array([0.3, 0.7, 1.1]), 1e-3
+        blocks = [ms.m0] + [ms.m1[:, i, :] for i in range(2)]
+        norms = [np.sqrt(np.sum(b**2, axis=1) + eps**2) for b in blocks]
+        total = 0.0
+        for w, nrm in zip(lam, norms):
+            total += w * np.sum(nrm - eps)
+        assert sparsity(ms, lam, eps) == total
+        g0, g1 = sparsity_grad(ms, lam, eps)
+        np.testing.assert_array_equal(g0, lam[0] * ms.m0 / norms[0][:, None])
+        for i in range(2):
+            np.testing.assert_array_equal(g1[:, i, :], lam[i + 1] * blocks[i + 1] / norms[i + 1][:, None])
 
     @settings(deadline=None, max_examples=25)
     @given(st.floats(0.1, 3.0), st.floats(1e-8, 1e-3))
@@ -289,13 +330,13 @@ class TestAssemblerAdjoint:
     def test_adjoint_identity(self, spec, grid, points, rng):
         asm = VelocityAssembler(spec, grid, points)
         n, d = points.shape
-        m0 = rng.standard_normal((n, d))
-        m1 = rng.standard_normal((n, d, d))
+        M = rng.standard_normal((n, d + 1, d))
         vbar = rng.standard_normal((grid.node_count, d))
-        v = asm.velocity(m0, m1)
-        a0, a1 = asm.adjoint(vbar)
+        v = asm.velocity(M)
+        A = asm.adjoint(vbar)
+        assert A.shape == M.shape
         lhs = float(np.sum(v * vbar))
-        rhs = float(np.sum(m0 * a0) + np.sum(m1 * a1))
+        rhs = float(np.sum(M * A))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -310,9 +351,8 @@ class TestLatticeScale:
         grams = KernelGrams(WEND, pts)
         j = int(np.flatnonzero(np.all(pts == [24.0, 10.0, 36.0], axis=1))[0])
         a = np.array([0.5, -1.0, 2.0])
-        m0 = np.zeros((n, 3))
-        m0[j] = a
-        m1 = np.zeros((n, 3, 3))
-        v = asm.velocity(m0, m1).reshape(grid.dims + (3,))
+        M = np.zeros((n, 4, 3))
+        M[j, 0] = a
+        v = asm.velocity(M).reshape(grid.dims + (3,))
         np.testing.assert_allclose(v[24, 10, 36], a, atol=1e-14)
-        assert grams.energy(m0, m1) == pytest.approx(float(a @ a), rel=1e-14)
+        assert grams.energy(M) == pytest.approx(float(a @ a), rel=1e-14)

@@ -8,7 +8,7 @@ from slidereg.flow import integrate
 from slidereg.errors import DivergenceError
 from slidereg.geometry import GridGeometry, ScalarImage, box_downsample, warp_image
 from slidereg.kernels import KernelSpec
-from slidereg.momenta import KernelGrams, MomentumSet, TimeMomenta, control_lattice
+from slidereg.momenta import KernelGrams, MomentumSet, TimeMomenta, _block, _unblock, control_lattice
 from slidereg.registration import (
     RegistrationConfig,
     config_from_dict,
@@ -95,25 +95,25 @@ def fd_gradient_error(cfg, tm, I0, I1, rng, directions=5, eps=1e-4):
 
 def oracle_descend(eng, I0, I1):
     """Armijo descent from zero that reruns each iterate's forward pass in
-    ``energy_and_grad``; returns the final momenta, the energy trace and the
-    number of line-search candidates evaluated."""
+    ``energy_and_grad``; returns the final momentum block, the energy trace
+    and the number of line-search candidates evaluated."""
     cfg = eng.cfg
-    m0, m1 = eng.zero_theta()
-    trace = [eng.forward(m0, m1, I0, I1)[0]]
+    M = eng.zero_theta()
+    trace = [eng.forward(M, I0, I1)[0]]
     alpha_prev, shrunk = cfg.armijo_init, False
     candidates = 0
     for _ in range(cfg.max_iters):
-        parts, g0, g1 = eng.energy_and_grad(m0, m1, I0, I1)
-        gnorm2 = float(np.sum(g0 * g0) + np.sum(g1 * g1))
+        parts, G = eng.energy_and_grad(M, I0, I1)
+        gnorm2 = float(np.sum(G * G))
         if gnorm2 <= 1e-30:
             break
         # a search that had to shrink hands its accepted step to the next one
         alpha = alpha_prev if shrunk else min(cfg.armijo_init, 2.0 * alpha_prev)
         for shrinks in range(cfg.max_shrinks + 1):
-            c0, c1 = m0 - alpha * g0, m1 - alpha * g1
+            C = M - alpha * G
             candidates += 1
             try:
-                cand = eng.forward(c0, c1, I0, I1)[0]
+                cand = eng.forward(C, I0, I1)[0]
             except DivergenceError:
                 cand = None
             if cand is not None and cand.total <= parts.total - cfg.armijo_slope * alpha * gnorm2:
@@ -121,11 +121,11 @@ def oracle_descend(eng, I0, I1):
             alpha *= cfg.armijo_shrink
         else:
             break
-        m0, m1, alpha_prev, shrunk = c0, c1, alpha, shrinks > 0
+        M, alpha_prev, shrunk = C, alpha, shrinks > 0
         trace.append(cand)
         if len(trace) > 5 and (trace[-6].total - cand.total) / max(abs(trace[-6].total), 1e-30) < cfg.stop_rel_tol:
             break
-    return m0, m1, trace, candidates
+    return M, trace, candidates
 
 
 class TestSSD:
@@ -197,10 +197,10 @@ class TestTotalEnergy:
     def test_nan_momenta_raise_divergence(self):
         pair = gen_rectangle(16, 2)
         eng = _make_engine(small_config(), GRID16)
-        m0, m1 = eng.zero_theta()
-        m0[1, 3, 0] = np.nan
+        M = eng.zero_theta()
+        M[1, 3, 0, 0] = np.nan
         with pytest.raises(DivergenceError):
-            eng.forward(m0, m1, pair.template, pair.reference)
+            eng.forward(M, pair.template, pair.reference)
 
 
 class TestGradient:
@@ -245,7 +245,7 @@ class TestGradient:
         g_noreg = gradient(replace(cfg, reg_weight=0.0), tm, pair.template, pair.template)
         scale = cfg.reg_weight / (2.0 * cfg.T)
         for k in range(cfg.T):
-            r0, r1 = grams.grad(tm.steps[k].m0, tm.steps[k].m1)
+            r0, r1 = _unblock(grams.grad(_block(tm.steps[k].m0, tm.steps[k].m1)))
             np.testing.assert_allclose(
                 g.steps[k].m0 - g_noreg.steps[k].m0, scale * r0, rtol=1e-10, atol=1e-12
             )
@@ -260,6 +260,26 @@ class TestGradient:
         g = gradient(cfg, tm, pair.template, pair.reference)
         for ms in g.steps:
             assert np.all(ms.m1 == 0.0)
+
+    @pytest.mark.parametrize("family", ["gaussian", "wendland_c0_mult"])
+    def test_zeroth_only_ignores_m1(self, family, rng):
+        # with lambda1 > 0 the sparsity of m1 must not count either: the
+        # energy is flat along m1, as the zero m1 gradient says
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(family, orders="zeroth_only", lambda1=0.05)
+        tm = random_momenta(cfg, GRID16, rng)
+        flat = TimeMomenta(tuple(MomentumSet(ms.points, ms.m0, np.zeros_like(ms.m1)) for ms in tm.steps))
+        e = total_energy(cfg, tm, pair.template, pair.reference)
+        assert e == total_energy(cfg, flat, pair.template, pair.reference)
+        h = 1e-4
+        shifted = [
+            TimeMomenta(tuple(MomentumSet(ms.points, ms.m0, ms.m1 * (1.0 + s * h)) for ms in tm.steps))
+            for s in (1, -1)
+        ]
+        fd = (total_energy(cfg, shifted[0], pair.template, pair.reference).total
+              - total_energy(cfg, shifted[1], pair.template, pair.reference).total) / (2 * h)
+        g = gradient(cfg, tm, pair.template, pair.reference)
+        assert fd == sum(float(np.sum(ms.m1 * gs.m1)) for ms, gs in zip(tm.steps, g.steps)) == 0.0
 
     @pytest.mark.parametrize("family", ["gaussian", "wendland_c0_mult"])
     def test_zeroth_only_equals_both_orders_at_zero_m1(self, family, rng):
@@ -290,6 +310,20 @@ class TestGradient:
         gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
         assert len(calls) == cfg.T + 1
 
+    def test_one_lookup_per_point_set_in_a_solve(self, monkeypatch):
+        # each forward pass locates its T step points and the final sample;
+        # the forward maps locate T more, and the warped image reuses the
+        # final sample's stencil
+        from slidereg import geometry
+
+        calls = []
+        real = geometry._locate
+        monkeypatch.setattr(geometry, "_locate", lambda *a: calls.append(1) or real(*a))
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(max_iters=4, stop_rel_tol=0.0)
+        res = optimize(cfg, pair.template, pair.reference)
+        assert len(calls) == (cfg.T + 1) * res.forward_passes + cfg.T
+
     def test_never_forms_point_jacobian(self, rng, monkeypatch):
         # the adjoint contracts psibar into each stencil through
         # point_grad_dot instead of forming the (N, c, d) point Jacobian
@@ -313,11 +347,13 @@ class TestOptimize:
         # gradient must not change a single bit of the descent
         pair = gen_rectangle(16, 2)
         cfg = small_config(family, orders=orders, max_iters=8, stop_rel_tol=0.0)
-        m0, m1, trace, candidates = oracle_descend(_make_engine(cfg, GRID16), pair.template, pair.reference)
+        eng = _make_engine(cfg, GRID16)
+        M, trace, candidates = oracle_descend(eng, pair.template, pair.reference)
         assert candidates > cfg.max_iters  # some candidates were rejected
         res = optimize(cfg, pair.template, pair.reference)
         assert res.iterations_used == len(trace) - 1 == cfg.max_iters
         np.testing.assert_array_equal(np.array(res.energy_trace), np.array(trace))
+        m0, m1 = _unblock(M)
         np.testing.assert_array_equal(np.stack([ms.m0 for ms in res.momenta.steps]), m0)
         np.testing.assert_array_equal(np.stack([ms.m1 for ms in res.momenta.steps]), m1)
 
@@ -328,7 +364,7 @@ class TestOptimize:
 
         pair = gen_rectangle(16, 2)
         cfg = small_config(max_iters=6, stop_rel_tol=0.0)
-        _, _, _, candidates = oracle_descend(_make_engine(cfg, GRID16), pair.template, pair.reference)
+        _, _, candidates = oracle_descend(_make_engine(cfg, GRID16), pair.template, pair.reference)
         calls = []
         real = flow._advect_inverse
         monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
@@ -433,10 +469,9 @@ class TestOptimize:
         pair = gen_rectangle(16, 2)
         cfg = small_config(max_iters=3, armijo_init=1e308, armijo_shrink=1e-309)
         eng = _make_engine(cfg, GRID16)
-        m0, m1 = eng.zero_theta()
-        _, g0, g1 = eng.energy_and_grad(m0, m1, pair.template, pair.reference)
+        _, G = eng.energy_and_grad(eng.zero_theta(), pair.template, pair.reference)
         with np.errstate(over="ignore"):
-            assert not np.all(np.isfinite(1e308 * g0))
+            assert not np.all(np.isfinite(1e308 * G))
 
         finite = []
         real = flow._advect_inverse
@@ -537,29 +572,28 @@ class TestPyramid:
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
 
+    @pytest.mark.parametrize("orders", ["zeroth_only", "zeroth_and_first"])
     @pytest.mark.parametrize("spacing", [(2.5, 2.5), (2.5, 1.0), (2.5, 1.0, 2.5)])
-    def test_every_coarse_momentum_lands(self, spacing):
+    def test_every_coarse_momentum_lands(self, spacing, orders):
         # the coarse grid of a box-downsampled image is offset by half a
         # fine spacing, more than 1 physical unit once spacing > 2
         d = len(spacing)
         fine = GridGeometry((32 if d == 2 else 16,) * d, spacing, (0.0,) * d)
         coarse = box_downsample(ScalarImage(fine, np.zeros(fine.dims))).geometry
-        coarse_pts = control_lattice(coarse, 2)
+        eng = _make_engine(small_config(orders=orders, control_stride=2), coarse)
         fine_pts = control_lattice(fine, 2)
-        n = coarse_pts.shape[0]
-        cm0 = np.arange(1.0, d * n + 1).reshape(1, n, d)
-        cm1 = np.arange(1.0, d * d * n + 1).reshape(1, n, d, d)
-        m0, m1 = _prolong_momenta(coarse_pts, cm0, cm1, fine, 2)
-        assert m0.shape == (1,) + fine_pts.shape
-        hit = np.flatnonzero(np.any(m0[0] != 0.0, axis=1))
+        n = eng.points.shape[0]
+        cm = np.arange(1.0, eng.orders * d * n + 1).reshape(1, n, eng.orders, d)
+        m = _prolong_momenta(eng.points, cm, fine, 2)
+        assert m.shape == (1, fine_pts.shape[0], eng.orders, d)
+        hit = np.flatnonzero(np.any(m[0] != 0.0, axis=(1, 2)))
         assert len(hit) == n == 64
-        np.testing.assert_array_equal(np.sort(m0[0, hit].ravel()), cm0.ravel())
-        np.testing.assert_array_equal(np.sort(m1[0, hit].ravel()), cm1.ravel())
+        np.testing.assert_array_equal(np.sort(m[0, hit].ravel()), cm.ravel())
         # each lands on the fine node nearest to it
-        for j, p in enumerate(coarse_pts):
-            k = int(np.flatnonzero(m0[0, :, 0] == cm0[0, j, 0])[0])
+        for j, p in enumerate(eng.points):
+            k = int(np.flatnonzero(m[0, :, 0, 0] == cm[0, j, 0, 0])[0])
             assert np.all(np.abs(fine_pts[k] - p) <= np.asarray(spacing))
-            np.testing.assert_array_equal(m1[0, k], cm1[0, j])
+            np.testing.assert_array_equal(m[0, k], cm[0, j])
 
 
 class TestConfigRoundTrip:
