@@ -50,26 +50,58 @@ class FlowPath:
         return self.inv_maps[-1]
 
 
-def _advect_inverse(velocities, grid: GridGeometry, T: int) -> tuple[list, list]:
+class _Workspace:
+    """Buffers that a transport of T steps on ``grid`` writes into.
+
+    ``maps[k]`` holds the inverse map psi_k channel-major, shape
+    (d, node_count); ``maps[0]`` is the node positions and never changes.
+    Stencil buffers k < T belong to step k + 1, buffers T to the final
+    sample of psi_T; all T + 1 stencils share one cell-index scratch. An
+    owner that keeps the workspace across passes allocates it once; each
+    pass overwrites what the last one wrote.
+    """
+
+    def __init__(self, grid: GridGeometry, T: int):
+        d, n = grid.ndim, grid.node_count
+        self.maps = np.empty((T + 1, d, n))
+        self.maps[0] = grid.node_positions().reshape(n, d).T
+        self.base = np.empty((T + 1, n), np.intp)
+        self.frac = np.empty((T + 1, d, n))
+        self.unclamped = np.empty((T + 1, d, n), bool)
+        self.index = np.empty((d, n), np.intp)
+
+    def stencil(self, k: int) -> tuple:
+        """The ``buffers`` of stencil k for :class:`Stencil`."""
+        return self.base[k], self.frac[k], self.unclamped[k], self.index
+
+
+def _advect_inverse(velocities, grid: GridGeometry, T: int, ws: _Workspace | None = None) -> tuple[list, list]:
     """Semi-Lagrangian transport of the inverse map, the one transport loop.
 
     ``velocities`` is any iterable (a generator will do) of the T per-step
     node velocities, each (node_count, d). Step k samples the previous map
     at the upwind points ``x - v_k / T`` through one :class:`Stencil`.
-    Returns the maps psi_0..psi_T as (node_count, d) arrays and the T
-    step stencils, which the exact adjoint reuses. A non-finite velocity
-    raises :class:`DivergenceError`; finite ones keep every map finite,
-    since each gather is a convex combination of the previous map's nodes.
+    Returns the maps psi_0..psi_T as (node_count, d) views of the
+    channel-major ``ws.maps`` and the T step stencils, which the exact
+    adjoint reuses; both live in the workspace ``ws`` (a fresh one by
+    default) and stay valid until its next transport. A non-finite
+    velocity raises :class:`DivergenceError`; finite ones keep every map
+    finite, since each gather is a convex combination of the previous
+    map's nodes.
     """
+    ws = _Workspace(grid, T) if ws is None else ws
     dt = 1.0 / T
-    X = grid.node_positions().reshape(-1, grid.ndim)
     field_shape = grid.dims + (grid.ndim,)
-    psis, stencils = [X], []
+    psis, stencils = [ws.maps[0].T], []
     for k, v in enumerate(velocities):
         if not np.all(np.isfinite(v)):
             raise DivergenceError(f"velocity non-finite at step {k + 1}", step=k + 1)
-        stencils.append(Stencil(grid, X - dt * v))
-        psis.append(stencils[-1].gather(psis[-1].reshape(field_shape)))
+        # the upwind points are staged in the rows of psi_{k+1}, which the gather then fills
+        pts = ws.maps[k + 1]
+        np.multiply(v.T, dt, out=pts)
+        np.subtract(ws.maps[0], pts, out=pts)
+        stencils.append(Stencil(grid, pts.T, ws.stencil(k)))
+        psis.append(stencils[-1].gather(psis[-1].reshape(field_shape), pts))
     return psis, stencils
 
 

@@ -195,45 +195,64 @@ def identity_map(geom: GridGeometry, direction: str = "forward") -> DeformationM
 # ---------------------------------------------------------------------------
 
 
-def _locate(geom: GridGeometry, pts: np.ndarray):
-    """Cell indices, in-cell fractions, and the clamp pass-through mask.
+def _locate(geom: GridGeometry, pts: np.ndarray, i0, frac, unclamped) -> None:
+    """Fill the cell indices ``i0``, in-cell fractions ``frac`` and clamp
+    pass-through mask ``unclamped``, each (d, m), of the points ``pts`` (m, d).
 
-    Returns (i0, frac, unclamped), each (d, m), for flattened points (m, d);
-    axis-major rows keep numpy on contiguous data with scalar operands.
-    ``unclamped`` is True per axis where the raw coordinate lies strictly
-    inside the domain, i.e. where the clamp is locally the identity.
+    Each axis is worked in its own rows with ``out=`` ufuncs, so there are
+    no temporaries: ``frac[a]`` holds the index coordinate, then its clamp
+    to the node range, then the fraction. ``unclamped`` is True per axis
+    where the raw coordinate lies strictly inside the domain, i.e. where
+    the clamp is locally the identity. A column of channel-major points
+    (a transposed (d, m) block) is read contiguously.
     """
-    rows = np.ascontiguousarray(pts.T)
-    i0, frac, unclamped = (np.empty(rows.shape, t) for t in (np.intp, float, bool))
-    for a, p in enumerate(rows):
-        u = (p - geom.origin[a]) / geom.spacing[a]
-        hi = geom.dims[a] - 1.0
-        uc = np.clip(u, 0.0, hi)
-        i0[a] = np.minimum(uc.astype(np.intp), geom.dims[a] - 2)
-        frac[a] = uc - i0[a]
-        unclamped[a] = (u > 0.0) & (u < hi)
-    return i0, frac, unclamped
+    for a in range(geom.ndim):
+        u, inside, hi = frac[a], unclamped[a], geom.dims[a] - 1.0
+        np.subtract(pts[:, a], geom.origin[a], out=u)
+        np.divide(u, geom.spacing[a], out=u)
+        np.greater(u, 0.0, out=inside)
+        np.less(u, hi, out=inside, where=inside)
+        np.clip(u, 0.0, hi, out=u)
+        i0[a] = u  # truncation, which is the floor of the clamped u >= 0
+        np.minimum(i0[a], geom.dims[a] - 2, out=i0[a])
+        u -= i0[a]
 
 
 class Stencil:
     """Multilinear interpolation stencil of a point set on a grid.
 
     Locates the points once and keeps the flat index of each point's lowest
-    cell corner, its in-cell fractions and its clamp mask; the gather, its
-    contracted point derivative and its transpose (the splat) share that
-    lookup. Corner weights are recomputed per use, not stored 2^d times,
-    always in the same corner and axis order, so gather and splat match a
-    per-corner loop bit for bit; point_grad_dot regroups its sums. gather's
-    channel-major output enters every method without a transposing copy.
+    cell corner (``base``), its in-cell fractions (``frac``, (d, m)) and its
+    clamp mask (``unclamped``, (d, m)); the gather, its contracted point
+    derivative and its transpose (the splat) share that lookup. Corner
+    weights are recomputed per use, not stored 2^d times, always in the
+    same corner and axis order, so gather and splat match a per-corner loop
+    bit for bit; point_grad_dot regroups its sums.
+
+    ``buffers`` is ``(base, frac, unclamped, index)``, arrays of shapes
+    (m,), (d, m), (d, m) and (d, m) that the stencil fills and keeps (the
+    cell-index scratch ``index`` is not kept, so stencils built one after
+    another may share it); fresh ones by default. The flat index is an
+    in-place multiply-add over the cell indices, exact in integers.
+    Channel-major data, a transposed (c, m) row block as :meth:`gather` and
+    :meth:`splat` return, enters every method without a transposing copy.
     """
 
-    def __init__(self, geom: GridGeometry, pts):
+    def __init__(self, geom: GridGeometry, pts, buffers=None):
         pts = np.asarray(pts, float)
         d = geom.ndim
         self.geom = geom
         self.lead = pts.shape[:-1]
-        i0, self.frac, self.unclamped = _locate(geom, pts.reshape(-1, d))
-        self.base = np.ravel_multi_index(tuple(i0), geom.dims)
+        pts = pts.reshape(-1, d)
+        if buffers is None:
+            m = len(pts)
+            buffers = np.empty(m, np.intp), np.empty((d, m)), np.empty((d, m), bool), np.empty((d, m), np.intp)
+        self.base, self.frac, self.unclamped, index = buffers
+        _locate(geom, pts, index, self.frac, self.unclamped)
+        self.base[...] = index[0]
+        for a in range(1, d):
+            self.base *= geom.dims[a]
+            self.base += index[a]
         corners = itertools.product((0, 1), repeat=d)
         self.corners = [(c, int(np.ravel_multi_index(c, geom.dims))) for c in corners]
 
@@ -257,16 +276,21 @@ class Stencil:
         channels = values.shape[self.geom.ndim:]
         return channels, np.ascontiguousarray(values.reshape(self.geom.node_count, -1).T)
 
-    def gather(self, values: np.ndarray) -> np.ndarray:
+    def gather(self, values: np.ndarray, out=None) -> np.ndarray:
         """Interpolate ``values`` (shape ``dims`` or ``dims + (c,)``) at the points.
 
-        Returns shape ``lead`` or ``lead + (c,)``, as a channel-major view
-        that is not C-contiguous when there are several channels.
+        Returns shape ``lead`` or ``lead + (c,)``, as a channel-major view of
+        ``out``, a (c, m) row block that must not overlap ``values`` (fresh
+        by default); the view is not C-contiguous when there are several
+        channels.
         """
         channels, rows = self._rows(values)
-        acc = np.zeros((rows.shape[0], self.base.size))
+        acc = np.empty((rows.shape[0], self.base.size)) if out is None else out
+        acc[...] = 0.0
         for (_, off), w in zip(self.corners, self._weights()):
-            acc += w * np.take(rows, self.base + off, axis=1)
+            corner = np.take(rows, self.base + off, axis=1)
+            corner *= w
+            acc += corner
         return acc.T.reshape(self.lead + channels)
 
     def point_grad_dot(self, values: np.ndarray, adj) -> np.ndarray:
@@ -299,9 +323,10 @@ class Stencil:
         """Transpose of :meth:`gather`: accumulate ``adj`` onto the nodes.
 
         ``adj`` (shape ``lead`` or ``lead + (c,)``) becomes ``(node_count,)``
-        or ``(node_count, c)``. One ``np.bincount`` per channel over a
-        corner-major ``(2^d, m)`` block of flat indices and weight-times-adjoint
-        products adds in the order of a per-corner scatter.
+        or ``(node_count, c)``, channel-major like :meth:`gather`'s output.
+        One ``np.bincount`` per channel over a corner-major ``(2^d, m)``
+        block of flat indices and weight-times-adjoint products adds in the
+        order of a per-corner scatter.
         """
         adj = np.asarray(adj, float)
         channels = adj.shape[len(self.lead):]
@@ -311,7 +336,7 @@ class Stencil:
             row[...] = wj
         n = self.geom.node_count
         out = [np.bincount(idx, (w * col).ravel(), minlength=n) for col in adj.reshape(self.base.size, -1).T]
-        return np.stack(out, axis=-1).reshape((n,) + channels)
+        return np.stack(out).T.reshape((n,) + channels)
 
 
 def interp_values(values: np.ndarray, geom: GridGeometry, pts) -> np.ndarray:

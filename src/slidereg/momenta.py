@@ -255,12 +255,16 @@ class KernelGrams:
         )
 
     def products(self, M: np.ndarray) -> np.ndarray:
-        """Block of G0 M_0, then G1_i M_i; leading step axes ride along at the back."""
+        """Block of G0 M_0, then G1_i M_i, shaped like M; leading step axes ride
+        along at the back, and each order's product is written into one
+        C-contiguous output block."""
         lat, steps = self.lattice, range(M.ndim - 3)
         back = range(-len(steps), 0)
+        out = np.empty(M.shape)
         M = np.moveaxis(M, steps, back)
-        return np.stack([np.moveaxis(lat.gather(_apply(mats, lat.scatter(M[:, o]))), back, steps)
-                         for o, mats in enumerate(self.ops)], axis=-2)
+        for o, mats in enumerate(self.ops):
+            out[..., o, :] = np.moveaxis(lat.gather(_apply(mats, lat.scatter(M[:, o]))), back, steps)
+        return out
 
     @staticmethod
     def energy_of(M: np.ndarray, products: np.ndarray) -> float:

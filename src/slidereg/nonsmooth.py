@@ -228,14 +228,19 @@ def saltation_sliding(n) -> np.ndarray:
     return np.eye(n.size) - np.outer(n, n)
 
 
-def _euler_step(M, h: float, Dv, t: float):
-    """One explicit Euler step of dM/dt = Dv M, ending at time t; an
-    overflowing product raises DivergenceError instead of warning."""
+def _checked(update, t: float):
+    """``update()``, a new fundamental matrix at time t; an overflowing
+    product raises DivergenceError instead of warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        M = M + h * (Dv @ M)
+        M = update()
     if not np.all(np.isfinite(M)):
         raise DivergenceError(f"fundamental matrix non-finite at t = {t:.6f}")
     return M
+
+
+def _euler_step(M, h: float, Dv, t: float):
+    """One explicit Euler step of dM/dt = Dv M, ending at time t."""
+    return _checked(lambda: M + h * (Dv @ M), t)
 
 
 def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -> FundamentalMatrix:
@@ -320,7 +325,7 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
             v_plus = field.piece(tuple(new_signs)).velocity(x1)
             S = saltation_transversal(v_minus, v_plus, nvec, b.dh_dt(t1, x1))
             signs = new_signs
-        M = S @ M
+        M = _checked(lambda: S @ M, t1)
         crossings.append(CrossingRecord(t1, x1, S))
         x, now = x1, t1
 

@@ -170,6 +170,10 @@ class _Engine:
     first-order slots. In ``zeroth_only`` mode the block holds order 0
     alone, so first-order momenta are ignored everywhere, sparsity
     included, and their gradient is zero.
+
+    The engine owns one transport workspace, allocated here. Every
+    :meth:`forward` writes its maps and stencils into it, so the state a
+    pass returns is valid until the engine's next :meth:`forward`.
     """
 
     def __init__(self, cfg: RegistrationConfig, grid: GridGeometry, points: np.ndarray):
@@ -182,6 +186,7 @@ class _Engine:
         self.asm = VelocityAssembler(cfg.kernel, grid, points, first_order)
         self.grams = KernelGrams(cfg.kernel, points, first_order)
         self.lam = _sparsity_weights([cfg.lambda0] + [cfg.lambda1] * d, cfg.sparsity_eps, d)[: self.orders]
+        self.workspace = flowmod._Workspace(grid, cfg.T)
         self.forward_passes = 0
 
     def zero_theta(self) -> np.ndarray:
@@ -193,11 +198,13 @@ class _Engine:
 
     def forward(self, M, I0: ScalarImage, I1: ScalarImage):
         """Energy parts and the state :meth:`backward` consumes: the inverse
-        maps, step stencils, final-sample stencil, Gram products and residual."""
-        cfg, grid, T = self.cfg, self.grid, self.cfg.T
+        maps, step stencils, final-sample stencil, Gram products and residual.
+        The maps and stencils are views of the workspace, overwritten by the
+        next pass."""
+        cfg, grid, T, ws = self.cfg, self.grid, self.cfg.T, self.workspace
         self.forward_passes += 1
-        psis, stencils = flowmod._advect_inverse((self.asm.velocity(M[k]) for k in range(T)), grid, T)
-        final = Stencil(grid, psis[-1])
+        psis, stencils = flowmod._advect_inverse((self.asm.velocity(M[k]) for k in range(T)), grid, T, ws)
+        final = Stencil(grid, psis[-1], ws.stencil(T))
         resid = final.gather(I0.values).reshape(grid.dims) - I1.values
         e_sim = 0.5 * float(np.mean(resid * resid))
         # huge but finite candidate momenta overflow here; the caller rejects the non-finite total
@@ -363,11 +370,14 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         CM = _descend(c_eng, c_eng.zero_theta(), c_I0, c_I1)[0]
         coarse_passes = c_eng.forward_passes
         M = _prolong_momenta(c_eng.points, CM, I0.geometry, cfg.control_stride)
+        del c_eng  # and with it the coarse workspace
 
     M, trace, steps, stop_reason, state = _descend(eng, M, I0, I1)
     psis, final = state[0], state[2]
     warped = ScalarImage(I0.geometry, final.gather(I0.values).reshape(I0.geometry.dims))
-    del state, final  # drop the stencils before the map copies
+    # drop the stencil buffers before the map copies; psis keeps the maps
+    del state, final
+    eng.workspace = None
     velocities = [eng.asm.velocity(M[k]) for k in range(cfg.T)]
     fp = flowmod._flow_path(velocities, psis, I0.geometry)
     return RegistrationResult(

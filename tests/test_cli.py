@@ -251,6 +251,25 @@ class TestNonsmoothCheck:
         assert code == 2
         assert "fundamental matrix non-finite" in err and out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_saltation_fails_numerically(self, tmp_path, capsys):
+        # the jump at the crossing overflows the fundamental matrix: exit 2
+        # with the crossing time, not a RuntimeWarning traceback
+        scenario = {
+            "boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],
+            "pieces": [
+                {"when": [-1], "A": [[10.0, 0.0], [0.0, 0.0]], "b": [5.00000000001, 0.0]},
+                {"when": [1], "b": [0.0, 1e300]},
+            ],
+            "x0": [-0.5, 0.0],
+            "t": 4.0,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
+        assert code == 2
+        assert "fundamental matrix non-finite at t = " in err and out == ""
+
     def test_grazing_scenario_reports_numerical_failure(self, tmp_path, capsys):
         scenario = {
             "boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],

@@ -310,6 +310,36 @@ class TestStencil:
         assert out.shape == geom.dims + (3,)
         assert np.shares_memory(st._rows(out)[1], out)
 
+    @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
+    def test_given_buffers_match_fresh_ones(self, geom, rng):
+        # a stencil filling caller-given buffers (here dirty, and sharing a
+        # cell-index scratch with an earlier stencil) equals a fresh one
+        pts = _probe_points(geom, rng)
+        lo, hi = geom.bounds
+        assert np.any((pts < lo) | (pts > hi))  # clamped points are covered
+        m, d = pts.shape
+        index = np.full((d, m), -7, np.intp)
+        Stencil(geom, pts[::-1], (np.empty(m, np.intp), np.empty((d, m)), np.empty((d, m), bool), index))
+        buffers = (np.full(m, 99, np.intp), np.full((d, m), np.nan), np.ones((d, m), bool), index)
+        given, fresh = Stencil(geom, pts, buffers), Stencil(geom, pts)
+        for name, buf in zip(("base", "frac", "unclamped"), buffers):
+            assert getattr(given, name) is buf
+            np.testing.assert_array_equal(buf, getattr(fresh, name))
+        values = rng.standard_normal(geom.dims + (3,))
+        adj = rng.standard_normal((m, 3))
+        out = np.full((3, m), np.nan)
+        np.testing.assert_array_equal(given.gather(values, out), fresh.gather(values))
+        assert np.shares_memory(given.gather(values, out), out)
+        np.testing.assert_array_equal(given.point_grad_dot(values, adj), fresh.point_grad_dot(values, adj))
+        np.testing.assert_array_equal(given.splat(adj), fresh.splat(adj))
+
+    @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
+    def test_flat_index_matches_ravel_multi_index(self, geom, rng):
+        pts = _probe_points(geom, rng)
+        upper = np.asarray(geom.dims) - 1
+        cells = np.minimum(np.clip(geom.to_index(pts), 0, upper).astype(np.intp), upper - 1)
+        np.testing.assert_array_equal(Stencil(geom, pts).base, np.ravel_multi_index(tuple(cells.T), geom.dims))
+
     def test_clamped_axes_have_zero_gradient(self, rng):
         geom = GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5))
         pts = _probe_points(geom, rng)

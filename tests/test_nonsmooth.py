@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from slidereg.errors import DegenerateCrossingError, TangentialCrossingError
+from slidereg.errors import DegenerateCrossingError, DivergenceError, TangentialCrossingError
 from slidereg.geometry import DeformationMap, GridGeometry, VectorField, identity_map
 from slidereg.nonsmooth import (
     AffineVelocity,
@@ -243,6 +243,24 @@ class TestFundamentalMatrix:
         want = S @ pre + post
         err = np.max(np.abs(fd - want)) / np.max(np.abs(want))
         assert err <= 1e-3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_saltation_product_raises_at_the_crossing(self):
+        # M grows like exp(10 t) before the slow trajectory crosses; the jump
+        # then holds about 2e299, so S @ M overflows at the crossing itself
+        field = PiecewiseVelocity(
+            (E1,),
+            {
+                (-1,): AffineVelocity(np.diag([10.0, 0.0]), np.array([5.00000000001, 0.0])),
+                (1,): AffineVelocity.constant([0.0, 1e300]),
+            },
+        )
+        with pytest.raises(DivergenceError) as exc:
+            fundamental_matrix(field, [-0.5, 0.0], 4.0)
+        # a harmless piece beyond the boundary leaves the flow up to the crossing, and so its time, unchanged
+        safe = PiecewiseVelocity((E1,), {**field.pieces, (1,): AffineVelocity.constant([0.0, 1.0])})
+        t1 = fundamental_matrix(safe, [-0.5, 0.0], 4.0).crossings[0].time
+        assert str(exc.value) == f"fundamental matrix non-finite at t = {t1:.6f}"
 
 
 class TestAdjointTransport:

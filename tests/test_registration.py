@@ -556,6 +556,77 @@ class TestOptimize:
         )
 
 
+def _transport_arrays(state):
+    """The maps and stencil arrays of a forward state, in a fixed order."""
+    psis, stencils, final = state[:3]
+    return list(psis) + [getattr(st, name) for st in stencils + [final] for name in ("base", "frac", "unclamped")]
+
+
+class TestWorkspace:
+    def test_passes_reuse_the_buffers_and_match_a_fresh_engine(self, rng):
+        pair = gen_rectangle(16, 2)
+        I0, I1 = pair.template, pair.reference
+        cfg = small_config()
+        eng = _make_engine(cfg, GRID16)
+        shape = eng.zero_theta().shape
+        first = eng.forward(0.4 * rng.standard_normal(shape), I0, I1)[1]
+        M = 0.4 * rng.standard_normal(shape)
+        parts, second = eng.forward(M, I0, I1)
+        for a, b in zip(_transport_arrays(first), _transport_arrays(second), strict=True):
+            assert np.shares_memory(a, b)
+        fresh = _make_engine(cfg, GRID16)
+        want_parts, want = fresh.forward(M, I0, I1)
+        assert parts == want_parts
+        for a, b in zip(_transport_arrays(second) + list(second[3:]), _transport_arrays(want) + list(want[3:]), strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(eng.backward(M, I0, second), fresh.backward(M, I0, want))
+
+    def test_stencil_buffers_are_freed_before_the_result_copies(self, monkeypatch):
+        # peak memory: the maps live on in the final state, the stencil buffers do not
+        import weakref
+
+        from slidereg import flow
+
+        buffers, alive = [], []
+
+        class Recorded(flow._Workspace):
+            def __init__(self, *a):
+                super().__init__(*a)
+                buffers.extend(weakref.ref(b) for b in (self.base, self.frac, self.unclamped, self.index))
+
+        real = flow._flow_path
+
+        def flow_path(*a):
+            alive.extend(ref() is not None for ref in buffers)
+            return real(*a)
+
+        monkeypatch.setattr(flow, "_Workspace", Recorded)
+        monkeypatch.setattr(flow, "_flow_path", flow_path)
+        pair = gen_rectangle(16, 2)
+        optimize(small_config(max_iters=3), pair.template, pair.reference)
+        assert len(alive) == 4 and not any(alive)
+
+    @pytest.mark.parametrize("pyramid", [False, True], ids=["single", "pyramid"])
+    def test_result_shares_no_memory_with_the_workspace(self, monkeypatch, pyramid):
+        from slidereg import flow
+
+        made = []
+
+        class Recorded(flow._Workspace):
+            def __init__(self, *a):
+                super().__init__(*a)
+                made.append(self)
+
+        monkeypatch.setattr(flow, "_Workspace", Recorded)
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(max_iters=3, pyramid=pyramid), pair.template, pair.reference)
+        assert len(made) == 1 + pyramid
+        buffers = [b for ws in made for b in (ws.maps, ws.base, ws.frac, ws.unclamped, ws.index)]
+        arrays = [res.warped.values] + [m.targets for m in res.flow.maps + res.flow.inv_maps]
+        arrays += [a for ms in res.momenta.steps for a in (ms.points, ms.m0, ms.m1)]
+        assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+
 class TestPyramid:
     def test_warm_start_lowers_initial_energy(self):
         pair = gen_rectangle(32, 3)
