@@ -40,6 +40,8 @@ __all__ = [
     "control_lattice",
 ]
 
+_SPARSITY_EPS = 1e-6  # the sparsity prior's smoothing width, in the solver and the public functions
+
 
 def _readonly(a):
     out = np.array(a, float)
@@ -312,7 +314,7 @@ def _sparsity_grad(M: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
     return lam[:, None] * M / np.sqrt(np.sum(M**2, axis=-1) + eps**2)[..., None]
 
 
-def sparsity(ms: MomentumSet, lam, eps: float = 1e-6) -> float:
+def sparsity(ms: MomentumSet, lam, eps: float = _SPARSITY_EPS) -> float:
     """Smoothed L1 penalty sum_i lam_i sum_j (sqrt(|m_ij|^2 + eps^2) - eps).
 
     ``lam`` holds d + 1 weights: index 0 for the zeroth order, 1..d for the
@@ -323,7 +325,7 @@ def sparsity(ms: MomentumSet, lam, eps: float = 1e-6) -> float:
     return _sparsity(_block(ms.m0, ms.m1), _sparsity_weights(lam, eps, ms.ndim), eps)
 
 
-def sparsity_grad(ms: MomentumSet, lam, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def sparsity_grad(ms: MomentumSet, lam, eps: float = _SPARSITY_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of :func:`sparsity` with respect to (m0, m1); checks ``lam`` and ``eps`` alike."""
     return _unblock(_sparsity_grad(_block(ms.m0, ms.m1), _sparsity_weights(lam, eps, ms.ndim), eps))
 

@@ -211,13 +211,12 @@ def saltation_transversal(v_minus, v_plus, n, dh_dt: float) -> np.ndarray:
     v_minus = np.asarray(v_minus, float)
     v_plus = np.asarray(v_plus, float)
     n = np.asarray(n, float)
-    denom = float(n @ v_minus) + dh_dt
+    denom = float(_checked(lambda: n @ v_minus + dh_dt, "approach rate n.v- + dH/dt"))
     if abs(denom) <= _H_TOL:
         raise TangentialCrossingError(
             f"transversality fails: n.v- + dH/dt = {denom:.3e}"
         )
-    d = n.size
-    return np.eye(d) + np.outer(v_plus - v_minus, n) / denom
+    return _checked(lambda: np.eye(n.size) + np.outer(v_plus - v_minus, n) / denom, "saltation matrix")
 
 
 def saltation_sliding(n) -> np.ndarray:
@@ -228,19 +227,19 @@ def saltation_sliding(n) -> np.ndarray:
     return np.eye(n.size) - np.outer(n, n)
 
 
-def _checked(update, t: float):
-    """``update()``, a new fundamental matrix at time t; an overflowing
-    product raises DivergenceError instead of warning."""
+def _checked(compute, what: str, t: float | None = None):
+    """``compute()``; a non-finite result, such as an overflowing product,
+    raises DivergenceError naming ``what`` (and the time t) instead of warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        M = update()
-    if not np.all(np.isfinite(M)):
-        raise DivergenceError(f"fundamental matrix non-finite at t = {t:.6f}")
-    return M
+        out = compute()
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError(f"{what} non-finite" + ("" if t is None else f" at t = {t:.6f}"))
+    return out
 
 
 def _euler_step(M, h: float, Dv, t: float):
     """One explicit Euler step of dM/dt = Dv M, ending at time t."""
-    return _checked(lambda: M + h * (Dv @ M), t)
+    return _checked(lambda: M + h * (Dv @ M), "fundamental matrix", t)
 
 
 def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -> FundamentalMatrix:
@@ -251,8 +250,11 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
     follow dM/dt = Dv M by explicit Euler with the given step; each detected
     crossing multiplies in the appropriate saltation matrix (sliding when
     the boundary is flagged, transversal otherwise) and is recorded.
-    A non-finite trajectory or matrix raises DivergenceError.
+    ``t`` must be finite and >= 0 and ``step`` finite and > 0. A non-finite
+    trajectory or matrix raises DivergenceError.
     """
+    if not (np.isfinite(t) and t >= 0 and np.isfinite(step) and step > 0):
+        raise ValueError(f"need a finite t >= 0 and step > 0, got t = {t}, step = {step}")
     x = np.asarray(x0, float).copy()
     d = x.size
     if isinstance(field, AffineVelocity):
@@ -263,26 +265,23 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
 
     M = np.eye(d)
     crossings = []
-    if t == 0.0:
-        return FundamentalMatrix(M, ())
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-
     signs = list(field.signs_at(0.0, x))
     sliding_on = None
     now = 0.0
     while now < t - 1e-15:
         dt = min(step, t - now)
         piece = field.piece(tuple(signs))
-        if sliding_on is not None:
-            nvec = bounds[sliding_on].unit_normal(now, x)
-            P = np.eye(d) - np.outer(nvec, nvec)
-            v = P @ piece.velocity(x)
-            Dv = P @ piece.jacobian(x)
-        else:
-            v = piece.velocity(x)
-            Dv = piece.jacobian(x)
-        x_next = x + dt * v
+        # an overflow makes x_next (or, through Dv, M) non-finite; both are checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            if sliding_on is not None:
+                nvec = bounds[sliding_on].unit_normal(now, x)
+                P = np.eye(d) - np.outer(nvec, nvec)
+                v = P @ piece.velocity(x)
+                Dv = P @ piece.jacobian(x)
+            else:
+                v = piece.velocity(x)
+                Dv = piece.jacobian(x)
+            x_next = x + dt * v
         t_next = now + dt
         if not np.all(np.isfinite(x_next)):
             raise DivergenceError(f"trajectory non-finite at t = {t_next:.6f}")
@@ -315,17 +314,19 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
         M = _euler_step(M, t1 - now, Dv, t1)
         b = bounds[bi]
         nvec = b.unit_normal(t1, x1)
-        v_minus = piece.velocity(x1) if sliding_on is None else v
         new_signs = list(signs)
         new_signs[bi] = -signs[bi]
         if b.sliding:
             S = saltation_sliding(nvec)
             sliding_on = bi
         else:
-            v_plus = field.piece(tuple(new_signs)).velocity(x1)
+            # a non-finite velocity makes the saltation matrix raise DivergenceError
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_minus = piece.velocity(x1) if sliding_on is None else v
+                v_plus = field.piece(tuple(new_signs)).velocity(x1)
             S = saltation_transversal(v_minus, v_plus, nvec, b.dh_dt(t1, x1))
             signs = new_signs
-        M = _checked(lambda: S @ M, t1)
+        M = _checked(lambda: S @ M, "fundamental matrix", t1)
         crossings.append(CrossingRecord(t1, x1, S))
         x, now = x1, t1
 

@@ -11,7 +11,7 @@ what makes the finite-difference gradient check pass to tight tolerance.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,10 +30,10 @@ from .momenta import (
     MomentumSet,
     TimeMomenta,
     VelocityAssembler,
+    _SPARSITY_EPS,
     _block,
     _sparsity,
     _sparsity_grad,
-    _sparsity_weights,
     _unblock,
     control_lattice,
 )
@@ -63,14 +63,11 @@ class RegistrationConfig:
     ignores first-order momenta in every energy term, sparsity included,
     and reports their gradient as zero. ``lambda0``/``lambda1`` weight the
     sparsity prior on zeroth- and first-order initial momenta;
-    ``reg_weight`` scales the kernel-norm regularizer. The Armijo line search shrinks its step by
-    ``armijo_shrink`` up to ``max_shrinks`` times and accepts on the
-    ``armijo_slope`` sufficient-decrease rule. The first search starts at
-    ``armijo_init``. A later one starts at the previously accepted step
-    if that search had to shrink, and otherwise at twice that step,
-    capped by ``armijo_init``. The counts ``T``,
-    ``max_iters``, ``control_stride`` and ``max_shrinks`` must be integers;
-    an integral float such as ``10.0`` becomes an int.
+    ``reg_weight`` scales the kernel-norm regularizer. The Armijo line
+    search and the sparsity smoothing use fixed constants (see
+    :func:`optimize`). The counts ``T``, ``max_iters`` and
+    ``control_stride`` must be integers; an integral float such as
+    ``10.0`` becomes an int.
     """
 
     kernel: KernelSpec
@@ -80,17 +77,12 @@ class RegistrationConfig:
     lambda1: float = 0.0
     reg_weight: float = 1.0
     max_iters: int = 100
-    armijo_init: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
     stop_rel_tol: float = 1e-6
     control_stride: int = 2
-    sparsity_eps: float = 1e-6
-    max_shrinks: int = 40
     pyramid: bool = False
 
     def __post_init__(self):
-        for name in ("T", "max_iters", "control_stride", "max_shrinks"):
+        for name in ("T", "max_iters", "control_stride"):
             v = getattr(self, name)
             integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
             if isinstance(v, bool) or not integral:
@@ -104,14 +96,6 @@ class RegistrationConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.lambda0 < 0 or self.lambda1 < 0 or self.reg_weight < 0:
             raise ValueError("weights must be >= 0")
-        if not self.armijo_init > 0:
-            raise ValueError(f"armijo_init must be > 0, got {self.armijo_init}")
-        if not 0 < self.armijo_shrink < 1:
-            raise ValueError(f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}")
-        if not self.armijo_slope >= 0:
-            raise ValueError(f"armijo_slope must be >= 0, got {self.armijo_slope}")
-        if self.max_shrinks < 0:
-            raise ValueError(f"max_shrinks must be >= 0, got {self.max_shrinks}")
         if not self.stop_rel_tol >= 0:
             raise ValueError(f"stop_rel_tol must be >= 0, got {self.stop_rel_tol}")
 
@@ -137,21 +121,27 @@ class RegistrationResult:
     ``stop_reason`` is ``gradient_zero``, ``rel_tol``, ``max_iters`` or
     ``line_search_stalled``; ``converged`` holds for the first two.
     ``line_search`` holds one :class:`LineSearchStep` per accepted iterate
-    of the reported (fine-level) trace. ``forward_passes`` counts the
-    transports the solve ran, pyramid levels included: the initial
-    energy, each transported candidate, and the recomputed state after a
-    stalled search.
+    of the reported (fine-level) trace; ``iterations_used`` is its length.
+    ``forward_passes`` counts the transports the solve ran, pyramid levels
+    included: the initial energy, each transported candidate, and the
+    recomputed state after a stalled search.
     """
 
     momenta: TimeMomenta
     flow: flowmod.FlowPath
     warped: ScalarImage
     energy_trace: tuple
-    iterations_used: int
-    converged: bool
     stop_reason: str
     line_search: tuple
     forward_passes: int
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.line_search)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("gradient_zero", "rel_tol")
 
 
 def ssd(a: ScalarImage, b: ScalarImage) -> float:
@@ -185,7 +175,7 @@ class _Engine:
         self.orders = d + 1 if first_order else 1
         self.asm = VelocityAssembler(cfg.kernel, grid, points, first_order)
         self.grams = KernelGrams(cfg.kernel, points, first_order)
-        self.lam = _sparsity_weights([cfg.lambda0] + [cfg.lambda1] * d, cfg.sparsity_eps, d)[: self.orders]
+        self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d, float)[: self.orders]
         self.workspace = flowmod._Workspace(grid, cfg.T)
         self.forward_passes = 0
 
@@ -211,7 +201,7 @@ class _Engine:
         with np.errstate(over="ignore", invalid="ignore"):
             gms = self.grams.products(M)
             e_reg = cfg.reg_weight * KernelGrams.energy_of(M, gms) / (2.0 * T)
-            e_sparse = _sparsity(M[0], self.lam, cfg.sparsity_eps)
+            e_sparse = _sparsity(M[0], self.lam, _SPARSITY_EPS)
         parts = EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
         return parts, (psis, stencils, final, gms, resid)
 
@@ -232,7 +222,7 @@ class _Engine:
             if k > 0:
                 psibar = stencils[k].splat(psibar)
 
-        G[0] += _sparsity_grad(M[0], self.lam, cfg.sparsity_eps)
+        G[0] += _sparsity_grad(M[0], self.lam, _SPARSITY_EPS)
         return G
 
     def energy_and_grad(self, M, I0: ScalarImage, I1: ScalarImage):
@@ -272,6 +262,15 @@ def _check_pair_geometry(I0: ScalarImage, I1: ScalarImage) -> None:
         raise ValueError(f"image dims differ: {I0.geometry.dims} vs {I1.geometry.dims}")
 
 
+# Armijo backtracking with the textbook constants (Nocedal & Wright, *Numerical
+# Optimization*, sec. 3.1 and Alg. 3.1): unit first step, sufficient-decrease
+# slope c1 = 1e-4, halving; the smallest step tried is 0.5**40, about 9e-13.
+_ARMIJO_INIT = 1.0
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_SLOPE = 1e-4
+_MAX_SHRINKS = 40
+
+
 def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
     """Armijo gradient descent from the momentum block M.
 
@@ -279,9 +278,9 @@ def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
     accepted iterate, the stop reason and the forward state of the final
     momenta. The accepted candidate's state feeds the next gradient, and
     each state is dropped once spent or rejected, so at most one is alive.
-    Each search starts as :class:`RegistrationConfig` states, so a step
-    the last search just found too long is not tried again (Nocedal &
-    Wright, *Numerical Optimization*, sec. 3.5)."""
+    A search starts at the last accepted step if that search shrank, else
+    at twice it, capped by ``_ARMIJO_INIT``, so a step the last search just
+    found too long is not tried again (Nocedal & Wright, sec. 3.5)."""
     cfg = eng.cfg
     parts, state = eng.forward(M, I0, I1)
     if not np.isfinite(parts.total):
@@ -289,7 +288,7 @@ def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
     trace = [parts]
     steps = []
     stop_reason = "max_iters"
-    alpha_prev, shrunk = cfg.armijo_init, False
+    alpha_prev, shrunk = _ARMIJO_INIT, False
 
     for _ in range(cfg.max_iters):
         G = eng.backward(M, I0, state)
@@ -297,9 +296,9 @@ def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
         if gnorm2 <= 1e-30:
             stop_reason = "gradient_zero"
             break
-        alpha = alpha_prev if shrunk else min(cfg.armijo_init, 2.0 * alpha_prev)
+        alpha = alpha_prev if shrunk else min(_ARMIJO_INIT, 2.0 * alpha_prev)
         state = None
-        for tried in range(1, cfg.max_shrinks + 2):
+        for tried in range(1, _MAX_SHRINKS + 2):
             with np.errstate(over="ignore"):
                 C = M - alpha * G
             cand = None
@@ -308,10 +307,10 @@ def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
                     cand, state = eng.forward(C, I0, I1)
                 except DivergenceError:
                     pass
-            if cand is not None and cand.total <= parts.total - cfg.armijo_slope * alpha * gnorm2:
+            if cand is not None and cand.total <= parts.total - _ARMIJO_SLOPE * alpha * gnorm2:
                 break
             state = None
-            alpha *= cfg.armijo_shrink
+            alpha *= _ARMIJO_SHRINK
         else:
             stop_reason = "line_search_stalled"
             state = eng.forward(M, I0, I1)[1]
@@ -351,11 +350,13 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     Stops when the gradient vanishes (``gradient_zero``), when the
     relative total-energy decrease over 5 accepted iterations falls below
     ``stop_rel_tol`` (``rel_tol``), on ``max_iters``, or when the line
-    search stagnates after ``max_shrinks`` shrinks (``line_search_stalled``);
-    ``converged`` holds for the first two. With ``cfg.pyramid`` a
-    half-resolution solve (box-downsampled images, half the iterations)
-    warm-starts the full-resolution descent; the reported trace is the
-    fine-level one.
+    search finds no sufficient decrease in ``_MAX_SHRINKS`` shrinks
+    (``line_search_stalled``); ``converged`` holds for the first two. The
+    line search (``_ARMIJO_*``, ``_MAX_SHRINKS``: the textbook values) and
+    the sparsity smoothing (``momenta._SPARSITY_EPS``) are constants, not
+    settings. With ``cfg.pyramid`` a half-resolution solve (box-downsampled
+    images, half the iterations) warm-starts the full-resolution descent;
+    the reported trace is the fine-level one.
     """
     _check_pair_geometry(I0, I1)
     eng = _make_engine(cfg, I0.geometry)
@@ -385,8 +386,6 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         flow=fp,
         warped=warped,
         energy_trace=tuple(trace),
-        iterations_used=len(steps),
-        converged=stop_reason in ("gradient_zero", "rel_tol"),
         stop_reason=stop_reason,
         line_search=tuple(steps),
         forward_passes=coarse_passes + eng.forward_passes,
@@ -397,10 +396,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
 
 
 def config_to_dict(cfg: RegistrationConfig) -> dict:
-    data = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    k = cfg.kernel
-    data["kernel"] = {"family": k.family, "scale": k.scale, "window": k.window}
-    return data
+    return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> RegistrationConfig:

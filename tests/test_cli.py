@@ -14,6 +14,24 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def register_with(tmp_path, capsys, **settings):
+    """``register`` a 16^2 synthetic pair under a small gaussian config
+    updated with ``settings``; returns the exit code, stderr and --out dir."""
+    data = tmp_path / "data"
+    assert run(["synth", "rectangle", "--size", "16", "--shift", "2", "--out", str(data)], capsys)[0] == 0
+    cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+           "control_stride": 4, **settings}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "result"
+    code, _, err = run(
+        ["register", "--template", str(data / "template.pgm"), "--reference", str(data / "reference.pgm"),
+         "--config", str(cfg_path), "--out", str(out_dir)],
+        capsys,
+    )
+    return code, err, out_dir
+
+
 class TestSynth:
     def test_rectangle_writes_pair(self, tmp_path, capsys):
         code, out, _ = run(
@@ -126,38 +144,29 @@ class TestRegister:
             assert read_pgm(out_dir / artifact).geometry.dims == (16, 16)
 
     def test_invalid_line_search_config_is_usage_error(self, tmp_path, capsys):
-        # a zero shrink factor would take zero-length steps and report convergence
-        data = tmp_path / "data"
-        assert run(["synth", "rectangle", "--size", "16", "--shift", "2", "--out", str(data)], capsys)[0] == 0
-        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
-               "control_stride": 4, "armijo_shrink": 0.0}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out_dir = tmp_path / "result"
-        code, _, err = run(
-            ["register", "--template", str(data / "template.pgm"), "--reference", str(data / "reference.pgm"),
-             "--config", str(cfg_path), "--out", str(out_dir)],
-            capsys,
-        )
+        # a negative tolerance would make the relative-decrease stop meaningless
+        code, err, out_dir = register_with(tmp_path, capsys, stop_rel_tol=-1)
         assert code == 1
-        assert "armijo_shrink" in err
+        assert "stop_rel_tol" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("armijo_init", 1.0), ("armijo_shrink", 0.5), ("armijo_slope", 1e-4), ("max_shrinks", 40),
+         ("sparsity_eps", 1e-6)],
+    )
+    def test_retired_solver_key_is_usage_error(self, tmp_path, capsys, key, value):
+        # the line-search and smoothing constants are not settings; a config
+        # that still sets one, even to its fixed value, is refused
+        code, err, out_dir = register_with(tmp_path, capsys, **{key: value})
+        assert code == 1
+        assert err.startswith("error: unknown config keys") and key in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("key", ["T", "max_iters", "control_stride"])
     def test_fractional_count_is_usage_error(self, tmp_path, capsys, key):
         # a float T or max_iters used to end in a TypeError traceback mid-solve
-        data = tmp_path / "data"
-        assert run(["synth", "rectangle", "--size", "16", "--shift", "2", "--out", str(data)], capsys)[0] == 0
-        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
-               "control_stride": 4, key: 2.5}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out_dir = tmp_path / "result"
-        code, _, err = run(
-            ["register", "--template", str(data / "template.pgm"), "--reference", str(data / "reference.pgm"),
-             "--config", str(cfg_path), "--out", str(out_dir)],
-            capsys,
-        )
+        code, err, out_dir = register_with(tmp_path, capsys, **{key: 2.5})
         assert code == 1
         assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not out_dir.exists()
@@ -269,6 +278,38 @@ class TestNonsmoothCheck:
         code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
         assert code == 2
         assert "fundamental matrix non-finite at t = " in err and out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],
+              "pieces": [{"when": [-1], "b": [1.0, -1e308]}, {"when": [1], "b": [1.0, 1e308]}],
+              "x0": [-0.5, 0.0], "t": 1.0},
+             "saltation matrix non-finite"),
+            ({"pieces": [{"when": [], "A": [[1e308, 1e308], [0.0, 0.0]], "b": [0.0, 0.0]}],
+              "x0": [1.0, 1.0], "t": 1.0},
+             "trajectory non-finite"),
+        ],
+        ids=["velocity_jump", "velocity"],
+    )
+    def test_overflowing_velocity_fails_numerically(self, tmp_path, capsys, scenario, message):
+        # v+ - v- at the crossing, or A x on the first step, overflows: exit 2, no warning
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
+        assert code == 2
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize("key, value", [("t", float("nan")), ("t", float("inf")), ("step", 0.0), ("step", -0.1)])
+    def test_invalid_time_or_step_is_usage_error(self, tmp_path, capsys, key, value):
+        # a NaN t used to print the identity and exit 0; the others never ended
+        scenario = {"pieces": [{"when": [], "b": [1.0, 0.0]}], "x0": [0.0, 0.0], "t": 1.0, key: value}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and out == ""
 
     def test_grazing_scenario_reports_numerical_failure(self, tmp_path, capsys):
         scenario = {

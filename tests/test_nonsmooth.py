@@ -99,6 +99,17 @@ class TestSaltationTransversal:
         with pytest.raises(TangentialCrossingError):
             saltation_transversal([0.0, 1.0], [1.0, 1.0], [1.0, 0.0], 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "v_minus, v_plus, n",
+        [([1.0, -1e308], [1.0, 1e308], [1.0, 0.0]), ([1.7e308, 1.7e308], [0.0, 0.0], [0.6, 0.8])],
+        ids=["jump", "approach_rate"],
+    )
+    def test_overflow_raises_divergence(self, v_minus, v_plus, n):
+        # v+ - v- or n.v- overflows: a DivergenceError, not a numpy warning
+        with pytest.raises(DivergenceError, match="non-finite"):
+            saltation_transversal(v_minus, v_plus, n, 0.0)
+
 
 class TestSaltationSliding:
     def test_projector_along_e1(self):
@@ -150,6 +161,37 @@ def exact_two_piece_endpoint(v_minus, v_plus, x0, t):
 
 
 class TestFundamentalMatrix:
+    @pytest.mark.parametrize(
+        "t, step",
+        [(float("nan"), 1e-3), (float("inf"), 1e-3), (-1.0, 1e-3),
+         (1.0, 0.0), (1.0, -0.1), (1.0, float("nan")), (1.0, float("inf"))],
+    )
+    def test_invalid_time_or_step_rejected(self, t, step):
+        # a NaN t skipped the loop and returned the identity; a zero or
+        # negative step, or an infinite t, never ended it
+        with pytest.raises(ValueError, match=f"t = {t}, step = {step}"):
+            fundamental_matrix(AffineVelocity.constant([1.0, 0.0]), [0.0, 0.0], t, step=step)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field, x0, message",
+        [
+            # opposite huge velocities on the two sides overflow v+ - v- at the crossing
+            (two_piece_field([1.0, -1e308], [1.0, 1e308]), [-0.5, 0.0], "saltation matrix non-finite"),
+            # A x overflows on the first step
+            (AffineVelocity(np.array([[1e308, 1e308], [0.0, 0.0]]), np.zeros(2)), [1.0, 1.0],
+             "trajectory non-finite at t = 0.001000"),
+            # the first step reaches a sliding wall, where projecting the finite velocity overflows
+            (PiecewiseVelocity((MovingHyperplane((0.8, 0.6), sliding=True),),
+                               {(-1,): AffineVelocity.constant([1.7e308, -1.7e308])}),
+             [-1.0, 0.0], "trajectory non-finite"),
+        ],
+        ids=["velocity_jump", "velocity", "sliding_velocity"],
+    )
+    def test_overflowing_velocity_raises(self, field, x0, message):
+        with pytest.raises(DivergenceError, match=message):
+            fundamental_matrix(field, x0, 1.0)
+
     def test_time_zero_identity(self):
         fm = fundamental_matrix(AffineVelocity.constant([1.0, 0.0]), [0.0, 0.0], 0.0)
         np.testing.assert_array_equal(fm.value, np.eye(2))

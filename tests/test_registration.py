@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slidereg import registration
 from slidereg.bench import gen_rectangle
 from slidereg.flow import integrate
 from slidereg.errors import DivergenceError
@@ -37,6 +38,14 @@ def small_config(family="wendland_c0_mult", **kw):
     )
     defaults.update(kw)
     return RegistrationConfig(**defaults)
+
+
+def patched_config(monkeypatch, family="wendland_c0_mult", **kw):
+    """:func:`small_config` after setting the solver constants named in kw,
+    such as ``_MAX_SHRINKS=2``, on the registration module for this test."""
+    for name in [k for k in kw if k.startswith("_")]:
+        monkeypatch.setattr(registration, name, kw.pop(name))
+    return small_config(family, **kw)
 
 
 def blob_pair_3d(size):
@@ -97,10 +106,10 @@ def oracle_descend(eng, I0, I1):
     """Armijo descent from zero that reruns each iterate's forward pass in
     ``energy_and_grad``; returns the final momentum block, the energy trace
     and the number of line-search candidates evaluated."""
-    cfg = eng.cfg
+    cfg, r = eng.cfg, registration
     M = eng.zero_theta()
     trace = [eng.forward(M, I0, I1)[0]]
-    alpha_prev, shrunk = cfg.armijo_init, False
+    alpha_prev, shrunk = r._ARMIJO_INIT, False
     candidates = 0
     for _ in range(cfg.max_iters):
         parts, G = eng.energy_and_grad(M, I0, I1)
@@ -108,17 +117,17 @@ def oracle_descend(eng, I0, I1):
         if gnorm2 <= 1e-30:
             break
         # a search that had to shrink hands its accepted step to the next one
-        alpha = alpha_prev if shrunk else min(cfg.armijo_init, 2.0 * alpha_prev)
-        for shrinks in range(cfg.max_shrinks + 1):
+        alpha = alpha_prev if shrunk else min(r._ARMIJO_INIT, 2.0 * alpha_prev)
+        for shrinks in range(r._MAX_SHRINKS + 1):
             C = M - alpha * G
             candidates += 1
             try:
                 cand = eng.forward(C, I0, I1)[0]
             except DivergenceError:
                 cand = None
-            if cand is not None and cand.total <= parts.total - cfg.armijo_slope * alpha * gnorm2:
+            if cand is not None and cand.total <= parts.total - r._ARMIJO_SLOPE * alpha * gnorm2:
                 break
-            alpha *= cfg.armijo_shrink
+            alpha *= r._ARMIJO_SHRINK
         else:
             break
         M, alpha_prev, shrunk = C, alpha, shrinks > 0
@@ -372,26 +381,28 @@ class TestOptimize:
         assert len(calls) == 1 + candidates
 
     @pytest.mark.parametrize(
-        "kw",
-        [dict(max_iters=6, stop_rel_tol=0.0), dict(max_shrinks=2, stop_rel_tol=0.0),
-         dict(max_iters=6, stop_rel_tol=0.0, pyramid=True)],
+        "stop_reason, kw",
+        [("max_iters", dict(max_iters=6, stop_rel_tol=0.0)),
+         ("line_search_stalled", dict(_MAX_SHRINKS=2, stop_rel_tol=0.0)),
+         ("max_iters", dict(max_iters=6, stop_rel_tol=0.0, pyramid=True))],
         ids=["max_iters", "line_search_stalled", "pyramid"],
     )
-    def test_forward_passes_counts_transports(self, monkeypatch, kw):
+    def test_forward_passes_counts_transports(self, monkeypatch, stop_reason, kw):
         from slidereg import flow
 
         pair = gen_rectangle(16, 2)
-        cfg = small_config(**kw)
+        cfg = patched_config(monkeypatch, **kw)
         calls = []
         real = flow._advect_inverse
         monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
         res = optimize(cfg, pair.template, pair.reference)
+        assert res.stop_reason == stop_reason
         assert res.forward_passes == len(calls)
         assert len(res.line_search) == res.iterations_used == len(res.energy_trace) - 1
         accepted = 1 + sum(s.candidates for s in res.line_search)
         if res.stop_reason == "line_search_stalled":
             # the failed search transports its candidates, then the state is recomputed
-            assert accepted + 1 < res.forward_passes <= accepted + cfg.max_shrinks + 2
+            assert accepted + 1 < res.forward_passes <= accepted + registration._MAX_SHRINKS + 2
         elif cfg.pyramid:
             assert res.forward_passes > accepted  # the coarse level's transports count too
         else:
@@ -405,12 +416,13 @@ class TestOptimize:
         cfg = small_config(family, max_iters=8, stop_rel_tol=0.0)
         steps = optimize(cfg, pair.template, pair.reference).line_search
         assert len(steps) == cfg.max_iters
-        assert steps[0].alpha == cfg.armijo_init * cfg.armijo_shrink ** (steps[0].candidates - 1)
+        init, shrink = registration._ARMIJO_INIT, registration._ARMIJO_SHRINK
+        assert steps[0].alpha == init * shrink ** (steps[0].candidates - 1)
         previous = [s.candidates for s in steps[:-1]]
         assert 1 in previous and any(c > 1 for c in previous)  # both branches are exercised
         for prev, cur in zip(steps, steps[1:]):
-            start = min(cfg.armijo_init, 2.0 * prev.alpha) if prev.candidates == 1 else prev.alpha
-            assert cur.alpha == start * cfg.armijo_shrink ** (cur.candidates - 1)
+            start = min(init, 2.0 * prev.alpha) if prev.candidates == 1 else prev.alpha
+            assert cur.alpha == start * shrink ** (cur.candidates - 1)
 
     @pytest.mark.parametrize("pyramid, levels", [(False, 1), (True, 2)])
     def test_one_assembler_per_level(self, monkeypatch, pyramid, levels):
@@ -430,14 +442,14 @@ class TestOptimize:
             ("max_iters", dict(max_iters=4, stop_rel_tol=0.0, orders="zeroth_only"), 2),
             ("rel_tol", dict(stop_rel_tol=1.0), 2),
             ("gradient_zero", dict(), 2),
-            ("line_search_stalled", dict(max_shrinks=2, stop_rel_tol=0.0), 2),
+            ("line_search_stalled", dict(_MAX_SHRINKS=2, stop_rel_tol=0.0), 2),
             ("max_iters", dict(max_iters=6, stop_rel_tol=0.0, pyramid=True), 2),
             ("max_iters", dict(max_iters=6, stop_rel_tol=0.0, pyramid=True, control_stride=2), 3),
         ],
         ids=["max_iters", "zeroth_only", "rel_tol", "gradient_zero", "line_search_stalled", "pyramid",
              "pyramid_3d"],
     )
-    def test_result_equals_integrate_of_momenta(self, stop_reason, kw, ndim):
+    def test_result_equals_integrate_of_momenta(self, monkeypatch, stop_reason, kw, ndim):
         # the flow taken from the descent's final state must be the one
         # flow.integrate computes from scratch for the returned momenta
         if ndim == 2:
@@ -447,7 +459,7 @@ class TestOptimize:
             template, reference = blob_pair_3d(12)
         if stop_reason == "gradient_zero":
             reference = template
-        cfg = small_config(**kw)
+        cfg = patched_config(monkeypatch, **kw)
         res = optimize(cfg, template, reference)
         assert res.stop_reason == stop_reason
         if stop_reason == "line_search_stalled":
@@ -467,7 +479,7 @@ class TestOptimize:
         from slidereg import flow
 
         pair = gen_rectangle(16, 2)
-        cfg = small_config(max_iters=3, armijo_init=1e308, armijo_shrink=1e-309)
+        cfg = patched_config(monkeypatch, max_iters=3, _ARMIJO_INIT=1e308, _ARMIJO_SHRINK=1e-309)
         eng = _make_engine(cfg, GRID16)
         _, G = eng.energy_and_grad(eng.zero_theta(), pair.template, pair.reference)
         with np.errstate(over="ignore"):
@@ -487,16 +499,17 @@ class TestOptimize:
         monkeypatch.setattr(flow, "_advect_inverse", advect)
         res = optimize(cfg, pair.template, pair.reference)
         assert finite and all(finite)  # no transport saw the overflowing candidate
+        assert res.forward_passes < 1 + sum(s.candidates for s in res.line_search)  # one was never transported
         assert res.iterations_used == 3
         assert res.energy_trace[-1].total < res.energy_trace[0].total
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_huge_finite_candidates_are_rejected_quietly(self):
+    def test_huge_finite_candidates_are_rejected_quietly(self, monkeypatch):
         # alpha halves from 1e308: past the first few candidates the momenta
         # stay finite, but their regulariser and sparsity overflow; each is
         # rejected without a floating-point warning until the search stalls
         pair = gen_rectangle(16, 2)
-        res = optimize(small_config(armijo_init=1e308), pair.template, pair.reference)
+        res = optimize(patched_config(monkeypatch, _ARMIJO_INIT=1e308), pair.template, pair.reference)
         assert res.stop_reason == "line_search_stalled"
         assert res.iterations_used == 0 and len(res.energy_trace) == 1
 
@@ -522,10 +535,11 @@ class TestOptimize:
         assert res.stop_reason == "max_iters" and not res.converged
         assert res.iterations_used == 3
 
-    def test_stops_when_line_search_stalls(self):
+    def test_stops_when_line_search_stalls(self, monkeypatch):
         # no step can meet an absurd sufficient-decrease slope
         pair = gen_rectangle(16, 2)
-        res = optimize(small_config(armijo_slope=1e12, max_shrinks=2), pair.template, pair.reference)
+        cfg = patched_config(monkeypatch, _ARMIJO_SLOPE=1e12, _MAX_SHRINKS=2)
+        res = optimize(cfg, pair.template, pair.reference)
         assert res.stop_reason == "line_search_stalled" and not res.converged
         assert res.iterations_used == 0 and len(res.energy_trace) == 1
 
@@ -694,15 +708,19 @@ class TestConfigRoundTrip:
             dict(armijo_slope=-1.0),
             dict(armijo_slope=float("nan")),
             dict(max_shrinks=-1),
+            dict(sparsity_eps=1e-6),
             dict(stop_rel_tol=-1e-6),
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_line_search_settings_validated(self, kw):
-        # zero-length steps report convergence, a negative slope accepts
-        # energy increases, and the others make the stop rules meaningless
+        # a negative stop_rel_tol makes the stop rule meaningless; the line
+        # search and smoothing constants are no longer settings, so a config
+        # file that sets one, to any value, is refused as an unknown key
+        data = config_to_dict(small_config())
+        data.update(kw)
         with pytest.raises(ValueError, match=next(iter(kw))):
-            small_config(**kw)
+            config_from_dict(data)
 
     @pytest.mark.parametrize(
         "kw",
@@ -710,10 +728,8 @@ class TestConfigRoundTrip:
             dict(T=2.5),
             dict(max_iters=2.5),
             dict(control_stride=2.5),
-            dict(max_shrinks=2.5),
             dict(T=True),
             dict(max_iters=float("nan")),
-            dict(max_shrinks=float("inf")),
             dict(control_stride="4"),
         ],
         ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
@@ -725,6 +741,6 @@ class TestConfigRoundTrip:
             small_config(**kw)
 
     def test_integral_float_counts_become_ints(self):
-        cfg = small_config(T=2.0, max_iters=np.int64(3), control_stride=4.0, max_shrinks=5.0)
-        assert (cfg.T, cfg.max_iters, cfg.control_stride, cfg.max_shrinks) == (2, 3, 4, 5)
-        assert all(type(v) is int for v in (cfg.T, cfg.max_iters, cfg.control_stride, cfg.max_shrinks))
+        cfg = small_config(T=2.0, max_iters=np.int64(3), control_stride=4.0)
+        assert (cfg.T, cfg.max_iters, cfg.control_stride) == (2, 3, 4)
+        assert all(type(v) is int for v in (cfg.T, cfg.max_iters, cfg.control_stride))
