@@ -4,6 +4,7 @@ Forward maps follow an explicit Euler push of material points through the
 per-step velocity; inverse maps are transported semi-Lagrangian style, so
 the warped template is available directly at grid nodes without a global
 map inversion. Velocities are piecewise constant in time over the step.
+A flow result keeps only the two maps at time 1, not the ones between.
 """
 from __future__ import annotations
 
@@ -26,28 +27,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowPath:
-    """Forward and inverse deformation maps at times k/T, k = 0..T."""
+    """Forward map ``final`` and inverse map ``final_inverse`` at time 1."""
 
-    maps: tuple
-    inv_maps: tuple
-
-    def __post_init__(self):
-        if len(self.maps) != len(self.inv_maps) or len(self.maps) < 2:
-            raise ValueError("need matching forward/inverse sequences with T >= 1")
-        object.__setattr__(self, "maps", tuple(self.maps))
-        object.__setattr__(self, "inv_maps", tuple(self.inv_maps))
-
-    @property
-    def T(self) -> int:
-        return len(self.maps) - 1
-
-    @property
-    def final(self) -> DeformationMap:
-        return self.maps[-1]
-
-    @property
-    def final_inverse(self) -> DeformationMap:
-        return self.inv_maps[-1]
+    final: DeformationMap
+    final_inverse: DeformationMap
 
 
 class _Workspace:
@@ -105,28 +88,27 @@ def _advect_inverse(velocities, grid: GridGeometry, T: int, ws: _Workspace | Non
     return psis, stencils
 
 
-def _flow_path(velocities, psis, grid: GridGeometry) -> FlowPath:
-    """FlowPath of the inverse maps ``psis`` (``psis[0]`` is the node positions)
-    and of the forward maps, an Euler push of ``psis[0]`` by ``velocities``."""
-    dt = 1.0 / len(velocities)
+def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) -> FlowPath:
+    """FlowPath of the inverse map ``psi_T`` and of the forward map at time 1, an
+    Euler push of the node positions that keeps one map at a time and draws the
+    T ``velocities`` from any iterable (a generator will do)."""
+    dt = 1.0 / T
     field_shape = grid.dims + (grid.ndim,)
-    phi = [psis[0]]
+    phi = grid.node_positions().reshape(-1, grid.ndim)
     for k, v in enumerate(velocities):
-        nxt = phi[-1] + dt * interp_values(v.reshape(field_shape), grid, phi[-1])
-        if not np.all(np.isfinite(nxt)):
+        phi = phi + dt * interp_values(v.reshape(field_shape), grid, phi)
+        if not np.all(np.isfinite(phi)):
             raise DivergenceError(f"forward map non-finite after step {k + 1}", step=k + 1)
-        phi.append(nxt)
-    maps = tuple(DeformationMap(grid, p.reshape(field_shape), "forward") for p in phi)
-    inv_maps = tuple(DeformationMap(grid, p.reshape(field_shape), "inverse") for p in psis)
-    return FlowPath(maps, inv_maps)
+    return FlowPath(DeformationMap(grid, phi.reshape(field_shape), "forward"), psi_T)
 
 
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
-    """Integrate forward and inverse maps from per-step momenta."""
+    """Integrate the forward and inverse maps at time 1 from per-step momenta."""
     asm = VelocityAssembler(spec, grid, tm.points)
     velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
-    psis = _advect_inverse(velocities, grid, tm.T)[0]  # drop the stencils before the copies
-    return _flow_path(velocities, psis, grid)
+    psi_T = _advect_inverse(velocities, grid, tm.T)[0][-1]  # drop the stencils before the copy
+    inverse = DeformationMap(grid, psi_T.reshape(grid.dims + (grid.ndim,)), "inverse")
+    return _flow_path(velocities, inverse, grid, tm.T)
 
 
 def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:

@@ -9,6 +9,7 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,10 @@ class GridGeometry:
             raise ValueError("dims, spacing, origin must have equal length")
         if any(n < 2 for n in dims):
             raise ValueError(f"every axis needs at least 2 nodes, got {dims}")
-        if any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        if not all(math.isfinite(s) and s > 0 for s in spacing):
+            raise ValueError(f"spacing must be finite and positive, got {spacing}")
+        if not all(math.isfinite(o) for o in origin):
+            raise ValueError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)

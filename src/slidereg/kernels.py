@@ -17,6 +17,7 @@ value 0; the mixed second partial uses the positive diagonal limit
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,17 @@ __all__ = [
 FAMILIES = ("gaussian", "wendland_c0_mult")
 
 
+def _count(name: str, v) -> int:
+    """``v`` as an int; ``9.0`` counts, while ``9.7``, ``True`` or ``"9"`` raise ValueError."""
+    integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family, physical scale, and odd discrete window size."""
+    """Kernel family, physical scale, and odd discrete window size (an integer count)."""
 
     family: str
     scale: float
@@ -50,6 +59,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        object.__setattr__(self, "window", _count("window", self.window))
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
 

@@ -10,7 +10,7 @@ what makes the finite-difference gradient check pass to tight tolerance.
 """
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import DivergenceError
 from .geometry import (
+    DeformationMap,
     GridGeometry,
     ScalarImage,
     Stencil,
     box_downsample,
     interp_values,  # noqa: F401 - kept importable here for perfbench's tracer
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _count
 from .momenta import (
     KernelGrams,
     MomentumSet,
@@ -63,10 +64,10 @@ class RegistrationConfig:
     ignores first-order momenta in every energy term, sparsity included,
     and reports their gradient as zero. ``lambda0``/``lambda1`` weight the
     sparsity prior on zeroth- and first-order initial momenta;
-    ``reg_weight`` scales the kernel-norm regularizer. The Armijo line
-    search and the sparsity smoothing use fixed constants (see
-    :func:`optimize`). The counts ``T``, ``max_iters`` and
-    ``control_stride`` must be integers; an integral float such as
+    ``reg_weight`` scales the kernel-norm regularizer; all three must be
+    finite and >= 0. The Armijo line search and the sparsity smoothing use
+    fixed constants (see :func:`optimize`). The counts ``T``, ``max_iters``
+    and ``control_stride`` must be integers; an integral float such as
     ``10.0`` becomes an int.
     """
 
@@ -83,19 +84,16 @@ class RegistrationConfig:
 
     def __post_init__(self):
         for name in ("T", "max_iters", "control_stride"):
-            v = getattr(self, name)
-            integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
-            if isinstance(v, bool) or not integral:
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.orders not in ORDERS:
             raise ValueError(f"orders must be one of {ORDERS}, got {self.orders!r}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.lambda0 < 0 or self.lambda1 < 0 or self.reg_weight < 0:
-            raise ValueError("weights must be >= 0")
+        weights = {"lambda0": self.lambda0, "lambda1": self.lambda1, "reg_weight": self.reg_weight}
+        if not all(math.isfinite(w) and w >= 0 for w in weights.values()):
+            raise ValueError(f"weights must be finite and >= 0, got {weights}")
         if not self.stop_rel_tol >= 0:
             raise ValueError(f"stop_rel_tol must be >= 0, got {self.stop_rel_tol}")
 
@@ -118,6 +116,8 @@ class LineSearchStep(NamedTuple):
 class RegistrationResult:
     """Solution of :func:`optimize`.
 
+    ``flow`` holds the two maps at time 1 that :func:`flow.integrate`
+    computes for ``momenta``; ``warped`` is the template warped by the inverse.
     ``stop_reason`` is ``gradient_zero``, ``rel_tol``, ``max_iters`` or
     ``line_search_stalled``; ``converged`` holds for the first two.
     ``line_search`` holds one :class:`LineSearchStep` per accepted iterate
@@ -374,13 +374,13 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         del c_eng  # and with it the coarse workspace
 
     M, trace, steps, stop_reason, state = _descend(eng, M, I0, I1)
-    psis, final = state[0], state[2]
-    warped = ScalarImage(I0.geometry, final.gather(I0.values).reshape(I0.geometry.dims))
-    # drop the stencil buffers before the map copies; psis keeps the maps
-    del state, final
+    geom = I0.geometry
+    warped = ScalarImage(geom, state[2].gather(I0.values).reshape(geom.dims))
+    psi_T = DeformationMap(geom, state[0][-1].reshape(geom.dims + (geom.ndim,)), "inverse")
+    # drop the whole workspace before the forward push
+    del state
     eng.workspace = None
-    velocities = [eng.asm.velocity(M[k]) for k in range(cfg.T)]
-    fp = flowmod._flow_path(velocities, psis, I0.geometry)
+    fp = flowmod._flow_path((eng.asm.velocity(M[k]) for k in range(cfg.T)), psi_T, geom, cfg.T)
     return RegistrationResult(
         momenta=eng.to_time_momenta(M),
         flow=fp,
@@ -405,7 +405,7 @@ def config_from_dict(data: dict) -> RegistrationConfig:
     kernel = KernelSpec(
         family=kspec["family"],
         scale=float(kspec["scale"]),
-        window=int(kspec.get("window", 9)),
+        window=kspec.get("window", 9),
     )
     unknown = set(data) - {f.name for f in fields(RegistrationConfig)}
     if unknown:

@@ -171,6 +171,41 @@ class TestRegister:
         assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "settings, named",
+        [({"lambda0": float("nan")}, "weights"), ({"reg_weight": float("inf")}, "weights"),
+         ({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9.7}}, "window")],
+        ids=["nan_lambda0", "inf_reg_weight", "fractional_window"],
+    )
+    def test_invalid_weight_or_window_is_usage_error(self, tmp_path, capsys, settings, named):
+        # a NaN weight used to pass validation and exit 2 as a numerical
+        # failure, and a 9.7 window used to act as 9
+        code, err, out_dir = register_with(tmp_path, capsys, **settings)
+        assert code == 1
+        assert err.startswith("error:") and named in err
+        assert not out_dir.exists()
+
+    def test_non_finite_sidecar_origin_is_usage_error(self, tmp_path, capsys, write_raw16):
+        # a NaN origin used to surface as "velocity non-finite at step 1", exit 2
+        vals = np.full((12, 12, 12), 20)
+        vals[3:9, 3:9, 3:9] = 200
+        tpl = write_raw16(tmp_path / "tpl", vals, (1.0, 1.0, 1.0))
+        ref = write_raw16(tmp_path / "ref", np.roll(vals, 1, axis=2), (1.0, 1.0, 1.0))
+        meta = json.loads((tmp_path / "tpl.json").read_text())
+        (tmp_path / "tpl.json").write_text(json.dumps({**meta, "origin": [float("nan"), 0.0, 0.0]}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2,
+                                        "max_iters": 3, "control_stride": 4}))
+        out_dir = tmp_path / "result"
+        code, out, err = run(
+            ["register", "--template", str(tpl), "--reference", str(ref),
+             "--config", str(cfg_path), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:") and "origin must be finite" in err and out == ""
+        assert not out_dir.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             [
@@ -301,9 +336,12 @@ class TestNonsmoothCheck:
         assert code == 2
         assert message in err and out == ""
 
-    @pytest.mark.parametrize("key, value", [("t", float("nan")), ("t", float("inf")), ("step", 0.0), ("step", -0.1)])
+    @pytest.mark.parametrize(
+        "key, value", [("t", float("nan")), ("t", float("inf")), ("step", 0.0), ("step", -0.1), ("t", 1e9)]
+    )
     def test_invalid_time_or_step_is_usage_error(self, tmp_path, capsys, key, value):
-        # a NaN t used to print the identity and exit 0; the others never ended
+        # a NaN t used to print the identity and exit 0; the others never ended,
+        # t = 1e9 for want of a cap on its 1e12 steps
         scenario = {"pieces": [{"when": [], "b": [1.0, 0.0]}], "x0": [0.0, 0.0], "t": 1.0, key: value}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))

@@ -100,6 +100,16 @@ class TestReadImage:
         other.write_text(json.dumps({"dims": [3, 4, 5], "spacing": [4.0, 1.0, 1.0]}))
         assert read_image(raw, other).geometry.spacing == (4.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("key", ["spacing", "origin"])
+    def test_non_finite_sidecar_geometry_rejected(self, tmp_path, key):
+        raw = tmp_path / "vol.raw"
+        raw.write_bytes(np.zeros((3, 4, 5), "<i2").tobytes())
+        meta = {"dims": [3, 4, 5], "spacing": [1.0, 1.0, 1.0], "origin": [0.0, 0.0, 0.0]}
+        meta[key][0] = float("nan")
+        (tmp_path / "vol.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            read_image(raw)
+
 
 class TestLandmarks:
     def test_read_300_one_based(self, tmp_path, rng):

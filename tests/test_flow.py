@@ -3,14 +3,16 @@ import pytest
 
 from slidereg.errors import DivergenceError
 from slidereg.flow import (
+    FlowPath,
     integrate,
     inverse_consistency_error,
     jacobian_fd,
     _advect_inverse,
+    _flow_path,
 )
 from slidereg.geometry import DeformationMap, GridGeometry, identity_map
 from slidereg.kernels import KernelSpec
-from slidereg.momenta import MomentumSet, TimeMomenta
+from slidereg.momenta import MomentumSet, TimeMomenta, VelocityAssembler, _block
 
 GRID = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
 GAUSS = KernelSpec("gaussian", 4.0, 9)
@@ -30,15 +32,9 @@ class TestIntegrate:
         tm = TimeMomenta.zeros(np.array([[16.0, 16.0]]), 4)
         fp = integrate(tm, GAUSS, GRID)
         pos = GRID.node_positions()
-        for m in list(fp.maps) + list(fp.inv_maps):
+        assert (fp.final.direction, fp.final_inverse.direction) == ("forward", "inverse")
+        for m in (fp.final, fp.final_inverse):
             np.testing.assert_array_equal(m.targets, pos)
-
-    def test_identity_at_time_zero(self):
-        tm = constant_momenta(single_zeroth([16.0, 16.0], [0.5, 1.0]), 5)
-        fp = integrate(tm, GAUSS, GRID)
-        pos = GRID.node_positions()
-        np.testing.assert_array_equal(fp.maps[0].targets, pos)
-        np.testing.assert_array_equal(fp.inv_maps[0].targets, pos)
 
     def test_constant_velocity_translates(self):
         # a dense lattice of equal zeroth momenta only approximates a constant
@@ -87,6 +83,33 @@ class TestIntegrate:
             assert np.linalg.det(jacobian_fd(fp.final, x, 0.5)) > 0.0
 
 
+class TestFlowPath:
+    def test_consumes_a_generator(self):
+        # the forward push draws each velocity once, in order, from a generator
+        ms = single_zeroth([16.0, 16.0], [1.0, -0.5])
+        tm = constant_momenta(ms, 4)
+        want = integrate(tm, GAUSS, GRID)
+        asm = VelocityAssembler(GAUSS, GRID, tm.points)
+        drawn = []
+
+        def velocities():
+            for k, step in enumerate(tm.steps):
+                drawn.append(k)
+                yield asm.velocity(_block(step.m0, step.m1))
+
+        fp = _flow_path(velocities(), want.final_inverse, GRID, tm.T)
+        assert drawn == [0, 1, 2, 3]
+        np.testing.assert_array_equal(fp.final.targets, want.final.targets)
+        assert fp.final_inverse is want.final_inverse
+
+    def test_non_finite_forward_map_raises(self):
+        v = np.zeros((GRID.node_count, 2))
+        bad = np.full_like(v, np.nan)
+        with pytest.raises(DivergenceError) as err:
+            _flow_path(iter([v, bad, v]), identity_map(GRID, "inverse"), GRID, 3)
+        assert err.value.step == 2
+
+
 class TestAdvectInverse:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_velocity_raises(self, bad):
@@ -133,9 +156,7 @@ class TestInverseConsistency:
         pos = GRID.node_positions()
         fwd = DeformationMap(GRID, pos + c, "forward")
         inv = DeformationMap(GRID, pos - c, "inverse")
-        from slidereg.flow import FlowPath
-
-        fp = FlowPath((identity_map(GRID), fwd), (identity_map(GRID, "inverse"), inv))
+        fp = FlowPath(fwd, inv)
         region = np.zeros(GRID.dims, bool)
         region[2:-2, 2:-2] = True
         assert inverse_consistency_error(fp, region) <= 1e-6

@@ -32,6 +32,16 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             GridGeometry((4, 5), (1.0, 0.0), (0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "spacing, origin",
+        [((1.0, np.nan), (0.0, 0.0)), ((np.inf, 1.0), (0.0, 0.0)), ((1.0, 1.0), (np.nan, 0.0)),
+         ((1.0, 1.0), (0.0, -np.inf))],
+    )
+    def test_rejects_non_finite_spacing_or_origin(self, spacing, origin):
+        # a NaN origin used to pass and surface later as a non-finite velocity
+        with pytest.raises(ValueError, match="must be finite"):
+            GridGeometry((4, 5), spacing, origin)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             GridGeometry((4, 5), (1.0,), (0.0, 0.0))

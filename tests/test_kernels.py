@@ -58,6 +58,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             KernelSpec("gaussian", 1.0, 8)
 
+    @pytest.mark.parametrize("window", [9.7, True, "9", float("nan")], ids=repr)
+    def test_window_must_be_an_integer(self, window):
+        # a fractional window used to act as its floor
+        with pytest.raises(ValueError, match="window must be an integer"):
+            KernelSpec("gaussian", 1.0, window)
+
+    def test_integral_float_window_becomes_int(self):
+        spec = KernelSpec("gaussian", 1.0, 9.0)
+        assert spec.window == 9 and type(spec.window) is int
+
     def test_nonpositive_scale(self):
         with pytest.raises(ValueError):
             KernelSpec("gaussian", 0.0, 9)

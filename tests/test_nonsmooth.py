@@ -14,6 +14,7 @@ from slidereg.nonsmooth import (
     fundamental_matrix,
     saltation_sliding,
     saltation_transversal,
+    _MAX_STEPS,
 )
 
 E1 = MovingHyperplane((1.0, 0.0))
@@ -170,6 +171,13 @@ class TestFundamentalMatrix:
         # a NaN t skipped the loop and returned the identity; a zero or
         # negative step, or an infinite t, never ended it
         with pytest.raises(ValueError, match=f"t = {t}, step = {step}"):
+            fundamental_matrix(AffineVelocity.constant([1.0, 0.0]), [0.0, 0.0], t, step=step)
+
+    @pytest.mark.parametrize("t, step", [(1e9, 1e-3), (1e14, 1e-3), (1e308, 1e-300), (1.0, 1e-7)])
+    def test_too_many_steps_rejected(self, t, step):
+        # 1e12 steps never ended, and from t of about 1e13 on now + step
+        # rounds back to now, so the loop could not advance at all
+        with pytest.raises(ValueError, match=f"more than {_MAX_STEPS} steps"):
             fundamental_matrix(AffineVelocity.constant([1.0, 0.0]), [0.0, 0.0], t, step=step)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -465,8 +465,7 @@ class TestOptimize:
         if stop_reason == "line_search_stalled":
             assert res.iterations_used > 0  # the stall comes after accepted steps
         fp = integrate(res.momenta, cfg.kernel, template.geometry)
-        assert len(res.flow.maps) == len(fp.maps) == cfg.T + 1
-        for got, want in zip(res.flow.maps + res.flow.inv_maps, fp.maps + fp.inv_maps):
+        for got, want in ((res.flow.final, fp.final), (res.flow.final_inverse, fp.final_inverse)):
             assert got.direction == want.direction
             np.testing.assert_array_equal(got.targets, want.targets)
         np.testing.assert_array_equal(res.warped.values, warp_image(template, fp.final_inverse).values)
@@ -596,7 +595,7 @@ class TestWorkspace:
         np.testing.assert_array_equal(eng.backward(M, I0, second), fresh.backward(M, I0, want))
 
     def test_stencil_buffers_are_freed_before_the_result_copies(self, monkeypatch):
-        # peak memory: the maps live on in the final state, the stencil buffers do not
+        # peak memory: psi_T is copied out, then the whole workspace goes before the forward push
         import weakref
 
         from slidereg import flow
@@ -606,7 +605,7 @@ class TestWorkspace:
         class Recorded(flow._Workspace):
             def __init__(self, *a):
                 super().__init__(*a)
-                buffers.extend(weakref.ref(b) for b in (self.base, self.frac, self.unclamped, self.index))
+                buffers.extend(weakref.ref(b) for b in (self.maps, self.base, self.frac, self.unclamped, self.index))
 
         real = flow._flow_path
 
@@ -618,7 +617,25 @@ class TestWorkspace:
         monkeypatch.setattr(flow, "_flow_path", flow_path)
         pair = gen_rectangle(16, 2)
         optimize(small_config(max_iters=3), pair.template, pair.reference)
-        assert len(alive) == 4 and not any(alive)
+        assert len(alive) == 5 and not any(alive)
+
+    def test_result_holds_only_the_end_maps(self):
+        # what optimize leaves allocated is its result: the momenta, the
+        # warped image and the two maps at time 1, not the other 2T of the time path
+        import tracemalloc
+
+        I0, I1 = blob_pair_3d(16)
+        cfg = small_config(T=10, control_stride=2, max_iters=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = optimize(cfg, I0, I1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        momenta = {id(a): a.nbytes for ms in res.momenta.steps for a in (ms.points, ms.m0, ms.m1)}
+        maps = res.flow.final.targets.nbytes + res.flow.final_inverse.targets.nbytes
+        assert held <= sum(momenta.values()) + res.warped.values.nbytes + maps + 64 * 1024
 
     @pytest.mark.parametrize("pyramid", [False, True], ids=["single", "pyramid"])
     def test_result_shares_no_memory_with_the_workspace(self, monkeypatch, pyramid):
@@ -636,7 +653,7 @@ class TestWorkspace:
         res = optimize(small_config(max_iters=3, pyramid=pyramid), pair.template, pair.reference)
         assert len(made) == 1 + pyramid
         buffers = [b for ws in made for b in (ws.maps, ws.base, ws.frac, ws.unclamped, ws.index)]
-        arrays = [res.warped.values] + [m.targets for m in res.flow.maps + res.flow.inv_maps]
+        arrays = [res.warped.values, res.flow.final.targets, res.flow.final_inverse.targets]
         arrays += [a for ms in res.momenta.steps for a in (ms.points, ms.m0, ms.m1)]
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
@@ -739,6 +756,20 @@ class TestConfigRoundTrip:
         # fractional stride puts control points between the nodes
         with pytest.raises(ValueError, match=next(iter(kw))):
             small_config(**kw)
+
+    @pytest.mark.parametrize("name", ["lambda0", "lambda1", "reg_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_weights_must_be_finite(self, name, value):
+        # nan < 0 is False, so a NaN weight used to pass and fail the solve numerically
+        with pytest.raises(ValueError, match=f"weights must be finite and >= 0, got .*'{name}': {value}"):
+            small_config(**{name: value})
+
+    def test_fractional_window_rejected(self):
+        # config_from_dict used to truncate it through int()
+        data = config_to_dict(small_config())
+        data["kernel"]["window"] = 9.7
+        with pytest.raises(ValueError, match="window must be an integer, got 9.7"):
+            config_from_dict(data)
 
     def test_integral_float_counts_become_ints(self):
         cfg = small_config(T=2.0, max_iters=np.int64(3), control_stride=4.0)
