@@ -3,9 +3,10 @@
 Velocity fields are synthesized from zeroth- and first-order momenta over
 reproducing kernels; a non-differentiable compactly supported kernel lets
 first-order momenta encode tangential velocity jumps (sliding) while the
-flow stays diffeomorphic away from the interfaces. A companion toolkit
-analyzes the resulting discontinuous flows through jump-aware
-state-transition matrices.
+flow stays diffeomorphic away from the interfaces. The solver builds its
+operators from the kernels' separable 1D factors. A companion toolkit
+(``nonsmooth``) computes jump-aware state-transition matrices of
+hand-built piecewise-affine flows; the solver does not use it.
 """
 
 from .errors import (
@@ -23,29 +24,21 @@ from .geometry import (
     identity_map,
     warp_image,
 )
-from .kernels import KernelSpec, default_scale, eval_kernel, eval_mixed, eval_partial
+from .kernels import KernelSpec, default_scale
 from .momenta import (
     MomentumSet,
     TimeMomenta,
     control_lattice,
-    directional_kernel_velocity,
     sparsity,
     synth_velocity,
-    v_energy,
 )
-from .flow import (
-    FlowPath,
-    integrate,
-    inverse_consistency_error,
-    jacobian_fd,
-)
+from .flow import FlowPath, integrate, jacobian_fd
 from .nonsmooth import (
     AffineVelocity,
     FundamentalMatrix,
     MovingHyperplane,
     PiecewiseVelocity,
     StaticCircle,
-    adjoint_transport,
     detect_crossing,
     fundamental_matrix,
     saltation_sliding,

@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import FormatError
-from .geometry import GridGeometry, LandmarkSet, ScalarImage
+from .geometry import GridGeometry, LandmarkSet, ScalarImage, _count
 
 __all__ = [
     "read_pgm",
@@ -120,7 +120,10 @@ def read_raw16(path, meta_path) -> ScalarImage:
     for key in ("dims", "spacing"):
         if key not in meta:
             raise FormatError(f"{meta_path}: sidecar missing required key {key!r}")
-    dims = tuple(int(n) for n in meta["dims"])
+    try:
+        dims = tuple(_count("dims", n) for n in meta["dims"])
+    except ValueError as exc:
+        raise FormatError(f"{meta_path}: sidecar {exc}") from None
     spacing = tuple(float(s) for s in meta["spacing"])
     origin = tuple(float(o) for o in meta.get("origin", [0.0] * len(dims)))
     endian = meta.get("endianness", "little")

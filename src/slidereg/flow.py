@@ -21,7 +21,6 @@ __all__ = [
     "FlowPath",
     "integrate",
     "jacobian_fd",
-    "inverse_consistency_error",
 ]
 
 
@@ -127,18 +126,3 @@ def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:
         fm = interp_values(dmap.targets, geom, (x - e)[None, :])[0]
         J[:, i] = (fp - fm) / (2.0 * h)
     return J
-
-
-def inverse_consistency_error(fp: FlowPath, region: np.ndarray) -> float:
-    """Max voxel-unit round-trip error |inv(fwd(x)) - x| over masked nodes."""
-    geom = fp.final.geometry
-    region = np.asarray(region, bool)
-    if region.shape != geom.dims:
-        raise ValueError(f"region shape {region.shape} != grid dims {geom.dims}")
-    if not region.any():
-        return 0.0
-    X = geom.node_positions()[region]
-    fwd = fp.final.targets[region]
-    back = interp_values(fp.final_inverse.targets, geom, fwd)
-    err = (back - X) / np.asarray(geom.spacing)
-    return float(np.max(np.linalg.norm(err, axis=-1)))

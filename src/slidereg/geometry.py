@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,14 @@ __all__ = [
 ]
 
 
+def _count(name: str, v) -> int:
+    """``v`` as an int; ``9.0`` counts, while ``9.7``, ``True`` or ``"9"`` raise ValueError."""
+    integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
@@ -45,7 +54,7 @@ class GridGeometry:
     origin: tuple[float, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(_count("dims", n) for n in self.dims)
         spacing = tuple(float(s) for s in self.spacing)
         origin = tuple(float(o) for o in self.origin)
         if len(dims) not in (2, 3):
@@ -399,6 +408,7 @@ def box_downsample(img: ScalarImage, factor: int = 2) -> ScalarImage:
     The coarse origin shifts to the center of the first block so coarse
     nodes sit at the mean position of the nodes they average.
     """
+    factor = _count("factor", factor)
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1:

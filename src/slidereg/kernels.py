@@ -10,6 +10,9 @@ Two families are provided:
   the axis-aligned hyperplanes through the second argument; this kink is
   what lets first-order momenta encode velocity jumps.
 
+Each ``eval_*_many`` evaluates one control point ``y`` (d,) against the
+rows of ``X`` (m, d); the separable operators of :mod:`slidereg.momenta`
+call them on 1D offsets, ``X`` of shape (m, 1) against ``y = 0``.
 Derivatives are taken with respect to the *second* argument (the control
 point). On the kink set the first partial uses the symmetric-subgradient
 value 0; the mixed second partial uses the positive diagonal limit
@@ -17,18 +20,14 @@ value 0; the mixed second partial uses the positive diagonal limit
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridGeometry
+from .geometry import GridGeometry, _count
 
 __all__ = [
     "KernelSpec",
-    "eval_kernel",
-    "eval_partial",
-    "eval_mixed",
     "eval_kernel_many",
     "eval_partial_many",
     "eval_mixed_many",
@@ -36,14 +35,6 @@ __all__ = [
 ]
 
 FAMILIES = ("gaussian", "wendland_c0_mult")
-
-
-def _count(name: str, v) -> int:
-    """``v`` as an int; ``9.0`` counts, while ``9.7``, ``True`` or ``"9"`` raise ValueError."""
-    integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
-    if isinstance(v, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -71,19 +62,6 @@ def default_scale(grid: GridGeometry) -> float:
     discrete footprint.
     """
     return 4.0 * min(grid.spacing)
-
-
-def _check_pair(x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"points must be equal-length 1D, got {x.shape} and {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("kernel arguments must be finite")
-    return x, y
-
-
-# Vectorized cores: X is (m, d), y is (d,).
 
 
 def eval_kernel_many(spec: KernelSpec, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -116,25 +94,3 @@ def eval_mixed_many(spec: KernelSpec, i: int, X: np.ndarray, y: np.ndarray) -> n
     adx = np.abs(dx[:, i])
     c = np.where(adx == 0.0, 2.0 / s**2, np.where(adx < s, -2.0 / s**2, 0.0))
     return c * rest
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """K(x, y) for two points of equal dimension."""
-    x, y = _check_pair(x, y)
-    return float(eval_kernel_many(spec, x[None, :], y)[0])
-
-
-def eval_partial(spec: KernelSpec, i: int, x, y) -> float:
-    """dK/dy_i(x, y); 0 on the wendland kink set x_i == y_i."""
-    x, y = _check_pair(x, y)
-    if not 0 <= i < x.size:
-        raise ValueError(f"axis {i} out of range for dimension {x.size}")
-    return float(eval_partial_many(spec, i, x[None, :], y)[0])
-
-
-def eval_mixed(spec: KernelSpec, i: int, x, y) -> float:
-    """d^2 K / dx_i dy_i(x, y); +2/scale^2 per 1D factor on the diagonal."""
-    x, y = _check_pair(x, y)
-    if not 0 <= i < x.size:
-        raise ValueError(f"axis {i} out of range for dimension {x.size}")
-    return float(eval_mixed_many(spec, i, x[None, :], y)[0])

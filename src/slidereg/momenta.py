@@ -25,16 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .geometry import GridGeometry, VectorField
+from .geometry import GridGeometry, VectorField, _count
 from .kernels import KernelSpec
 
 __all__ = [
     "MomentumSet",
     "TimeMomenta",
     "synth_velocity",
-    "v_energy",
     "sparsity",
-    "directional_kernel_velocity",
     "VelocityAssembler",
     "KernelGrams",
     "control_lattice",
@@ -122,7 +120,8 @@ class TimeMomenta:
 
 
 def control_lattice(grid: GridGeometry, stride: int = 2) -> np.ndarray:
-    """Physical positions of a regular control-point sublattice."""
+    """Physical positions of a regular control-point sublattice; ``stride`` is an integer count."""
+    stride = _count("stride", stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     axes = [np.arange(0, grid.dims[a], stride) for a in range(grid.ndim)]
@@ -288,11 +287,6 @@ def synth_velocity(ms: MomentumSet, spec: KernelSpec, grid: GridGeometry) -> Vec
     return VectorField(grid, v.reshape(grid.dims + (grid.ndim,)))
 
 
-def v_energy(ms: MomentumSet, spec: KernelSpec) -> float:
-    """Sum of per-order squared kernel norms of the synthesized field."""
-    return KernelGrams(spec, ms.points).energy(_block(ms.m0, ms.m1))
-
-
 def _sparsity_weights(lam, eps: float, d: int) -> np.ndarray:
     """``lam`` as d + 1 checked weights, zeroth order first; ``eps`` must be > 0."""
     lam = np.asarray(lam, float)
@@ -328,22 +322,3 @@ def sparsity(ms: MomentumSet, lam, eps: float = _SPARSITY_EPS) -> float:
 def sparsity_grad(ms: MomentumSet, lam, eps: float = _SPARSITY_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of :func:`sparsity` with respect to (m0, m1); checks ``lam`` and ``eps`` alike."""
     return _unblock(_sparsity_grad(_block(ms.m0, ms.m1), _sparsity_weights(lam, eps, ms.ndim), eps))
-
-
-def directional_kernel_velocity(a, w, y, spec: KernelSpec, grid: GridGeometry) -> VectorField:
-    """Velocity of a single directional-derivative kernel at point ``y``.
-
-    Returns the field x -> (sum_i w_i dK/dy_i(x, y)) a, which coincides with
-    synthesizing first-order momenta m1_i = w_i a and nothing else.
-    """
-    a = np.asarray(a, float)
-    w = np.asarray(w, float)
-    y = np.asarray(y, float)
-    if not np.isclose(np.linalg.norm(w), 1.0, atol=1e-12):
-        raise ValueError(f"direction must be a unit vector, |w| = {np.linalg.norm(w)}")
-    n, d = 1, grid.ndim
-    m1 = np.zeros((n, d, d))
-    for i in range(d):
-        m1[0, i, :] = w[i] * a
-    ms = MomentumSet(y[None, :], np.zeros((n, d)), m1)
-    return synth_velocity(ms, spec, grid)

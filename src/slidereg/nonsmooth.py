@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCrossingError, DivergenceError, TangentialCrossingError
-from .geometry import DeformationMap, VectorField, interp_values
 
 __all__ = [
     "MovingHyperplane",
@@ -27,7 +26,6 @@ __all__ = [
     "saltation_transversal",
     "saltation_sliding",
     "fundamental_matrix",
-    "adjoint_transport",
 ]
 
 _H_TOL = 1e-10
@@ -335,27 +333,3 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
         x, now = x1, t1
 
     return FundamentalMatrix(M, tuple(crossings))
-
-
-def adjoint_transport(dphi, inv_map: DeformationMap, v: VectorField) -> VectorField:
-    """Transport a field through a deformation: w(x) = (Dphi v)(phi^{-1}(x)).
-
-    ``dphi`` is either a single (d, d) matrix or one matrix per node with
-    shape ``dims + (d, d)``. The deformation is supplied through its inverse
-    map, which is what the composition evaluates.
-    """
-    if inv_map.direction != "inverse":
-        raise ValueError("adjoint transport needs the inverse-direction map")
-    geom = v.geometry
-    if inv_map.geometry.dims != geom.dims:
-        raise ValueError("map and field geometries must share dims")
-    dphi = np.asarray(dphi, float)
-    d = geom.ndim
-    if dphi.shape == (d, d):
-        u = np.einsum("ab,...b->...a", dphi, v.vectors)
-    elif dphi.shape == geom.dims + (d, d):
-        u = np.einsum("...ab,...b->...a", dphi, v.vectors)
-    else:
-        raise ValueError(f"dphi shape {dphi.shape} is neither ({d},{d}) nor dims+({d},{d})")
-    w = interp_values(u, geom, inv_map.targets)
-    return VectorField(geom, w)

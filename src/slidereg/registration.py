@@ -22,10 +22,11 @@ from .geometry import (
     GridGeometry,
     ScalarImage,
     Stencil,
+    _count,
     box_downsample,
-    interp_values,  # noqa: F401 - kept importable here for perfbench's tracer
+    interp_values,  # noqa: F401 - perfbench's tests check that the tracer patches it here
 )
-from .kernels import KernelSpec, _count
+from .kernels import KernelSpec
 from .momenta import (
     KernelGrams,
     MomentumSet,
@@ -238,7 +239,7 @@ def _make_engine(cfg: RegistrationConfig, grid: GridGeometry, points=None) -> _E
 
 def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage):
     """Checked engine at the state's control points, and the state as its momentum block."""
-    _check_pair_geometry(I0, I1)
+    _check_same_dims(I0, I1)
     if tm.T != cfg.T:
         raise ValueError(f"momenta have T={tm.T} but config says T={cfg.T}")
     eng = _make_engine(cfg, I0.geometry, tm.points)
@@ -257,7 +258,7 @@ def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: Scal
     return eng.to_time_momenta(eng.energy_and_grad(M, I0, I1)[1])
 
 
-def _check_pair_geometry(I0: ScalarImage, I1: ScalarImage) -> None:
+def _check_same_dims(I0: ScalarImage, I1: ScalarImage) -> None:
     if I0.geometry.dims != I1.geometry.dims:
         raise ValueError(f"image dims differ: {I0.geometry.dims} vs {I1.geometry.dims}")
 
@@ -358,7 +359,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     images, half the iterations) warm-starts the full-resolution descent;
     the reported trace is the fine-level one.
     """
-    _check_pair_geometry(I0, I1)
+    _check_same_dims(I0, I1)
     eng = _make_engine(cfg, I0.geometry)
     M = eng.zero_theta()
     coarse_passes = 0

@@ -219,6 +219,11 @@ class TestBoxDownsample:
     def test_factor_one_identity(self, random_image):
         assert box_downsample(random_image, 1) is random_image
 
+    @pytest.mark.parametrize("factor", [2.5, True], ids=repr)
+    def test_factor_must_be_an_integer(self, random_image, factor):
+        with pytest.raises(ValueError, match="factor must be an integer"):
+            box_downsample(random_image, factor)
+
 
 class TestDemoMomentum:
     def test_translation_demo_direction_cosine(self):

@@ -206,6 +206,25 @@ class TestRegister:
         assert err.startswith("error:") and "origin must be finite" in err and out == ""
         assert not out_dir.exists()
 
+    def test_fractional_sidecar_dims_is_usage_error(self, tmp_path, capsys, write_raw16):
+        # [12.9, 12, 12] used to read the 12^3 volume as if the dims were integers
+        vals = np.full((12, 12, 12), 20)
+        tpl = write_raw16(tmp_path / "tpl", vals, (1.0, 1.0, 1.0))
+        ref = write_raw16(tmp_path / "ref", vals, (1.0, 1.0, 1.0))
+        meta = json.loads((tmp_path / "tpl.json").read_text())
+        (tmp_path / "tpl.json").write_text(json.dumps({**meta, "dims": [12.9, 12, 12]}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}}))
+        out_dir = tmp_path / "result"
+        code, out, err = run(
+            ["register", "--template", str(tpl), "--reference", str(ref),
+             "--config", str(cfg_path), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:") and "tpl.json: sidecar dims must be an integer" in err and out == ""
+        assert not out_dir.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             [

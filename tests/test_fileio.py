@@ -73,6 +73,19 @@ class TestRaw16:
         with pytest.raises(FormatError, match="sidecar dims"):
             read_raw16(raw, meta)
 
+    def test_fractional_dims_rejected(self, tmp_path):
+        # [12.9, 12, 12] used to read a 12^3 file as a (12, 12, 12) volume
+        raw, meta = self._write(tmp_path, np.zeros((12, 12, 12)), (12.9, 12, 12))
+        with pytest.raises(FormatError, match=r"vol\.json: sidecar dims must be an integer, got 12\.9"):
+            read_raw16(raw, meta)
+
+    def test_integral_float_dims_read(self, tmp_path, rng):
+        vals = rng.integers(-1200, 1200, (12, 12, 12))
+        raw, meta = self._write(tmp_path, vals, (12.0, 12, 12))
+        img = read_raw16(raw, meta)
+        assert img.geometry.dims == (12, 12, 12)
+        np.testing.assert_array_equal(img.values, vals)
+
     def test_missing_key(self, tmp_path):
         raw = tmp_path / "v.raw"
         raw.write_bytes(b"\x00\x00")

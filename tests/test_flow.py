@@ -3,14 +3,12 @@ import pytest
 
 from slidereg.errors import DivergenceError
 from slidereg.flow import (
-    FlowPath,
     integrate,
-    inverse_consistency_error,
     jacobian_fd,
     _advect_inverse,
     _flow_path,
 )
-from slidereg.geometry import DeformationMap, GridGeometry, identity_map
+from slidereg.geometry import DeformationMap, GridGeometry, identity_map, interp_values
 from slidereg.kernels import KernelSpec
 from slidereg.momenta import MomentumSet, TimeMomenta, VelocityAssembler, _block
 
@@ -146,24 +144,20 @@ class TestJacobianFD:
 
 
 class TestInverseConsistency:
+    """The round trip psi(phi(x)) - x of the two end maps, in voxel units."""
+
+    def round_trip(self, fp, region):
+        back = interp_values(fp.final_inverse.targets, GRID, fp.final.targets[region])
+        return (back - GRID.node_positions()[region]) / np.asarray(GRID.spacing)
+
     def test_zero_momenta(self):
         tm = TimeMomenta.zeros(np.array([[16.0, 16.0]]), 3)
         fp = integrate(tm, GAUSS, GRID)
-        assert inverse_consistency_error(fp, np.ones(GRID.dims, bool)) == 0.0
-
-    def test_exact_translation_pair(self):
-        c = np.array([0.75, -0.25])
-        pos = GRID.node_positions()
-        fwd = DeformationMap(GRID, pos + c, "forward")
-        inv = DeformationMap(GRID, pos - c, "inverse")
-        fp = FlowPath(fwd, inv)
-        region = np.zeros(GRID.dims, bool)
-        region[2:-2, 2:-2] = True
-        assert inverse_consistency_error(fp, region) <= 1e-6
+        assert np.all(self.round_trip(fp, np.ones(GRID.dims, bool)) == 0.0)
 
     def test_smooth_bump_round_trip_small(self):
         ms = single_zeroth([16.0, 16.0], [1.0, 1.0])
         fp = integrate(constant_momenta(ms, 20), GAUSS, GRID)
         region = np.zeros(GRID.dims, bool)
         region[3:-3, 3:-3] = True
-        assert inverse_consistency_error(fp, region) <= 0.1
+        assert np.max(np.linalg.norm(self.round_trip(fp, region), axis=-1)) <= 0.1

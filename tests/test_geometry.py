@@ -42,6 +42,16 @@ class TestGridGeometry:
         with pytest.raises(ValueError, match="must be finite"):
             GridGeometry((4, 5), spacing, origin)
 
+    @pytest.mark.parametrize("count", [12.9, True], ids=repr)
+    def test_rejects_non_integer_dims(self, count):
+        # int() used to turn (12.9, 12) into (12, 12)
+        with pytest.raises(ValueError, match="dims must be an integer"):
+            GridGeometry((count, 12), (1.0, 1.0), (0.0, 0.0))
+
+    def test_integral_float_dims_become_int(self):
+        dims = GridGeometry((12.0, np.int64(12)), (1.0, 1.0), (0.0, 0.0)).dims
+        assert dims == (12, 12) and all(type(n) is int for n in dims)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             GridGeometry((4, 5), (1.0,), (0.0, 0.0))

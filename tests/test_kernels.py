@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,30 +9,41 @@ from slidereg.geometry import GridGeometry
 from slidereg.kernels import (
     KernelSpec,
     default_scale,
-    eval_kernel,
-    eval_mixed,
-    eval_partial,
+    eval_kernel_many,
+    eval_mixed_many,
+    eval_partial_many,
 )
-from slidereg.momenta import MomentumSet, synth_velocity
+from slidereg.momenta import MomentumSet, _factor, synth_velocity
 
 GAUSS = KernelSpec("gaussian", 1.3, 9)
 WEND = KernelSpec("wendland_c0_mult", 1.3, 9)
 
 
+def at_pair(fn, spec, *args):
+    """``fn``, a ``kernels.eval_*_many``, at one pair (x, y): ``X`` is the single row x."""
+    *slot, x, y = args
+    return fn(spec, *slot, np.asarray(x, float)[None], np.asarray(y, float))[0]
+
+
+kernel_at = functools.partial(at_pair, eval_kernel_many)  # (spec, x, y)
+partial_at = functools.partial(at_pair, eval_partial_many)  # (spec, i, x, y)
+mixed_at = functools.partial(at_pair, eval_mixed_many)  # (spec, i, x, y)
+
+
 def fd_partial(spec, i, x, y, h):
     e = np.zeros(len(y))
     e[i] = h
-    return (eval_kernel(spec, x, y + e) - eval_kernel(spec, x, y - e)) / (2 * h)
+    return (kernel_at(spec, x, y + e) - kernel_at(spec, x, y - e)) / (2 * h)
 
 
 def fd_mixed(spec, i, x, y, h):
     e = np.zeros(len(y))
     e[i] = h
     return (
-        eval_kernel(spec, x + e, y + e)
-        - eval_kernel(spec, x + e, y - e)
-        - eval_kernel(spec, x - e, y + e)
-        + eval_kernel(spec, x - e, y - e)
+        kernel_at(spec, x + e, y + e)
+        - kernel_at(spec, x + e, y - e)
+        - kernel_at(spec, x - e, y + e)
+        + kernel_at(spec, x - e, y - e)
     ) / (4 * h * h)
 
 
@@ -82,19 +95,15 @@ class TestEval:
     def test_coincident_points_give_one(self, spec, rng):
         for _ in range(5):
             x = rng.uniform(-2, 2, 2)
-            assert eval_kernel(spec, x, x) == 1.0
+            assert kernel_at(spec, x, x) == 1.0
 
     def test_wendland_zero_at_support_edge(self):
-        assert eval_kernel(WEND, [0.0, 0.0], [WEND.scale, 0.2]) == 0.0
+        assert kernel_at(WEND, [0.0, 0.0], [WEND.scale, 0.2]) == 0.0
 
     def test_wendland_half_offsets(self):
         w = KernelSpec("wendland_c0_mult", 1.0, 9)
-        got = eval_kernel(w, [0.0, 0.0], [0.5, 0.5])
+        got = kernel_at(w, [0.0, 0.0], [0.5, 0.5])
         assert got == pytest.approx(0.0625)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_kernel(GAUSS, [0.0, 0.0], [0.0, 0.0, 0.0])
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -103,37 +112,37 @@ class TestEval:
     )
     def test_symmetry_exact(self, x, y):
         for spec in (GAUSS, WEND):
-            assert eval_kernel(spec, x, y) == eval_kernel(spec, y, x)
+            assert kernel_at(spec, x, y) == kernel_at(spec, y, x)
 
     @pytest.mark.parametrize("spec", [GAUSS, WEND])
     def test_gram_psd(self, spec, rng):
         for _ in range(10):
             pts = rng.uniform(-2, 2, (40, 2)) * spec.scale
-            gram = np.array([[eval_kernel(spec, a, b) for b in pts] for a in pts])
+            gram = np.array([eval_kernel_many(spec, pts, b) for b in pts])
             eig = np.linalg.eigvalsh(gram)
             assert eig[0] >= -1e-8 * eig[-1]
 
 
 class TestPartial:
     def test_gaussian_zero_at_center(self):
-        assert eval_partial(GAUSS, 0, [0.4, 0.2], [0.4, 0.2]) == 0.0
+        assert partial_at(GAUSS, 0, [0.4, 0.2], [0.4, 0.2]) == 0.0
 
     def test_wendland_1d_half_scale(self):
         w = KernelSpec("wendland_c0_mult", 2.0, 9)
         # x=0, y=scale/2: derivative of the squared hat gives -1/scale
         got = fd_partial(w, 0, np.array([0.0]), np.array([1.0]), 1e-6 * w.scale)
-        assert eval_partial(w, 0, [0.0], [1.0]) == pytest.approx(-1.0 / w.scale)
-        assert eval_partial(w, 0, [0.0], [1.0]) == pytest.approx(got, rel=1e-7)
+        assert partial_at(w, 0, [0.0], [1.0]) == pytest.approx(-1.0 / w.scale)
+        assert partial_at(w, 0, [0.0], [1.0]) == pytest.approx(got, rel=1e-7)
 
     def test_wendland_kink_convention(self):
-        assert eval_partial(WEND, 0, [0.7, 0.1], [0.7, 0.5]) == 0.0
+        assert partial_at(WEND, 0, [0.7, 0.1], [0.7, 0.5]) == 0.0
 
     @pytest.mark.parametrize("spec", [GAUSS, WEND])
     def test_fd_consistency(self, spec, rng):
         h = 1e-6 * spec.scale
         for x, y in sample_pairs(spec, rng, 250):
             for i in range(2):
-                an = eval_partial(spec, i, x, y)
+                an = partial_at(spec, i, x, y)
                 fd = fd_partial(spec, i, x, y, h)
                 assert abs(an - fd) <= 1e-5 * max(abs(an), abs(fd), 1e-9)
 
@@ -143,32 +152,32 @@ class TestPartial:
             y = rng.uniform(-1, 1, 2)
             mirrored = y.copy()
             mirrored[0] = 2 * x[0] - y[0]
-            assert eval_partial(WEND, 0, x, y) == pytest.approx(
-                -eval_partial(WEND, 0, x, mirrored), abs=1e-14
+            assert partial_at(WEND, 0, x, y) == pytest.approx(
+                -partial_at(WEND, 0, x, mirrored), abs=1e-14
             )
 
 
 class TestMixed:
     def test_gaussian_diagonal(self):
         g = KernelSpec("gaussian", 1.0, 9)
-        assert eval_mixed(g, 0, [0.3], [0.3]) == pytest.approx(2.0)
+        assert mixed_at(g, 0, [0.3], [0.3]) == pytest.approx(2.0)
 
     def test_wendland_diagonal_limit(self):
         w = KernelSpec("wendland_c0_mult", 2.0, 9)
-        assert eval_mixed(w, 0, [0.5], [0.5]) == pytest.approx(2.0 / w.scale**2)
+        assert mixed_at(w, 0, [0.5], [0.5]) == pytest.approx(2.0 / w.scale**2)
 
     @pytest.mark.parametrize("spec", [GAUSS, WEND])
     def test_zero_outside_support_window(self, spec):
         if spec.family == "wendland_c0_mult":
-            assert eval_mixed(spec, 0, [0.0, 0.0], [spec.scale, 0.0]) == 0.0
-            assert eval_mixed(spec, 0, [0.0, 0.0], [5 * spec.scale, 0.0]) == 0.0
+            assert mixed_at(spec, 0, [0.0, 0.0], [spec.scale, 0.0]) == 0.0
+            assert mixed_at(spec, 0, [0.0, 0.0], [5 * spec.scale, 0.0]) == 0.0
 
     @pytest.mark.parametrize("spec", [GAUSS, WEND])
     def test_fd_consistency(self, spec, rng):
         h = 1e-4 * spec.scale
         for x, y in sample_pairs(spec, rng, 250):
             for i in range(2):
-                an = eval_mixed(spec, i, x, y)
+                an = mixed_at(spec, i, x, y)
                 fd = fd_mixed(spec, i, x, y, h)
                 assert abs(an - fd) <= 1e-5 * max(abs(an), abs(fd), 1e-6)
 
@@ -179,16 +188,54 @@ class TestCompactSupport:
             x = rng.uniform(-1, 1, 2)
             y = x + np.array([WEND.scale + rng.uniform(0.001, 1.0), rng.uniform(-0.5, 0.5)])
             assert np.abs(x[0] - y[0]) >= WEND.scale
-            assert eval_kernel(WEND, x, y) == 0.0
+            assert kernel_at(WEND, x, y) == 0.0
             for i in range(2):
-                assert eval_partial(WEND, i, x, y) == 0.0
-                assert eval_mixed(WEND, i, x, y) == 0.0
+                assert partial_at(WEND, i, x, y) == 0.0
+                assert mixed_at(WEND, i, x, y) == 0.0
 
     def test_exactly_at_scale_offset_is_zero(self):
         # exact-arithmetic boundary case: offsets representable without rounding
-        assert eval_kernel(WEND, [0.0, 0.0], [WEND.scale, 0.0]) == 0.0
-        assert eval_partial(WEND, 0, [0.0, 0.0], [WEND.scale, 0.0]) == 0.0
-        assert eval_mixed(WEND, 0, [0.0, 0.0], [WEND.scale, 0.0]) == 0.0
+        assert kernel_at(WEND, [0.0, 0.0], [WEND.scale, 0.0]) == 0.0
+        assert partial_at(WEND, 0, [0.0, 0.0], [WEND.scale, 0.0]) == 0.0
+        assert mixed_at(WEND, 0, [0.0, 0.0], [WEND.scale, 0.0]) == 0.0
+
+
+class TestProductionCallShape:
+    """Kink conventions on the call ``momenta._factor`` makes: 1D offsets as
+    ``X`` of shape (m, 1) against ``y = zeros(1)``."""
+
+    OFFSETS = np.arange(-8.0, 9.0)[:, None] - np.arange(-2.0, 3.0)  # lattice step 1, |r| up to 10
+    SPEC = KernelSpec("wendland_c0_mult", 4.0, 9)
+
+    def factors(self, spec):
+        return (
+            _factor(eval_kernel_many, spec, self.OFFSETS),
+            _factor(eval_partial_many, spec, self.OFFSETS, 0),
+            _factor(eval_mixed_many, spec, self.OFFSETS, 0),
+        )
+
+    @pytest.mark.parametrize("spec", [GAUSS, SPEC], ids=["gaussian", "wendland"])
+    def test_partial_is_zero_at_zero_offset(self, spec):
+        # sign(0) = 0: the symmetric subgradient on the kink
+        _, dk, _ = self.factors(spec)
+        assert np.all(dk[self.OFFSETS == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("spec", [GAUSS, SPEC], ids=["gaussian", "wendland"])
+    def test_mixed_diagonal_is_two_over_scale_squared(self, spec):
+        _, _, d2k = self.factors(spec)
+        assert np.all(d2k[self.OFFSETS == 0.0] == 2.0 / spec.scale**2)
+
+    def test_wendland_values_inside_and_at_the_support_edge(self):
+        s = self.SPEC.scale
+        k, dk, d2k = self.factors(self.SPEC)
+        r = np.abs(self.OFFSETS)
+        inside = (r > 0) & (r < s)
+        np.testing.assert_array_equal(k[r < s], (1.0 - r[r < s] / s) ** 2)
+        np.testing.assert_array_equal(np.sign(dk[inside]), np.sign(self.OFFSETS[inside]))
+        assert np.all(d2k[inside] == -2.0 / s**2)
+        assert np.any(r == s)
+        for f in (k, dk, d2k):
+            assert np.all(f[r >= s] == 0.0)
 
 
 def footprint(spec, center, grid):

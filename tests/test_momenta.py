@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidereg.geometry import GridGeometry
-from slidereg.kernels import KernelSpec, eval_kernel, eval_kernel_many, eval_mixed, eval_partial_many
+from slidereg.kernels import KernelSpec, eval_kernel_many, eval_mixed_many, eval_partial_many
 from slidereg.momenta import (
     KernelGrams,
     MomentumSet,
@@ -13,11 +13,9 @@ from slidereg.momenta import (
     _block,
     _unblock,
     control_lattice,
-    directional_kernel_velocity,
     sparsity,
     sparsity_grad,
     synth_velocity,
-    v_energy,
 )
 
 GRID = GridGeometry((24, 24), (1.0, 1.0), (0.0, 0.0))
@@ -104,6 +102,12 @@ class TestContainers:
         assert pts.shape == (144, 2)
         assert pts.min() == 0.0 and pts.max() == 22.0
 
+    @pytest.mark.parametrize("stride", [2.5, True], ids=repr)
+    def test_control_lattice_stride_must_be_an_integer(self, stride):
+        # a stride of 2.5 used to build a lattice with nodes halfway between grid nodes
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            control_lattice(GRID, stride)
+
 
 class TestSynthVelocity:
     def test_zero_momenta_zero_field(self, rng):
@@ -174,15 +178,20 @@ class TestSynthVelocity:
             np.testing.assert_allclose(got, again, **tol)
 
 
+def gram_energy(ms, spec):
+    """Kernel-norm energy of a momentum set, as the solver's Grams evaluate it."""
+    return KernelGrams(spec, ms.points).energy(_block(ms.m0, ms.m1))
+
+
 class TestVEnergy:
     def test_zero_momenta(self, rng):
-        assert v_energy(MomentumSet.zeros(rng.uniform(4, 20, (4, 2))), WEND) == 0.0
+        assert gram_energy(MomentumSet.zeros(rng.uniform(4, 20, (4, 2))), WEND) == 0.0
 
     @pytest.mark.parametrize("spec", [WEND, GAUSS])
     def test_single_zeroth_momentum_norm(self, spec):
         a = np.array([1.5, -2.0])
         ms = MomentumSet(np.array([[10.0, 10.0]]), a[None, :], np.zeros((1, 2, 2)))
-        assert v_energy(ms, spec) == pytest.approx(float(a @ a))
+        assert gram_energy(ms, spec) == pytest.approx(float(a @ a))
 
     @pytest.mark.parametrize(
         "spec, grid, points",
@@ -191,30 +200,26 @@ class TestVEnergy:
     )
     def test_matches_dense_gram_oracle(self, spec, grid, points, rng):
         ms = random_set(rng, n=5) if points is None else random_momenta(rng, points)
-        n, d = ms.m0.shape
         want = 0.0
-        for j in range(n):
-            for k in range(n):
-                want += ms.m0[j] @ ms.m0[k] * eval_kernel(spec, ms.points[j], ms.points[k])
-                for i in range(d):
-                    want += ms.m1[j, i] @ ms.m1[k, i] * eval_mixed(
-                        spec, i, ms.points[j], ms.points[k]
-                    )
-        assert v_energy(ms, spec) == pytest.approx(want, rel=1e-12)
+        for k, y in enumerate(ms.points):  # one kernel column K(x_j, x_k) at a time
+            want += ms.m0 @ ms.m0[k] @ eval_kernel_many(spec, ms.points, y)
+            for i in range(ms.ndim):
+                want += ms.m1[:, i] @ ms.m1[k, i] @ eval_mixed_many(spec, i, ms.points, y)
+        assert gram_energy(ms, spec) == pytest.approx(want, rel=1e-12)
 
     def test_gaussian_energy_nonnegative(self, rng):
         # the smooth family has a true positive-semidefinite per-order Gram
         for _ in range(20):
             ms = random_set(rng, n=6)
             scale = max(np.sum(ms.m0**2) + np.sum(ms.m1**2), 1.0)
-            assert v_energy(ms, GAUSS) >= -1e-8 * scale
+            assert gram_energy(ms, GAUSS) >= -1e-8 * scale
 
     def test_wendland_zeroth_energy_nonnegative(self, rng):
         for _ in range(20):
             ms = random_set(rng, n=6)
             only0 = MomentumSet(ms.points, ms.m0, np.zeros_like(ms.m1))
             scale = max(np.sum(ms.m0**2), 1.0)
-            assert v_energy(only0, WEND) >= -1e-8 * scale
+            assert gram_energy(only0, WEND) >= -1e-8 * scale
 
     def test_grams_grad_matches_quadratic_form(self, rng):
         ms = random_set(rng, n=5)
@@ -286,36 +291,6 @@ class TestSparsity:
         got = sparsity(ms, [1.0, 0.0, 0.0], eps=eps)
         assert got <= norm
         assert got >= norm - eps
-
-
-class TestDirectionalEquivalence:
-    def test_axis_direction_equals_first_order_momentum(self):
-        a = np.array([0.3, 1.1])
-        y = np.array([11.0, 13.0])
-        via_dir = directional_kernel_velocity(a, [1.0, 0.0], y, WEND, GRID).vectors
-        m1 = np.zeros((1, 2, 2))
-        m1[0, 0] = a
-        via_synth = synth_velocity(MomentumSet(y[None, :], np.zeros((1, 2)), m1), WEND, GRID).vectors
-        np.testing.assert_array_equal(via_dir, via_synth)
-
-    def test_oblique_direction_equals_weighted_momenta(self, rng):
-        a = np.array([-0.8, 0.4])
-        y = np.array([12.0, 12.0])
-        w = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        via_dir = directional_kernel_velocity(a, w, y, GAUSS, GRID).vectors
-        m1 = np.zeros((1, 2, 2))
-        m1[0, 0] = w[0] * a
-        m1[0, 1] = w[1] * a
-        via_synth = synth_velocity(MomentumSet(y[None, :], np.zeros((1, 2)), m1), GAUSS, GRID).vectors
-        np.testing.assert_allclose(via_dir, via_synth, atol=1e-12)
-
-    def test_zero_vector_gives_zero_field(self):
-        v = directional_kernel_velocity([0.0, 0.0], [0.0, 1.0], [12.0, 12.0], WEND, GRID)
-        assert np.all(v.vectors == 0.0)
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError):
-            directional_kernel_velocity([1.0, 0.0], [2.0, 0.0], [12.0, 12.0], WEND, GRID)
 
 
 class TestAssemblerAdjoint:

@@ -3,13 +3,11 @@ import pytest
 from scipy.linalg import expm
 
 from slidereg.errors import DegenerateCrossingError, DivergenceError, TangentialCrossingError
-from slidereg.geometry import DeformationMap, GridGeometry, VectorField, identity_map
 from slidereg.nonsmooth import (
     AffineVelocity,
     MovingHyperplane,
     PiecewiseVelocity,
     StaticCircle,
-    adjoint_transport,
     detect_crossing,
     fundamental_matrix,
     saltation_sliding,
@@ -311,46 +309,3 @@ class TestFundamentalMatrix:
         safe = PiecewiseVelocity((E1,), {**field.pieces, (1,): AffineVelocity.constant([0.0, 1.0])})
         t1 = fundamental_matrix(safe, [-0.5, 0.0], 4.0).crossings[0].time
         assert str(exc.value) == f"fundamental matrix non-finite at t = {t1:.6f}"
-
-
-class TestAdjointTransport:
-    GRID = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
-
-    def _field(self, rng):
-        return VectorField(self.GRID, rng.standard_normal(self.GRID.dims + (2,)))
-
-    def test_identity(self, rng):
-        v = self._field(rng)
-        out = adjoint_transport(np.eye(2), identity_map(self.GRID, "inverse"), v)
-        np.testing.assert_allclose(out.vectors, v.vectors, atol=1e-12)
-
-    def test_translation_shifts_field(self, rng):
-        v = self._field(rng)
-        pos = self.GRID.node_positions()
-        inv = DeformationMap(self.GRID, pos - np.array([0.0, 1.0]), "inverse")
-        out = adjoint_transport(np.eye(2), inv, v)
-        np.testing.assert_allclose(out.vectors[:, 1:], v.vectors[:, :-1], atol=1e-12)
-
-    def test_affine_matches_symbolic_composition(self):
-        # phi(x) = A x, smooth linear field v(x) = B x:
-        # (Dphi v) o phi^{-1}(x) = A B A^{-1} x
-        A = np.array([[1.2, 0.1], [-0.05, 0.9]])
-        B = np.array([[0.3, -0.2], [0.4, 0.1]])
-        pos = self.GRID.node_positions()
-        v = VectorField(self.GRID, np.einsum("ab,ijb->ija", B, pos))
-        inv = DeformationMap(self.GRID, np.einsum("ab,ijb->ija", np.linalg.inv(A), pos), "inverse")
-        out = adjoint_transport(A, inv, v)
-        want = np.einsum("ab,ijb->ija", A @ B @ np.linalg.inv(A), pos)
-        # compare away from the border: the pull-back leaves the domain there
-        np.testing.assert_allclose(out.vectors[2:-2, 2:-2], want[2:-2, 2:-2], atol=1e-9)
-
-    def test_matrix_field_accepted(self, rng):
-        v = self._field(rng)
-        dphi = np.tile(np.eye(2), self.GRID.dims + (1, 1))
-        out = adjoint_transport(dphi, identity_map(self.GRID, "inverse"), v)
-        np.testing.assert_allclose(out.vectors, v.vectors, atol=1e-12)
-
-    def test_forward_map_rejected(self, rng):
-        v = self._field(rng)
-        with pytest.raises(ValueError):
-            adjoint_transport(np.eye(2), identity_map(self.GRID, "forward"), v)
