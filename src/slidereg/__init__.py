@@ -29,7 +29,6 @@ from .momenta import (
     MomentumSet,
     TimeMomenta,
     control_lattice,
-    sparsity,
     synth_velocity,
 )
 from .flow import FlowPath, integrate, jacobian_fd

@@ -10,8 +10,10 @@ slowest, described by a mandatory JSON sidecar::
 
     {"dims": [94, 256, 256], "spacing": [2.5, 0.97, 0.97], "origin": [0, 0, 0]}
 
-``origin`` is optional (defaults to zeros). :func:`read_image` looks for
-the sidecar at ``<path>.json``, then at ``<stem>.json``.
+The sidecar must be a JSON object, and ``dims``, ``spacing`` and ``origin``
+lists of numbers; anything else is a :class:`FormatError` naming the
+sidecar. ``origin`` is optional (defaults to zeros). :func:`read_image`
+looks for the sidecar at ``<path>.json``, then at ``<stem>.json``.
 
 Landmarks: plain text, one point per line, whitespace-separated numbers,
 1-based indices by default.
@@ -117,9 +119,20 @@ def read_raw16(path, meta_path) -> ScalarImage:
             meta = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: invalid JSON sidecar at line {exc.lineno}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: sidecar is not a JSON object")
     for key in ("dims", "spacing"):
         if key not in meta:
             raise FormatError(f"{meta_path}: sidecar missing required key {key!r}")
+    for key in ("dims", "spacing", "origin"):
+        value = meta.get(key, [])
+        # JSON true/false load as bools, which Python counts as ints
+        if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        ):
+            raise FormatError(
+                f"{meta_path}: sidecar {key!r} must be a list of numbers, got {json.dumps(value)}"
+            )
     try:
         dims = tuple(_count("dims", n) for n in meta["dims"])
     except ValueError as exc:

@@ -25,27 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .geometry import GridGeometry, VectorField, _count
+from .geometry import GridGeometry, VectorField, _count, _readonly
 from .kernels import KernelSpec
 
 __all__ = [
     "MomentumSet",
     "TimeMomenta",
     "synth_velocity",
-    "sparsity",
     "VelocityAssembler",
     "KernelGrams",
     "control_lattice",
 ]
-
-_SPARSITY_EPS = 1e-6  # the sparsity prior's smoothing width, in the solver and the public functions
-
-
-def _readonly(a):
-    out = np.array(a, float)
-    out.flags.writeable = False
-    return out
-
 
 @dataclass(frozen=True)
 class MomentumSet:
@@ -285,40 +275,3 @@ def synth_velocity(ms: MomentumSet, spec: KernelSpec, grid: GridGeometry) -> Vec
     """Velocity field synthesized from zeroth- and first-order momenta."""
     v = VelocityAssembler(spec, grid, ms.points).velocity(_block(ms.m0, ms.m1))
     return VectorField(grid, v.reshape(grid.dims + (grid.ndim,)))
-
-
-def _sparsity_weights(lam, eps: float, d: int) -> np.ndarray:
-    """``lam`` as d + 1 checked weights, zeroth order first; ``eps`` must be > 0."""
-    lam = np.asarray(lam, float)
-    if lam.shape != (d + 1,):
-        raise ValueError(f"need {d + 1} weights (zeroth + {d} slots), got shape {lam.shape}")
-    if np.any(lam < 0) or not eps > 0:
-        raise ValueError("weights must be >= 0 and eps > 0")
-    return lam
-
-
-def _sparsity(M: np.ndarray, lam: np.ndarray, eps: float) -> float:
-    """The :func:`sparsity` of a block (n, orders, d) with one weight per order, summed order by order."""
-    norms = np.sqrt(np.sum(M**2, axis=-1) + eps**2) - eps
-    return float(sum(w * np.sum(norms[:, o]) for o, w in enumerate(lam)))
-
-
-def _sparsity_grad(M: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
-    """Gradient of :func:`_sparsity`, a block like M."""
-    return lam[:, None] * M / np.sqrt(np.sum(M**2, axis=-1) + eps**2)[..., None]
-
-
-def sparsity(ms: MomentumSet, lam, eps: float = _SPARSITY_EPS) -> float:
-    """Smoothed L1 penalty sum_i lam_i sum_j (sqrt(|m_ij|^2 + eps^2) - eps).
-
-    ``lam`` holds d + 1 weights: index 0 for the zeroth order, 1..d for the
-    first-order slots. Smoothing keeps the penalty differentiable at 0.
-    The solver applies the same core to its momentum block, where in
-    ``zeroth_only`` mode the block and the weights stop at order 0.
-    """
-    return _sparsity(_block(ms.m0, ms.m1), _sparsity_weights(lam, eps, ms.ndim), eps)
-
-
-def sparsity_grad(ms: MomentumSet, lam, eps: float = _SPARSITY_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of :func:`sparsity` with respect to (m0, m1); checks ``lam`` and ``eps`` alike."""
-    return _unblock(_sparsity_grad(_block(ms.m0, ms.m1), _sparsity_weights(lam, eps, ms.ndim), eps))

@@ -242,11 +242,11 @@ def _euler_step(M, h: float, Dv, t: float):
     return _checked(lambda: M + h * (Dv @ M), "fundamental matrix", t)
 
 
-def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -> FundamentalMatrix:
+def fundamental_matrix(field, x0, t: float, step: float = 1e-3) -> FundamentalMatrix:
     """Integrate the flow and its state-transition Jacobian from x0 to time t.
 
-    ``field`` is an AffineVelocity or a PiecewiseVelocity; ``boundaries``
-    extends or replaces the field's own switching surfaces. Smooth stretches
+    ``field`` is an AffineVelocity or a PiecewiseVelocity, whose own
+    boundaries are the switching surfaces. Smooth stretches
     follow dM/dt = Dv M by explicit Euler with the given step; each detected
     crossing multiplies in the appropriate saltation matrix (sliding when
     the boundary is flagged, transversal otherwise) and is recorded.
@@ -261,9 +261,7 @@ def fundamental_matrix(field, x0, t: float, boundaries=(), step: float = 1e-3) -
     d = x.size
     if isinstance(field, AffineVelocity):
         field = PiecewiseVelocity((), {(): field})
-    bounds = tuple(boundaries) if boundaries else field.boundaries
-    if bounds and not field.boundaries:
-        raise ValueError("boundaries supplied but the field declares no pieces for them")
+    bounds = field.boundaries
 
     M = np.eye(d)
     crossings = []

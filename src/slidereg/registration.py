@@ -32,10 +32,7 @@ from .momenta import (
     MomentumSet,
     TimeMomenta,
     VelocityAssembler,
-    _SPARSITY_EPS,
     _block,
-    _sparsity,
-    _sparsity_grad,
     _unblock,
     control_lattice,
 )
@@ -153,6 +150,24 @@ def ssd(a: ScalarImage, b: ScalarImage) -> float:
     return 0.5 * float(np.mean(diff * diff))
 
 
+# The sparsity prior: sum_o lam_o sum_j (sqrt(|M_jo|^2 + eps^2) - eps) over a block
+# (n, orders, d) with one weight per order, zeroth order first (in ``zeroth_only``
+# mode the block and the weights stop at order 0). Smoothing by the fixed width eps
+# keeps it differentiable at 0 and within eps per vector below the plain L1 norm.
+_SPARSITY_EPS = 1e-6
+
+
+def _sparsity(M: np.ndarray, lam: np.ndarray) -> float:
+    """The prior of the block M, summed order by order."""
+    norms = np.sqrt(np.sum(M**2, axis=-1) + _SPARSITY_EPS**2) - _SPARSITY_EPS
+    return float(sum(w * np.sum(norms[:, o]) for o, w in enumerate(lam)))
+
+
+def _sparsity_grad(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`_sparsity`, a block like M."""
+    return lam[:, None] * M / np.sqrt(np.sum(M**2, axis=-1) + _SPARSITY_EPS**2)[..., None]
+
+
 class _Engine:
     """Precomputed operators and the forward/backward energy pipeline.
 
@@ -202,7 +217,7 @@ class _Engine:
         with np.errstate(over="ignore", invalid="ignore"):
             gms = self.grams.products(M)
             e_reg = cfg.reg_weight * KernelGrams.energy_of(M, gms) / (2.0 * T)
-            e_sparse = _sparsity(M[0], self.lam, _SPARSITY_EPS)
+            e_sparse = _sparsity(M[0], self.lam)
         parts = EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
         return parts, (psis, stencils, final, gms, resid)
 
@@ -223,7 +238,7 @@ class _Engine:
             if k > 0:
                 psibar = stencils[k].splat(psibar)
 
-        G[0] += _sparsity_grad(M[0], self.lam, _SPARSITY_EPS)
+        G[0] += _sparsity_grad(M[0], self.lam)
         return G
 
     def energy_and_grad(self, M, I0: ScalarImage, I1: ScalarImage):
@@ -354,7 +369,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     search finds no sufficient decrease in ``_MAX_SHRINKS`` shrinks
     (``line_search_stalled``); ``converged`` holds for the first two. The
     line search (``_ARMIJO_*``, ``_MAX_SHRINKS``: the textbook values) and
-    the sparsity smoothing (``momenta._SPARSITY_EPS``) are constants, not
+    the sparsity smoothing (``_SPARSITY_EPS``) are constants, not
     settings. With ``cfg.pyramid`` a half-resolution solve (box-downsampled
     images, half the iterations) warm-starts the full-resolution descent;
     the reported trace is the fine-level one.
@@ -401,8 +416,17 @@ def config_to_dict(cfg: RegistrationConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RegistrationConfig:
+    """The config a parsed JSON document describes; a document of another
+    shape, or an unknown key at either level, raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     data = dict(data)
     kspec = data.pop("kernel")
+    if not isinstance(kspec, dict):
+        raise ValueError(f"config key 'kernel' must be a JSON object, got {type(kspec).__name__}")
+    unknown = set(kspec) - {f.name for f in fields(KernelSpec)}
+    if unknown:
+        raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
     kernel = KernelSpec(
         family=kspec["family"],
         scale=float(kspec["scale"]),

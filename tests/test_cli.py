@@ -14,15 +14,17 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def register_with(tmp_path, capsys, **settings):
+def register_with(tmp_path, capsys, config=None, **settings):
     """``register`` a 16^2 synthetic pair under a small gaussian config
-    updated with ``settings``; returns the exit code, stderr and --out dir."""
+    updated with ``settings``, or under the JSON document ``config``;
+    returns the exit code, stderr and --out dir."""
     data = tmp_path / "data"
     assert run(["synth", "rectangle", "--size", "16", "--shift", "2", "--out", str(data)], capsys)[0] == 0
-    cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
-           "control_stride": 4, **settings}
+    if config is None:
+        config = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+                  "control_stride": 4, **settings}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(config))
     out_dir = tmp_path / "result"
     code, _, err = run(
         ["register", "--template", str(data / "template.pgm"), "--reference", str(data / "reference.pgm"),
@@ -30,6 +32,27 @@ def register_with(tmp_path, capsys, **settings):
         capsys,
     )
     return code, err, out_dir
+
+
+def register_raw16(tmp_path, capsys, write_raw16, **sidecar):
+    """``register`` a 12^3 raw16 pair whose template sidecar is updated with
+    ``sidecar``; returns the exit code, stdout, stderr and --out dir."""
+    vals = np.full((12, 12, 12), 20)
+    vals[3:9, 3:9, 3:9] = 200
+    tpl = write_raw16(tmp_path / "tpl", vals, (1.0, 1.0, 1.0))
+    ref = write_raw16(tmp_path / "ref", np.roll(vals, 1, axis=2), (1.0, 1.0, 1.0))
+    meta = json.loads((tmp_path / "tpl.json").read_text())
+    (tmp_path / "tpl.json").write_text(json.dumps({**meta, **sidecar}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2,
+                                    "max_iters": 3, "control_stride": 4}))
+    out_dir = tmp_path / "result"
+    code, out, err = run(
+        ["register", "--template", str(tpl), "--reference", str(ref),
+         "--config", str(cfg_path), "--out", str(out_dir)],
+        capsys,
+    )
+    return code, out, err, out_dir
 
 
 class TestSynth:
@@ -185,45 +208,41 @@ class TestRegister:
         assert err.startswith("error:") and named in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [({"kernel": "gaussian"}, "config key 'kernel' must be a JSON object"),
+         ([1, 2], "config must be a JSON object"),
+         ({"kernel": {"family": "gaussian", "scale": 8, "windw": 17}}, "unknown kernel keys: ['windw']")],
+        ids=["kernel_not_object", "top_level_list", "unknown_kernel_key"],
+    )
+    def test_config_shape_is_usage_error(self, tmp_path, capsys, config, named):
+        # the first two used to end in a TypeError traceback, and a misspelt
+        # kernel key used to run silently with the default window
+        code, err, out_dir = register_with(tmp_path, capsys, config=config)
+        assert code == 1
+        assert err.startswith("error:") and named in err
+        assert not out_dir.exists()
+
     def test_non_finite_sidecar_origin_is_usage_error(self, tmp_path, capsys, write_raw16):
         # a NaN origin used to surface as "velocity non-finite at step 1", exit 2
-        vals = np.full((12, 12, 12), 20)
-        vals[3:9, 3:9, 3:9] = 200
-        tpl = write_raw16(tmp_path / "tpl", vals, (1.0, 1.0, 1.0))
-        ref = write_raw16(tmp_path / "ref", np.roll(vals, 1, axis=2), (1.0, 1.0, 1.0))
-        meta = json.loads((tmp_path / "tpl.json").read_text())
-        (tmp_path / "tpl.json").write_text(json.dumps({**meta, "origin": [float("nan"), 0.0, 0.0]}))
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2,
-                                        "max_iters": 3, "control_stride": 4}))
-        out_dir = tmp_path / "result"
-        code, out, err = run(
-            ["register", "--template", str(tpl), "--reference", str(ref),
-             "--config", str(cfg_path), "--out", str(out_dir)],
-            capsys,
-        )
+        code, out, err, out_dir = register_raw16(tmp_path, capsys, write_raw16, origin=[float("nan"), 0.0, 0.0])
         assert code == 1
         assert err.startswith("error:") and "origin must be finite" in err and out == ""
         assert not out_dir.exists()
 
     def test_fractional_sidecar_dims_is_usage_error(self, tmp_path, capsys, write_raw16):
         # [12.9, 12, 12] used to read the 12^3 volume as if the dims were integers
-        vals = np.full((12, 12, 12), 20)
-        tpl = write_raw16(tmp_path / "tpl", vals, (1.0, 1.0, 1.0))
-        ref = write_raw16(tmp_path / "ref", vals, (1.0, 1.0, 1.0))
-        meta = json.loads((tmp_path / "tpl.json").read_text())
-        (tmp_path / "tpl.json").write_text(json.dumps({**meta, "dims": [12.9, 12, 12]}))
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}}))
-        out_dir = tmp_path / "result"
-        code, out, err = run(
-            ["register", "--template", str(tpl), "--reference", str(ref),
-             "--config", str(cfg_path), "--out", str(out_dir)],
-            capsys,
-        )
+        code, out, err, out_dir = register_raw16(tmp_path, capsys, write_raw16, dims=[12.9, 12, 12])
         assert code == 1
         assert err.startswith("error:") and "tpl.json: sidecar dims must be an integer" in err and out == ""
         assert not out_dir.exists()
+
+    def test_non_list_sidecar_dims_is_usage_error(self, tmp_path, capsys, write_raw16):
+        # "dims": 12 used to end in a TypeError traceback
+        code, out, err, out_dir = register_raw16(tmp_path, capsys, write_raw16, dims=12)
+        assert code == 1
+        assert err.startswith("error:") and "tpl.json: sidecar 'dims' must be a list of numbers" in err
+        assert out == "" and not out_dir.exists()
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -86,6 +86,24 @@ class TestRaw16:
         assert img.geometry.dims == (12, 12, 12)
         np.testing.assert_array_equal(img.values, vals)
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [([12, 12, 12], "sidecar is not a JSON object"),
+         ({"dims": 12, "spacing": [1, 1, 1]}, "sidecar 'dims' must be a list of numbers, got 12"),
+         ({"dims": [12, 12, 12], "spacing": 1.0}, "sidecar 'spacing' must be a list of numbers, got 1.0"),
+         ({"dims": [12, 12, 12], "spacing": [None, 1, 1]}, r"'spacing' must be a list of numbers, got \[null, 1, 1\]"),
+         ({"dims": [12, 12, 12], "spacing": [True, 1, 1]}, r"'spacing' must be a list of numbers, got \[true, 1, 1\]"),
+         ({"dims": [12, 12, 12], "spacing": [1, 1, 1], "origin": "0"}, "'origin' must be a list of numbers")],
+        ids=["not_an_object", "dims_number", "spacing_number", "spacing_null", "spacing_bool", "origin_string"],
+    )
+    def test_sidecar_types_checked(self, tmp_path, meta, message):
+        # the first four used to raise TypeError, and a true spacing read as 1.0
+        raw = tmp_path / "vol.raw"
+        raw.write_bytes(np.zeros((12, 12, 12), "<i2").tobytes())
+        (tmp_path / "vol.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=r"vol\.json: .*" + message):
+            read_raw16(raw, tmp_path / "vol.json")
+
     def test_missing_key(self, tmp_path):
         raw = tmp_path / "v.raw"
         raw.write_bytes(b"\x00\x00")

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slidereg.geometry import GridGeometry
 from slidereg.kernels import KernelSpec, eval_kernel_many, eval_mixed_many, eval_partial_many
@@ -13,8 +11,6 @@ from slidereg.momenta import (
     _block,
     _unblock,
     control_lattice,
-    sparsity,
-    sparsity_grad,
     synth_velocity,
 )
 
@@ -230,67 +226,6 @@ class TestVEnergy:
         D = rng.standard_normal(M.shape)
         dd = (grams.energy(M + eps * D) - grams.energy(M - eps * D)) / (2 * eps)
         assert float(np.sum(G * D)) == pytest.approx(dd, rel=1e-7)
-
-
-class TestSparsity:
-    def test_zero_momenta(self, rng):
-        ms = MomentumSet.zeros(rng.uniform(4, 20, (4, 2)))
-        assert sparsity(ms, [0.5, 0.5, 0.5]) == 0.0
-
-    def test_single_momentum_small_eps_limit(self):
-        m1 = np.zeros((1, 2, 2))
-        m1[0, 0] = [2.0, 0.0]
-        ms = MomentumSet(np.array([[10.0, 10.0]]), np.zeros((1, 2)), m1)
-        got = sparsity(ms, [0.0, 0.5, 0.5], eps=1e-12)
-        assert got == pytest.approx(1.0, abs=1e-9)
-
-    def test_gradient_zero_at_zero_momenta(self, rng):
-        ms = MomentumSet.zeros(rng.uniform(4, 20, (4, 2)))
-        g0, g1 = sparsity_grad(ms, [0.7, 0.7, 0.7])
-        assert np.all(g0 == 0.0) and np.all(g1 == 0.0)
-
-    def test_weight_count_checked(self, rng):
-        ms = MomentumSet.zeros(rng.uniform(4, 20, (4, 2)))
-        with pytest.raises(ValueError):
-            sparsity(ms, [0.5, 0.5])
-
-    @pytest.mark.parametrize("fn", [sparsity, sparsity_grad])
-    @pytest.mark.parametrize(
-        "lam, eps",
-        [([0.5, 0.5], 1e-6), ([0.5], 1e-6), ([0.5, 0.5, 0.5, 0.5], 1e-6), ([0.5, -0.1, 0.5], 1e-6),
-         ([0.5, 0.5, 0.5], 0.0)],
-        ids=["two_weights", "one_weight", "four_weights", "negative_weight", "zero_eps"],
-    )
-    def test_weights_and_eps_checked(self, rng, fn, lam, eps):
-        # a single weight must not broadcast over the orders
-        ms = random_set(rng)
-        with pytest.raises(ValueError):
-            fn(ms, lam, eps)
-
-    def test_matches_per_order_loop(self, rng):
-        # the block core sums and scales order by order, bit for bit like a loop
-        ms = random_set(rng, n=6)
-        lam, eps = np.array([0.3, 0.7, 1.1]), 1e-3
-        blocks = [ms.m0] + [ms.m1[:, i, :] for i in range(2)]
-        norms = [np.sqrt(np.sum(b**2, axis=1) + eps**2) for b in blocks]
-        total = 0.0
-        for w, nrm in zip(lam, norms):
-            total += w * np.sum(nrm - eps)
-        assert sparsity(ms, lam, eps) == total
-        g0, g1 = sparsity_grad(ms, lam, eps)
-        np.testing.assert_array_equal(g0, lam[0] * ms.m0 / norms[0][:, None])
-        for i in range(2):
-            np.testing.assert_array_equal(g1[:, i, :], lam[i + 1] * blocks[i + 1] / norms[i + 1][:, None])
-
-    @settings(deadline=None, max_examples=25)
-    @given(st.floats(0.1, 3.0), st.floats(1e-8, 1e-3))
-    def test_below_unsmoothed_l1(self, norm, eps):
-        m0 = np.zeros((1, 2))
-        m0[0, 0] = norm
-        ms = MomentumSet(np.array([[10.0, 10.0]]), m0, np.zeros((1, 2, 2)))
-        got = sparsity(ms, [1.0, 0.0, 0.0], eps=eps)
-        assert got <= norm
-        assert got >= norm - eps
 
 
 class TestAssemblerAdjoint:

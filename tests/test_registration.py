@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidereg import registration
 from slidereg.bench import gen_rectangle
@@ -18,8 +20,11 @@ from slidereg.registration import (
     optimize,
     ssd,
     total_energy,
+    _SPARSITY_EPS,
     _make_engine,
     _prolong_momenta,
+    _sparsity,
+    _sparsity_grad,
 )
 
 GRID16 = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
@@ -346,6 +351,69 @@ class TestGradient:
         cfg = small_config()
         g = gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
         assert any(np.any(ms.m0 != 0.0) for ms in g.steps)
+
+
+class TestSparsity:
+    """The solver's smoothed L1 prior on a momentum block (n, orders, d), at its own eps."""
+
+    def test_zero_momenta(self):
+        M = np.zeros((4, 3, 2))
+        lam = np.array([0.5, 0.5, 0.5])
+        assert _sparsity(M, lam) == 0.0
+
+    def test_gradient_zero_at_zero_momenta(self):
+        assert np.all(_sparsity_grad(np.zeros((4, 3, 2)), np.array([0.7, 0.7, 0.7])) == 0.0)
+
+    def test_single_momentum_l1_limit(self):
+        M = np.zeros((1, 3, 2))
+        M[0, 1] = [2.0, 0.0]
+        got = _sparsity(M, np.array([0.0, 0.5, 0.5]))
+        assert got == pytest.approx(1.0, abs=_SPARSITY_EPS)
+
+    def test_matches_per_order_loop(self, rng):
+        # the block core sums and scales order by order, bit for bit like a loop
+        M = rng.standard_normal((6, 3, 2))
+        lam, eps = np.array([0.3, 0.7, 1.1]), _SPARSITY_EPS
+        norms = [np.sqrt(np.sum(M[:, o] ** 2, axis=1) + eps**2) for o in range(3)]
+        total = 0.0
+        for w, nrm in zip(lam, norms):
+            total += w * np.sum(nrm - eps)
+        assert _sparsity(M, lam) == total
+        G = _sparsity_grad(M, lam)
+        for o in range(3):
+            np.testing.assert_array_equal(G[:, o], lam[o] * M[:, o] / norms[o][:, None])
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.floats(0.0, 10.0))
+    def test_below_unsmoothed_l1(self, norm):
+        M = np.zeros((1, 3, 2))
+        M[0, 0, 0] = norm
+        got = _sparsity(M, np.array([1.0, 0.0, 0.0]))
+        assert got <= norm
+        assert got >= norm - _SPARSITY_EPS
+
+    def test_prior_binds_step_zero_only(self, rng):
+        from dataclasses import replace
+
+        # the prior weighs the momenta of step 0 alone: steps 1..T-1 carry no L1 cost
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(lambda0=0.03, lambda1=0.07)
+        tm = random_momenta(cfg, GRID16, rng)
+        lam = np.array([cfg.lambda0, cfg.lambda1, cfg.lambda1])
+        M0 = _block(tm.steps[0].m0, tm.steps[0].m1)
+        e = total_energy(cfg, tm, pair.template, pair.reference)
+        assert e.sparsity == _sparsity(M0, lam)
+        later = random_momenta(cfg, GRID16, rng)
+        moved = TimeMomenta((tm.steps[0],) + later.steps[1:])
+        assert total_energy(cfg, moved, pair.template, pair.reference).sparsity == e.sparsity
+
+        g = gradient(cfg, tm, pair.template, pair.reference)
+        g_free = gradient(replace(cfg, lambda0=0.0, lambda1=0.0), tm, pair.template, pair.reference)
+        want0, want1 = _unblock(_sparsity_grad(M0, lam))
+        np.testing.assert_allclose(g.steps[0].m0 - g_free.steps[0].m0, want0, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(g.steps[0].m1 - g_free.steps[0].m1, want1, rtol=1e-9, atol=1e-12)
+        for a, b in zip(g.steps[1:], g_free.steps[1:]):
+            assert np.array_equal(a.m0, b.m0) and np.array_equal(a.m1, b.m1)
 
 
 class TestOptimize:
@@ -708,6 +776,18 @@ class TestConfigRoundTrip:
         data = config_to_dict(small_config())
         data["zeal"] = 11
         with pytest.raises(ValueError):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [([1, 2], "config must be a JSON object, got list"),
+         ({"kernel": "gaussian"}, "config key 'kernel' must be a JSON object, got str"),
+         ({"kernel": {"family": "gaussian", "scale": 8, "windw": 17}}, r"unknown kernel keys: \['windw'\]")],
+        ids=["top_level_list", "kernel_not_object", "unknown_kernel_key"],
+    )
+    def test_document_shape_checked(self, data, message):
+        # the first two used to raise TypeError, and a misspelt kernel key was ignored
+        with pytest.raises(ValueError, match=message):
             config_from_dict(data)
 
     def test_orders_validated(self):
