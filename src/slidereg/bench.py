@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import shutil
@@ -19,7 +20,7 @@ from scipy.ndimage import gaussian_filter
 
 from . import registration as reg
 from .errors import DivergenceError
-from .fileio import read_image, read_landmarks, write_pgm
+from .fileio import _check_keys, read_image, read_landmarks, write_pgm
 from .flow import FlowPath, integrate
 from .geometry import (
     DeformationMap,
@@ -379,16 +380,17 @@ def _load_pair(spec: ExperimentSpec):
     """(template, reference, template landmarks, reference landmarks,
     interface row), each of the last three None where the source has none."""
     if spec.generator is not None:
-        g = dict(spec.generator)
-        kind = g.pop("kind")
-        if kind == "rectangle":
-            p = gen_rectangle(**g)
-            return p.template, p.reference, p.landmarks_template, p.landmarks_reference, p.interface_row
-        if kind == "wheel":
-            p = gen_wheel(**g)
+        g = spec.generator
+        gen = {"rectangle": gen_rectangle, "wheel": gen_wheel}.get(g.get("kind") if isinstance(g, dict) else None)
+        if gen is None:
+            raise ValueError(f"generator must be a JSON object of kind 'rectangle' or 'wheel', got {g!r}")
+        _check_keys(g, "generator", ("kind",), inspect.signature(gen).parameters)
+        p = gen(**{k: v for k, v in g.items() if k != "kind"})
+        if gen is gen_wheel:
             return p.template, p.reference, None, None, None
-        raise ValueError(f"unknown generator kind {kind!r}")
-    ds = spec.dataset
+        return p.template, p.reference, p.landmarks_template, p.landmarks_reference, p.interface_row
+    ds = _check_keys(spec.dataset, "dataset", ("template", "reference"),
+                     ("sidecar", "template_landmarks", "reference_landmarks", "landmark_base"))
     template = read_image(ds["template"], ds.get("sidecar"))
     reference = read_image(ds["reference"], ds.get("sidecar"))
     lms_t = lms_r = None

@@ -20,6 +20,7 @@ from .errors import (
     FormatError,
     TangentialCrossingError,
 )
+from .fileio import _check_keys, _numbers
 from .geometry import ScalarImage
 
 NUMERICAL_ERRORS = (
@@ -146,62 +147,66 @@ def _cmd_tre(args) -> int:
     return 0
 
 
-def _scenario_boundary(doc: dict):
-    kind = doc["kind"]
-    sliding = bool(doc.get("sliding", False))
+def _scenario_boundary(where: str, doc: dict, d: int):
+    kind, sliding = doc.get("kind"), doc.get("sliding", False)
+    if not isinstance(sliding, bool):
+        raise FormatError(f"{where} 'sliding' must be true or false, got {json.dumps(sliding)}")
     if kind == "moving_hyperplane":
-        return nonsmooth.MovingHyperplane(
-            tuple(doc["normal"]), float(doc.get("offset", 0.0)),
-            float(doc.get("rate", 0.0)), sliding,
-        )
+        offset, rate = (float(_numbers(where, doc, key, (), 0.0)) for key in ("offset", "rate"))
+        return nonsmooth.MovingHyperplane(tuple(_numbers(where, doc, "normal", (d,))), offset, rate, sliding)
     if kind == "static_circle":
-        return nonsmooth.StaticCircle(tuple(doc["center"]), float(doc["radius"]), sliding)
-    raise FormatError(f"unknown boundary kind {kind!r}")
+        radius = float(_numbers(where, doc, "radius", ()))
+        return nonsmooth.StaticCircle(tuple(_numbers(where, doc, "center", (d,))), radius, sliding)
+    raise FormatError(f"{where} 'kind' must be 'moving_hyperplane' or 'static_circle', got {json.dumps(kind)}")
 
 
 def _cmd_nonsmooth_check(args) -> int:
     with open(args.scenario) as fh:
         doc = json.load(fh)
-    boundaries = tuple(_scenario_boundary(b) for b in doc.get("boundaries", []))
+    if not isinstance(doc, dict):
+        raise FormatError(f"{args.scenario}: scenario must be a JSON object, got {type(doc).__name__}")
+    where = f"{args.scenario}: scenario key"
+    for key, default in (("boundaries", []), ("pieces", None)):
+        value = doc.get(key, default)
+        if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+            raise FormatError(f"{where} {key!r} must be a list of JSON objects, got {json.dumps(value)}")
+    x0 = _numbers(where, doc, "x0", (None,))
+    d = len(x0)
+    t, step, tol = (float(_numbers(where, doc, key, (), v)) for key, v in (("t", None), ("step", 1e-3), ("tol", 1e-3)))
+    expected = _numbers(where, doc, "expected", (d, d)) if "expected" in doc else None
+    boundaries = tuple(_scenario_boundary(where, b, d) for b in doc.get("boundaries", []))
     pieces = {}
     for piece in doc["pieces"]:
-        signs = tuple(int(s) for s in piece.get("when", []))
-        d = len(doc["x0"])
-        A = np.asarray(piece.get("A", np.zeros((d, d))), float)
-        b = np.asarray(piece.get("b", np.zeros(d)), float)
-        pieces[signs] = nonsmooth.AffineVelocity(A, b)
-    field = nonsmooth.PiecewiseVelocity(boundaries, pieces)
-    fm = nonsmooth.fundamental_matrix(
-        field, np.asarray(doc["x0"], float), float(doc["t"]),
-        step=float(doc.get("step", 1e-3)),
-    )
+        signs = tuple(int(s) for s in _numbers(where, piece, "when", (len(boundaries),), []))
+        A = _numbers(where, piece, "A", (d, d), [[0.0] * d] * d)
+        pieces[signs] = nonsmooth.AffineVelocity(A, _numbers(where, piece, "b", (d,), [0.0] * d))
+    fm = nonsmooth.fundamental_matrix(nonsmooth.PiecewiseVelocity(boundaries, pieces), x0, t, step=step)
     out = {
         "matrix": fm.value.tolist(),
         "crossings": [
             {"time": c.time, "point": np.asarray(c.point).tolist()} for c in fm.crossings
         ],
     }
-    if "expected" in doc:
-        expected = np.asarray(doc["expected"], float)
-        tol = float(doc.get("tol", 1e-3))
+    if expected is not None:
         err = float(np.max(np.abs(fm.value - expected)) / max(np.max(np.abs(expected)), 1e-30))
         out["expected_relative_error"] = err
         out["within_tolerance"] = err <= tol
-        print(json.dumps(out, indent=2))
-        return 0 if err <= tol else 2
     print(json.dumps(out, indent=2))
-    return 0
+    return 0 if out.get("within_tolerance", True) else 2
 
 
 def _cmd_run(args) -> int:
     with open(args.experiment) as fh:
-        doc = json.load(fh)
+        doc = _check_keys(json.load(fh), "experiment", ("name", "out", "config"), ("methods", "generator", "dataset"))
+    methods = doc.get("methods", list(bench.METHODS))
+    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+        raise ValueError(f"experiment key 'methods' must be a list of strings, got {json.dumps(methods)}")
     cfg = reg.config_from_dict(doc["config"])
     spec = bench.ExperimentSpec(
         name=doc["name"],
         config=cfg,
         out_dir=doc["out"],
-        methods=tuple(doc.get("methods", list(bench.METHODS))),
+        methods=tuple(methods),
         generator=doc.get("generator"),
         dataset=doc.get("dataset"),
     )

@@ -110,6 +110,33 @@ def write_pgm(path, img: ScalarImage) -> None:
         fh.write(raster)
 
 
+def _check_keys(doc, what: str, required, optional) -> dict:
+    """``doc`` if it is a dict that has each ``required`` key and no key besides
+    those and the ``optional`` ones; else a ValueError naming ``what`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} missing required key {key!r}")
+    return doc
+
+
+def _numbers(where: str, doc: dict, key: str, shape: tuple, default=None) -> np.ndarray:
+    """``doc[key]``, or ``default`` when absent, as a float array of ``shape``: () for one
+    number, None for any length. Any other JSON value is a FormatError that starts with
+    ``where`` and names the key; JSON true/false load as bools, which Python counts as ints."""
+    value = doc.get(key, default)
+    a = np.array(value, dtype=object)
+    fits = len(a.shape) == len(shape) and all(want in (None, got) for want, got in zip(shape, a.shape))
+    if not fits or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in a.flat):
+        need = {(): "a number", (None,): "a list of numbers"}.get(shape, f"numbers of shape {list(shape)}")
+        raise FormatError(f"{where} {key!r} must be {need}, got {json.dumps(value)}")
+    return a.astype(float)
+
+
 def read_raw16(path, meta_path) -> ScalarImage:
     """Read a little-endian int16 volume described by a JSON sidecar."""
     path = os.fspath(path)
@@ -121,18 +148,8 @@ def read_raw16(path, meta_path) -> ScalarImage:
         raise FormatError(f"{meta_path}: invalid JSON sidecar at line {exc.lineno}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: sidecar is not a JSON object")
-    for key in ("dims", "spacing"):
-        if key not in meta:
-            raise FormatError(f"{meta_path}: sidecar missing required key {key!r}")
-    for key in ("dims", "spacing", "origin"):
-        value = meta.get(key, [])
-        # JSON true/false load as bools, which Python counts as ints
-        if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            raise FormatError(
-                f"{meta_path}: sidecar {key!r} must be a list of numbers, got {json.dumps(value)}"
-            )
+    for key, default in (("dims", None), ("spacing", None), ("origin", [])):
+        _numbers(f"{meta_path}: sidecar", meta, key, (None,), default)
     try:
         dims = tuple(_count("dims", n) for n in meta["dims"])
     except ValueError as exc:

@@ -44,6 +44,7 @@ class _Workspace:
     """
 
     def __init__(self, grid: GridGeometry, T: int):
+        self.grid, self.T = grid, T
         d, n = grid.ndim, grid.node_count
         self.maps = np.empty((T + 1, d, n))
         self.maps[0] = grid.node_positions().reshape(n, d).T
@@ -57,24 +58,22 @@ class _Workspace:
         return self.base[k], self.frac[k], self.unclamped[k], self.index
 
 
-def _advect_inverse(velocities, grid: GridGeometry, T: int, ws: _Workspace | None = None) -> tuple[list, list]:
+def _advect_inverse(velocities, ws: _Workspace) -> list:
     """Semi-Lagrangian transport of the inverse map, the one transport loop.
 
-    ``velocities`` is any iterable (a generator will do) of the T per-step
-    node velocities, each (node_count, d). Step k samples the previous map
-    at the upwind points ``x - v_k / T`` through one :class:`Stencil`.
-    Returns the maps psi_0..psi_T as (node_count, d) views of the
-    channel-major ``ws.maps`` and the T step stencils, which the exact
-    adjoint reuses; both live in the workspace ``ws`` (a fresh one by
-    default) and stay valid until its next transport. A non-finite
-    velocity raises :class:`DivergenceError`; finite ones keep every map
-    finite, since each gather is a convex combination of the previous
-    map's nodes.
+    ``velocities`` is any iterable (a generator will do) of the ``ws.T``
+    per-step node velocities, each (node_count, d). Step k samples the
+    previous map at the upwind points ``x - v_k / T`` through one
+    :class:`Stencil`. The maps psi_0..psi_T are written only into
+    ``ws.maps``; returns the T step stencils, whose buffers also live in
+    ``ws`` and which the exact adjoint reuses. Both stay valid until the
+    workspace's next transport. A non-finite velocity raises
+    :class:`DivergenceError`; finite ones keep every map finite, since each
+    gather is a convex combination of the previous map's nodes.
     """
-    ws = _Workspace(grid, T) if ws is None else ws
-    dt = 1.0 / T
+    grid, dt = ws.grid, 1.0 / ws.T
     field_shape = grid.dims + (grid.ndim,)
-    psis, stencils = [ws.maps[0].T], []
+    stencils = []
     for k, v in enumerate(velocities):
         if not np.all(np.isfinite(v)):
             raise DivergenceError(f"velocity non-finite at step {k + 1}", step=k + 1)
@@ -83,8 +82,8 @@ def _advect_inverse(velocities, grid: GridGeometry, T: int, ws: _Workspace | Non
         np.multiply(v.T, dt, out=pts)
         np.subtract(ws.maps[0], pts, out=pts)
         stencils.append(Stencil(grid, pts.T, ws.stencil(k)))
-        psis.append(stencils[-1].gather(psis[-1].reshape(field_shape), pts))
-    return psis, stencils
+        stencils[-1].gather(ws.maps[k].T.reshape(field_shape), pts)
+    return stencils
 
 
 def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) -> FlowPath:
@@ -105,8 +104,10 @@ def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath
     """Integrate the forward and inverse maps at time 1 from per-step momenta."""
     asm = VelocityAssembler(spec, grid, tm.points)
     velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
-    psi_T = _advect_inverse(velocities, grid, tm.T)[0][-1]  # drop the stencils before the copy
-    inverse = DeformationMap(grid, psi_T.reshape(grid.dims + (grid.ndim,)), "inverse")
+    ws = _Workspace(grid, tm.T)
+    _advect_inverse(velocities, ws)
+    inverse = DeformationMap(grid, ws.maps[tm.T].T.reshape(grid.dims + (grid.ndim,)), "inverse")
+    del ws  # the whole workspace goes before the forward push
     return _flow_path(velocities, inverse, grid, tm.T)
 
 

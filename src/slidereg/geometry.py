@@ -39,6 +39,13 @@ def _count(name: str, v) -> int:
     return int(v)
 
 
+def _real(name: str, v) -> float:
+    """``v`` as a float; ``True``, ``"0.1"`` or ``None`` raise ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 def _readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False

@@ -20,11 +20,12 @@ value 0; the mixed second partial uses the positive diagonal limit
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridGeometry, _count
+from .geometry import GridGeometry, _count, _real
 
 __all__ = [
     "KernelSpec",
@@ -39,7 +40,8 @@ FAMILIES = ("gaussian", "wendland_c0_mult")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family, physical scale, and odd discrete window size (an integer count)."""
+    """Kernel family, finite positive physical scale (stored as a float), and odd
+    discrete window size (an integer count)."""
 
     family: str
     scale: float
@@ -48,8 +50,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        object.__setattr__(self, "scale", _real("scale", self.scale))
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
         object.__setattr__(self, "window", _count("window", self.window))
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")

@@ -17,12 +17,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError
+from .fileio import _check_keys
 from .geometry import (
     DeformationMap,
     GridGeometry,
     ScalarImage,
     Stencil,
     _count,
+    _real,
     box_downsample,
     interp_values,  # noqa: F401 - perfbench's tests check that the tracer patches it here
 )
@@ -63,10 +65,11 @@ class RegistrationConfig:
     and reports their gradient as zero. ``lambda0``/``lambda1`` weight the
     sparsity prior on zeroth- and first-order initial momenta;
     ``reg_weight`` scales the kernel-norm regularizer; all three must be
-    finite and >= 0. The Armijo line search and the sparsity smoothing use
-    fixed constants (see :func:`optimize`). The counts ``T``, ``max_iters``
-    and ``control_stride`` must be integers; an integral float such as
-    ``10.0`` becomes an int.
+    finite and >= 0, and they and ``stop_rel_tol`` real numbers (not bools),
+    stored as floats. ``pyramid`` must be a bool. The Armijo line search and
+    the sparsity smoothing use fixed constants (see :func:`optimize`). The
+    counts ``T``, ``max_iters`` and ``control_stride`` must be integers; an
+    integral float such as ``10.0`` becomes an int.
     """
 
     kernel: KernelSpec
@@ -83,6 +86,10 @@ class RegistrationConfig:
     def __post_init__(self):
         for name in ("T", "max_iters", "control_stride"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name in ("lambda0", "lambda1", "reg_weight", "stop_rel_tol"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not isinstance(self.pyramid, bool):
+            raise ValueError(f"pyramid must be true or false, got {self.pyramid!r}")
         if self.orders not in ORDERS:
             raise ValueError(f"orders must be one of {ORDERS}, got {self.orders!r}")
         if self.T < 1:
@@ -122,7 +129,7 @@ class RegistrationResult:
     of the reported (fine-level) trace; ``iterations_used`` is its length.
     ``forward_passes`` counts the transports the solve ran, pyramid levels
     included: the initial energy, each transported candidate, and the
-    recomputed state after a stalled search.
+    pass rerun at the final momenta after a stalled search.
     """
 
     momenta: TimeMomenta
@@ -169,7 +176,7 @@ def _sparsity_grad(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 class _Engine:
-    """Precomputed operators and the forward/backward energy pipeline.
+    """Precomputed operators and the forward/backward energy pipeline of one image pair.
 
     The momenta of all T steps are one block M of shape (T, n, orders, d):
     ``M[..., 0, :]`` is the zeroth order and ``M[..., 1:, :]`` the
@@ -177,23 +184,28 @@ class _Engine:
     alone, so first-order momenta are ignored everywhere, sparsity
     included, and their gradient is zero.
 
-    The engine owns one transport workspace, allocated here. Every
-    :meth:`forward` writes its maps and stencils into it, so the state a
-    pass returns is valid until the engine's next :meth:`forward`.
+    The engine owns one transport workspace, allocated here, and keeps its
+    last pass: :meth:`forward` writes the maps into the workspace and leaves
+    the step ``stencils`` and the ``final``-sample stencil (views of the
+    workspace) and the Gram products ``gms`` and residual ``resid``, which
+    :meth:`backward` consumes and releases.
     """
 
-    def __init__(self, cfg: RegistrationConfig, grid: GridGeometry, points: np.ndarray):
-        self.cfg = cfg
-        self.grid = grid
-        self.points = points
+    def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage, points=None):
+        if I0.geometry.dims != I1.geometry.dims:
+            raise ValueError(f"image dims differ: {I0.geometry.dims} vs {I1.geometry.dims}")
+        grid = I0.geometry
+        self.cfg, self.I0, self.I1, self.grid = cfg, I0, I1, grid
+        self.points = np.asarray(control_lattice(grid, cfg.control_stride) if points is None else points, float)
         d = grid.ndim
         first_order = cfg.orders == "zeroth_and_first"
         self.orders = d + 1 if first_order else 1
-        self.asm = VelocityAssembler(cfg.kernel, grid, points, first_order)
-        self.grams = KernelGrams(cfg.kernel, points, first_order)
+        self.asm = VelocityAssembler(cfg.kernel, grid, self.points, first_order)
+        self.grams = KernelGrams(cfg.kernel, self.points, first_order)
         self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d, float)[: self.orders]
         self.workspace = flowmod._Workspace(grid, cfg.T)
         self.forward_passes = 0
+        self.stencils = self.final = self.gms = self.resid = None
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros((self.cfg.T, len(self.points), self.orders, self.grid.ndim))
@@ -202,80 +214,67 @@ class _Engine:
         m0, m1 = _unblock(M)
         return TimeMomenta(tuple(MomentumSet(self.points, m0[k], m1[k]) for k in range(self.cfg.T)))
 
-    def forward(self, M, I0: ScalarImage, I1: ScalarImage):
-        """Energy parts and the state :meth:`backward` consumes: the inverse
-        maps, step stencils, final-sample stencil, Gram products and residual.
-        The maps and stencils are views of the workspace, overwritten by the
-        next pass."""
+    def forward(self, M) -> EnergyParts:
+        """Energy parts at M; the pass replaces the last one on the engine."""
         cfg, grid, T, ws = self.cfg, self.grid, self.cfg.T, self.workspace
         self.forward_passes += 1
-        psis, stencils = flowmod._advect_inverse((self.asm.velocity(M[k]) for k in range(T)), grid, T, ws)
-        final = Stencil(grid, psis[-1], ws.stencil(T))
-        resid = final.gather(I0.values).reshape(grid.dims) - I1.values
+        self.stencils = self.final = self.gms = self.resid = None
+        self.stencils = flowmod._advect_inverse((self.asm.velocity(M[k]) for k in range(T)), ws)
+        self.final = Stencil(grid, ws.maps[T].T, ws.stencil(T))
+        resid = self.final.gather(self.I0.values).reshape(grid.dims) - self.I1.values
         e_sim = 0.5 * float(np.mean(resid * resid))
         # huge but finite candidate momenta overflow here; the caller rejects the non-finite total
         with np.errstate(over="ignore", invalid="ignore"):
             gms = self.grams.products(M)
             e_reg = cfg.reg_weight * KernelGrams.energy_of(M, gms) / (2.0 * T)
             e_sparse = _sparsity(M[0], self.lam)
-        parts = EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
-        return parts, (psis, stencils, final, gms, resid)
+        self.gms, self.resid = gms, resid
+        return EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
 
-    def backward(self, M, I0: ScalarImage, state) -> np.ndarray:
-        """Exact adjoint of :meth:`forward` at M, from its state: the gradient block."""
-        cfg, grid, T = self.cfg, self.grid, self.cfg.T
+    def backward(self, M) -> np.ndarray:
+        """Exact adjoint at M of the last :meth:`forward`, which ran at M: the
+        gradient block. Releases that pass's Gram products and residual, so a
+        pass has one backward; the stencils stay."""
+        if self.resid is None:
+            raise RuntimeError("backward needs a completed forward pass that no backward has consumed")
+        cfg, grid, T, maps = self.cfg, self.grid, self.cfg.T, self.workspace.maps
         dt = 1.0 / T
-        psis, stencils, final, gms, resid = state
+        gms, resid, self.gms, self.resid = self.gms, self.resid, None, None
         G = np.empty_like(M)
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
-        psibar = final.point_grad_dot(I0.values, resid.reshape(-1) / grid.node_count)
+        psibar = self.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
 
         scale = cfg.reg_weight / (2.0 * T)
         for k in range(T - 1, -1, -1):
-            vbar = -dt * stencils[k].point_grad_dot(psis[k], psibar)
+            vbar = -dt * self.stencils[k].point_grad_dot(maps[k].T, psibar)
             G[k] = self.asm.adjoint(vbar) + scale * (2.0 * gms[k])
             if k > 0:
-                psibar = stencils[k].splat(psibar)
+                psibar = self.stencils[k].splat(psibar)
 
         G[0] += _sparsity_grad(M[0], self.lam)
         return G
 
-    def energy_and_grad(self, M, I0: ScalarImage, I1: ScalarImage):
-        parts, state = self.forward(M, I0, I1)
-        return parts, self.backward(M, I0, state)
-
-
-def _make_engine(cfg: RegistrationConfig, grid: GridGeometry, points=None) -> _Engine:
-    if points is None:
-        points = control_lattice(grid, cfg.control_stride)
-    return _Engine(cfg, grid, np.asarray(points, float))
-
 
 def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage):
     """Checked engine at the state's control points, and the state as its momentum block."""
-    _check_same_dims(I0, I1)
     if tm.T != cfg.T:
         raise ValueError(f"momenta have T={tm.T} but config says T={cfg.T}")
-    eng = _make_engine(cfg, I0.geometry, tm.points)
+    eng = _Engine(cfg, I0, I1, tm.points)
     return eng, np.stack([_block(ms.m0, ms.m1, eng.orders - 1) for ms in tm.steps])
 
 
 def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
     """Energy parts (similarity, regularization, sparsity, total) of a state."""
     eng, M = _engine_for(cfg, tm, I0, I1)
-    return eng.forward(M, I0, I1)[0]
+    return eng.forward(M)
 
 
 def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> TimeMomenta:
     """Exact gradient of :func:`total_energy` in TimeMomenta shape."""
     eng, M = _engine_for(cfg, tm, I0, I1)
-    return eng.to_time_momenta(eng.energy_and_grad(M, I0, I1)[1])
-
-
-def _check_same_dims(I0: ScalarImage, I1: ScalarImage) -> None:
-    if I0.geometry.dims != I1.geometry.dims:
-        raise ValueError(f"image dims differ: {I0.geometry.dims} vs {I1.geometry.dims}")
+    eng.forward(M)
+    return eng.to_time_momenta(eng.backward(M))
 
 
 # Armijo backtracking with the textbook constants (Nocedal & Wright, *Numerical
@@ -287,18 +286,17 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_SHRINKS = 40
 
 
-def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
+def _descend(eng: _Engine, M):
     """Armijo gradient descent from the momentum block M.
 
     Returns the final block, the trace, one :class:`LineSearchStep` per
-    accepted iterate, the stop reason and the forward state of the final
-    momenta. The accepted candidate's state feeds the next gradient, and
-    each state is dropped once spent or rejected, so at most one is alive.
+    accepted iterate and the stop reason; the engine's last pass is at the
+    final block. The accepted candidate's pass feeds the next gradient.
     A search starts at the last accepted step if that search shrank, else
     at twice it, capped by ``_ARMIJO_INIT``, so a step the last search just
     found too long is not tried again (Nocedal & Wright, sec. 3.5)."""
     cfg = eng.cfg
-    parts, state = eng.forward(M, I0, I1)
+    parts = eng.forward(M)
     if not np.isfinite(parts.total):
         raise DivergenceError("energy non-finite at initialization")
     trace = [parts]
@@ -307,29 +305,27 @@ def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
     alpha_prev, shrunk = _ARMIJO_INIT, False
 
     for _ in range(cfg.max_iters):
-        G = eng.backward(M, I0, state)
+        G = eng.backward(M)
         gnorm2 = float(np.sum(G * G))
         if gnorm2 <= 1e-30:
             stop_reason = "gradient_zero"
             break
         alpha = alpha_prev if shrunk else min(_ARMIJO_INIT, 2.0 * alpha_prev)
-        state = None
         for tried in range(1, _MAX_SHRINKS + 2):
             with np.errstate(over="ignore"):
                 C = M - alpha * G
             cand = None
             if np.all(np.isfinite(C)):
                 try:
-                    cand, state = eng.forward(C, I0, I1)
+                    cand = eng.forward(C)
                 except DivergenceError:
                     pass
             if cand is not None and cand.total <= parts.total - _ARMIJO_SLOPE * alpha * gnorm2:
                 break
-            state = None
             alpha *= _ARMIJO_SHRINK
         else:
             stop_reason = "line_search_stalled"
-            state = eng.forward(M, I0, I1)[1]
+            eng.forward(M)
             break
         M, parts = C, cand
         alpha_prev, shrunk = alpha, tried > 1
@@ -341,7 +337,7 @@ def _descend(eng: _Engine, M, I0: ScalarImage, I1: ScalarImage):
             if drop < cfg.stop_rel_tol:
                 stop_reason = "rel_tol"
                 break
-    return M, trace, steps, stop_reason, state
+    return M, trace, steps, stop_reason
 
 
 def _prolong_momenta(coarse_pts, CM, fine_grid: GridGeometry, stride: int):
@@ -374,28 +370,24 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     images, half the iterations) warm-starts the full-resolution descent;
     the reported trace is the fine-level one.
     """
-    _check_same_dims(I0, I1)
-    eng = _make_engine(cfg, I0.geometry)
+    eng = _Engine(cfg, I0, I1)
     M = eng.zero_theta()
     coarse_passes = 0
 
     if cfg.pyramid:
         coarse_cfg = replace(cfg, pyramid=False, max_iters=max(1, cfg.max_iters // 2))
-        c_I0 = box_downsample(I0)
-        c_I1 = box_downsample(I1)
-        c_eng = _make_engine(coarse_cfg, c_I0.geometry)
-        CM = _descend(c_eng, c_eng.zero_theta(), c_I0, c_I1)[0]
+        c_eng = _Engine(coarse_cfg, box_downsample(I0), box_downsample(I1))
+        CM = _descend(c_eng, c_eng.zero_theta())[0]
         coarse_passes = c_eng.forward_passes
         M = _prolong_momenta(c_eng.points, CM, I0.geometry, cfg.control_stride)
         del c_eng  # and with it the coarse workspace
 
-    M, trace, steps, stop_reason, state = _descend(eng, M, I0, I1)
+    M, trace, steps, stop_reason = _descend(eng, M)
     geom = I0.geometry
-    warped = ScalarImage(geom, state[2].gather(I0.values).reshape(geom.dims))
-    psi_T = DeformationMap(geom, state[0][-1].reshape(geom.dims + (geom.ndim,)), "inverse")
-    # drop the whole workspace before the forward push
-    del state
-    eng.workspace = None
+    warped = ScalarImage(geom, eng.final.gather(I0.values).reshape(geom.dims))
+    psi_T = DeformationMap(geom, eng.workspace.maps[cfg.T].T.reshape(geom.dims + (geom.ndim,)), "inverse")
+    # drop the last pass and the whole workspace before the forward push
+    eng.workspace = eng.stencils = eng.final = eng.gms = eng.resid = None
     fp = flowmod._flow_path((eng.asm.velocity(M[k]) for k in range(cfg.T)), psi_T, geom, cfg.T)
     return RegistrationResult(
         momenta=eng.to_time_momenta(M),
@@ -417,22 +409,10 @@ def config_to_dict(cfg: RegistrationConfig) -> dict:
 
 def config_from_dict(data: dict) -> RegistrationConfig:
     """The config a parsed JSON document describes; a document of another
-    shape, or an unknown key at either level, raises ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    data = dict(data)
-    kspec = data.pop("kernel")
+    shape, or a missing or unknown key at either level, raises ValueError."""
+    _check_keys(data, "config", ("kernel",), [f.name for f in fields(RegistrationConfig)])
+    kspec = data["kernel"]
     if not isinstance(kspec, dict):
         raise ValueError(f"config key 'kernel' must be a JSON object, got {type(kspec).__name__}")
-    unknown = set(kspec) - {f.name for f in fields(KernelSpec)}
-    if unknown:
-        raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
-    kernel = KernelSpec(
-        family=kspec["family"],
-        scale=float(kspec["scale"]),
-        window=kspec.get("window", 9),
-    )
-    unknown = set(data) - {f.name for f in fields(RegistrationConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return RegistrationConfig(kernel=kernel, **data)
+    _check_keys(kspec, "kernel", ("family", "scale"), ("window",))
+    return RegistrationConfig(**{**data, "kernel": KernelSpec(**kspec)})

@@ -223,6 +223,32 @@ class TestRegister:
         assert err.startswith("error:") and named in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [({"pyramid": "no"}, "pyramid must be true or false"),
+         ({"lambda0": "0.1"}, "lambda0 must be a real number"),
+         ({"stop_rel_tol": "x"}, "stop_rel_tol must be a real number"),
+         ({"kernel": {"family": "gaussian", "scale": None}}, "scale must be a real number"),
+         ({"kernel": {"family": "gaussian", "scale": "4"}}, "scale must be a real number"),
+         ({"kernel": {"family": "gaussian", "scale": float("inf")}}, "scale must be finite and positive"),
+         ({"T": 2, "kernel": {"scale": 4.0}}, "kernel missing required key 'family'")],
+        ids=["pyramid_string", "lambda0_string", "tol_string", "scale_null", "scale_string", "scale_infinity",
+             "family_missing"],
+    )
+    def test_config_value_type_is_usage_error(self, tmp_path, capsys, config, named):
+        # "no" used to run the pyramid and Infinity a solve; the others ended in a TypeError traceback
+        code, err, out_dir = register_with(tmp_path, capsys, **config)
+        assert code == 1
+        assert err.startswith("error:") and named in err
+        assert not out_dir.exists()
+
+    def test_config_without_kernel_is_usage_error(self, tmp_path, capsys):
+        # it used to print only "error: 'kernel'"
+        code, err, out_dir = register_with(tmp_path, capsys, config={"T": 2})
+        assert code == 1
+        assert err == "error: config missing required key 'kernel'\n"
+        assert not out_dir.exists()
+
     def test_non_finite_sidecar_origin_is_usage_error(self, tmp_path, capsys, write_raw16):
         # a NaN origin used to surface as "velocity non-finite at step 1", exit 2
         code, out, err, out_dir = register_raw16(tmp_path, capsys, write_raw16, origin=[float("nan"), 0.0, 0.0])
@@ -387,6 +413,34 @@ class TestNonsmoothCheck:
         assert code == 1
         assert err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize(
+        "scenario, named",
+        [([1], "scenario must be a JSON object, got list"),
+         ({"x0": 5}, "scenario key 'x0' must be a list of numbers, got 5"),
+         ({"t": None}, "scenario key 't' must be a number, got null"),
+         ({"t": "1"}, "scenario key 't' must be a number, got \"1\""),
+         ({"boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0, 0.0]}],
+           "pieces": [{"when": [-1], "b": [1.0, 0.0]}, {"when": [1], "b": [1.0, 2.0]}]},
+          "scenario key 'normal' must be numbers of shape [2], got [1.0, 0.0, 0.0]"),
+         ({"expected": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "scenario key 'expected' must be numbers of shape [2, 2]"),
+         ({"pieces": [{"when": [], "b": [1.0, True]}]}, "scenario key 'b' must be numbers of shape [2]"),
+         ({"pieces": {"when": []}}, "scenario key 'pieces' must be a list of JSON objects"),
+         ({"boundaries": [{"kind": "static_circle", "center": [0.0, 0.0], "radius": 1.0, "sliding": "no"}],
+           "pieces": [{"when": [-1]}, {"when": [1]}]}, "scenario key 'sliding' must be true or false")],
+        ids=["top_level_list", "x0_number", "t_null", "t_string", "normal_3d", "expected_2x3", "b_bool",
+             "pieces_object", "sliding_string"],
+    )
+    def test_scenario_shape_is_usage_error(self, tmp_path, capsys, scenario, named):
+        # these used to end in AttributeError or TypeError tracebacks or in numpy's
+        # "shapes not aligned" / "could not be broadcast" messages
+        if isinstance(scenario, dict):
+            scenario = {"pieces": [{"when": [], "b": [1.0, 0.0]}], "x0": [0.0, 0.0], "t": 1.0, **scenario}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and named in err and out == ""
+
     def test_grazing_scenario_reports_numerical_failure(self, tmp_path, capsys):
         scenario = {
             "boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],
@@ -428,3 +482,35 @@ class TestRun:
         payload = json.loads(out)
         assert payload["ssd_after"]["gaussian"] < payload["ssd_before"]
         assert (tmp_path / "exp" / "mini" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [({"generator": {"kind": "rectangle", "sise": 32}}, "unknown generator keys: ['sise']"),
+         ({"generator": {"size": 32}}, "generator must be a JSON object of kind 'rectangle' or 'wheel'"),
+         ({"metods": ["gaussian"]}, "unknown experiment keys: ['metods']"),
+         ({"methods": "gaussian"}, "experiment key 'methods' must be a list of strings, got \"gaussian\""),
+         ({"name": None}, "experiment missing required key 'name'"),
+         ({"out": None}, "experiment missing required key 'out'"),
+         ({"generator": None, "dataset": {"template": "tpl.pgm"}}, "dataset missing required key 'reference'")],
+        ids=["generator_key_typo", "generator_kind_missing", "top_level_typo", "methods_string", "name_missing",
+             "out_missing", "dataset_reference_missing"],
+    )
+    def test_experiment_shape_is_usage_error(self, tmp_path, capsys, change, named):
+        # a generator typo used to end in a TypeError traceback, "metods" ran all
+        # three methods, "gaussian" was read as the methods 'g', 'a', ... and a
+        # missing name or dataset image printed only "error: 'name'" or "error: 'reference'"
+        doc = {
+            "name": "mini",
+            "out": str(tmp_path / "exp"),
+            "methods": ["gaussian"],
+            "generator": {"kind": "rectangle", "size": 16, "shift": 2},
+            "config": {"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 2, "control_stride": 4},
+        }
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["run", "--experiment", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and named in err and out == ""
+        assert not (tmp_path / "exp").exists()

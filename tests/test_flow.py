@@ -5,6 +5,7 @@ from slidereg.errors import DivergenceError
 from slidereg.flow import (
     integrate,
     jacobian_fd,
+    _Workspace,
     _advect_inverse,
     _flow_path,
 )
@@ -114,7 +115,7 @@ class TestAdvectInverse:
         v = np.zeros((GRID.node_count, 2))
         v[7, 1] = bad
         with pytest.raises(DivergenceError) as err:
-            _advect_inverse([v], GRID, 1)
+            _advect_inverse([v], _Workspace(GRID, 1))
         assert err.value.step == 1
 
     def test_raises_at_the_bad_step(self):
@@ -122,7 +123,7 @@ class TestAdvectInverse:
         bad = v.copy()
         bad[0, 0] = np.nan
         with pytest.raises(DivergenceError) as err:
-            _advect_inverse([v, v, bad], GRID, 3)
+            _advect_inverse([v, v, bad], _Workspace(GRID, 3))
         assert err.value.step == 3
 
 

@@ -21,7 +21,7 @@ from slidereg.registration import (
     ssd,
     total_energy,
     _SPARSITY_EPS,
-    _make_engine,
+    _Engine,
     _prolong_momenta,
     _sparsity,
     _sparsity_grad,
@@ -107,17 +107,18 @@ def fd_gradient_error(cfg, tm, I0, I1, rng, directions=5, eps=1e-4):
     return worst
 
 
-def oracle_descend(eng, I0, I1):
-    """Armijo descent from zero that reruns each iterate's forward pass in
-    ``energy_and_grad``; returns the final momentum block, the energy trace
+def oracle_descend(eng):
+    """Armijo descent from zero that reruns each iterate's forward pass
+    before its backward; returns the final momentum block, the energy trace
     and the number of line-search candidates evaluated."""
     cfg, r = eng.cfg, registration
     M = eng.zero_theta()
-    trace = [eng.forward(M, I0, I1)[0]]
+    trace = [eng.forward(M)]
     alpha_prev, shrunk = r._ARMIJO_INIT, False
     candidates = 0
     for _ in range(cfg.max_iters):
-        parts, G = eng.energy_and_grad(M, I0, I1)
+        parts = eng.forward(M)
+        G = eng.backward(M)
         gnorm2 = float(np.sum(G * G))
         if gnorm2 <= 1e-30:
             break
@@ -127,7 +128,7 @@ def oracle_descend(eng, I0, I1):
             C = M - alpha * G
             candidates += 1
             try:
-                cand = eng.forward(C, I0, I1)[0]
+                cand = eng.forward(C)
             except DivergenceError:
                 cand = None
             if cand is not None and cand.total <= parts.total - r._ARMIJO_SLOPE * alpha * gnorm2:
@@ -210,11 +211,11 @@ class TestTotalEnergy:
 
     def test_nan_momenta_raise_divergence(self):
         pair = gen_rectangle(16, 2)
-        eng = _make_engine(small_config(), GRID16)
+        eng = _Engine(small_config(), pair.template, pair.reference)
         M = eng.zero_theta()
         M[1, 3, 0, 0] = np.nan
         with pytest.raises(DivergenceError):
-            eng.forward(M, pair.template, pair.reference)
+            eng.forward(M)
 
 
 class TestGradient:
@@ -424,8 +425,7 @@ class TestOptimize:
         # gradient must not change a single bit of the descent
         pair = gen_rectangle(16, 2)
         cfg = small_config(family, orders=orders, max_iters=8, stop_rel_tol=0.0)
-        eng = _make_engine(cfg, GRID16)
-        M, trace, candidates = oracle_descend(eng, pair.template, pair.reference)
+        M, trace, candidates = oracle_descend(_Engine(cfg, pair.template, pair.reference))
         assert candidates > cfg.max_iters  # some candidates were rejected
         res = optimize(cfg, pair.template, pair.reference)
         assert res.iterations_used == len(trace) - 1 == cfg.max_iters
@@ -441,7 +441,7 @@ class TestOptimize:
 
         pair = gen_rectangle(16, 2)
         cfg = small_config(max_iters=6, stop_rel_tol=0.0)
-        _, _, candidates = oracle_descend(_make_engine(cfg, GRID16), pair.template, pair.reference)
+        _, _, candidates = oracle_descend(_Engine(cfg, pair.template, pair.reference))
         calls = []
         real = flow._advect_inverse
         monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
@@ -547,8 +547,9 @@ class TestOptimize:
 
         pair = gen_rectangle(16, 2)
         cfg = patched_config(monkeypatch, max_iters=3, _ARMIJO_INIT=1e308, _ARMIJO_SHRINK=1e-309)
-        eng = _make_engine(cfg, GRID16)
-        _, G = eng.energy_and_grad(eng.zero_theta(), pair.template, pair.reference)
+        eng = _Engine(cfg, pair.template, pair.reference)
+        eng.forward(eng.zero_theta())
+        G = eng.backward(eng.zero_theta())
         with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(1e308 * G))
 
@@ -637,10 +638,10 @@ class TestOptimize:
         )
 
 
-def _transport_arrays(state):
-    """The maps and stencil arrays of a forward state, in a fixed order."""
-    psis, stencils, final = state[:3]
-    return list(psis) + [getattr(st, name) for st in stencils + [final] for name in ("base", "frac", "unclamped")]
+def _transport_arrays(eng):
+    """The maps and stencil arrays of the engine's last pass, in a fixed order."""
+    maps = [m.T for m in eng.workspace.maps]
+    return maps + [getattr(st, name) for st in eng.stencils + [eng.final] for name in ("base", "frac", "unclamped")]
 
 
 class TestWorkspace:
@@ -648,19 +649,40 @@ class TestWorkspace:
         pair = gen_rectangle(16, 2)
         I0, I1 = pair.template, pair.reference
         cfg = small_config()
-        eng = _make_engine(cfg, GRID16)
+        eng = _Engine(cfg, I0, I1)
         shape = eng.zero_theta().shape
-        first = eng.forward(0.4 * rng.standard_normal(shape), I0, I1)[1]
+        eng.forward(0.4 * rng.standard_normal(shape))
+        first = _transport_arrays(eng)
         M = 0.4 * rng.standard_normal(shape)
-        parts, second = eng.forward(M, I0, I1)
-        for a, b in zip(_transport_arrays(first), _transport_arrays(second), strict=True):
+        parts = eng.forward(M)
+        second = _transport_arrays(eng)
+        for a, b in zip(first, second, strict=True):
             assert np.shares_memory(a, b)
-        fresh = _make_engine(cfg, GRID16)
-        want_parts, want = fresh.forward(M, I0, I1)
+        fresh = _Engine(cfg, I0, I1)
+        want_parts = fresh.forward(M)
         assert parts == want_parts
-        for a, b in zip(_transport_arrays(second) + list(second[3:]), _transport_arrays(want) + list(want[3:]), strict=True):
+        for a, b in zip(second + [eng.gms, eng.resid], _transport_arrays(fresh) + [fresh.gms, fresh.resid], strict=True):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(eng.backward(M, I0, second), fresh.backward(M, I0, want))
+        np.testing.assert_array_equal(eng.backward(M), fresh.backward(M))
+
+    @pytest.mark.parametrize("before", ["fresh", "diverged", "spent"])
+    def test_backward_needs_a_pass_of_its_own(self, before):
+        # a gradient must come from the engine's last forward pass, once:
+        # a stale pass used to be accepted and to yield a wrong gradient
+        pair = gen_rectangle(16, 2)
+        eng = _Engine(small_config(), pair.template, pair.reference)
+        M = eng.zero_theta()
+        if before == "diverged":
+            eng.forward(M)
+            bad = M.copy()
+            bad[1, 3, 0, 0] = np.nan
+            with pytest.raises(DivergenceError):
+                eng.forward(bad)
+        elif before == "spent":
+            eng.forward(M)
+            eng.backward(M)
+        with pytest.raises(RuntimeError, match="backward needs a completed forward pass"):
+            eng.backward(M)
 
     def test_stencil_buffers_are_freed_before_the_result_copies(self, monkeypatch):
         # peak memory: psi_T is copied out, then the whole workspace goes before the forward push
@@ -749,8 +771,8 @@ class TestPyramid:
         # fine spacing, more than 1 physical unit once spacing > 2
         d = len(spacing)
         fine = GridGeometry((32 if d == 2 else 16,) * d, spacing, (0.0,) * d)
-        coarse = box_downsample(ScalarImage(fine, np.zeros(fine.dims))).geometry
-        eng = _make_engine(small_config(orders=orders, control_stride=2), coarse)
+        coarse = box_downsample(ScalarImage(fine, np.zeros(fine.dims)))
+        eng = _Engine(small_config(orders=orders, control_stride=2), coarse, coarse)
         fine_pts = control_lattice(fine, 2)
         n = eng.points.shape[0]
         cm = np.arange(1.0, eng.orders * d * n + 1).reshape(1, n, eng.orders, d)
@@ -855,3 +877,49 @@ class TestConfigRoundTrip:
         cfg = small_config(T=2.0, max_iters=np.int64(3), control_stride=4.0)
         assert (cfg.T, cfg.max_iters, cfg.control_stride) == (2, 3, 4)
         assert all(type(v) is int for v in (cfg.T, cfg.max_iters, cfg.control_stride))
+
+    @pytest.mark.parametrize(
+        "kw, named",
+        [(dict(pyramid="no"), "pyramid must be true or false, got 'no'"),
+         (dict(pyramid=1), "pyramid must be true or false, got 1"),
+         (dict(lambda0="0.1"), "lambda0 must be a real number, got '0.1'"),
+         (dict(lambda1=True), "lambda1 must be a real number, got True"),
+         (dict(reg_weight=None), "reg_weight must be a real number, got None"),
+         (dict(stop_rel_tol="x"), "stop_rel_tol must be a real number, got 'x'")],
+        ids=["pyramid_string", "pyramid_int", "lambda0_string", "lambda1_bool", "reg_weight_null", "tol_string"],
+    )
+    def test_value_types_checked(self, kw, named):
+        # "no" used to run the pyramid, and the others ended in a TypeError
+        data = {**config_to_dict(small_config()), **kw}
+        with pytest.raises(ValueError, match=named):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "scale, named",
+        [(None, "scale must be a real number, got None"), ("4", "scale must be a real number, got '4'"),
+         (True, "scale must be a real number, got True"), (float("inf"), "scale must be finite and positive, got inf"),
+         (float("nan"), "scale must be finite and positive, got nan")],
+        ids=["null", "string", "bool", "infinity", "nan"],
+    )
+    def test_kernel_scale_checked(self, scale, named):
+        data = config_to_dict(small_config())
+        data["kernel"]["scale"] = scale
+        with pytest.raises(ValueError, match=named):
+            config_from_dict(data)
+
+    def test_kernel_scale_becomes_a_float(self):
+        cfg = config_from_dict({"kernel": {"family": "gaussian", "scale": 4}, "lambda0": 0})
+        assert type(cfg.kernel.scale) is float and type(cfg.lambda0) is float
+        assert cfg.kernel == KernelSpec("gaussian", 4.0, 9)  # the window defaults in KernelSpec alone
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [({"T": 3}, "config missing required key 'kernel'"),
+         ({"kernel": {"scale": 4.0}}, "kernel missing required key 'family'"),
+         ({"kernel": {"family": "gaussian"}}, "kernel missing required key 'scale'")],
+        ids=["kernel", "family", "scale"],
+    )
+    def test_missing_key_named(self, data, named):
+        # a missing kernel used to surface as a bare KeyError, 'kernel'
+        with pytest.raises(ValueError, match=named):
+            config_from_dict(data)
