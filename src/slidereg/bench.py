@@ -28,6 +28,9 @@ from .geometry import (
     LandmarkSet,
     ScalarImage,
     VectorField,
+    _count,
+    _flag,
+    _real,
     interp_values,
     warp_image,
 )
@@ -95,9 +98,9 @@ def gen_rectangle(size: int = 64, shift: int = 5, antialias: bool = True) -> Rec
     The interface sits between rows ``size//2 - 1`` and ``size//2``. Twenty
     landmark pairs are placed five rows off the interface on both sides.
     """
-    if not shift < size / 4:
-        raise ValueError(f"shift {shift} too large for size {size} (needs shift < size/4)")
-    shift = int(shift)
+    size, shift, antialias = _count("size", size), _count("shift", shift), _flag("antialias", antialias)
+    if not 0 <= shift < size / 4:
+        raise ValueError(f"shift {shift} must lie in [0, size/4) for size {size}")
     yc = size // 2
     lo, hi = size // 4, 3 * size // 4
     template = np.zeros((size, size))
@@ -143,6 +146,7 @@ def gen_wheel(size: int = 64, angle_deg: float = 5.0, antialias: bool = True) ->
     :func:`radial_profile` and crosses all four axis poles on lines of the
     default control-point sublattice.
     """
+    size, angle_deg, antialias = _count("size", size), _real("angle_deg", angle_deg), _flag("antialias", antialias)
     if not 0 <= angle_deg < 45:
         raise ValueError(f"angle must lie in [0, 45) degrees, got {angle_deg}")
     geom = _unit_grid(size)
@@ -391,11 +395,15 @@ def _load_pair(spec: ExperimentSpec):
         return p.template, p.reference, p.landmarks_template, p.landmarks_reference, p.interface_row
     ds = _check_keys(spec.dataset, "dataset", ("template", "reference"),
                      ("sidecar", "template_landmarks", "reference_landmarks", "landmark_base"))
+    keys = ("template_landmarks", "reference_landmarks")
+    if (keys[0] in ds) != (keys[1] in ds):
+        given, missing = keys if keys[0] in ds else keys[::-1]
+        raise ValueError(f"dataset has {given!r} but is missing {missing!r}; give both landmark keys or neither")
+    base = _count("landmark_base", ds.get("landmark_base", 1))
     template = read_image(ds["template"], ds.get("sidecar"))
     reference = read_image(ds["reference"], ds.get("sidecar"))
     lms_t = lms_r = None
     if "template_landmarks" in ds:
-        base = int(ds.get("landmark_base", 1))
         lms_t = read_landmarks(ds["template_landmarks"], base, template.geometry.dims)
         lms_r = read_landmarks(ds["reference_landmarks"], base, reference.geometry.dims)
     return template, reference, lms_t, lms_r, None

@@ -172,6 +172,8 @@ def _cmd_nonsmooth_check(args) -> int:
             raise FormatError(f"{where} {key!r} must be a list of JSON objects, got {json.dumps(value)}")
     x0 = _numbers(where, doc, "x0", (None,))
     d = len(x0)
+    if d == 0:
+        raise FormatError(f"{where} 'x0' must hold at least one coordinate, got []")
     t, step, tol = (float(_numbers(where, doc, key, (), v)) for key, v in (("t", None), ("step", 1e-3), ("tol", 1e-3)))
     expected = _numbers(where, doc, "expected", (d, d)) if "expected" in doc else None
     boundaries = tuple(_scenario_boundary(where, b, d) for b in doc.get("boundaries", []))

@@ -101,7 +101,7 @@ def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) ->
 
 
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
-    """Integrate the forward and inverse maps at time 1 from per-step momenta."""
+    """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice."""
     asm = VelocityAssembler(spec, grid, tm.points)
     velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
     ws = _Workspace(grid, tm.T)

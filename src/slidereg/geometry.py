@@ -46,6 +46,13 @@ def _real(name: str, v) -> float:
     return float(v)
 
 
+def _flag(name: str, v) -> bool:
+    """``v`` if it is a bool; ``1``, ``"no"`` or ``None`` raise ValueError."""
+    if not isinstance(v, bool):
+        raise ValueError(f"{name} must be true or false, got {v!r}")
+    return v
+
+
 def _readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False

@@ -13,9 +13,9 @@ axis hyperplanes through the control point (sliding).
 
 Both kernel families are products of 1D factors and a slot-i derivative
 changes only the axis-i factor, so synthesis, its adjoint and the Gram
-apply are Kronecker products of small per-axis matrices over the lattice
-of the control points' unique coordinates: the points themselves for a
-regular control lattice, up to n^d nodes for n scattered points.
+apply are Kronecker products of small per-axis matrices over the control
+points, which must form a product lattice (see ``_Lattice``): a regular
+``control_lattice``, a single point, or a product of non-uniform axes.
 """
 from __future__ import annotations
 
@@ -155,30 +155,25 @@ def _unblock(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Lattice:
-    """Embedding of points in the product of their per-axis unique coordinates.
-
-    Momenta scatter onto the lattice (momenta sharing a point add up) and
-    adjoints gather back. Both are reshapes when the points already are
-    the lattice in C order, the layout of ``control_lattice``.
-    """
+    """A control-point set, which must be the C-order product of its per-axis unique
+    coordinates as ``control_lattice`` builds it (a single point is one node); a
+    scattered set, a repeated point or another order raises ValueError. Momenta
+    scatter onto the lattice and adjoints gather back by reshapes."""
 
     def __init__(self, points: np.ndarray):
         pairs = [np.unique(c, return_inverse=True) for c in np.asarray(points, float).T]
         self.axes = [u for u, _ in pairs]
         self.shape = tuple(u.size for u in self.axes)
         flat = np.ravel_multi_index(tuple(inv for _, inv in pairs), self.shape)
-        self.flat = None if np.array_equal(flat, np.arange(np.prod(self.shape))) else flat
+        if not np.array_equal(flat, np.arange(math.prod(self.shape))):
+            raise ValueError("control points must be the C-order product of their per-axis coordinates, as "
+                             "control_lattice builds them; scattered, repeated or reordered points are refused")
 
     def scatter(self, m: np.ndarray) -> np.ndarray:
-        if self.flat is not None:
-            out = np.zeros((int(np.prod(self.shape)),) + m.shape[1:])
-            np.add.at(out, self.flat, m)
-            m = out
         return m.reshape(self.shape + m.shape[1:])
 
     def gather(self, M: np.ndarray) -> np.ndarray:
-        M = M.reshape((-1,) + M.shape[len(self.shape):])
-        return M if self.flat is None else M[self.flat]
+        return M.reshape((-1,) + M.shape[len(self.shape):])
 
 
 class VelocityAssembler:
@@ -272,6 +267,6 @@ class KernelGrams:
 
 
 def synth_velocity(ms: MomentumSet, spec: KernelSpec, grid: GridGeometry) -> VectorField:
-    """Velocity field synthesized from zeroth- and first-order momenta."""
+    """Velocity field synthesized from zeroth- and first-order momenta on a product lattice."""
     v = VelocityAssembler(spec, grid, ms.points).velocity(_block(ms.m0, ms.m1))
     return VectorField(grid, v.reshape(grid.dims + (grid.ndim,)))

@@ -24,6 +24,7 @@ from .geometry import (
     ScalarImage,
     Stencil,
     _count,
+    _flag,
     _real,
     box_downsample,
     interp_values,  # noqa: F401 - perfbench's tests check that the tracer patches it here
@@ -88,8 +89,7 @@ class RegistrationConfig:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         for name in ("lambda0", "lambda1", "reg_weight", "stop_rel_tol"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not isinstance(self.pyramid, bool):
-            raise ValueError(f"pyramid must be true or false, got {self.pyramid!r}")
+        _flag("pyramid", self.pyramid)
         if self.orders not in ORDERS:
             raise ValueError(f"orders must be one of {ORDERS}, got {self.orders!r}")
         if self.T < 1:
@@ -176,7 +176,7 @@ def _sparsity_grad(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 class _Engine:
-    """Precomputed operators and the forward/backward energy pipeline of one image pair.
+    """Operators on the config's control lattice and the forward/backward energy pipeline of one image pair.
 
     The momenta of all T steps are one block M of shape (T, n, orders, d):
     ``M[..., 0, :]`` is the zeroth order and ``M[..., 1:, :]`` the
@@ -191,12 +191,12 @@ class _Engine:
     :meth:`backward` consumes and releases.
     """
 
-    def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage, points=None):
+    def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage):
         if I0.geometry.dims != I1.geometry.dims:
             raise ValueError(f"image dims differ: {I0.geometry.dims} vs {I1.geometry.dims}")
         grid = I0.geometry
         self.cfg, self.I0, self.I1, self.grid = cfg, I0, I1, grid
-        self.points = np.asarray(control_lattice(grid, cfg.control_stride) if points is None else points, float)
+        self.points = control_lattice(grid, cfg.control_stride)
         d = grid.ndim
         first_order = cfg.orders == "zeroth_and_first"
         self.orders = d + 1 if first_order else 1
@@ -257,10 +257,11 @@ class _Engine:
 
 
 def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage):
-    """Checked engine at the state's control points, and the state as its momentum block."""
-    if tm.T != cfg.T:
-        raise ValueError(f"momenta have T={tm.T} but config says T={cfg.T}")
-    eng = _Engine(cfg, I0, I1, tm.points)
+    """The config's engine for the images, and the state, checked against it, as its momentum block."""
+    eng = _Engine(cfg, I0, I1)
+    if tm.T != cfg.T or not np.array_equal(tm.points, eng.points):
+        raise ValueError(f"momenta must have the config's T={cfg.T} and lie on its control lattice of control_stride="
+                         f"{cfg.control_stride} ({len(eng.points)} points); got T={tm.T} and {len(tm.points)} points")
     return eng, np.stack([_block(ms.m0, ms.m1, eng.orders - 1) for ms in tm.steps])
 
 

@@ -66,6 +66,11 @@ class TestGenRectangle:
         with pytest.raises(ValueError):
             gen_rectangle(32, 8)
 
+    def test_negative_shift_rejected(self):
+        # a negative shift used to give identical images with a 2-px "true" map
+        with pytest.raises(ValueError, match=r"shift -2 must lie in \[0, size/4\)"):
+            gen_rectangle(16, -2)
+
 
 class TestGenWheel:
     def test_zero_angle_identical(self):

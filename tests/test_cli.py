@@ -426,9 +426,10 @@ class TestNonsmoothCheck:
          ({"pieces": [{"when": [], "b": [1.0, True]}]}, "scenario key 'b' must be numbers of shape [2]"),
          ({"pieces": {"when": []}}, "scenario key 'pieces' must be a list of JSON objects"),
          ({"boundaries": [{"kind": "static_circle", "center": [0.0, 0.0], "radius": 1.0, "sliding": "no"}],
-           "pieces": [{"when": [-1]}, {"when": [1]}]}, "scenario key 'sliding' must be true or false")],
+           "pieces": [{"when": [-1]}, {"when": [1]}]}, "scenario key 'sliding' must be true or false"),
+         ({"x0": []}, "scenario key 'x0' must hold at least one coordinate, got []")],
         ids=["top_level_list", "x0_number", "t_null", "t_string", "normal_3d", "expected_2x3", "b_bool",
-             "pieces_object", "sliding_string"],
+             "pieces_object", "sliding_string", "x0_empty"],
     )
     def test_scenario_shape_is_usage_error(self, tmp_path, capsys, scenario, named):
         # these used to end in AttributeError or TypeError tracebacks or in numpy's
@@ -458,6 +459,10 @@ class TestNonsmoothCheck:
         path.write_text(json.dumps(scenario))
         code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
         assert code in (0, 2)  # tangential start: either clean or flagged
+
+
+DATASET = {"template": "tpl.pgm", "reference": "ref.pgm"}
+LANDMARKS = {"template_landmarks": "tpl.txt", "reference_landmarks": "ref.txt"}
 
 
 class TestRun:
@@ -491,14 +496,32 @@ class TestRun:
          ({"methods": "gaussian"}, "experiment key 'methods' must be a list of strings, got \"gaussian\""),
          ({"name": None}, "experiment missing required key 'name'"),
          ({"out": None}, "experiment missing required key 'out'"),
-         ({"generator": None, "dataset": {"template": "tpl.pgm"}}, "dataset missing required key 'reference'")],
+         ({"generator": None, "dataset": {"template": "tpl.pgm"}}, "dataset missing required key 'reference'"),
+         ({"generator": {"kind": "rectangle", "size": "16"}}, "size must be an integer, got '16'"),
+         ({"generator": {"kind": "rectangle", "size": 16, "shift": 2.7}}, "shift must be an integer, got 2.7"),
+         ({"generator": {"kind": "wheel", "size": 16, "angle_deg": "5"}}, "angle_deg must be a real number, got '5'"),
+         ({"generator": {"kind": "rectangle", "size": 16, "antialias": "no"}},
+          "antialias must be true or false, got 'no'"),
+         ({"generator": None, "dataset": {**DATASET, "template_landmarks": "tpl.txt"}},
+          "dataset has 'template_landmarks' but is missing 'reference_landmarks'"),
+         ({"generator": None, "dataset": {**DATASET, "reference_landmarks": "ref.txt"}},
+          "dataset has 'reference_landmarks' but is missing 'template_landmarks'"),
+         ({"generator": None, "dataset": {**DATASET, **LANDMARKS, "landmark_base": "one"}},
+          "landmark_base must be an integer, got 'one'"),
+         ({"generator": None, "dataset": {**DATASET, **LANDMARKS, "landmark_base": 1.7}},
+          "landmark_base must be an integer, got 1.7")],
         ids=["generator_key_typo", "generator_kind_missing", "top_level_typo", "methods_string", "name_missing",
-             "out_missing", "dataset_reference_missing"],
+             "out_missing", "dataset_reference_missing", "size_string", "shift_fraction", "angle_string",
+             "antialias_string", "reference_landmarks_missing", "template_landmarks_missing", "landmark_base_string",
+             "landmark_base_fraction"],
     )
     def test_experiment_shape_is_usage_error(self, tmp_path, capsys, change, named):
         # a generator typo used to end in a TypeError traceback, "metods" ran all
         # three methods, "gaussian" was read as the methods 'g', 'a', ... and a
-        # missing name or dataset image printed only "error: 'name'" or "error: 'reference'"
+        # missing name or dataset image printed only "error: 'name'" or "error: 'reference'";
+        # a string size or angle ended in a TypeError traceback, shift 2.7 ran as 2,
+        # antialias "no" blurred, a lone landmark key printed "error: 'reference_landmarks'"
+        # and landmark_base 1.7 was read as 1
         doc = {
             "name": "mini",
             "out": str(tmp_path / "exp"),

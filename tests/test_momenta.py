@@ -8,6 +8,7 @@ from slidereg.momenta import (
     MomentumSet,
     TimeMomenta,
     VelocityAssembler,
+    _Lattice,
     _block,
     _unblock,
     control_lattice,
@@ -25,9 +26,18 @@ SMALL = KernelSpec("wendland_c0_mult", 2.0, 5)
 SMALL_GAUSS = KernelSpec("gaussian", 1.5, 5)
 
 
-def random_set(rng, n=4, lo=6.0, hi=17.0):
-    pts = rng.uniform(lo, hi, (n, 2))
-    return MomentumSet(pts, rng.standard_normal((n, 2)), rng.standard_normal((n, 2, 2)))
+def product_points(*axes):
+    """The C-order product of per-axis coordinates, as control_lattice lays out its points."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def random_lattice(rng, shape, lo=6.0, hi=17.0):
+    """A product lattice of ``shape`` with random, off-node, unevenly spaced axis coordinates."""
+    return product_points(*(np.sort(rng.uniform(lo, hi, k)) for k in shape))
+
+
+def random_set(rng, shape=(2, 2), lo=6.0, hi=17.0):
+    return random_momenta(rng, random_lattice(rng, shape, lo, hi))
 
 
 def random_momenta(rng, pts):
@@ -40,17 +50,34 @@ def with_duplicate(pts):
     return np.vstack([pts, pts[:1]])
 
 
-# (spec, grid, points) cases beyond the default 2D unit grid; the
-# gaussian window of the point at the origin is clipped by the boundary
+def f_order(pts):
+    """A C-order lattice's points reordered so that the first axis varies fastest."""
+    d = pts.shape[1]
+    dims = tuple(len(np.unique(c)) for c in pts.T)
+    return pts.reshape(dims + (d,)).transpose(tuple(reversed(range(d))) + (d,)).reshape(pts.shape)
+
+
+_AXES = np.random.default_rng(7)
+
+# (spec, grid, points) cases beyond the default 2D unit grid; the gaussian
+# windows of the points near the grid corners are clipped by the boundary
 OPERATOR_CASES = [
     pytest.param(WEND, GRID3, control_lattice(GRID3, 3), id="wendland-3d-lattice"),
     pytest.param(GAUSS, GRID3, control_lattice(GRID3, 3), id="gaussian-3d-lattice"),
     pytest.param(SMALL, ANISO, control_lattice(ANISO, 3), id="wendland-aniso-offset"),
     pytest.param(SMALL_GAUSS, ANISO, control_lattice(ANISO, 3), id="gaussian-aniso-offset"),
-    pytest.param(GAUSS, GRID, np.array([[0.0, 0.0], [1.4, 22.6], [12.0, 12.0]]), id="gaussian-clipped"),
+    pytest.param(GAUSS, GRID, product_points(*(_AXES.uniform([0.0, 9.0, 22.0], [1.0, 15.0, 23.0]) for _ in range(2))),
+                 id="gaussian-clipped"),
+]
+
+# sets that are not a C-order product lattice: every operator refuses them
+NON_LATTICE_CASES = [
     pytest.param(WEND, GRID, with_duplicate(control_lattice(GRID, 5)), id="wendland-duplicate"),
     pytest.param(GAUSS, GRID3, with_duplicate(control_lattice(GRID3, 4)), id="gaussian-3d-duplicate"),
+    pytest.param(WEND, GRID, _AXES.uniform(6.0, 17.0, (4, 2)), id="wendland-scattered"),
+    pytest.param(GAUSS, GRID3, f_order(control_lattice(GRID3, 3)), id="gaussian-3d-f-order"),
 ]
+NON_LATTICE = "C-order product of their per-axis coordinates"
 
 
 def footprint_oracle(spec, grid, ms):
@@ -107,7 +134,7 @@ class TestContainers:
 
 class TestSynthVelocity:
     def test_zero_momenta_zero_field(self, rng):
-        ms = MomentumSet.zeros(rng.uniform(4, 20, (5, 2)))
+        ms = MomentumSet.zeros(random_lattice(rng, (3, 2), 4.0, 20.0))
         v = synth_velocity(ms, WEND, GRID)
         assert np.all(v.vectors == 0.0)
 
@@ -139,7 +166,7 @@ class TestSynthVelocity:
         np.testing.assert_allclose(v2, 2 * v1, rtol=1e-13, atol=1e-15)
 
     def test_compact_locality(self, rng):
-        ms = random_set(rng, n=3, lo=8.0, hi=14.0)
+        ms = random_set(rng, (2, 2), 8.0, 14.0)
         v = synth_velocity(ms, WEND, GRID).vectors
         pos = GRID.node_positions()
         far = np.ones(GRID.dims, bool)
@@ -158,20 +185,17 @@ class TestSynthVelocity:
         [pytest.param(WEND, GRID, None, id="wendland-2d")] + OPERATOR_CASES,
     )
     def test_matches_brute_force_sum(self, spec, grid, points, rng):
-        ms = random_set(rng, n=3, lo=8.0, hi=15.0) if points is None else random_momenta(rng, points)
+        ms = random_set(rng, (3, 2), 8.0, 15.0) if points is None else random_momenta(rng, points)
         got = synth_velocity(ms, spec, grid).vectors.reshape(-1, grid.ndim)
         want = footprint_oracle(spec, grid, ms)
-        tol = dict(rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(got, want, **tol)
-        if points is not None and len(np.unique(points, axis=0)) < len(points):
-            # two momenta at one point synthesize as their sum
-            merged = MomentumSet(
-                points[:-1],
-                np.vstack([ms.m0[:1] + ms.m0[-1:], ms.m0[1:-1]]),
-                np.concatenate([ms.m1[:1] + ms.m1[-1:], ms.m1[1:-1]]),
-            )
-            again = synth_velocity(merged, spec, grid).vectors.reshape(-1, grid.ndim)
-            np.testing.assert_allclose(got, again, **tol)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
+    def test_refuses_non_lattice(self, spec, grid, points):
+        # a scattered set used to be embedded in the product of its coordinates,
+        # n^d nodes for n points, and repeated points had their momenta summed
+        with pytest.raises(ValueError, match=NON_LATTICE):
+            synth_velocity(MomentumSet.zeros(points), spec, grid)
 
 
 def gram_energy(ms, spec):
@@ -181,7 +205,7 @@ def gram_energy(ms, spec):
 
 class TestVEnergy:
     def test_zero_momenta(self, rng):
-        assert gram_energy(MomentumSet.zeros(rng.uniform(4, 20, (4, 2))), WEND) == 0.0
+        assert gram_energy(MomentumSet.zeros(random_lattice(rng, (2, 2), 4.0, 20.0)), WEND) == 0.0
 
     @pytest.mark.parametrize("spec", [WEND, GAUSS])
     def test_single_zeroth_momentum_norm(self, spec):
@@ -195,7 +219,7 @@ class TestVEnergy:
         + OPERATOR_CASES,
     )
     def test_matches_dense_gram_oracle(self, spec, grid, points, rng):
-        ms = random_set(rng, n=5) if points is None else random_momenta(rng, points)
+        ms = random_set(rng, (2, 3)) if points is None else random_momenta(rng, points)
         want = 0.0
         for k, y in enumerate(ms.points):  # one kernel column K(x_j, x_k) at a time
             want += ms.m0 @ ms.m0[k] @ eval_kernel_many(spec, ms.points, y)
@@ -206,19 +230,19 @@ class TestVEnergy:
     def test_gaussian_energy_nonnegative(self, rng):
         # the smooth family has a true positive-semidefinite per-order Gram
         for _ in range(20):
-            ms = random_set(rng, n=6)
+            ms = random_set(rng, (3, 2))
             scale = max(np.sum(ms.m0**2) + np.sum(ms.m1**2), 1.0)
             assert gram_energy(ms, GAUSS) >= -1e-8 * scale
 
     def test_wendland_zeroth_energy_nonnegative(self, rng):
         for _ in range(20):
-            ms = random_set(rng, n=6)
+            ms = random_set(rng, (3, 2))
             only0 = MomentumSet(ms.points, ms.m0, np.zeros_like(ms.m1))
             scale = max(np.sum(ms.m0**2), 1.0)
             assert gram_energy(only0, WEND) >= -1e-8 * scale
 
     def test_grams_grad_matches_quadratic_form(self, rng):
-        ms = random_set(rng, n=5)
+        ms = random_set(rng, (2, 3))
         grams = KernelGrams(WEND, ms.points)
         M = _block(ms.m0, ms.m1)
         G = grams.grad(M)
@@ -226,6 +250,11 @@ class TestVEnergy:
         D = rng.standard_normal(M.shape)
         dd = (grams.energy(M + eps * D) - grams.energy(M - eps * D)) / (2 * eps)
         assert float(np.sum(G * D)) == pytest.approx(dd, rel=1e-7)
+
+    @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
+    def test_refuses_non_lattice(self, spec, grid, points):
+        with pytest.raises(ValueError, match=NON_LATTICE):
+            KernelGrams(spec, points)
 
 
 class TestAssemblerAdjoint:
@@ -248,6 +277,33 @@ class TestAssemblerAdjoint:
         lhs = float(np.sum(v * vbar))
         rhs = float(np.sum(M * A))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
+    def test_refuses_non_lattice(self, spec, grid, points):
+        with pytest.raises(ValueError, match=NON_LATTICE):
+            VelocityAssembler(spec, grid, points)
+
+
+class TestLattice:
+    @pytest.mark.parametrize(
+        "points, shape",
+        [(control_lattice(GRID3, 3), (3, 3, 3)), (np.array([[3.5, 7.25]]), (1, 1)),
+         (product_points([0.5, 2.0, 9.75], [1.0, 1.5]), (3, 2))],
+        ids=["control-lattice", "single-point", "non-uniform-product"],
+    )
+    def test_scatter_and_gather_are_reshapes(self, points, shape, rng):
+        lattice = _Lattice(points)
+        assert lattice.shape == shape
+        for a, u in enumerate(lattice.axes):
+            np.testing.assert_array_equal(u, np.unique(points[:, a]))
+        m = rng.standard_normal((len(points), 4, 2))
+        np.testing.assert_array_equal(lattice.scatter(m), m.reshape(shape + (4, 2)))
+        np.testing.assert_array_equal(lattice.gather(lattice.scatter(m)), m)
+
+    @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
+    def test_refuses_non_lattice(self, spec, grid, points):
+        with pytest.raises(ValueError, match=NON_LATTICE):
+            _Lattice(points)
 
 
 class TestLatticeScale:

@@ -217,6 +217,22 @@ class TestTotalEnergy:
         with pytest.raises(DivergenceError):
             eng.forward(M)
 
+    @pytest.mark.parametrize("fn", [total_energy, gradient], ids=["total_energy", "gradient"])
+    @pytest.mark.parametrize(
+        "points", [control_lattice(GRID16, 2), control_lattice(GRID16, 4) + 1.0], ids=["stride_2", "shifted_lattice"]
+    )
+    def test_momenta_off_the_config_lattice_are_refused(self, fn, points):
+        # stride-2 momenta under a stride-4 config used to run the stride-2 model,
+        # while optimize under that config solves on stride 4
+        pair = gen_rectangle(16, 2)
+        with pytest.raises(ValueError, match="control_stride=4"):
+            fn(small_config(), TimeMomenta.zeros(points, 3), pair.template, pair.reference)
+
+    def test_momenta_of_another_T_are_refused(self):
+        pair = gen_rectangle(16, 2)
+        with pytest.raises(ValueError, match="T=3"):
+            total_energy(small_config(), TimeMomenta.zeros(control_lattice(GRID16, 4), 5), pair.template, pair.reference)
+
 
 class TestGradient:
     def test_zero_at_global_minimum(self):
