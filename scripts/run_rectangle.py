@@ -33,8 +33,7 @@ def main():
         methods=("gaussian", "wendland_zeroth", "wendland_both"),
         generator={"kind": "rectangle", "size": args.size, "shift": args.shift},
     )
-    report = run_experiment(spec)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(run_experiment(spec), indent=2))
 
 
 if __name__ == "__main__":

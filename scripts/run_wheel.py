@@ -36,8 +36,7 @@ def main():
         generator={"kind": "wheel", "size": args.size, "angle_deg": args.angle,
                    "antialias": False},
     )
-    report = run_experiment(spec)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(run_experiment(spec), indent=2))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ Both return the analytic ground-truth (inverse) map alongside the images.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import inspect
 import json
 import os
@@ -41,7 +40,6 @@ __all__ = [
     "RectanglePair",
     "WheelPair",
     "ExperimentSpec",
-    "MetricsReport",
     "gen_rectangle",
     "gen_wheel",
     "tre",
@@ -193,11 +191,18 @@ def tre(ref_lms: LandmarkSet, tpl_lms: LandmarkSet, spacing, dmap: DeformationMa
 
     With no map the landmarks are compared in place (before-registration
     error). Landmark coordinates are voxel indices; spacing converts the
-    differences to physical units (mm for CT data).
+    differences to physical units (mm for CT data). Both landmark sets, the
+    spacing and the map must have one dimension.
     """
     if len(ref_lms) != len(tpl_lms):
         raise ValueError(f"landmark counts differ: {len(ref_lms)} vs {len(tpl_lms)}")
     spacing = np.asarray(spacing, float)
+    dims = {"reference landmarks": ref_lms.points.shape[1], "template landmarks": tpl_lms.points.shape[1],
+            "spacing": spacing.size}
+    if dmap is not None:
+        dims["map"] = dmap.geometry.ndim
+    if len(set(dims.values())) > 1:
+        raise ValueError("dimensions differ: " + ", ".join(f"{k} {v}" for k, v in dims.items()))
     p_ref = ref_lms.points
     if dmap is None:
         mapped = p_ref
@@ -357,23 +362,6 @@ class ExperimentSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    ssd_before: float
-    ssd_after: dict
-    tre_before_mm: float | None
-    tre_after_mm: dict | None
-    transition_width_rows: dict | None
-    jacobian_min: dict
-    fold_count: dict
-    stop_reason: dict
-    iterations: dict
-    forward_passes: dict
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def _method_config(base: reg.RegistrationConfig, method: str) -> reg.RegistrationConfig:
     family, orders = METHODS[method]
     kernel = KernelSpec(family, base.kernel.scale, base.kernel.window)
@@ -426,10 +414,15 @@ def _write_pgm_view(path: str, geom: GridGeometry, values: np.ndarray) -> None:
 
 
 def write_registration_artifacts(out: str, result: reg.RegistrationResult) -> dict:
-    """Write the warped image, deformation magnitude and deformed grid (PGM) and the energy trace (CSV).
+    """Write the warped image, deformation magnitude and deformed grid (PGM),
+    the energy trace (CSV) and ``summary.json``; returns the summary.
 
     The trace has one row per iterate; from row 1 on it also gives the
-    accepted line-search step ``alpha`` and the ``candidates`` tried."""
+    accepted line-search step ``alpha`` and the ``candidates`` tried. The
+    summary holds the solver's stop facts, the first and last SSD and total
+    energy, the magnitude image's ``magnitude_scale``, and the forward map's
+    ``jacobian_min`` and ``fold_count`` (nodes with determinant <= 0) over
+    the sample of :func:`_interior_jacobian_dets`, both None when it is empty."""
     os.makedirs(out, exist_ok=True)
     geom = result.warped.geometry
     _write_pgm_view(os.path.join(out, "warped.pgm"), geom, np.clip(result.warped.values, 0, 255))
@@ -449,12 +442,31 @@ def write_registration_artifacts(out: str, result: reg.RegistrationResult) -> di
         writer.writerow([0, *map(repr, result.energy_trace[0]), "", ""])
         for i, (p, step) in enumerate(zip(result.energy_trace[1:], result.line_search), 1):
             writer.writerow([i, *map(repr, p), repr(step.alpha), step.candidates])
-    return {"magnitude_scale": scale}
+
+    first, last = result.energy_trace[0], result.energy_trace[-1]
+    dets = _interior_jacobian_dets(result.flow.final)
+    summary = {
+        "iterations": result.iterations_used,
+        "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "forward_passes": result.forward_passes,
+        "ssd_initial": first.similarity,
+        "ssd_final": last.similarity,
+        "total_initial": first.total,
+        "total_final": last.total,
+        "magnitude_scale": scale,
+        "jacobian_min": float(dets.min()) if dets.size else None,
+        "fold_count": int(np.count_nonzero(dets <= 0.0)) if dets.size else None,
+    }
+    with open(os.path.join(out, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2)
+    return summary
 
 
 def _interior_jacobian_dets(dmap: DeformationMap) -> np.ndarray:
     """Jacobian determinants at every ``min(dims) // 32``-th node two or more
-    from each face; the central differences equal ``jacobian_fd`` at h = spacing/2."""
+    from each face (none when an axis has fewer than 5 nodes); the central
+    differences equal ``jacobian_fd`` at h = spacing/2."""
     geom = dmap.geometry
     step = max(1, min(geom.dims) // 32)
     sl = tuple(slice(2, n - 2, step) for n in geom.dims)
@@ -462,70 +474,45 @@ def _interior_jacobian_dets(dmap: DeformationMap) -> np.ndarray:
     return np.linalg.det(np.stack(grads, axis=-1)[sl]).ravel()  # J[..., c, a] = d target_c / d x_a
 
 
-def run_experiment(spec: ExperimentSpec) -> MetricsReport:
-    """Run every method of an experiment, writing artifacts and a report.
+def run_experiment(spec: ExperimentSpec) -> dict:
+    """Run every method of an experiment, writing artifacts and a report; returns the report.
 
-    Per-method subdirectories receive the warped image, deformation
-    magnitude and deformed grid (PGM), and the energy trace (CSV); the
-    experiment root receives ``report.json``. Partial artifacts are
-    removed when any method fails.
+    Each method's subdirectory receives what
+    :func:`write_registration_artifacts` writes. The report holds the
+    experiment's ``name`` and ``methods``, ``ssd_before`` and
+    ``tre_before_mm`` (None without landmarks), and ``runs``: per method its
+    summary, plus ``tre_mm`` when the source has landmarks and
+    ``transition_width_rows`` when it has an interface row. It is written
+    unchanged to ``report.json`` in the experiment root. Partial artifacts
+    are removed when any method fails.
     """
     template, reference, lms_t, lms_r, interface_row = _load_pair(spec)
+    spacing = np.asarray(template.geometry.spacing)
+    report = {
+        "name": spec.name,
+        "methods": list(spec.methods),
+        "ssd_before": reg.ssd(template, reference),
+        "tre_before_mm": tre(lms_r, lms_t, spacing) if lms_t is not None else None,
+        "runs": {},
+    }
     out_root = os.path.join(spec.out_dir, spec.name)
     existed = os.path.isdir(out_root)
     os.makedirs(out_root, exist_ok=True)
     created = []
-
-    spacing = np.asarray(template.geometry.spacing)
-    ssd_before = reg.ssd(template, reference)
-    tre_before = tre(lms_r, lms_t, spacing) if lms_t is not None else None
-
-    ssd_after: dict = {}
-    tre_after: dict = {}
-    widths: dict = {}
-    jac_min: dict = {}
-    folds: dict = {}
-    stops: dict = {}
-    iters: dict = {}
-    passes: dict = {}
-    extras: dict = {}
     try:
         for method in spec.methods:
-            cfg = _method_config(spec.config, method)
-            result = reg.optimize(cfg, template, reference)
+            result = reg.optimize(_method_config(spec.config, method), template, reference)
             mdir = os.path.join(out_root, method)
             created.append(mdir)
-            extras[method] = write_registration_artifacts(mdir, result)
-            ssd_after[method] = reg.ssd(result.warped, reference)
-            dets = _interior_jacobian_dets(result.flow.final)
-            jac_min[method] = float(dets.min())
-            folds[method] = int(np.count_nonzero(dets <= 0.0))
-            stops[method], iters[method] = result.stop_reason, result.iterations_used
-            passes[method] = result.forward_passes
+            run = report["runs"][method] = write_registration_artifacts(mdir, result)
             if lms_t is not None:
-                tre_after[method] = tre(lms_r, lms_t, spacing, result.flow.final_inverse)
+                run["tre_mm"] = tre(lms_r, lms_t, spacing, result.flow.final_inverse)
             if interface_row is not None:
-                widths[method] = transition_width(result.flow.final_inverse, 0, interface_row)
-        report = MetricsReport(
-            ssd_before=ssd_before,
-            ssd_after=ssd_after,
-            tre_before_mm=tre_before,
-            tre_after_mm=tre_after or None,
-            transition_width_rows=widths or None,
-            jacobian_min=jac_min,
-            fold_count=folds,
-            stop_reason=stops,
-            iterations=iters,
-            forward_passes=passes,
-        )
-        payload = report.to_dict()
-        payload["name"] = spec.name
-        payload["methods"] = list(spec.methods)
-        payload["artifact_scales"] = extras
+                run["transition_width_rows"] = transition_width(result.flow.final_inverse, 0, interface_row)
         path = os.path.join(out_root, "report.json")
         created.append(path)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(report, indent=2) + "\n")
         return report
     except Exception:
         for path in created:

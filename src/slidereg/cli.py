@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from .errors import (
     TangentialCrossingError,
 )
 from .fileio import _check_keys, _numbers
-from .geometry import ScalarImage
+from .geometry import DeformationMap, GridGeometry, ScalarImage
 
 NUMERICAL_ERRORS = (
     DivergenceError,
@@ -63,7 +64,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--ref-lms", required=True)
     t.add_argument("--tpl-lms", required=True)
     t.add_argument("--spacing", required=True, help="comma-separated, e.g. 0.97,0.97,2.5")
-    t.add_argument("--map", dest="map_path", help="npy file with map targets (dims + (d,))")
+    t.add_argument("--map", dest="map_path", help="npy map targets (dims + (d,)); grid from its sidecar if any")
     t.add_argument("--index-base", type=int, default=1, choices=[0, 1])
 
     n = sub.add_parser("nonsmooth-check", help="run a switching-flow scenario file")
@@ -103,23 +104,11 @@ def _cmd_register(args) -> int:
     template = fileio.read_image(args.template)
     reference = fileio.read_image(args.reference)
     result = reg.optimize(cfg, template, reference)
-    os.makedirs(args.out, exist_ok=True)
-    scales = bench.write_registration_artifacts(args.out, result)
-    np.save(os.path.join(args.out, "inverse_map.npy"), result.flow.final_inverse.targets)
-    first, last = result.energy_trace[0], result.energy_trace[-1]
-    summary = {
-        "iterations": result.iterations_used,
-        "converged": result.converged,
-        "stop_reason": result.stop_reason,
-        "forward_passes": result.forward_passes,
-        "ssd_initial": first.similarity,
-        "ssd_final": last.similarity,
-        "total_initial": first.total,
-        "total_final": last.total,
-        "magnitude_scale": scales["magnitude_scale"],
-    }
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    summary = bench.write_registration_artifacts(args.out, result)
+    inverse = result.flow.final_inverse
+    np.save(os.path.join(args.out, "inverse_map.npy"), inverse.targets)
+    with open(os.path.join(args.out, "inverse_map.json"), "w") as fh:
+        json.dump(dataclasses.asdict(inverse.geometry), fh)
     print(json.dumps(summary))
     return 0
 
@@ -131,17 +120,22 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_tre(args) -> int:
-    spacing = [float(s) for s in args.spacing.split(",")]
-    ref = fileio.read_landmarks(args.ref_lms, args.index_base)
-    tpl = fileio.read_landmarks(args.tpl_lms, args.index_base)
-    dmap = None
+    spacing = tuple(float(s) for s in args.spacing.split(","))
+    dmap = dims = None
     if args.map_path:
-        from .geometry import DeformationMap, GridGeometry
-
         targets = np.load(args.map_path)
-        dims = targets.shape[:-1]
-        geom = GridGeometry(dims, tuple(spacing), (0.0,) * len(dims))
+        sidecar = fileio._sidecar_path(args.map_path)
+        if os.path.exists(sidecar):
+            geom = fileio._read_sidecar(sidecar)
+            if geom.spacing != spacing:
+                raise ValueError(f"--spacing {list(spacing)} disagrees with the map's sidecar {sidecar} "
+                                 f"spacing {list(geom.spacing)}")
+        else:
+            geom = GridGeometry(targets.shape[:-1], spacing, (0.0,) * (targets.ndim - 1))
         dmap = DeformationMap(geom, targets, "inverse")
+        dims = geom.dims
+    ref = fileio.read_landmarks(args.ref_lms, args.index_base, dims)
+    tpl = fileio.read_landmarks(args.tpl_lms, args.index_base, dims)
     value = bench.tre(ref, tpl, spacing, dmap)
     print(json.dumps({"tre_mm": value, "points": len(ref)}))
     return 0
@@ -212,8 +206,7 @@ def _cmd_run(args) -> int:
         generator=doc.get("generator"),
         dataset=doc.get("dataset"),
     )
-    report = bench.run_experiment(spec)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(bench.run_experiment(spec), indent=2))
     return 0
 
 

@@ -137,9 +137,8 @@ def _numbers(where: str, doc: dict, key: str, shape: tuple, default=None) -> np.
     return a.astype(float)
 
 
-def read_raw16(path, meta_path) -> ScalarImage:
-    """Read a little-endian int16 volume described by a JSON sidecar."""
-    path = os.fspath(path)
+def _read_sidecar(meta_path) -> GridGeometry:
+    """The grid a raw16 JSON sidecar describes."""
     meta_path = os.fspath(meta_path)
     try:
         with open(meta_path) as fh:
@@ -154,20 +153,31 @@ def read_raw16(path, meta_path) -> ScalarImage:
         dims = tuple(_count("dims", n) for n in meta["dims"])
     except ValueError as exc:
         raise FormatError(f"{meta_path}: sidecar {exc}") from None
-    spacing = tuple(float(s) for s in meta["spacing"])
-    origin = tuple(float(o) for o in meta.get("origin", [0.0] * len(dims)))
     endian = meta.get("endianness", "little")
     if endian != "little":
         raise FormatError(f"{meta_path}: unsupported endianness {endian!r}")
-    need = int(np.prod(dims)) * 2
+    return GridGeometry(dims, meta["spacing"], meta.get("origin", [0.0] * len(dims)))
+
+
+def read_raw16(path, meta_path) -> ScalarImage:
+    """Read a little-endian int16 volume described by a JSON sidecar."""
+    path = os.fspath(path)
+    geom = _read_sidecar(meta_path)
+    need = geom.node_count * 2
     size = os.path.getsize(path)
     if size != need:
         raise FormatError(
-            f"{path}: file is {size} bytes but sidecar dims {dims} require {need}"
+            f"{path}: file is {size} bytes but sidecar dims {geom.dims} require {need}"
             f" (mismatch from byte {min(size, need)})"
         )
-    values = np.fromfile(path, dtype="<i2").astype(float).reshape(dims)
-    return ScalarImage(GridGeometry(dims, spacing, origin), values)
+    values = np.fromfile(path, dtype="<i2").astype(float).reshape(geom.dims)
+    return ScalarImage(geom, values)
+
+
+def _sidecar_path(path: str) -> str:
+    """``<path>.json`` if it exists, else ``<stem>.json``."""
+    sidecar = path + ".json"
+    return sidecar if os.path.exists(sidecar) else os.path.splitext(path)[0] + ".json"
 
 
 def read_image(path, sidecar=None) -> ScalarImage:
@@ -176,18 +186,15 @@ def read_image(path, sidecar=None) -> ScalarImage:
     path = os.fspath(path)
     if path.endswith(".pgm"):
         return read_pgm(path)
-    if sidecar is None:
-        sidecar = path + ".json"
-        if not os.path.exists(sidecar):
-            sidecar = os.path.splitext(path)[0] + ".json"
-    return read_raw16(path, sidecar)
+    return read_raw16(path, _sidecar_path(path) if sidecar is None else sidecar)
 
 
 def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:
     """Read whitespace-separated landmark coordinates, one point per line.
 
     ``index_base`` is subtracted so stored points are 0-based. If ``dims``
-    is given, every normalized point is bounds-checked against the grid.
+    is given, every point must have ``len(dims)`` coordinates and is
+    bounds-checked against the grid.
     """
     path = os.fspath(path)
     rows = []
@@ -203,8 +210,11 @@ def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:
                 raise FormatError(f"{path}: non-numeric landmark on line {lineno}") from None
             if width is None:
                 width = len(coords)
-                if width not in (2, 3):
-                    raise FormatError(f"{path}: line {lineno} has {width} coordinates, need 2 or 3")
+                need = (2, 3) if dims is None else (len(dims),)
+                if width not in need:
+                    raise FormatError(
+                        f"{path}: line {lineno} has {width} coordinates, need {' or '.join(map(str, need))}"
+                    )
             elif len(coords) != width:
                 raise FormatError(
                     f"{path}: line {lineno} has {len(coords)} coordinates, expected {width}"

@@ -151,8 +151,8 @@ class RegistrationResult:
 
 def ssd(a: ScalarImage, b: ScalarImage) -> float:
     """Half mean squared intensity difference, (1/2N) sum (a - b)^2."""
-    if a.geometry.dims != b.geometry.dims:
-        raise ValueError(f"geometry mismatch: {a.geometry.dims} vs {b.geometry.dims}")
+    if a.geometry != b.geometry:
+        raise ValueError(f"geometry mismatch: {a.geometry} vs {b.geometry}")
     diff = a.values - b.values
     return 0.5 * float(np.mean(diff * diff))
 
@@ -192,8 +192,8 @@ class _Engine:
     """
 
     def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage):
-        if I0.geometry.dims != I1.geometry.dims:
-            raise ValueError(f"image dims differ: {I0.geometry.dims} vs {I1.geometry.dims}")
+        if I0.geometry != I1.geometry:
+            raise ValueError(f"image geometries differ: template {I0.geometry} vs reference {I1.geometry}")
         grid = I0.geometry
         self.cfg, self.I0, self.I1, self.grid = cfg, I0, I1, grid
         self.points = control_lattice(grid, cfg.control_stride)

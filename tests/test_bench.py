@@ -152,6 +152,22 @@ class TestTRE:
         with pytest.raises(ValueError):
             tre(a, b, (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "ref_d, tpl_d, spacing, map_d, named",
+        [(2, 2, (1.0, 1.0, 1.0), None, "reference landmarks 2, template landmarks 2, spacing 3"),
+         (3, 3, (1.0, 1.0, 1.0), 2, "spacing 3, map 2"),
+         (2, 3, (1.0, 1.0), None, "reference landmarks 2, template landmarks 3")],
+        ids=["spacing", "map", "landmarks"],
+    )
+    def test_dimension_mismatch_named(self, rng, ref_d, tpl_d, spacing, map_d, named):
+        # each used to end in numpy's "operands could not be broadcast together"
+        a = LandmarkSet(rng.uniform(0, 7, (4, ref_d)))
+        b = LandmarkSet(rng.uniform(0, 7, (4, tpl_d)))
+        dmap = identity_map(GridGeometry((8,) * map_d, (1.0,) * map_d, (0.0,) * map_d), "inverse") if map_d else None
+        with pytest.raises(ValueError, match="dimensions differ") as exc:
+            tre(a, b, spacing, dmap)
+        assert named in str(exc.value)
+
     def test_map_moves_landmarks(self):
         geom = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
         targets = geom.node_positions() - np.array([0.0, 2.0])
@@ -359,15 +375,16 @@ class TestRunExperiment:
             generator={"kind": "rectangle", "size": 32, "shift": 0},
         )
         report = run_experiment(spec)
-        assert report.ssd_before == 0.0
-        assert report.ssd_after["gaussian"] == pytest.approx(0.0, abs=1e-12)
+        assert report["ssd_before"] == 0.0
+        assert report["runs"]["gaussian"]["ssd_final"] == pytest.approx(0.0, abs=1e-12)
         payload = json.loads((tmp_path / "null" / "report.json").read_text())
         assert payload["ssd_before"] == 0.0
-        assert payload["fold_count"] == {"gaussian": 0}
-        assert payload["stop_reason"] == {"gaussian": "gradient_zero"}
-        assert payload["iterations"] == {"gaussian": 0}
-        assert payload["forward_passes"] == {"gaussian": 1}
-        assert payload["jacobian_min"]["gaussian"] == pytest.approx(1.0)
+        run = payload["runs"]["gaussian"]
+        assert run["fold_count"] == 0
+        assert run["stop_reason"] == "gradient_zero"
+        assert run["iterations"] == 0
+        assert run["forward_passes"] == 1
+        assert run["jacobian_min"] == pytest.approx(1.0)
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm", "trace.csv"):
             assert (tmp_path / "null" / "gaussian" / artifact).exists()
 
@@ -382,12 +399,12 @@ class TestRunExperiment:
         report = run_experiment(spec)
         lines = (tmp_path / "small" / "gaussian" / "trace.csv").read_text().splitlines()
         assert lines[0] == "iter,E_S,E_R,sparsity,total,alpha,candidates"
-        assert len(lines) == 2 + report.iterations["gaussian"]
+        assert len(lines) == 2 + report["runs"]["gaussian"]["iterations"]
         rows = list(csv.reader(lines[1:]))
         assert rows[0][5:] == ["", ""]  # the initial energy has no line search
         candidates = [int(row[6]) for row in rows[1:]]
         assert all(float(row[5]) > 0.0 for row in rows[1:]) and min(candidates) >= 1
-        assert report.forward_passes["gaussian"] == 1 + sum(candidates)
+        assert report["runs"]["gaussian"]["forward_passes"] == 1 + sum(candidates)
 
     def test_dataset_pgm_pair_with_one_based_landmarks(self, tmp_path):
         pair = gen_rectangle(32, 2)
@@ -409,13 +426,13 @@ class TestRunExperiment:
         )
         report = run_experiment(spec)
         # the generator's 0-based landmarks sit 2 px apart along the rows
-        assert report.tre_before_mm == pytest.approx(2.0)
-        assert set(report.tre_after_mm) == {"wendland_both"}
-        assert report.transition_width_rows is None
+        assert report["tre_before_mm"] == pytest.approx(2.0)
+        assert set(report["runs"]) == {"wendland_both"} and "tre_mm" in report["runs"]["wendland_both"]
+        assert "transition_width_rows" not in report["runs"]["wendland_both"]
         payload = json.loads((tmp_path / "out" / "pgm" / "report.json").read_text())
-        assert payload["tre_after_mm"] == report.tre_after_mm
-        assert payload["iterations"]["wendland_both"] == 3
-        assert payload["stop_reason"]["wendland_both"] == "max_iters"
+        assert payload["runs"]["wendland_both"]["tre_mm"] == report["runs"]["wendland_both"]["tre_mm"]
+        assert payload["runs"]["wendland_both"]["iterations"] == 3
+        assert payload["runs"]["wendland_both"]["stop_reason"] == "max_iters"
 
     def test_dataset_raw16_pair_with_stem_sidecars(self, tmp_path, write_raw16):
         pair = gen_rectangle(24, 2)
@@ -428,9 +445,9 @@ class TestRunExperiment:
         )
         report = run_experiment(spec)
         expected = 0.5 * np.mean((np.rint(pair.template.values) - np.rint(pair.reference.values)) ** 2)
-        assert report.ssd_before == pytest.approx(expected)
-        assert report.ssd_after["gaussian"] < report.ssd_before
-        assert report.tre_before_mm is None and report.tre_after_mm is None
+        assert report["ssd_before"] == pytest.approx(expected)
+        assert report["runs"]["gaussian"]["ssd_final"] < report["ssd_before"]
+        assert report["tre_before_mm"] is None and "tre_mm" not in report["runs"]["gaussian"]
         assert (tmp_path / "out" / "raw" / "gaussian" / "warped.pgm").exists()
 
     def test_dataset_raw16_volume(self, tmp_path, write_raw16):
@@ -445,8 +462,8 @@ class TestRunExperiment:
             dataset={"template": str(tpl), "reference": str(ref)},
         )
         report = run_experiment(spec)
-        assert report.ssd_after["gaussian"] < report.ssd_before
-        assert report.fold_count["gaussian"] == 0
+        assert report["runs"]["gaussian"]["ssd_final"] < report["ssd_before"]
+        assert report["runs"]["gaussian"]["fold_count"] == 0
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm"):
             assert read_pgm(tmp_path / "out" / "vol" / "gaussian" / artifact).geometry.dims == (16, 16)
 

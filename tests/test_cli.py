@@ -6,6 +6,7 @@ import pytest
 from slidereg.bench import gen_rectangle
 from slidereg.cli import main
 from slidereg.fileio import read_pgm
+from slidereg.geometry import GridGeometry
 
 
 def run(argv, capsys):
@@ -32,6 +33,10 @@ def register_with(tmp_path, capsys, config=None, **settings):
         capsys,
     )
     return code, err, out_dir
+
+
+SUMMARY_KEYS = ["iterations", "converged", "stop_reason", "forward_passes", "ssd_initial", "ssd_final",
+                "total_initial", "total_final", "magnitude_scale", "jacobian_min", "fold_count"]
 
 
 def register_raw16(tmp_path, capsys, write_raw16, **sidecar):
@@ -165,6 +170,44 @@ class TestRegister:
         assert np.load(out_dir / "inverse_map.npy").shape == (8, 16, 16, 3)
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm"):
             assert read_pgm(out_dir / artifact).geometry.dims == (16, 16)
+
+    def test_summary_holds_fold_statistics(self, tmp_path, capsys):
+        # stdout, summary.json and a run's per-method summary are one document
+        code, _, out_dir = register_with(tmp_path, capsys, kernel={"family": "wendland_c0_mult", "scale": 4.0})
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert list(summary) == SUMMARY_KEYS
+        assert summary["fold_count"] == 0 and 0.0 < summary["jacobian_min"] < 2.0
+        assert json.loads((out_dir / "inverse_map.json").read_text()) == {
+            "dims": [16, 16], "spacing": [1.0, 1.0], "origin": [0.0, 0.0]}
+
+    def test_four_by_four_pair(self, tmp_path, capsys):
+        # no node lies two from each face, so there are no fold statistics;
+        # this used to end in "zero-size array to reduction operation minimum"
+        data = tmp_path / "data"
+        assert run(["synth", "rectangle", "--size", "4", "--shift", "0", "--out", str(data)], capsys)[0] == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 2,
+                                        "control_stride": 4}))
+        code, out, err = run(
+            ["register", "--template", str(data / "template.pgm"), "--reference", str(data / "reference.pgm"),
+             "--config", str(cfg_path), "--out", str(tmp_path / "result")],
+            capsys,
+        )
+        assert code == 0, err
+        summary = json.loads(out)
+        assert summary["jacobian_min"] is None and summary["fold_count"] is None
+        assert json.loads((tmp_path / "result" / "summary.json").read_text()) == summary
+
+    @pytest.mark.parametrize("sidecar", [{"spacing": [2.0, 2.0, 2.0]}, {"origin": [5.0, 5.0, 5.0]}],
+                             ids=["spacing", "origin"])
+    def test_pair_of_different_geometry_is_usage_error(self, tmp_path, capsys, write_raw16, sidecar):
+        # two sidecars that differ used to register silently in the template's geometry
+        code, out, err, out_dir = register_raw16(tmp_path, capsys, write_raw16, **sidecar)
+        assert code == 1
+        assert err.startswith("error: image geometries differ") and "Traceback" not in err and out == ""
+        assert "GridGeometry(dims=(12, 12, 12), spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0))" in err
+        assert not out_dir.exists()
 
     def test_invalid_line_search_config_is_usage_error(self, tmp_path, capsys):
         # a negative tolerance would make the relative-decrease stop meaningless
@@ -306,6 +349,75 @@ class TestTre:
         payload = json.loads(out)
         assert payload["tre_mm"] == pytest.approx(1.5)
         assert payload["points"] == 2
+
+
+    @staticmethod
+    def identity_registration(tmp_path, capsys, write_raw16):
+        """``register`` an identical 16^2 raw16 pair whose sidecars put the
+        origin at (3, 3): zero iterations, so the map is the identity; returns
+        the map path and landmark files holding the same three points."""
+        vals = np.zeros((16, 16))
+        vals[4:12, 4:12] = 200
+        for stem in ("tpl", "ref"):
+            write_raw16(tmp_path / stem, vals, (1.0, 1.0))
+            (tmp_path / f"{stem}.json").write_text(json.dumps({"dims": [16, 16], "spacing": [1, 1], "origin": [3, 3]}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 2,
+                                        "control_stride": 4}))
+        code, out, err = run(["register", "--template", str(tmp_path / "tpl.raw"), "--reference",
+                              str(tmp_path / "ref.raw"), "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                             capsys)
+        assert code == 0 and json.loads(out)["stop_reason"] == "gradient_zero", err
+        lms = tmp_path / "lms.txt"
+        lms.write_text("5 5\n9 12\n14 3\n")
+        return tmp_path / "out" / "inverse_map.npy", lms
+
+    def test_map_takes_its_sidecar_origin(self, tmp_path, capsys, write_raw16):
+        # the map's grid used to sit at origin 0, so an identity map read 4.24 mm
+        map_path, lms = self.identity_registration(tmp_path, capsys, write_raw16)
+        code, out, err = run(["tre", "--ref-lms", str(lms), "--tpl-lms", str(lms), "--spacing", "1,1",
+                              "--map", str(map_path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["tre_mm"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_spacing_that_disagrees_with_map_sidecar_is_usage_error(self, tmp_path, capsys, write_raw16):
+        map_path, lms = self.identity_registration(tmp_path, capsys, write_raw16)
+        code, out, err = run(["tre", "--ref-lms", str(lms), "--tpl-lms", str(lms), "--spacing", "2,2",
+                              "--map", str(map_path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --spacing [2.0, 2.0] disagrees") and "inverse_map.json" in err
+
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_landmark_outside_map_is_format_error(self, tmp_path, capsys, sidecar):
+        # a row-40 landmark on a 16-row map used to be clamped into a 21.2 mm error
+        geom = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
+        np.save(tmp_path / "map.npy", geom.node_positions())
+        if sidecar:
+            (tmp_path / "map.json").write_text(json.dumps({"dims": [16, 16], "spacing": [1, 1]}))
+        lms = tmp_path / "lms.txt"
+        lms.write_text("5 5\n40 5\n")
+        code, out, err = run(["tre", "--ref-lms", str(lms), "--tpl-lms", str(lms), "--spacing", "1,1",
+                              "--map", str(tmp_path / "map.npy")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {lms}: landmark on line 2") and "outside grid dims (16, 16)" in err
+
+    @pytest.mark.parametrize(
+        "lms, spacing, with_map, named",
+        [("1 1\n5 5\n", "1,1,1", False, "dimensions differ: reference landmarks 2, template landmarks 2, spacing 3"),
+         ("1 1 1\n5 5 5\n", "1,1", True, "line 1 has 3 coordinates, need 2")],
+        ids=["spacing", "map"],
+    )
+    def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys, lms, spacing, with_map, named):
+        # both used to end in numpy's "operands could not be broadcast together"
+        path = tmp_path / "lms.txt"
+        path.write_text(lms)
+        argv = ["tre", "--ref-lms", str(path), "--tpl-lms", str(path), "--spacing", spacing]
+        if with_map:
+            np.save(tmp_path / "map.npy", GridGeometry((8, 8), (1.0, 1.0), (0.0, 0.0)).node_positions())
+            argv += ["--map", str(tmp_path / "map.npy")]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and named in err
 
 
 class TestNonsmoothCheck:
@@ -485,8 +597,59 @@ class TestRun:
         code, out, _ = run(["run", "--experiment", str(path)], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["ssd_after"]["gaussian"] < payload["ssd_before"]
+        assert payload["runs"]["gaussian"]["ssd_final"] < payload["ssd_before"]
         assert (tmp_path / "exp" / "mini" / "report.json").exists()
+
+    @staticmethod
+    def experiment(tmp_path, capsys, **change):
+        """``run`` a two-method experiment on a 16^2 rectangle, with the document's
+        keys updated by ``change``; returns the exit code, stdout, stderr and the experiment root."""
+        doc = {
+            "name": "mini",
+            "out": str(tmp_path / "exp"),
+            "methods": ["gaussian", "wendland_both"],
+            "generator": {"kind": "rectangle", "size": 16, "shift": 2},
+            "config": {"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 2, "control_stride": 4},
+            **change,
+        }
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        return (*run(["run", "--experiment", str(path)], capsys), tmp_path / "exp" / "mini")
+
+    def test_prints_the_report_it_writes(self, tmp_path, capsys):
+        code, out, err, root = self.experiment(tmp_path, capsys)
+        assert code == 0, err
+        assert out == (root / "report.json").read_text()
+        report = json.loads(out)
+        assert list(report) == ["name", "methods", "ssd_before", "tre_before_mm", "runs"]
+        assert report["name"] == "mini" and report["methods"] == list(report["runs"]) == ["gaussian", "wendland_both"]
+
+    def test_each_run_holds_its_summary(self, tmp_path, capsys):
+        code, out, err, root = self.experiment(tmp_path, capsys)
+        assert code == 0, err
+        for method, entry in json.loads(out)["runs"].items():
+            summary = json.loads((root / method / "summary.json").read_text())
+            assert list(summary) == SUMMARY_KEYS
+            assert list(entry) == SUMMARY_KEYS + ["tre_mm", "transition_width_rows"]
+            assert {key: entry[key] for key in SUMMARY_KEYS} == summary and entry["tre_mm"] > 0.0
+
+    def test_four_by_four_grid(self, tmp_path, capsys):
+        # this used to solve, then exit 1 on "zero-size array to reduction operation minimum"
+        code, out, err, root = self.experiment(tmp_path, capsys, generator={"kind": "rectangle", "size": 4, "shift": 0})
+        assert code == 0, err
+        for entry in json.loads(out)["runs"].values():
+            assert entry["jacobian_min"] is None and entry["fold_count"] is None
+
+    def test_dataset_of_different_geometry_is_usage_error(self, tmp_path, capsys, write_raw16):
+        # the pair used to be solved in the template's geometry
+        pair = gen_rectangle(16, 2)
+        write_raw16(tmp_path / "tpl", np.rint(pair.template.values), (1.0, 1.0))
+        write_raw16(tmp_path / "ref", np.rint(pair.reference.values), (2.0, 2.0))
+        dataset = {"template": str(tmp_path / "tpl.raw"), "reference": str(tmp_path / "ref.raw")}
+        code, out, err, root = self.experiment(tmp_path, capsys, generator=None, dataset=dataset)
+        assert code == 1 and out == ""
+        assert err.startswith("error: geometry mismatch") and "Traceback" not in err
+        assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize(
         "change, named",

@@ -165,6 +165,14 @@ class TestSSD:
         with pytest.raises(ValueError):
             ssd(ScalarImage(grid2d, np.zeros(grid2d.dims)), ScalarImage(other, np.zeros((5, 5))))
 
+    @pytest.mark.parametrize("spacing, origin", [((2.0, 2.0), (0.0, 0.0)), ((1.0, 1.0), (5.0, 5.0))])
+    def test_same_dims_other_spacing_or_origin_refused(self, grid2d, spacing, origin):
+        # equal dims used to be enough, so the pair was compared node by node
+        other = GridGeometry(grid2d.dims, spacing, origin)
+        with pytest.raises(ValueError, match="geometry mismatch") as exc:
+            ssd(ScalarImage(grid2d, np.zeros(grid2d.dims)), ScalarImage(other, np.zeros(grid2d.dims)))
+        assert str(grid2d) in str(exc.value) and str(other) in str(exc.value)
+
 
 class TestTotalEnergy:
     def test_zero_momenta_identical_images(self, rng):
@@ -434,6 +442,17 @@ class TestSparsity:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("pyramid", [False, True])
+    def test_pair_of_different_geometry_refused(self, pyramid):
+        # a reference at spacing 2 and origin (5, 5) used to register silently
+        # in the template's geometry
+        pair = gen_rectangle(16, 2)
+        other = GridGeometry((16, 16), (2.0, 2.0), (5.0, 5.0))
+        reference = ScalarImage(other, pair.reference.values)
+        with pytest.raises(ValueError, match="image geometries differ") as exc:
+            optimize(small_config(pyramid=pyramid), pair.template, reference)
+        assert str(pair.template.geometry) in str(exc.value) and str(other) in str(exc.value)
+
     @pytest.mark.parametrize("orders", ["zeroth_only", "zeroth_and_first"])
     @pytest.mark.parametrize("family", ["gaussian", "wendland_c0_mult"])
     def test_matches_descent_that_recomputes_each_iterate(self, family, orders):
