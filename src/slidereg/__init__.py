@@ -4,17 +4,10 @@ Velocity fields are synthesized from zeroth- and first-order momenta over
 reproducing kernels; a non-differentiable compactly supported kernel lets
 first-order momenta encode tangential velocity jumps (sliding) while the
 flow stays diffeomorphic away from the interfaces. The solver builds its
-operators from the kernels' separable 1D factors. A companion toolkit
-(``nonsmooth``) computes jump-aware state-transition matrices of
-hand-built piecewise-affine flows; the solver does not use it.
+operators from the kernels' separable 1D factors.
 """
 
-from .errors import (
-    DegenerateCrossingError,
-    DivergenceError,
-    FormatError,
-    TangentialCrossingError,
-)
+from .errors import DivergenceError, FormatError
 from .geometry import (
     DeformationMap,
     GridGeometry,
@@ -32,17 +25,6 @@ from .momenta import (
     synth_velocity,
 )
 from .flow import FlowPath, integrate, jacobian_fd
-from .nonsmooth import (
-    AffineVelocity,
-    FundamentalMatrix,
-    MovingHyperplane,
-    PiecewiseVelocity,
-    StaticCircle,
-    detect_crossing,
-    fundamental_matrix,
-    saltation_sliding,
-    saltation_transversal,
-)
 from .registration import (
     RegistrationConfig,
     RegistrationResult,

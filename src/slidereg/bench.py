@@ -94,7 +94,8 @@ def gen_rectangle(size: int = 64, shift: int = 5, antialias: bool = True) -> Rec
     """Bright rectangle whose upper half slides +shift px and lower -shift.
 
     The interface sits between rows ``size//2 - 1`` and ``size//2``. Twenty
-    landmark pairs are placed five rows off the interface on both sides.
+    landmark pairs are placed five rows off the interface on both sides, or
+    as far as the grid allows when it is smaller than 12 rows.
     """
     size, shift, antialias = _count("size", size), _count("shift", shift), _flag("antialias", antialias)
     if not 0 <= shift < size / 4:
@@ -118,9 +119,10 @@ def gen_rectangle(size: int = 64, shift: int = 5, antialias: bool = True) -> Rec
     targets[yc:, :, 1] += shift
     true_map = DeformationMap(geom, targets, "inverse")
 
-    cols = np.linspace(lo + 2, hi - 3, 10).round()
-    upper = np.stack([np.full(10, yc - 5.0), cols], axis=1)
-    lower = np.stack([np.full(10, yc + 5.0), cols], axis=1)
+    off = min(5, size - 1 - yc)  # rows yc +- off and columns cols +- shift stay on the grid
+    cols = np.clip(np.linspace(lo + 2, hi - 3, 10).round(), shift, size - 1 - shift)
+    upper = np.stack([np.full(10, yc - off), cols], axis=1)
+    lower = np.stack([np.full(10, yc + off), cols], axis=1)
     tpl_pts = np.concatenate([upper, lower])
     ref_pts = tpl_pts.copy()
     ref_pts[:10, 1] += shift

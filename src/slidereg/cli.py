@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: synth, register, demo, tre, nonsmooth-check, run.
+Subcommands: synth, register, demo, tre, run.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 from __future__ import annotations
@@ -13,23 +13,13 @@ import sys
 
 import numpy as np
 
-from . import bench, fileio, nonsmooth
+from . import bench, fileio
 from . import registration as reg
-from .errors import (
-    DegenerateCrossingError,
-    DivergenceError,
-    FormatError,
-    TangentialCrossingError,
-)
-from .fileio import _check_keys, _numbers
+from .errors import DivergenceError, FormatError
+from .fileio import _check_keys
 from .geometry import DeformationMap, GridGeometry, ScalarImage
 
-NUMERICAL_ERRORS = (
-    DivergenceError,
-    DegenerateCrossingError,
-    TangentialCrossingError,
-    np.linalg.LinAlgError,
-)
+NUMERICAL_ERRORS = (DivergenceError, np.linalg.LinAlgError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +56,6 @@ def _build_parser() -> _Parser:
     t.add_argument("--spacing", required=True, help="comma-separated, e.g. 0.97,0.97,2.5")
     t.add_argument("--map", dest="map_path", help="npy map targets (dims + (d,)); grid from its sidecar if any")
     t.add_argument("--index-base", type=int, default=1, choices=[0, 1])
-
-    n = sub.add_parser("nonsmooth-check", help="run a switching-flow scenario file")
-    n.add_argument("--scenario", required=True)
 
     e = sub.add_parser("run", help="run an experiment spec file")
     e.add_argument("--experiment", required=True)
@@ -130,6 +117,10 @@ def _cmd_tre(args) -> int:
             if geom.spacing != spacing:
                 raise ValueError(f"--spacing {list(spacing)} disagrees with the map's sidecar {sidecar} "
                                  f"spacing {list(geom.spacing)}")
+        elif len(spacing) != targets.ndim - 1:
+            d = targets.ndim - 1
+            raise ValueError(f"--spacing {list(spacing)} has length {len(spacing)}, but the {d}D map "
+                             f"{args.map_path} needs {d}")
         else:
             geom = GridGeometry(targets.shape[:-1], spacing, (0.0,) * (targets.ndim - 1))
         dmap = DeformationMap(geom, targets, "inverse")
@@ -139,56 +130,6 @@ def _cmd_tre(args) -> int:
     value = bench.tre(ref, tpl, spacing, dmap)
     print(json.dumps({"tre_mm": value, "points": len(ref)}))
     return 0
-
-
-def _scenario_boundary(where: str, doc: dict, d: int):
-    kind, sliding = doc.get("kind"), doc.get("sliding", False)
-    if not isinstance(sliding, bool):
-        raise FormatError(f"{where} 'sliding' must be true or false, got {json.dumps(sliding)}")
-    if kind == "moving_hyperplane":
-        offset, rate = (float(_numbers(where, doc, key, (), 0.0)) for key in ("offset", "rate"))
-        return nonsmooth.MovingHyperplane(tuple(_numbers(where, doc, "normal", (d,))), offset, rate, sliding)
-    if kind == "static_circle":
-        radius = float(_numbers(where, doc, "radius", ()))
-        return nonsmooth.StaticCircle(tuple(_numbers(where, doc, "center", (d,))), radius, sliding)
-    raise FormatError(f"{where} 'kind' must be 'moving_hyperplane' or 'static_circle', got {json.dumps(kind)}")
-
-
-def _cmd_nonsmooth_check(args) -> int:
-    with open(args.scenario) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{args.scenario}: scenario must be a JSON object, got {type(doc).__name__}")
-    where = f"{args.scenario}: scenario key"
-    for key, default in (("boundaries", []), ("pieces", None)):
-        value = doc.get(key, default)
-        if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
-            raise FormatError(f"{where} {key!r} must be a list of JSON objects, got {json.dumps(value)}")
-    x0 = _numbers(where, doc, "x0", (None,))
-    d = len(x0)
-    if d == 0:
-        raise FormatError(f"{where} 'x0' must hold at least one coordinate, got []")
-    t, step, tol = (float(_numbers(where, doc, key, (), v)) for key, v in (("t", None), ("step", 1e-3), ("tol", 1e-3)))
-    expected = _numbers(where, doc, "expected", (d, d)) if "expected" in doc else None
-    boundaries = tuple(_scenario_boundary(where, b, d) for b in doc.get("boundaries", []))
-    pieces = {}
-    for piece in doc["pieces"]:
-        signs = tuple(int(s) for s in _numbers(where, piece, "when", (len(boundaries),), []))
-        A = _numbers(where, piece, "A", (d, d), [[0.0] * d] * d)
-        pieces[signs] = nonsmooth.AffineVelocity(A, _numbers(where, piece, "b", (d,), [0.0] * d))
-    fm = nonsmooth.fundamental_matrix(nonsmooth.PiecewiseVelocity(boundaries, pieces), x0, t, step=step)
-    out = {
-        "matrix": fm.value.tolist(),
-        "crossings": [
-            {"time": c.time, "point": np.asarray(c.point).tolist()} for c in fm.crossings
-        ],
-    }
-    if expected is not None:
-        err = float(np.max(np.abs(fm.value - expected)) / max(np.max(np.abs(expected)), 1e-30))
-        out["expected_relative_error"] = err
-        out["within_tolerance"] = err <= tol
-    print(json.dumps(out, indent=2))
-    return 0 if out.get("within_tolerance", True) else 2
 
 
 def _cmd_run(args) -> int:
@@ -215,7 +156,6 @@ _COMMANDS = {
     "register": _cmd_register,
     "demo": _cmd_demo,
     "tre": _cmd_tre,
-    "nonsmooth-check": _cmd_nonsmooth_check,
     "run": _cmd_run,
 }
 

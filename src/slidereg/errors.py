@@ -11,12 +11,3 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-
-
-class DegenerateCrossingError(RuntimeError):
-    """A trajectory grazes a switching boundary; the crossing is ill-posed."""
-
-
-class TangentialCrossingError(RuntimeError):
-    """Transversality fails: the flow meets the boundary tangentially."""
-

@@ -124,19 +124,6 @@ def _check_keys(doc, what: str, required, optional) -> dict:
     return doc
 
 
-def _numbers(where: str, doc: dict, key: str, shape: tuple, default=None) -> np.ndarray:
-    """``doc[key]``, or ``default`` when absent, as a float array of ``shape``: () for one
-    number, None for any length. Any other JSON value is a FormatError that starts with
-    ``where`` and names the key; JSON true/false load as bools, which Python counts as ints."""
-    value = doc.get(key, default)
-    a = np.array(value, dtype=object)
-    fits = len(a.shape) == len(shape) and all(want in (None, got) for want, got in zip(shape, a.shape))
-    if not fits or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in a.flat):
-        need = {(): "a number", (None,): "a list of numbers"}.get(shape, f"numbers of shape {list(shape)}")
-        raise FormatError(f"{where} {key!r} must be {need}, got {json.dumps(value)}")
-    return a.astype(float)
-
-
 def _read_sidecar(meta_path) -> GridGeometry:
     """The grid a raw16 JSON sidecar describes."""
     meta_path = os.fspath(meta_path)
@@ -148,7 +135,11 @@ def _read_sidecar(meta_path) -> GridGeometry:
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: sidecar is not a JSON object")
     for key, default in (("dims", None), ("spacing", None), ("origin", [])):
-        _numbers(f"{meta_path}: sidecar", meta, key, (None,), default)
+        value = meta.get(key, default)
+        # type(), not isinstance: JSON true/false load as bools, which isinstance counts as ints
+        numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+        if not numbers:
+            raise FormatError(f"{meta_path}: sidecar {key!r} must be a list of numbers, got {json.dumps(value)}")
     try:
         dims = tuple(_count("dims", n) for n in meta["dims"])
     except ValueError as exc:

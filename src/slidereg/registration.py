@@ -2,8 +2,9 @@
 
 The energy couples an SSD similarity term on the warped template, a
 per-order kernel-norm regularizer integrated over time, and a smoothed L1
-sparsity prior on the initial momenta. Momenta at every timestep are the
-free variables (relaxation); gradients are computed as the exact adjoint
+sparsity prior on the step-0 momenta ``M[0]``, the first of the T
+relaxation steps. Momenta at every timestep are the free variables
+(relaxation); gradients are computed as the exact adjoint
 of the discrete forward computation - every interpolation, Euler step,
 Gram form, and smoothing term is differentiated as implemented, which is
 what makes the finite-difference gradient check pass to tight tolerance.
@@ -64,7 +65,8 @@ class RegistrationConfig:
     ``orders`` is ``zeroth_and_first`` or ``zeroth_only``; the latter
     ignores first-order momenta in every energy term, sparsity included,
     and reports their gradient as zero. ``lambda0``/``lambda1`` weight the
-    sparsity prior on zeroth- and first-order initial momenta;
+    sparsity prior on the zeroth- and first-order step-0 momenta ``M[0]``
+    (the first of the T relaxation steps);
     ``reg_weight`` scales the kernel-norm regularizer; all three must be
     finite and >= 0, and they and ``stop_rel_tol`` real numbers (not bools),
     stored as floats. ``pyramid`` must be a bool. The Armijo line search and

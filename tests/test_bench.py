@@ -62,6 +62,26 @@ class TestGenRectangle:
         )
         assert err == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("size", range(4, 17))
+    def test_landmarks_lie_on_the_grid(self, size):
+        # rows size//2 +- 5 used to fall off grids below 12 rows (rows -3 and 7 at size 4)
+        for shift in range(0, (size + 3) // 4):
+            pair = gen_rectangle(size, shift)
+            for lms in (pair.landmarks_template, pair.landmarks_reference):
+                assert lms.points.min() >= 0 and lms.points.max() <= size - 1, (shift, lms.points)
+
+    @pytest.mark.parametrize(
+        "size, shift, rows, cols",
+        [(16, 2, (3.0, 13.0), [6, 6, 7, 7, 7, 8, 8, 8, 9, 9]),
+         (64, 5, (27.0, 37.0), [18, 21, 24, 27, 30, 33, 36, 39, 42, 45])],
+    )
+    def test_landmarks_of_larger_grids_unchanged(self, size, shift, rows, cols):
+        pair = gen_rectangle(size, shift)
+        tpl = np.concatenate([np.stack([np.full(10, row), cols], axis=1) for row in rows])
+        ref = tpl + np.repeat([[0, shift], [0, -shift]], 10, axis=0)
+        np.testing.assert_array_equal(pair.landmarks_template.points, tpl)
+        np.testing.assert_array_equal(pair.landmarks_reference.points, ref)
+
     def test_oversized_shift_rejected(self):
         with pytest.raises(ValueError):
             gen_rectangle(32, 8)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slidereg
 from slidereg.bench import gen_rectangle
 from slidereg.cli import main
 from slidereg.fileio import read_pgm
@@ -86,6 +90,19 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "hexagon", "--out", str(tmp_path)])
         assert exc.value.code == 1
+
+
+def test_removed_nonsmooth_check_is_usage_error(tmp_path):
+    # the subcommand and its scenario files are gone; the process exits 1 on argparse's error line
+    src = os.path.dirname(os.path.dirname(slidereg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slidereg.cli", "nonsmooth-check", "--scenario", str(tmp_path / "x.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("slidereg: error: argument command: invalid choice: 'nonsmooth-check'")
+    assert "Traceback" not in proc.stderr
 
 
 class TestRegister:
@@ -404,11 +421,13 @@ class TestTre:
     @pytest.mark.parametrize(
         "lms, spacing, with_map, named",
         [("1 1\n5 5\n", "1,1,1", False, "dimensions differ: reference landmarks 2, template landmarks 2, spacing 3"),
-         ("1 1 1\n5 5 5\n", "1,1", True, "line 1 has 3 coordinates, need 2")],
-        ids=["spacing", "map"],
+         ("1 1 1\n5 5 5\n", "1,1", True, "line 1 has 3 coordinates, need 2"),
+         ("1 1\n5 5\n", "1,1,1", True, "--spacing [1.0, 1.0, 1.0] has length 3, but the 2D map ")],
+        ids=["spacing", "map", "map_spacing"],
     )
     def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys, lms, spacing, with_map, named):
-        # both used to end in numpy's "operands could not be broadcast together"
+        # spacing and map used to end in numpy's "operands could not be broadcast together",
+        # map_spacing (a map with no sidecar) in GridGeometry's "must have equal length"
         path = tmp_path / "lms.txt"
         path.write_text(lms)
         argv = ["tre", "--ref-lms", str(path), "--tpl-lms", str(path), "--spacing", spacing]
@@ -418,159 +437,6 @@ class TestTre:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and named in err
-
-
-class TestNonsmoothCheck:
-    def test_crossing_scenario_passes(self, tmp_path, capsys):
-        scenario = {
-            "boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],
-            "pieces": [
-                {"when": [-1], "b": [1.0, 0.0]},
-                {"when": [1], "b": [1.0, 2.0]},
-            ],
-            "x0": [-0.5, 0.0],
-            "t": 1.0,
-            "step": 1e-3,
-            "expected": [[1.0, 0.0], [2.0, 1.0]],
-            "tol": 1e-3,
-        }
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, _ = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["within_tolerance"] is True
-        assert len(payload["crossings"]) == 1
-
-    def test_mismatched_expectation_fails_numerically(self, tmp_path, capsys):
-        scenario = {
-            "boundaries": [],
-            "pieces": [{"when": [], "b": [1.0, 0.0]}],
-            "x0": [0.0, 0.0],
-            "t": 1.0,
-            "expected": [[5.0, 0.0], [0.0, 5.0]],
-            "tol": 1e-6,
-        }
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, _ = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code == 2
-
-    def test_overflowing_fundamental_matrix_fails_numerically(self, tmp_path, capsys):
-        # the trajectory rests at the origin while M grows by 1e197 per step;
-        # the overflow is a numerical failure, raised without a RuntimeWarning
-        scenario = {
-            "boundaries": [],
-            "pieces": [{"when": [], "A": [[1e200, 0.0], [0.0, 1e200]]}],
-            "x0": [0.0, 0.0],
-            "t": 1.0,
-        }
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code == 2
-        assert "fundamental matrix non-finite" in err and out == ""
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_saltation_fails_numerically(self, tmp_path, capsys):
-        # the jump at the crossing overflows the fundamental matrix: exit 2
-        # with the crossing time, not a RuntimeWarning traceback
-        scenario = {
-            "boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],
-            "pieces": [
-                {"when": [-1], "A": [[10.0, 0.0], [0.0, 0.0]], "b": [5.00000000001, 0.0]},
-                {"when": [1], "b": [0.0, 1e300]},
-            ],
-            "x0": [-0.5, 0.0],
-            "t": 4.0,
-        }
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code == 2
-        assert "fundamental matrix non-finite at t = " in err and out == ""
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "scenario, message",
-        [
-            ({"boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],
-              "pieces": [{"when": [-1], "b": [1.0, -1e308]}, {"when": [1], "b": [1.0, 1e308]}],
-              "x0": [-0.5, 0.0], "t": 1.0},
-             "saltation matrix non-finite"),
-            ({"pieces": [{"when": [], "A": [[1e308, 1e308], [0.0, 0.0]], "b": [0.0, 0.0]}],
-              "x0": [1.0, 1.0], "t": 1.0},
-             "trajectory non-finite"),
-        ],
-        ids=["velocity_jump", "velocity"],
-    )
-    def test_overflowing_velocity_fails_numerically(self, tmp_path, capsys, scenario, message):
-        # v+ - v- at the crossing, or A x on the first step, overflows: exit 2, no warning
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code == 2
-        assert message in err and out == ""
-
-    @pytest.mark.parametrize(
-        "key, value", [("t", float("nan")), ("t", float("inf")), ("step", 0.0), ("step", -0.1), ("t", 1e9)]
-    )
-    def test_invalid_time_or_step_is_usage_error(self, tmp_path, capsys, key, value):
-        # a NaN t used to print the identity and exit 0; the others never ended,
-        # t = 1e9 for want of a cap on its 1e12 steps
-        scenario = {"pieces": [{"when": [], "b": [1.0, 0.0]}], "x0": [0.0, 0.0], "t": 1.0, key: value}
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code == 1
-        assert err.startswith("error:") and out == ""
-
-    @pytest.mark.parametrize(
-        "scenario, named",
-        [([1], "scenario must be a JSON object, got list"),
-         ({"x0": 5}, "scenario key 'x0' must be a list of numbers, got 5"),
-         ({"t": None}, "scenario key 't' must be a number, got null"),
-         ({"t": "1"}, "scenario key 't' must be a number, got \"1\""),
-         ({"boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0, 0.0]}],
-           "pieces": [{"when": [-1], "b": [1.0, 0.0]}, {"when": [1], "b": [1.0, 2.0]}]},
-          "scenario key 'normal' must be numbers of shape [2], got [1.0, 0.0, 0.0]"),
-         ({"expected": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "scenario key 'expected' must be numbers of shape [2, 2]"),
-         ({"pieces": [{"when": [], "b": [1.0, True]}]}, "scenario key 'b' must be numbers of shape [2]"),
-         ({"pieces": {"when": []}}, "scenario key 'pieces' must be a list of JSON objects"),
-         ({"boundaries": [{"kind": "static_circle", "center": [0.0, 0.0], "radius": 1.0, "sliding": "no"}],
-           "pieces": [{"when": [-1]}, {"when": [1]}]}, "scenario key 'sliding' must be true or false"),
-         ({"x0": []}, "scenario key 'x0' must hold at least one coordinate, got []")],
-        ids=["top_level_list", "x0_number", "t_null", "t_string", "normal_3d", "expected_2x3", "b_bool",
-             "pieces_object", "sliding_string", "x0_empty"],
-    )
-    def test_scenario_shape_is_usage_error(self, tmp_path, capsys, scenario, named):
-        # these used to end in AttributeError or TypeError tracebacks or in numpy's
-        # "shapes not aligned" / "could not be broadcast" messages
-        if isinstance(scenario, dict):
-            scenario = {"pieces": [{"when": [], "b": [1.0, 0.0]}], "x0": [0.0, 0.0], "t": 1.0, **scenario}
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code == 1
-        assert err.startswith(f"error: {path}: ") and named in err and out == ""
-
-    def test_grazing_scenario_reports_numerical_failure(self, tmp_path, capsys):
-        scenario = {
-            "boundaries": [{"kind": "moving_hyperplane", "normal": [1.0, 0.0]}],
-            "pieces": [
-                {"when": [-1], "b": [0.0, 1.0]},
-                {"when": [1], "b": [0.0, 1.0]},
-            ],
-            # starts on the boundary moving tangentially, then the piece
-            # lookup keeps it there: fundamental_matrix is fine, but a
-            # crossing scenario with a tangential approach degenerates
-            "x0": [-1e-12, 0.0],
-            "t": 1.0,
-        }
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(["nonsmooth-check", "--scenario", str(path)], capsys)
-        assert code in (0, 2)  # tangential start: either clean or flagged
 
 
 DATASET = {"template": "tpl.pgm", "reference": "ref.pgm"}
@@ -637,8 +503,11 @@ class TestRun:
         # this used to solve, then exit 1 on "zero-size array to reduction operation minimum"
         code, out, err, root = self.experiment(tmp_path, capsys, generator={"kind": "rectangle", "size": 4, "shift": 0})
         assert code == 0, err
-        for entry in json.loads(out)["runs"].values():
+        report = json.loads(out)
+        for entry in report["runs"].values():
             assert entry["jacobian_min"] is None and entry["fold_count"] is None
+            # the landmarks used to sit on rows -3 and 7, and the map's clamping gave a tre_mm of 3.5
+            assert entry["tre_mm"] == report["tre_before_mm"] == 0.0
 
     def test_dataset_of_different_geometry_is_usage_error(self, tmp_path, capsys, write_raw16):
         # the pair used to be solved in the template's geometry
