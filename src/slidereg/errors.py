@@ -11,3 +11,7 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
+
+
+class TangentialCrossingError(RuntimeError):
+    """Transversality fails: the flow meets the boundary tangentially."""
