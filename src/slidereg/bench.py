@@ -275,14 +275,10 @@ def transition_width(dmap: DeformationMap, interface_axis: int, interface_pos: i
     return r90 - r10 + 1
 
 
-def radial_profile(dmap: DeformationMap, center, r_max: float,
-                   sector_halfwidth_deg: float | None = None) -> np.ndarray:
+def radial_profile(dmap: DeformationMap, center, r_max: float) -> np.ndarray:
     """Mean tangential displacement per radius bin [b, b+1) around ``center``.
 
-    With ``sector_halfwidth_deg`` set, only nodes within that angular
-    distance of one of the four axis directions contribute; that samples the
-    profile where an axis-aligned kernel kink can coincide with a circular
-    interface.
+    Bin 0, which holds the centre, and bins with no node are NaN.
     """
     geom = dmap.geometry
     pos = geom.node_positions()
@@ -293,16 +289,11 @@ def radial_profile(dmap: DeformationMap, center, r_max: float,
     safe = np.maximum(r, 1e-9)
     t_hat = np.stack([-dx / safe, dy / safe], axis=-1)
     tang = np.sum(dmap.displacement() * t_hat, axis=-1)
-    keep = np.ones(geom.dims, bool)
-    if sector_halfwidth_deg is not None:
-        theta = np.arctan2(dx, dy)
-        off_axis = np.abs(((theta + np.pi / 4) % (np.pi / 2)) - np.pi / 4)
-        keep = off_axis <= np.deg2rad(sector_halfwidth_deg)
     nbins = int(np.floor(r_max))
     prof = np.full(nbins, np.nan)
     rbin = np.floor(r).astype(int)
     for b in range(1, nbins):
-        mask = (rbin == b) & keep
+        mask = rbin == b
         if mask.any():
             prof[b] = tang[mask].mean()
     return prof

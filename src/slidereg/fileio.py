@@ -11,8 +11,9 @@ slowest, described by a mandatory JSON sidecar::
     {"dims": [94, 256, 256], "spacing": [2.5, 0.97, 0.97], "origin": [0, 0, 0]}
 
 The sidecar must be a JSON object, and ``dims``, ``spacing`` and ``origin``
-lists of numbers; anything else is a :class:`FormatError` naming the
-sidecar. ``origin`` is optional (defaults to zeros). :func:`read_image`
+lists of numbers that make a valid :class:`GridGeometry`; anything else is a
+:class:`FormatError` naming the sidecar. ``origin`` is optional (defaults to
+zeros). :func:`read_image`
 looks for the sidecar at ``<path>.json``, then at ``<stem>.json``.
 
 Landmarks: plain text, one point per line, whitespace-separated numbers,
@@ -140,14 +141,14 @@ def _read_sidecar(meta_path) -> GridGeometry:
         numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
         if not numbers:
             raise FormatError(f"{meta_path}: sidecar {key!r} must be a list of numbers, got {json.dumps(value)}")
-    try:
-        dims = tuple(_count("dims", n) for n in meta["dims"])
-    except ValueError as exc:
-        raise FormatError(f"{meta_path}: sidecar {exc}") from None
     endian = meta.get("endianness", "little")
     if endian != "little":
         raise FormatError(f"{meta_path}: unsupported endianness {endian!r}")
-    return GridGeometry(dims, meta["spacing"], meta.get("origin", [0.0] * len(dims)))
+    try:
+        dims = tuple(_count("dims", n) for n in meta["dims"])
+        return GridGeometry(dims, meta["spacing"], meta.get("origin", [0.0] * len(dims)))
+    except ValueError as exc:
+        raise FormatError(f"{meta_path}: sidecar {exc}") from None
 
 
 def read_raw16(path, meta_path) -> ScalarImage:
@@ -183,10 +184,12 @@ def read_image(path, sidecar=None) -> ScalarImage:
 def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:
     """Read whitespace-separated landmark coordinates, one point per line.
 
-    ``index_base`` is subtracted so stored points are 0-based. If ``dims``
-    is given, every point must have ``len(dims)`` coordinates and is
-    bounds-checked against the grid.
+    ``index_base`` (0 or 1) is subtracted so stored points are 0-based. If
+    ``dims`` is given, every point must have ``len(dims)`` coordinates and
+    is bounds-checked against the grid.
     """
+    if index_base not in (0, 1):
+        raise ValueError(f"index_base must be 0 or 1, got {index_base}")
     path = os.fspath(path)
     rows = []
     width = None
@@ -222,4 +225,4 @@ def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:
                 f"{path}: landmark on line {int(bad[0]) + 1} at "
                 f"{(pts[bad[0]] + index_base).tolist()} outside grid dims {tuple(dims)}"
             )
-    return LandmarkSet(pts, index_base=index_base)
+    return LandmarkSet(pts)

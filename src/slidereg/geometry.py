@@ -187,12 +187,10 @@ class DeformationMap:
 class LandmarkSet:
     """Landmark points in zero-based voxel index coordinates.
 
-    ``index_base`` records the convention of the source file; points are
-    normalized to base 0 on construction.
+    :func:`fileio.read_landmarks` converts 1-based files on reading.
     """
 
     points: np.ndarray
-    index_base: int = 0
 
     def __post_init__(self):
         p = np.asarray(self.points, float)
@@ -200,8 +198,6 @@ class LandmarkSet:
             raise ValueError(f"points must be (n, 2) or (n, 3), got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("landmark coordinates must be finite")
-        if self.index_base not in (0, 1):
-            raise ValueError(f"index_base must be 0 or 1, got {self.index_base}")
         object.__setattr__(self, "points", _readonly(p))
 
     def __len__(self) -> int:

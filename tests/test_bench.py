@@ -236,6 +236,25 @@ class TestSignFlip:
         assert sign_flip(prof)
 
 
+class TestRadialProfile:
+    def test_wheel_profile_flips_sign_at_ring(self):
+        pair = gen_wheel(64, 5.0, antialias=False)
+        prof = radial_profile(pair.true_map, (32, 32), 0.42 * 64)
+        assert prof.shape == (26,) and np.isnan(prof[0])
+        ring = int(pair.ring_radius)
+        assert ring == 14
+        assert np.all(prof[1:ring] < 0) and np.all(prof[ring:] > 0)
+        assert np.all(np.diff(np.abs(prof[1:])) > 0)
+        assert sign_flip(prof)
+
+    def test_identity_profile_zero(self):
+        geom = gen_wheel(64, 5.0, antialias=False).true_map.geometry
+        prof = radial_profile(identity_map(geom, "inverse"), (32, 32), 0.42 * 64)
+        assert np.isnan(prof[0])
+        np.testing.assert_array_equal(prof[1:], 0.0)
+        assert not sign_flip(prof)
+
+
 class TestRowProfile:
     def test_uniform_shift_profile(self):
         geom = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))

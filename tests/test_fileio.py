@@ -93,11 +93,16 @@ class TestRaw16:
          ({"dims": [12, 12, 12], "spacing": 1.0}, "sidecar 'spacing' must be a list of numbers, got 1.0"),
          ({"dims": [12, 12, 12], "spacing": [None, 1, 1]}, r"'spacing' must be a list of numbers, got \[null, 1, 1\]"),
          ({"dims": [12, 12, 12], "spacing": [True, 1, 1]}, r"'spacing' must be a list of numbers, got \[true, 1, 1\]"),
-         ({"dims": [12, 12, 12], "spacing": [1, 1, 1], "origin": "0"}, "'origin' must be a list of numbers")],
-        ids=["not_an_object", "dims_number", "spacing_number", "spacing_null", "spacing_bool", "origin_string"],
+         ({"dims": [12, 12, 12], "spacing": [1, 1, 1], "origin": "0"}, "'origin' must be a list of numbers"),
+         ({"dims": [12, 12], "spacing": [1, 1, 1]}, "sidecar dims, spacing, origin must have equal length"),
+         ({"dims": [12, 12], "spacing": [0, 1]}, r"sidecar spacing must be finite and positive, got \(0\.0, 1\.0\)"),
+         ({"dims": [144], "spacing": [1]}, "sidecar grid must be 2D or 3D, got 1 axes")],
+        ids=["not_an_object", "dims_number", "spacing_number", "spacing_null", "spacing_bool", "origin_string",
+             "spacing_length", "spacing_zero", "one_axis"],
     )
     def test_sidecar_types_checked(self, tmp_path, meta, message):
-        # the first four used to raise TypeError, and a true spacing read as 1.0
+        # the first four used to raise TypeError, a true spacing read as 1.0, and
+        # the last three were bare ValueErrors naming neither the sidecar nor the key
         raw = tmp_path / "vol.raw"
         raw.write_bytes(np.zeros((12, 12, 12), "<i2").tobytes())
         (tmp_path / "vol.json").write_text(json.dumps(meta))
@@ -156,6 +161,12 @@ class TestLandmarks:
         path.write_text("0 0\n3 4\n")
         lms = read_landmarks(path, index_base=0)
         np.testing.assert_array_equal(lms.points, [[0, 0], [3, 4]])
+
+    def test_index_base_two_refused(self, tmp_path):
+        path = tmp_path / "lms.txt"
+        path.write_text("2 2\n")
+        with pytest.raises(ValueError, match="index_base must be 0 or 1, got 2"):
+            read_landmarks(path, index_base=2)
 
     def test_out_of_bounds_names_line(self, tmp_path):
         path = tmp_path / "lms.txt"
