@@ -13,17 +13,11 @@ from .geometry import (
     GridGeometry,
     LandmarkSet,
     ScalarImage,
-    VectorField,
     identity_map,
     warp_image,
 )
 from .kernels import KernelSpec, default_scale
-from .momenta import (
-    MomentumSet,
-    TimeMomenta,
-    control_lattice,
-    synth_velocity,
-)
+from .momenta import MomentumSet, TimeMomenta, control_lattice
 from .flow import FlowPath, integrate, jacobian_fd
 from .registration import (
     RegistrationConfig,

@@ -26,7 +26,6 @@ from .geometry import (
     GridGeometry,
     LandmarkSet,
     ScalarImage,
-    VectorField,
     _count,
     _flag,
     _real,
@@ -34,7 +33,7 @@ from .geometry import (
     warp_image,
 )
 from .kernels import KernelSpec, default_scale
-from .momenta import MomentumSet, TimeMomenta, synth_velocity
+from .momenta import MomentumSet, TimeMomenta
 
 __all__ = [
     "RectanglePair",
@@ -216,21 +215,19 @@ def tre(ref_lms: LandmarkSet, tpl_lms: LandmarkSet, spacing, dmap: DeformationMa
     return float(np.mean(np.linalg.norm(diff, axis=1)))
 
 
-def row_profile(dmap: DeformationMap, interface_axis: int = 0, band: tuple | None = None) -> np.ndarray:
+def row_profile(dmap: DeformationMap, interface_axis: int = 0) -> np.ndarray:
     """Mean tangential displacement per grid line along the interface axis.
 
     For a horizontal interface (axis 0) this is the mean x-displacement of
-    each row, averaged over a central column band (central half by default).
+    each row, averaged over the central half of the columns.
     """
     if dmap.geometry.ndim != 2:
         raise ValueError("profiles are 2D only")
     disp = dmap.displacement()
     tang = 1 - interface_axis
     n_t = dmap.geometry.dims[tang]
-    if band is None:
-        band = (n_t // 4, n_t - n_t // 4)
     sl = [slice(None), slice(None)]
-    sl[tang] = slice(band[0], band[1])
+    sl[tang] = slice(n_t // 4, n_t - n_t // 4)
     block = disp[tuple(sl)][..., tang]
     return block.mean(axis=tang)
 
@@ -457,14 +454,13 @@ def write_registration_artifacts(out: str, result: reg.RegistrationResult) -> di
 
 
 def _interior_jacobian_dets(dmap: DeformationMap) -> np.ndarray:
-    """Jacobian determinants at every ``min(dims) // 32``-th node two or more
-    from each face (none when an axis has fewer than 5 nodes); the central
-    differences equal ``jacobian_fd`` at h = spacing/2."""
+    """Jacobian determinants at every node one or more from each face (none
+    when an axis has 2 nodes); the central differences equal ``jacobian_fd``
+    at h = spacing/2."""
     geom = dmap.geometry
-    step = max(1, min(geom.dims) // 32)
-    sl = tuple(slice(2, n - 2, step) for n in geom.dims)
     grads = np.gradient(dmap.targets, *geom.spacing, axis=tuple(range(geom.ndim)))
-    return np.linalg.det(np.stack(grads, axis=-1)[sl]).ravel()  # J[..., c, a] = d target_c / d x_a
+    inner = (slice(1, -1),) * geom.ndim
+    return np.linalg.det(np.stack(grads, axis=-1)[inner]).ravel()  # J[..., c, a] = d target_c / d x_a
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -525,15 +521,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 @dataclass(frozen=True)
 class DemoResult:
-    kind: str
     momenta: MomentumSet
     kernel: KernelSpec
-    velocity: VectorField
     flow: FlowPath
     files: tuple
 
 
-def demo_momentum(kind: str, out_dir: str | None = None, size: int = 64) -> DemoResult:
+def demo_momentum(kind: str, out_dir: str | None = None) -> DemoResult:
     """Integrate one momentum at the image center and render the warped grid.
 
     fig1a: gaussian kernel, zeroth-order momentum (local translation).
@@ -542,9 +536,9 @@ def demo_momentum(kind: str, out_dir: str | None = None, size: int = 64) -> Demo
     """
     if kind not in DEMO_KINDS:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
-    geom = _unit_grid(size)
+    geom = _unit_grid(64)
     scale = default_scale(geom)
-    center = np.asarray(geom.to_physical([size // 2, size // 2]), float)
+    center = np.asarray(geom.to_physical([32, 32]), float)
     d = 2
     m0 = np.zeros((1, d))
     m1 = np.zeros((1, d, d))
@@ -558,7 +552,6 @@ def demo_momentum(kind: str, out_dir: str | None = None, size: int = 64) -> Demo
     ms = MomentumSet(center[None, :], m0, m1)
     tm = TimeMomenta(tuple(ms for _ in range(10)))
     fp = integrate(tm, spec, geom)
-    vel = synth_velocity(ms, spec, geom)
     files = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -566,6 +559,6 @@ def demo_momentum(kind: str, out_dir: str | None = None, size: int = 64) -> Demo
         path = os.path.join(out_dir, f"{kind}_grid.pgm")
         write_pgm(path, ScalarImage(geom, np.rint(np.clip(grid_img.values, 0, 255))))
         files.append(path)
-    return DemoResult(kind, ms, spec, vel, fp, tuple(files))
+    return DemoResult(ms, spec, fp, tuple(files))
 
 

@@ -10,8 +10,9 @@ slowest, described by a mandatory JSON sidecar::
 
     {"dims": [94, 256, 256], "spacing": [2.5, 0.97, 0.97], "origin": [0, 0, 0]}
 
-The sidecar must be a JSON object, and ``dims``, ``spacing`` and ``origin``
-lists of numbers that make a valid :class:`GridGeometry`; anything else is a
+The sidecar must be a JSON object with no keys besides these and
+``endianness``, and ``dims``, ``spacing`` and ``origin`` lists of numbers
+that make a valid :class:`GridGeometry`; anything else is a
 :class:`FormatError` naming the sidecar. ``origin`` is optional (defaults to
 zeros). :func:`read_image`
 looks for the sidecar at ``<path>.json``, then at ``<stem>.json``.
@@ -135,8 +136,12 @@ def _read_sidecar(meta_path) -> GridGeometry:
         raise FormatError(f"{meta_path}: invalid JSON sidecar at line {exc.lineno}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: sidecar is not a JSON object")
-    for key, default in (("dims", None), ("spacing", None), ("origin", [])):
-        value = meta.get(key, default)
+    try:
+        _check_keys(meta, "sidecar", ("dims", "spacing"), ("origin", "endianness"))
+    except ValueError as exc:
+        raise FormatError(f"{meta_path}: {exc}") from None
+    for key in ("dims", "spacing", "origin"):
+        value = meta.get(key, [])
         # type(), not isinstance: JSON true/false load as bools, which isinstance counts as ints
         numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
         if not numbers:

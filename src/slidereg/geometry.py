@@ -1,4 +1,4 @@
-"""Discrete grids, scalar/vector fields, deformation maps, and interpolation.
+"""Discrete grids, scalar images, deformation maps, and interpolation.
 
 All spatial math runs in physical coordinates: the node with multi-index
 ``k`` sits at ``origin + k * spacing``. Arrays are row-major with axis 0
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "GridGeometry",
     "ScalarImage",
-    "VectorField",
     "DeformationMap",
     "LandmarkSet",
     "warp_image",
@@ -136,23 +135,6 @@ class ScalarImage:
         if not np.all(np.isfinite(v)):
             raise ValueError("image values must be finite")
         object.__setattr__(self, "values", _readonly(v))
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """One d-vector per node in physical units; shape ``dims + (ndim,)``."""
-
-    geometry: GridGeometry
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, float)
-        want = self.geometry.dims + (self.geometry.ndim,)
-        if v.shape != want:
-            raise ValueError(f"vectors shape {v.shape} != expected {want}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vector components must be finite")
-        object.__setattr__(self, "vectors", _readonly(v))
 
 
 @dataclass(frozen=True)
@@ -280,18 +262,13 @@ class Stencil:
 
     def _weights(self):
         """Corner weights in ``corners`` order: the left-to-right product over the
-        axes of ``1 - frac`` or ``frac`` by corner bit. A corner reuses the
-        partial product of the leading bits it shares with the last."""
+        axes of ``1 - frac`` or ``frac`` by corner bit."""
         fac = (1.0 - self.frac, self.frac)
-        prefix, last = [None], ()
         for corner, _ in self.corners:
-            keep = next((a for a, (b, c) in enumerate(zip(corner, last)) if b != c), 0)
-            del prefix[keep + 1:]
-            for a in range(keep, len(corner)):
-                w, f = prefix[a], fac[corner[a]][a]
-                prefix.append(f if w is None else w * f)
-            last = corner
-            yield prefix[-1]
+            w = fac[corner[0]][0]
+            for a in range(1, len(corner)):
+                w = w * fac[corner[a]][a]
+            yield w
 
     def _rows(self, values: np.ndarray):
         """Channel shape and the node data as contiguous (c, node_count) rows."""
@@ -412,29 +389,19 @@ def warp_image(img: ScalarImage, inv_map: DeformationMap) -> ScalarImage:
     return ScalarImage(inv_map.geometry, warped)
 
 
-def box_downsample(img: ScalarImage, factor: int = 2) -> ScalarImage:
-    """Block-average downsampling; trailing nodes that do not fill a block drop.
+def box_downsample(img: ScalarImage) -> ScalarImage:
+    """2x block-average downsampling; a trailing node that does not fill a block drops.
 
     The coarse origin shifts to the center of the first block so coarse
     nodes sit at the mean position of the nodes they average.
     """
-    factor = _count("factor", factor)
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return img
     geom = img.geometry
-    new_dims = tuple(n // factor for n in geom.dims)
+    new_dims = tuple(n // 2 for n in geom.dims)
     if any(n < 2 for n in new_dims):
-        raise ValueError(f"image too small to downsample by {factor}")
-    v = img.values
-    sl = tuple(slice(0, n * factor) for n in new_dims)
-    v = v[sl]
+        raise ValueError("image too small to downsample by 2")
+    v = img.values[tuple(slice(0, n * 2) for n in new_dims)]
     for axis in range(geom.ndim):
-        shape = v.shape[:axis] + (new_dims[axis], factor) + v.shape[axis + 1:]
-        v = v.reshape(shape).mean(axis=axis + 1)
-    new_spacing = tuple(s * factor for s in geom.spacing)
-    new_origin = tuple(
-        o + 0.5 * (factor - 1) * s for o, s in zip(geom.origin, geom.spacing)
-    )
+        v = v.reshape(v.shape[:axis] + (new_dims[axis], 2) + v.shape[axis + 1:]).mean(axis=axis + 1)
+    new_spacing = tuple(s * 2 for s in geom.spacing)
+    new_origin = tuple(o + 0.5 * s for o, s in zip(geom.origin, geom.spacing))
     return ScalarImage(GridGeometry(new_dims, new_spacing, new_origin), v)

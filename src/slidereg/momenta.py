@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .geometry import GridGeometry, VectorField, _count, _readonly
+from .geometry import GridGeometry, _count, _readonly
 from .kernels import KernelSpec
 
 __all__ = [
     "MomentumSet",
     "TimeMomenta",
-    "synth_velocity",
     "VelocityAssembler",
     "KernelGrams",
     "control_lattice",
@@ -74,10 +73,6 @@ class MomentumSet:
         pts = np.asarray(points, float)
         n, d = pts.shape
         return cls(pts, np.zeros((n, d)), np.zeros((n, d, d)))
-
-    @property
-    def ndim(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -264,9 +259,3 @@ class KernelGrams:
     def grad(self, M: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`energy`: 2 G M, order by order."""
         return 2.0 * self.products(M)
-
-
-def synth_velocity(ms: MomentumSet, spec: KernelSpec, grid: GridGeometry) -> VectorField:
-    """Velocity field synthesized from zeroth- and first-order momenta on a product lattice."""
-    v = VelocityAssembler(spec, grid, ms.points).velocity(_block(ms.m0, ms.m1))
-    return VectorField(grid, v.reshape(grid.dims + (grid.ndim,)))

@@ -198,11 +198,11 @@ class TestRegister:
         assert json.loads((out_dir / "inverse_map.json").read_text()) == {
             "dims": [16, 16], "spacing": [1.0, 1.0], "origin": [0.0, 0.0]}
 
-    def test_four_by_four_pair(self, tmp_path, capsys):
-        # no node lies two from each face, so there are no fold statistics;
-        # this used to end in "zero-size array to reduction operation minimum"
+    @staticmethod
+    def register_square(tmp_path, capsys, size):
+        """``register`` a ``size``^2 unshifted rectangle pair; returns its summary."""
         data = tmp_path / "data"
-        assert run(["synth", "rectangle", "--size", "4", "--shift", "0", "--out", str(data)], capsys)[0] == 0
+        assert run(["synth", "rectangle", "--size", str(size), "--shift", "0", "--out", str(data)], capsys)[0] == 0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 2,
                                         "control_stride": 4}))
@@ -213,8 +213,19 @@ class TestRegister:
         )
         assert code == 0, err
         summary = json.loads(out)
-        assert summary["jacobian_min"] is None and summary["fold_count"] is None
         assert json.loads((tmp_path / "result" / "summary.json").read_text()) == summary
+        return summary
+
+    def test_four_by_four_pair(self, tmp_path, capsys):
+        # the fold statistics cover the 2 x 2 interior nodes of the identity map
+        summary = self.register_square(tmp_path, capsys, 4)
+        assert summary["jacobian_min"] == 1.0 and summary["fold_count"] == 0
+
+    def test_two_by_two_pair(self, tmp_path, capsys):
+        # no node lies one from each face, so there are no fold statistics;
+        # an empty sample used to end in "zero-size array to reduction operation minimum"
+        summary = self.register_square(tmp_path, capsys, 2)
+        assert summary["jacobian_min"] is None and summary["fold_count"] is None
 
     @pytest.mark.parametrize("sidecar", [{"spacing": [2.0, 2.0, 2.0]}, {"origin": [5.0, 5.0, 5.0]}],
                              ids=["spacing", "origin"])
@@ -500,12 +511,12 @@ class TestRun:
             assert {key: entry[key] for key in SUMMARY_KEYS} == summary and entry["tre_mm"] > 0.0
 
     def test_four_by_four_grid(self, tmp_path, capsys):
-        # this used to solve, then exit 1 on "zero-size array to reduction operation minimum"
         code, out, err, root = self.experiment(tmp_path, capsys, generator={"kind": "rectangle", "size": 4, "shift": 0})
         assert code == 0, err
         report = json.loads(out)
         for entry in report["runs"].values():
-            assert entry["jacobian_min"] is None and entry["fold_count"] is None
+            # the fold statistics cover the 2 x 2 interior nodes of the identity map
+            assert entry["jacobian_min"] == 1.0 and entry["fold_count"] == 0
             # the landmarks used to sit on rows -3 and 7, and the map's clamping gave a tre_mm of 3.5
             assert entry["tre_mm"] == report["tre_before_mm"] == 0.0
 

@@ -96,13 +96,15 @@ class TestRaw16:
          ({"dims": [12, 12, 12], "spacing": [1, 1, 1], "origin": "0"}, "'origin' must be a list of numbers"),
          ({"dims": [12, 12], "spacing": [1, 1, 1]}, "sidecar dims, spacing, origin must have equal length"),
          ({"dims": [12, 12], "spacing": [0, 1]}, r"sidecar spacing must be finite and positive, got \(0\.0, 1\.0\)"),
-         ({"dims": [144], "spacing": [1]}, "sidecar grid must be 2D or 3D, got 1 axes")],
+         ({"dims": [144], "spacing": [1]}, "sidecar grid must be 2D or 3D, got 1 axes"),
+         ({"dims": [12, 12, 12], "spacing": [1, 1, 1], "orgin": [5, 5, 5]}, r"unknown sidecar keys: \['orgin'\]")],
         ids=["not_an_object", "dims_number", "spacing_number", "spacing_null", "spacing_bool", "origin_string",
-             "spacing_length", "spacing_zero", "one_axis"],
+             "spacing_length", "spacing_zero", "one_axis", "unknown_key"],
     )
     def test_sidecar_types_checked(self, tmp_path, meta, message):
-        # the first four used to raise TypeError, a true spacing read as 1.0, and
-        # the last three were bare ValueErrors naming neither the sidecar nor the key
+        # the first four used to raise TypeError, a true spacing read as 1.0, the
+        # next three were bare ValueErrors naming neither the sidecar nor the key,
+        # and a misspelt "origin" was ignored, reading the image at origin 0
         raw = tmp_path / "vol.raw"
         raw.write_bytes(np.zeros((12, 12, 12), "<i2").tobytes())
         (tmp_path / "vol.json").write_text(json.dumps(meta))

@@ -10,7 +10,6 @@ from slidereg.geometry import (
     GridGeometry,
     ScalarImage,
     Stencil,
-    VectorField,
     identity_map,
     interp_values,
     interp_with_point_grad,
@@ -82,10 +81,6 @@ class TestContainers:
     def test_immutable(self, random_image):
         with pytest.raises(ValueError):
             random_image.values[0, 0] = 1.0
-
-    def test_vector_field_shape(self, grid2d):
-        with pytest.raises(ValueError):
-            VectorField(grid2d, np.zeros(grid2d.dims + (3,)))
 
     def test_map_direction_checked(self, grid2d):
         with pytest.raises(ValueError):

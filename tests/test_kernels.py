@@ -13,7 +13,7 @@ from slidereg.kernels import (
     eval_mixed_many,
     eval_partial_many,
 )
-from slidereg.momenta import MomentumSet, _factor, synth_velocity
+from slidereg.momenta import MomentumSet, VelocityAssembler, _block, _factor
 
 GAUSS = KernelSpec("gaussian", 1.3, 9)
 WEND = KernelSpec("wendland_c0_mult", 1.3, 9)
@@ -241,7 +241,7 @@ class TestProductionCallShape:
 def footprint(spec, center, grid):
     """Node multi-indices where a unit zeroth momentum at ``center`` is nonzero."""
     ms = MomentumSet(np.array([center], float), np.ones((1, grid.ndim)), np.zeros((1, grid.ndim, grid.ndim)))
-    v = synth_velocity(ms, spec, grid).vectors
+    v = VelocityAssembler(spec, grid, ms.points).velocity(_block(ms.m0, ms.m1)).reshape(grid.dims + (grid.ndim,))
     return np.argwhere(np.any(v != 0.0, axis=-1))
 
 
