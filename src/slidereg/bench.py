@@ -387,11 +387,11 @@ def _load_pair(spec: ExperimentSpec):
     return template, reference, lms_t, lms_r, None
 
 
-def _grid_image(geom: GridGeometry, every: int = 4) -> ScalarImage:
-    """Grid lines along the last two axes, so every axis-0 slice shows the grid."""
+def _grid_image(geom: GridGeometry) -> ScalarImage:
+    """Grid lines every 4 nodes along the last two axes, so every axis-0 slice shows the grid."""
     vals = np.zeros(geom.dims)
-    vals[..., ::every, :] = 255.0
-    vals[..., ::every] = 255.0
+    vals[..., ::4, :] = 255.0
+    vals[..., ::4] = 255.0
     return ScalarImage(geom, vals)
 
 

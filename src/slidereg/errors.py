@@ -7,7 +7,3 @@ class FormatError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Numerical integration produced non-finite state."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step

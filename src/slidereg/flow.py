@@ -32,58 +32,68 @@ class FlowPath:
     final_inverse: DeformationMap
 
 
-class _Workspace:
-    """Buffers that a transport of T steps on ``grid`` writes into.
+class _Transport:
+    """Semi-Lagrangian transport of the inverse map over T steps on ``grid``,
+    the one transport loop, and its exact adjoint.
 
     ``maps[k]`` holds the inverse map psi_k channel-major, shape
     (d, node_count); ``maps[0]`` is the node positions and never changes.
-    Stencil buffers k < T belong to step k + 1, buffers T to the final
+    Stencil buffers k < T belong to step k + 1, buffers T to the ``final``
     sample of psi_T; all T + 1 stencils share one cell-index scratch. An
-    owner that keeps the workspace across passes allocates it once; each
-    pass overwrites what the last one wrote.
+    owner that keeps the transport across passes allocates it once; each
+    :meth:`advect` overwrites what the last one wrote, and its step
+    ``stencils`` and ``final`` stay valid until the next.
     """
 
     def __init__(self, grid: GridGeometry, T: int):
-        self.grid, self.T = grid, T
+        self.grid, self.T, self.dt = grid, T, 1.0 / T
         d, n = grid.ndim, grid.node_count
+        self.field_shape = grid.dims + (d,)
         self.maps = np.empty((T + 1, d, n))
         self.maps[0] = grid.node_positions().reshape(n, d).T
         self.base = np.empty((T + 1, n), np.intp)
         self.frac = np.empty((T + 1, d, n))
         self.unclamped = np.empty((T + 1, d, n), bool)
         self.index = np.empty((d, n), np.intp)
+        self.stencils = self.final = None
 
-    def stencil(self, k: int) -> tuple:
-        """The ``buffers`` of stencil k for :class:`Stencil`."""
-        return self.base[k], self.frac[k], self.unclamped[k], self.index
+    def _stencil(self, k: int, pts) -> Stencil:
+        return Stencil(self.grid, pts, (self.base[k], self.frac[k], self.unclamped[k], self.index))
 
+    def advect(self, velocities) -> None:
+        """Transport psi_0 through the T per-step node velocities, each
+        (node_count, d), drawn from any iterable (a generator will do).
 
-def _advect_inverse(velocities, ws: _Workspace) -> list:
-    """Semi-Lagrangian transport of the inverse map, the one transport loop.
+        Step k samples the previous map at the upwind points ``x - v_k / T``
+        through one stencil. A non-finite velocity raises
+        :class:`DivergenceError` and leaves no pass; finite ones keep every
+        map finite, since each gather is a convex combination of the previous
+        map's nodes.
+        """
+        self.stencils = self.final = None
+        stencils = []
+        for k, v in enumerate(velocities):
+            if not np.all(np.isfinite(v)):
+                raise DivergenceError(f"velocity non-finite at step {k + 1}")
+            # the upwind points are staged in the rows of psi_{k+1}, which the gather then fills
+            pts = self.maps[k + 1]
+            np.multiply(v.T, self.dt, out=pts)
+            np.subtract(self.maps[0], pts, out=pts)
+            stencils.append(self._stencil(k, pts.T))
+            stencils[-1].gather(self.maps[k].T.reshape(self.field_shape), pts)
+        self.stencils, self.final = stencils, self._stencil(self.T, self.maps[self.T].T)
 
-    ``velocities`` is any iterable (a generator will do) of the ``ws.T``
-    per-step node velocities, each (node_count, d). Step k samples the
-    previous map at the upwind points ``x - v_k / T`` through one
-    :class:`Stencil`. The maps psi_0..psi_T are written only into
-    ``ws.maps``; returns the T step stencils, whose buffers also live in
-    ``ws`` and which the exact adjoint reuses. Both stay valid until the
-    workspace's next transport. A non-finite velocity raises
-    :class:`DivergenceError`; finite ones keep every map finite, since each
-    gather is a convex combination of the previous map's nodes.
-    """
-    grid, dt = ws.grid, 1.0 / ws.T
-    field_shape = grid.dims + (grid.ndim,)
-    stencils = []
-    for k, v in enumerate(velocities):
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(f"velocity non-finite at step {k + 1}", step=k + 1)
-        # the upwind points are staged in the rows of psi_{k+1}, which the gather then fills
-        pts = ws.maps[k + 1]
-        np.multiply(v.T, dt, out=pts)
-        np.subtract(ws.maps[0], pts, out=pts)
-        stencils.append(Stencil(grid, pts.T, ws.stencil(k)))
-        stencils[-1].gather(ws.maps[k].T.reshape(field_shape), pts)
-    return stencils
+    def step_adjoint(self, k: int, psibar):
+        """Adjoint of step k + 1 of the last pass at ``psibar``, the (node_count, d)
+        adjoint of psi_{k+1}: the adjoint of the step's velocity and that of
+        psi_k, or None for k = 0, whose map psi_0 is fixed."""
+        st = self.stencils[k]
+        vbar = -self.dt * st.point_grad_dot(self.maps[k].T, psibar)
+        return vbar, (st.splat(psibar) if k > 0 else None)
+
+    def inverse_map(self) -> DeformationMap:
+        """A copy of psi_T, the inverse map at time 1."""
+        return DeformationMap(self.grid, self.maps[self.T].T.reshape(self.field_shape), "inverse")
 
 
 def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) -> FlowPath:
@@ -96,19 +106,18 @@ def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) ->
     for k, v in enumerate(velocities):
         phi = phi + dt * interp_values(v.reshape(field_shape), grid, phi)
         if not np.all(np.isfinite(phi)):
-            raise DivergenceError(f"forward map non-finite after step {k + 1}", step=k + 1)
+            raise DivergenceError(f"forward map non-finite after step {k + 1}")
     return FlowPath(DeformationMap(grid, phi.reshape(field_shape), "forward"), psi_T)
 
 
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
     """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice."""
     asm = VelocityAssembler(spec, grid, tm.points)
-    velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
-    ws = _Workspace(grid, tm.T)
-    _advect_inverse(velocities, ws)
-    inverse = DeformationMap(grid, ws.maps[tm.T].T.reshape(grid.dims + (grid.ndim,)), "inverse")
-    del ws  # the whole workspace goes before the forward push
-    return _flow_path(velocities, inverse, grid, tm.T)
+    transport = _Transport(grid, tm.T)
+    transport.advect(asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps)
+    inverse = transport.inverse_map()
+    del transport  # the whole transport goes before the forward push
+    return _flow_path((asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps), inverse, grid, tm.T)
 
 
 def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:

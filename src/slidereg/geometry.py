@@ -52,8 +52,8 @@ def _flag(name: str, v) -> bool:
     return v
 
 
-def _readonly(a, dtype=float):
-    out = np.array(a, dtype=dtype)
+def _readonly(a):
+    out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 

@@ -20,10 +20,8 @@ import numpy as np
 from .errors import DivergenceError
 from .fileio import _check_keys
 from .geometry import (
-    DeformationMap,
     GridGeometry,
     ScalarImage,
-    Stencil,
     _count,
     _flag,
     _real,
@@ -71,8 +69,8 @@ class RegistrationConfig:
     finite and >= 0, and they and ``stop_rel_tol`` real numbers (not bools),
     stored as floats. ``pyramid`` must be a bool. The Armijo line search and
     the sparsity smoothing use fixed constants (see :func:`optimize`). The
-    counts ``T``, ``max_iters`` and ``control_stride`` must be integers; an
-    integral float such as ``10.0`` becomes an int.
+    counts ``T``, ``max_iters`` and ``control_stride`` must be integers >= 1;
+    an integral float such as ``10.0`` becomes an int.
     """
 
     kernel: KernelSpec
@@ -88,16 +86,15 @@ class RegistrationConfig:
 
     def __post_init__(self):
         for name in ("T", "max_iters", "control_stride"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            count = _count(name, getattr(self, name))
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
+            object.__setattr__(self, name, count)
         for name in ("lambda0", "lambda1", "reg_weight", "stop_rel_tol"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         _flag("pyramid", self.pyramid)
         if self.orders not in ORDERS:
             raise ValueError(f"orders must be one of {ORDERS}, got {self.orders!r}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         weights = {"lambda0": self.lambda0, "lambda1": self.lambda1, "reg_weight": self.reg_weight}
         if not all(math.isfinite(w) and w >= 0 for w in weights.values()):
             raise ValueError(f"weights must be finite and >= 0, got {weights}")
@@ -186,11 +183,10 @@ class _Engine:
     alone, so first-order momenta are ignored everywhere, sparsity
     included, and their gradient is zero.
 
-    The engine owns one transport workspace, allocated here, and keeps its
-    last pass: :meth:`forward` writes the maps into the workspace and leaves
-    the step ``stencils`` and the ``final``-sample stencil (views of the
-    workspace) and the Gram products ``gms`` and residual ``resid``, which
-    :meth:`backward` consumes and releases.
+    The engine owns one ``transport``, allocated here, and keeps its last
+    pass: :meth:`forward` advects the inverse map and leaves the Gram
+    products ``gms`` and residual ``resid``, which :meth:`backward`
+    consumes and releases.
     """
 
     def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage):
@@ -205,9 +201,9 @@ class _Engine:
         self.asm = VelocityAssembler(cfg.kernel, grid, self.points, first_order)
         self.grams = KernelGrams(cfg.kernel, self.points, first_order)
         self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d, float)[: self.orders]
-        self.workspace = flowmod._Workspace(grid, cfg.T)
+        self.transport = flowmod._Transport(grid, cfg.T)
         self.forward_passes = 0
-        self.stencils = self.final = self.gms = self.resid = None
+        self.gms = self.resid = None
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros((self.cfg.T, len(self.points), self.orders, self.grid.ndim))
@@ -218,12 +214,11 @@ class _Engine:
 
     def forward(self, M) -> EnergyParts:
         """Energy parts at M; the pass replaces the last one on the engine."""
-        cfg, grid, T, ws = self.cfg, self.grid, self.cfg.T, self.workspace
+        cfg, grid, T = self.cfg, self.grid, self.cfg.T
         self.forward_passes += 1
-        self.stencils = self.final = self.gms = self.resid = None
-        self.stencils = flowmod._advect_inverse((self.asm.velocity(M[k]) for k in range(T)), ws)
-        self.final = Stencil(grid, ws.maps[T].T, ws.stencil(T))
-        resid = self.final.gather(self.I0.values).reshape(grid.dims) - self.I1.values
+        self.gms = self.resid = None
+        self.transport.advect(self.asm.velocity(M[k]) for k in range(T))
+        resid = self.transport.final.gather(self.I0.values).reshape(grid.dims) - self.I1.values
         e_sim = 0.5 * float(np.mean(resid * resid))
         # huge but finite candidate momenta overflow here; the caller rejects the non-finite total
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,23 +231,20 @@ class _Engine:
     def backward(self, M) -> np.ndarray:
         """Exact adjoint at M of the last :meth:`forward`, which ran at M: the
         gradient block. Releases that pass's Gram products and residual, so a
-        pass has one backward; the stencils stay."""
+        pass has one backward; the transport keeps its pass."""
         if self.resid is None:
             raise RuntimeError("backward needs a completed forward pass that no backward has consumed")
-        cfg, grid, T, maps = self.cfg, self.grid, self.cfg.T, self.workspace.maps
-        dt = 1.0 / T
+        cfg, grid, T = self.cfg, self.grid, self.cfg.T
         gms, resid, self.gms, self.resid = self.gms, self.resid, None, None
         G = np.empty_like(M)
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
-        psibar = self.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
+        psibar = self.transport.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
 
         scale = cfg.reg_weight / (2.0 * T)
         for k in range(T - 1, -1, -1):
-            vbar = -dt * self.stencils[k].point_grad_dot(maps[k].T, psibar)
+            vbar, psibar = self.transport.step_adjoint(k, psibar)
             G[k] = self.asm.adjoint(vbar) + scale * (2.0 * gms[k])
-            if k > 0:
-                psibar = self.stencils[k].splat(psibar)
 
         G[0] += _sparsity_grad(M[0], self.lam)
         return G
@@ -383,14 +375,14 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         CM = _descend(c_eng, c_eng.zero_theta())[0]
         coarse_passes = c_eng.forward_passes
         M = _prolong_momenta(c_eng.points, CM, I0.geometry, cfg.control_stride)
-        del c_eng  # and with it the coarse workspace
+        del c_eng  # and with it the coarse transport
 
     M, trace, steps, stop_reason = _descend(eng, M)
     geom = I0.geometry
-    warped = ScalarImage(geom, eng.final.gather(I0.values).reshape(geom.dims))
-    psi_T = DeformationMap(geom, eng.workspace.maps[cfg.T].T.reshape(geom.dims + (geom.ndim,)), "inverse")
-    # drop the last pass and the whole workspace before the forward push
-    eng.workspace = eng.stencils = eng.final = eng.gms = eng.resid = None
+    warped = ScalarImage(geom, eng.transport.final.gather(I0.values).reshape(geom.dims))
+    psi_T = eng.transport.inverse_map()
+    # drop the last pass and the whole transport before the forward push
+    eng.transport = eng.gms = eng.resid = None
     fp = flowmod._flow_path((eng.asm.velocity(M[k]) for k in range(cfg.T)), psi_T, geom, cfg.T)
     return RegistrationResult(
         momenta=eng.to_time_momenta(M),

@@ -265,6 +265,13 @@ class TestRegister:
         assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_zero_control_stride_is_usage_error(self, tmp_path, capsys):
+        # it used to fail at engine build with "stride must be >= 1", naming no config key
+        code, err, out_dir = register_with(tmp_path, capsys, control_stride=0)
+        assert code == 1
+        assert err.startswith("error:") and "control_stride must be >= 1" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "settings, named",
         [({"lambda0": float("nan")}, "weights"), ({"reg_weight": float("inf")}, "weights"),

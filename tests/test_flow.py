@@ -5,8 +5,7 @@ from slidereg.errors import DivergenceError
 from slidereg.flow import (
     integrate,
     jacobian_fd,
-    _Workspace,
-    _advect_inverse,
+    _Transport,
     _flow_path,
 )
 from slidereg.geometry import DeformationMap, GridGeometry, identity_map, interp_values
@@ -104,27 +103,29 @@ class TestFlowPath:
     def test_non_finite_forward_map_raises(self):
         v = np.zeros((GRID.node_count, 2))
         bad = np.full_like(v, np.nan)
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError, match="after step 2"):
             _flow_path(iter([v, bad, v]), identity_map(GRID, "inverse"), GRID, 3)
-        assert err.value.step == 2
 
 
 class TestAdvectInverse:
+    """``_Transport.advect``, the transport of the inverse map."""
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_velocity_raises(self, bad):
         v = np.zeros((GRID.node_count, 2))
         v[7, 1] = bad
-        with pytest.raises(DivergenceError) as err:
-            _advect_inverse([v], _Workspace(GRID, 1))
-        assert err.value.step == 1
+        with pytest.raises(DivergenceError, match="at step 1"):
+            _Transport(GRID, 1).advect([v])
 
     def test_raises_at_the_bad_step(self):
         v = np.zeros((GRID.node_count, 2))
         bad = v.copy()
         bad[0, 0] = np.nan
-        with pytest.raises(DivergenceError) as err:
-            _advect_inverse([v, v, bad], _Workspace(GRID, 3))
-        assert err.value.step == 3
+        tr = _Transport(GRID, 3)
+        tr.advect([v, v, v])
+        with pytest.raises(DivergenceError, match="at step 3"):
+            tr.advect([v, v, bad])
+        assert tr.stencils is None and tr.final is None  # the failed pass leaves none, nor the last one
 
 
 class TestJacobianFD:

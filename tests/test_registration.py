@@ -478,8 +478,8 @@ class TestOptimize:
         cfg = small_config(max_iters=6, stop_rel_tol=0.0)
         _, _, candidates = oracle_descend(_Engine(cfg, pair.template, pair.reference))
         calls = []
-        real = flow._advect_inverse
-        monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
+        real = flow._Transport.advect
+        monkeypatch.setattr(flow._Transport, "advect", lambda *a: calls.append(1) or real(*a))
         optimize(cfg, pair.template, pair.reference)
         assert len(calls) == 1 + candidates
 
@@ -496,8 +496,8 @@ class TestOptimize:
         pair = gen_rectangle(16, 2)
         cfg = patched_config(monkeypatch, **kw)
         calls = []
-        real = flow._advect_inverse
-        monkeypatch.setattr(flow, "_advect_inverse", lambda *a: calls.append(1) or real(*a))
+        real = flow._Transport.advect
+        monkeypatch.setattr(flow._Transport, "advect", lambda *a: calls.append(1) or real(*a))
         res = optimize(cfg, pair.template, pair.reference)
         assert res.stop_reason == stop_reason
         assert res.forward_passes == len(calls)
@@ -589,17 +589,17 @@ class TestOptimize:
             assert not np.all(np.isfinite(1e308 * G))
 
         finite = []
-        real = flow._advect_inverse
+        real = flow._Transport.advect
 
-        def advect(velocities, *a):
+        def advect(self, velocities):
             def seen():
                 for v in velocities:
                     finite.append(bool(np.all(np.isfinite(v))))
                     yield v
 
-            return real(seen(), *a)
+            return real(self, seen())
 
-        monkeypatch.setattr(flow, "_advect_inverse", advect)
+        monkeypatch.setattr(flow._Transport, "advect", advect)
         res = optimize(cfg, pair.template, pair.reference)
         assert finite and all(finite)  # no transport saw the overflowing candidate
         assert res.forward_passes < 1 + sum(s.candidates for s in res.line_search)  # one was never transported
@@ -675,11 +675,14 @@ class TestOptimize:
 
 def _transport_arrays(eng):
     """The maps and stencil arrays of the engine's last pass, in a fixed order."""
-    maps = [m.T for m in eng.workspace.maps]
-    return maps + [getattr(st, name) for st in eng.stencils + [eng.final] for name in ("base", "frac", "unclamped")]
+    tr = eng.transport
+    maps = [m.T for m in tr.maps]
+    return maps + [getattr(st, name) for st in tr.stencils + [tr.final] for name in ("base", "frac", "unclamped")]
 
 
 class TestWorkspace:
+    """The buffers of the engine's transport: reused by every pass, gone before the result is built."""
+
     def test_passes_reuse_the_buffers_and_match_a_fresh_engine(self, rng):
         pair = gen_rectangle(16, 2)
         I0, I1 = pair.template, pair.reference
@@ -720,14 +723,14 @@ class TestWorkspace:
             eng.backward(M)
 
     def test_stencil_buffers_are_freed_before_the_result_copies(self, monkeypatch):
-        # peak memory: psi_T is copied out, then the whole workspace goes before the forward push
+        # peak memory: psi_T is copied out, then the whole transport goes before the forward push
         import weakref
 
         from slidereg import flow
 
         buffers, alive = [], []
 
-        class Recorded(flow._Workspace):
+        class Recorded(flow._Transport):
             def __init__(self, *a):
                 super().__init__(*a)
                 buffers.extend(weakref.ref(b) for b in (self.maps, self.base, self.frac, self.unclamped, self.index))
@@ -738,7 +741,7 @@ class TestWorkspace:
             alive.extend(ref() is not None for ref in buffers)
             return real(*a)
 
-        monkeypatch.setattr(flow, "_Workspace", Recorded)
+        monkeypatch.setattr(flow, "_Transport", Recorded)
         monkeypatch.setattr(flow, "_flow_path", flow_path)
         pair = gen_rectangle(16, 2)
         optimize(small_config(max_iters=3), pair.template, pair.reference)
@@ -768,16 +771,16 @@ class TestWorkspace:
 
         made = []
 
-        class Recorded(flow._Workspace):
+        class Recorded(flow._Transport):
             def __init__(self, *a):
                 super().__init__(*a)
                 made.append(self)
 
-        monkeypatch.setattr(flow, "_Workspace", Recorded)
+        monkeypatch.setattr(flow, "_Transport", Recorded)
         pair = gen_rectangle(16, 2)
         res = optimize(small_config(max_iters=3, pyramid=pyramid), pair.template, pair.reference)
         assert len(made) == 1 + pyramid
-        buffers = [b for ws in made for b in (ws.maps, ws.base, ws.frac, ws.unclamped, ws.index)]
+        buffers = [b for tr in made for b in (tr.maps, tr.base, tr.frac, tr.unclamped, tr.index)]
         arrays = [res.warped.values, res.flow.final.targets, res.flow.final_inverse.targets]
         arrays += [a for ms in res.momenta.steps for a in (ms.points, ms.m0, ms.m1)]
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
@@ -885,12 +888,17 @@ class TestConfigRoundTrip:
             dict(T=True),
             dict(max_iters=float("nan")),
             dict(control_stride="4"),
+            dict(T=0),
+            dict(max_iters=0),
+            dict(control_stride=0),
+            dict(control_stride=-2),
         ],
         ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
     )
     def test_counts_validated(self, kw):
-        # a float T or max_iters crashes the solve with a TypeError, and a
-        # fractional stride puts control points between the nodes
+        # a float T or max_iters crashes the solve with a TypeError, a
+        # fractional stride puts control points between the nodes, and a
+        # stride below 1 used to fail at engine build, naming no config key
         with pytest.raises(ValueError, match=next(iter(kw))):
             small_config(**kw)
 
