@@ -113,11 +113,12 @@ def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) ->
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
     """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice."""
     asm = VelocityAssembler(spec, grid, tm.points)
+    velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
     transport = _Transport(grid, tm.T)
-    transport.advect(asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps)
+    transport.advect(velocities)
     inverse = transport.inverse_map()
     del transport  # the whole transport goes before the forward push
-    return _flow_path((asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps), inverse, grid, tm.T)
+    return _flow_path(velocities, inverse, grid, tm.T)
 
 
 def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:
