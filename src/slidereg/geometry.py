@@ -90,7 +90,7 @@ class GridGeometry:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +257,9 @@ class Stencil:
         for a in range(1, d):
             self.base *= geom.dims[a]
             self.base += index[a]
+        strides = [math.prod(geom.dims[a + 1:]) for a in range(d)]
         corners = itertools.product((0, 1), repeat=d)
-        self.corners = [(c, int(np.ravel_multi_index(c, geom.dims))) for c in corners]
+        self.corners = [(c, sum(s for s, bit in zip(strides, c) if bit)) for c in corners]
 
     def _weights(self):
         """Corner weights in ``corners`` order: the left-to-right product over the
@@ -295,7 +296,8 @@ class Stencil:
     def point_grad_dot(self, values: np.ndarray, adj) -> np.ndarray:
         """Derivative of :meth:`gather` with respect to the point, contracted with
         ``adj`` (shaped like :meth:`gather`'s output) over the channels; shape
-        ``lead + (d,)``, zero along any axis on which the point was clamped.
+        ``lead + (d,)``, zero along any axis on which the point was clamped,
+        as the transpose of a channel-major (d, m) row block.
         Each corner's node data is dotted with ``adj`` once; along axis a, the
         differences of those dots across a are weighted by the other axes' factors."""
         d, m = self.geom.ndim, self.base.size
@@ -307,7 +309,7 @@ class Stencil:
         dots = dots.reshape((2,) * d + (m,))
         inv_spacing = 1.0 / np.asarray(self.geom.spacing)
         fac = (1.0 - self.frac, self.frac)
-        out = np.empty((m, d))
+        out = np.empty((d, m))
         for a in range(d):
             lo, hi = np.moveaxis(dots, a, 0)
             t = hi - lo
@@ -315,8 +317,8 @@ class Stencil:
                 t, t1 = t[..., 0, :], t[..., 1, :]
                 t *= fac[0][b]
                 t += t1 * fac[1][b]
-            out[:, a] = t * inv_spacing[a] * self.unclamped[a]
-        return out.reshape(self.lead + (d,))
+            out[a] = t * inv_spacing[a] * self.unclamped[a]
+        return out.T.reshape(self.lead + (d,))
 
     def splat(self, adj) -> np.ndarray:
         """Transpose of :meth:`gather`: accumulate ``adj`` onto the nodes.
@@ -325,7 +327,7 @@ class Stencil:
         or ``(node_count, c)``, channel-major like :meth:`gather`'s output.
         One ``np.bincount`` per channel over a corner-major ``(2^d, m)``
         block of flat indices and weight-times-adjoint products adds in the
-        order of a per-corner scatter.
+        order of a per-corner scatter; every channel's products reuse one block.
         """
         adj = np.asarray(adj, float)
         channels = adj.shape[len(self.lead):]
@@ -333,8 +335,9 @@ class Stencil:
         w = np.empty((len(self.corners), self.base.size))
         for row, wj in zip(w, self._weights()):
             row[...] = wj
-        n = self.geom.node_count
-        out = [np.bincount(idx, (w * col).ravel(), minlength=n) for col in adj.reshape(self.base.size, -1).T]
+        n, wcol = self.geom.node_count, np.empty_like(w)
+        cols = adj.reshape(self.base.size, -1).T
+        out = [np.bincount(idx, np.multiply(w, col, out=wcol).ravel(), minlength=n) for col in cols]
         return np.stack(out).T.reshape((n,) + channels)
 
 

@@ -16,6 +16,11 @@ changes only the axis-i factor, so synthesis, its adjoint and the Gram
 apply are Kronecker products of small per-axis matrices over the control
 points, which must form a product lattice (see ``_Lattice``): a regular
 ``control_lattice``, a single point, or a product of non-uniform axes.
+
+The operators take momenta as one component-major block (..., orders, d, n):
+order 0 first, then the d slots, each order a (d, n) slab of d rows over the
+n control points. The lattice axes trail, so every Kronecker apply runs on
+contiguous lattice slabs while steps, orders and components ride in front.
 """
 from __future__ import annotations
 
@@ -120,14 +125,26 @@ def _factor(fn, spec: KernelSpec, offsets: np.ndarray, *slot) -> np.ndarray:
     return fn(spec, *slot, offsets.reshape(-1, 1), np.zeros(1)).reshape(offsets.shape)
 
 
-def _apply(mats, X: np.ndarray) -> np.ndarray:
-    """Kronecker product of ``mats`` applied to X, ``mats[a]`` acting on axis a.
+def _operands(mats, transpose: bool = False) -> list:
+    """The :func:`_apply` operands of the Kronecker product of the per-axis ``mats``
+    (or of its transpose): contiguous left factors, then the last axis's factor
+    transposed, contiguous, to right-multiply."""
+    if transpose:
+        mats = [A.T for A in mats]
+    return [np.ascontiguousarray(A) for A in mats[:-1]] + [np.ascontiguousarray(mats[-1].T)]
 
-    One batched matrix product per axis on a contiguous reshape; trailing
-    axes of X ride along.
+
+def _apply(ops, X: np.ndarray) -> np.ndarray:
+    """A Kronecker product given as :func:`_operands` applied to the trailing lattice axes of X.
+
+    One right-multiplying GEMM contracts the last lattice axis over every
+    leading row at once; one batched left-multiply per other lattice axis
+    follows. Leading axes of X ride along in front.
     """
-    shape = X.shape
-    for a, A in enumerate(mats):
+    *left, right = ops
+    shape = X.shape[:-1] + right.shape[1:]
+    X = X.reshape(-1, right.shape[0]) @ right
+    for a, A in enumerate(left, start=len(shape) - len(ops)):
         X = np.matmul(A, X.reshape(math.prod(shape[:a]), shape[a], -1))
         shape = shape[:a] + (A.shape[0],) + shape[a + 1:]
     return X.reshape(shape)
@@ -139,12 +156,15 @@ def _per_order(k: list, slot: list) -> list:
 
 
 def _block(m0: np.ndarray, m1: np.ndarray, slots: int | None = None) -> np.ndarray:
-    """Momenta as one block (..., orders, d): order 0, then the first ``slots`` slots of m1 (all by default)."""
-    return np.concatenate([m0[..., None, :], m1[..., :slots, :]], axis=-2)
+    """Momenta m0 (..., n, d) and m1 (..., n, d, d) as one block (..., orders, d, n):
+    order 0, then the first ``slots`` slots of m1 (all by default)."""
+    M = np.concatenate([m0[..., None, :], m1[..., :slots, :]], axis=-2)
+    return np.ascontiguousarray(np.moveaxis(M, -3, -1))
 
 
 def _unblock(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A block back to (m0, m1); slots past the block's orders read zero."""
+    M = np.moveaxis(M, -1, -3)
     M = np.pad(M, [(0, 0)] * (M.ndim - 2) + [(0, M.shape[-1] + 1 - M.shape[-2]), (0, 0)])
     return M[..., 0, :], M[..., 1:, :]
 
@@ -152,8 +172,9 @@ def _unblock(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Lattice:
     """A control-point set, which must be the C-order product of its per-axis unique
     coordinates as ``control_lattice`` builds it (a single point is one node); a
-    scattered set, a repeated point or another order raises ValueError. Momenta
-    scatter onto the lattice and adjoints gather back by reshapes."""
+    scattered set, a repeated point or another order raises ValueError. A
+    trailing point axis scatters onto trailing lattice axes and gathers back,
+    both by reshapes."""
 
     def __init__(self, points: np.ndarray):
         pairs = [np.unique(c, return_inverse=True) for c in np.asarray(points, float).T]
@@ -165,10 +186,10 @@ class _Lattice:
                              "control_lattice builds them; scattered, repeated or reordered points are refused")
 
     def scatter(self, m: np.ndarray) -> np.ndarray:
-        return m.reshape(self.shape + m.shape[1:])
+        return m.reshape(m.shape[:-1] + self.shape)
 
     def gather(self, M: np.ndarray) -> np.ndarray:
-        return M.reshape((-1,) + M.shape[len(self.shape):])
+        return M.reshape(M.shape[:-len(self.shape)] + (-1,))
 
 
 class VelocityAssembler:
@@ -179,9 +200,9 @@ class VelocityAssembler:
     window of nodes around the node nearest each control coordinate,
     clipped to the grid. Zeroth-order synthesis is the Kronecker product
     of these; slot i swaps in the partial factor on axis i. The adjoint
-    uses the transposes. Momenta come as a block (n, orders, d), order 0
+    uses the transposes. Momenta come as a block (orders, d, n), order 0
     first, then the slots; with ``first_order=False`` the block holds
-    order 0 alone.
+    order 0 alone. Velocities are filled channel-major, (d, node_count).
     """
 
     def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray, first_order: bool = True):
@@ -200,19 +221,22 @@ class VelocityAssembler:
             k.append(mask * _factor(kernels.eval_kernel_many, spec, offsets))
             if first_order:
                 dk.append(mask * _factor(kernels.eval_partial_many, spec, offsets, 0))
-        self.ops = _per_order(k, dk)
-        # contiguous transposes: batched matmul is slow on transposed views
-        self.ops_T = [[np.ascontiguousarray(A.T) for A in mats] for mats in self.ops]
+        orders = _per_order(k, dk)
+        self.ops = [_operands(mats) for mats in orders]
+        self.ops_T = [_operands(mats, transpose=True) for mats in orders]
 
     def velocity(self, M: np.ndarray) -> np.ndarray:
-        """Node velocities of the block M, shape (node_count, d)."""
-        v = sum(_apply(mats, self.lattice.scatter(M[:, o])) for o, mats in enumerate(self.ops))
-        return v.reshape(-1, self.grid.ndim)
+        """Node velocities of the block M, shape (node_count, d): the transpose
+        of a channel-major (d, node_count) array."""
+        v = _apply(self.ops[0], self.lattice.scatter(M[0]))
+        for ops, m in zip(self.ops[1:], M[1:]):
+            v += _apply(ops, self.lattice.scatter(m))
+        return v.reshape(self.grid.ndim, -1).T
 
     def adjoint(self, vbar: np.ndarray) -> np.ndarray:
-        """Pull node-velocity adjoints back to a block (n, orders, d)."""
-        V = vbar.reshape(self.grid.dims + (self.grid.ndim,))
-        return np.stack([self.lattice.gather(_apply(mats, V)) for mats in self.ops_T], axis=1)
+        """Pull node-velocity adjoints (node_count, d) back to a block (orders, d, n)."""
+        V = np.reshape(vbar.T, (self.grid.ndim,) + self.grid.dims)
+        return np.stack([self.lattice.gather(_apply(ops, V)) for ops in self.ops_T])
 
 
 class KernelGrams:
@@ -223,35 +247,33 @@ class KernelGrams:
     the points' lattice (slot i swaps in the mixed factor on axis i) and
     is never formed. The energy has no cross-order blocks: it is the sum
     of the per-order quadratic forms. Momenta come as a block
-    (..., n, orders, d) with any leading step axes; with
+    (..., orders, d, n) with any leading step axes; with
     ``first_order=False`` the block holds order 0 alone and only G0 runs.
     """
 
     def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
         self.lattice = _Lattice(points)
         offsets = [u[:, None] - u for u in self.lattice.axes]
-        self.ops = _per_order(
+        orders = _per_order(
             [_factor(kernels.eval_kernel_many, spec, o) for o in offsets],
             [_factor(kernels.eval_mixed_many, spec, o, 0) for o in offsets] if first_order else [],
         )
+        self.ops = [_operands(mats) for mats in orders]
 
     def products(self, M: np.ndarray) -> np.ndarray:
-        """Block of G0 M_0, then G1_i M_i, shaped like M; leading step axes ride
-        along at the back, and each order's product is written into one
-        C-contiguous output block."""
-        lat, steps = self.lattice, range(M.ndim - 3)
-        back = range(-len(steps), 0)
-        out = np.empty(M.shape)
-        M = np.moveaxis(M, steps, back)
-        for o, mats in enumerate(self.ops):
-            out[..., o, :] = np.moveaxis(lat.gather(_apply(mats, lat.scatter(M[:, o]))), back, steps)
+        """Block of G0 M_0, then G1_i M_i, shaped like M; each order's product,
+        over every leading step and component at once, fills its (d, n) slabs."""
+        lat, out = self.lattice, np.empty(M.shape)
+        for o, ops in enumerate(self.ops):
+            out[..., o, :, :] = lat.gather(_apply(ops, lat.scatter(M[..., o, :, :])))
         return out
 
     @staticmethod
     def energy_of(M: np.ndarray, products: np.ndarray) -> float:
         """Energy from precomputed :meth:`products` of the same momenta. Order 0 and the
         slots sum apart, so a block without slots sums bit for bit like one with zero slots."""
-        return float(np.sum(M[..., :1, :] * products[..., :1, :]) + np.sum(M[..., 1:, :] * products[..., 1:, :]))
+        return float(np.sum(M[..., :1, :, :] * products[..., :1, :, :])
+                     + np.sum(M[..., 1:, :, :] * products[..., 1:, :, :]))
 
     def energy(self, M: np.ndarray) -> float:
         return self.energy_of(M, self.products(M))

@@ -156,8 +156,8 @@ def ssd(a: ScalarImage, b: ScalarImage) -> float:
     return 0.5 * float(np.mean(diff * diff))
 
 
-# The sparsity prior: sum_o lam_o sum_j (sqrt(|M_jo|^2 + eps^2) - eps) over a block
-# (n, orders, d) with one weight per order, zeroth order first (in ``zeroth_only``
+# The sparsity prior: sum_o lam_o sum_j (sqrt(|M_oj|^2 + eps^2) - eps) over a block
+# (orders, d, n) with one weight per order, zeroth order first (in ``zeroth_only``
 # mode the block and the weights stop at order 0). Smoothing by the fixed width eps
 # keeps it differentiable at 0 and within eps per vector below the plain L1 norm.
 _SPARSITY_EPS = 1e-6
@@ -165,23 +165,23 @@ _SPARSITY_EPS = 1e-6
 
 def _sparsity(M: np.ndarray, lam: np.ndarray) -> float:
     """The prior of the block M, summed order by order."""
-    norms = np.sqrt(np.sum(M**2, axis=-1) + _SPARSITY_EPS**2) - _SPARSITY_EPS
-    return float(sum(w * np.sum(norms[:, o]) for o, w in enumerate(lam)))
+    norms = np.sqrt(np.sum(M**2, axis=-2) + _SPARSITY_EPS**2) - _SPARSITY_EPS
+    return float(sum(w * np.sum(norms[o]) for o, w in enumerate(lam)))
 
 
 def _sparsity_grad(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Gradient of :func:`_sparsity`, a block like M."""
-    return lam[:, None] * M / np.sqrt(np.sum(M**2, axis=-1) + _SPARSITY_EPS**2)[..., None]
+    return lam[:, None, None] * M / np.sqrt(np.sum(M**2, axis=-2) + _SPARSITY_EPS**2)[:, None]
 
 
 class _Engine:
     """Operators on the config's control lattice and the forward/backward energy pipeline of one image pair.
 
-    The momenta of all T steps are one block M of shape (T, n, orders, d):
-    ``M[..., 0, :]`` is the zeroth order and ``M[..., 1:, :]`` the
-    first-order slots. In ``zeroth_only`` mode the block holds order 0
-    alone, so first-order momenta are ignored everywhere, sparsity
-    included, and their gradient is zero.
+    The momenta of all T steps are one component-major block M of shape
+    (T, orders, d, n): ``M[:, 0]`` is the zeroth order and ``M[:, 1:]`` the
+    first-order slots, each a (d, n) slab per step. In ``zeroth_only`` mode
+    the block holds order 0 alone, so first-order momenta are ignored
+    everywhere, sparsity included, and their gradient is zero.
 
     The engine owns one ``transport``, allocated here, and keeps its last
     pass: :meth:`forward` advects the inverse map and leaves the Gram
@@ -206,7 +206,7 @@ class _Engine:
         self.gms = self.resid = None
 
     def zero_theta(self) -> np.ndarray:
-        return np.zeros((self.cfg.T, len(self.points), self.orders, self.grid.ndim))
+        return np.zeros((self.cfg.T, self.orders, self.grid.ndim, len(self.points)))
 
     def to_time_momenta(self, M) -> TimeMomenta:
         m0, m1 = _unblock(M)
@@ -289,7 +289,10 @@ def _descend(eng: _Engine, M):
     final block. The accepted candidate's pass feeds the next gradient.
     A search starts at the last accepted step if that search shrank, else
     at twice it, capped by ``_ARMIJO_INIT``, so a step the last search just
-    found too long is not tried again (Nocedal & Wright, sec. 3.5)."""
+    found too long is not tried again (Nocedal & Wright, sec. 3.5).
+    Candidates are written into a second block that swaps roles with the
+    iterate on acceptance, so M's buffer is reused as scratch and the
+    descent makes no block-sized temporaries."""
     cfg = eng.cfg
     parts = eng.forward(M)
     if not np.isfinite(parts.total):
@@ -298,17 +301,20 @@ def _descend(eng: _Engine, M):
     steps = []
     stop_reason = "max_iters"
     alpha_prev, shrunk = _ARMIJO_INIT, False
+    C = np.empty_like(M)
 
     for _ in range(cfg.max_iters):
         G = eng.backward(M)
-        gnorm2 = float(np.sum(G * G))
+        gnorm2 = float(np.sum(np.square(G, out=C)))
         if gnorm2 <= 1e-30:
             stop_reason = "gradient_zero"
             break
         alpha = alpha_prev if shrunk else min(_ARMIJO_INIT, 2.0 * alpha_prev)
         for tried in range(1, _MAX_SHRINKS + 2):
             with np.errstate(over="ignore"):
-                C = M - alpha * G
+                # rounds like M - alpha * G, since negation is exact
+                np.multiply(G, -alpha, out=C)
+                C += M
             cand = None
             if np.all(np.isfinite(C)):
                 try:
@@ -322,7 +328,8 @@ def _descend(eng: _Engine, M):
             stop_reason = "line_search_stalled"
             eng.forward(M)
             break
-        M, parts = C, cand
+        M, C, parts = C, M, cand
+        del G  # before the next backward allocates its own
         alpha_prev, shrunk = alpha, tried > 1
         trace.append(cand)
         steps.append(LineSearchStep(alpha, tried))
@@ -336,7 +343,7 @@ def _descend(eng: _Engine, M):
 
 
 def _prolong_momenta(coarse_pts, CM, fine_grid: GridGeometry, stride: int):
-    """Copy a per-step coarse momentum block (T, n_c, orders, d) onto the fine control lattice.
+    """Copy a per-step coarse momentum block (T, orders, d, n_c) onto the fine control lattice.
 
     The fine lattice is ``control_lattice(fine_grid, stride)``. Matching
     runs in its index space: a coarse point lands on the nearest fine
@@ -346,8 +353,8 @@ def _prolong_momenta(coarse_pts, CM, fine_grid: GridGeometry, stride: int):
     shape = tuple(len(range(0, n, stride)) for n in fine_grid.dims)
     idx = np.rint(fine_grid.to_index(coarse_pts) / stride).astype(int)
     keep = np.all((idx >= 0) & (idx < shape), axis=1)
-    M = np.zeros((CM.shape[0], int(np.prod(shape))) + CM.shape[2:])
-    M[:, np.ravel_multi_index(tuple(idx[keep].T), shape)] = CM[:, keep]
+    M = np.zeros(CM.shape[:-1] + (math.prod(shape),))
+    M[..., np.ravel_multi_index(tuple(idx[keep].T), shape)] = CM[..., keep]
     return M
 
 

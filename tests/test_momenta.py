@@ -35,9 +35,11 @@ def random_lattice(rng, shape, lo=6.0, hi=17.0):
     return product_points(*(np.sort(rng.uniform(lo, hi, k)) for k in shape))
 
 
-def node_velocity(ms, spec, grid):
-    """Velocity of the momentum set ``ms`` at the grid nodes, shape ``dims + (d,)``."""
-    return VelocityAssembler(spec, grid, ms.points).velocity(_block(ms.m0, ms.m1)).reshape(grid.dims + (grid.ndim,))
+def node_velocity(ms, spec, grid, first_order=True):
+    """Velocity of the momentum set ``ms`` at the grid nodes, shape ``dims + (d,)``;
+    with ``first_order=False`` its order 0 alone, as the zeroth-only solver synthesizes it."""
+    asm = VelocityAssembler(spec, grid, ms.points, first_order)
+    return asm.velocity(_block(ms.m0, ms.m1, None if first_order else 0)).reshape(grid.dims + (grid.ndim,))
 
 
 def random_set(rng, shape=(2, 2), lo=6.0, hi=17.0):
@@ -47,6 +49,11 @@ def random_set(rng, shape=(2, 2), lo=6.0, hi=17.0):
 def random_momenta(rng, pts):
     n, d = pts.shape
     return MomentumSet(pts, rng.standard_normal((n, d)), rng.standard_normal((n, d, d)))
+
+
+def zeroth_only(ms):
+    """The momentum set with its first-order momenta zeroed."""
+    return MomentumSet(ms.points, ms.m0, np.zeros_like(ms.m1))
 
 
 def with_duplicate(pts):
@@ -84,6 +91,15 @@ NON_LATTICE_CASES = [
 NON_LATTICE = "C-order product of their per-axis coordinates"
 
 
+def extended(cases, defaults, variants):
+    """Each case with the extra arguments ``defaults``, under its own id, then each
+    case again per ``variants`` entry, id suffix to extra arguments."""
+    out = [pytest.param(*c.values, *defaults, id=c.id) for c in cases]
+    for suffix, extra in variants.items():
+        out += [pytest.param(*c.values, *extra, id=f"{c.id}-{suffix}") for c in cases]
+    return out
+
+
 def footprint_oracle(spec, grid, ms):
     """Sum over every (node, point) pair, masked to each point's window."""
     pos = grid.node_positions().reshape(-1, grid.ndim)
@@ -112,12 +128,13 @@ class TestContainers:
             TimeMomenta((a, b))
 
     def test_block_round_trip(self, rng):
-        # order 0 first, then the slots; slots left out of a block read zero
-        m0, m1 = rng.standard_normal((5, 4, 3)), rng.standard_normal((5, 4, 3, 3))
+        # component-major (..., orders, d, n): order 0 first, then the slots,
+        # each a C-contiguous (d, n) slab; slots left out of a block read zero
+        m0, m1 = rng.standard_normal((5, 6, 3)), rng.standard_normal((5, 6, 3, 3))
         M = _block(m0, m1)
-        assert M.shape == (5, 4, 4, 3)
-        np.testing.assert_array_equal(M[..., 0, :], m0)
-        np.testing.assert_array_equal(M[..., 1:, :], m1)
+        assert M.shape == (5, 4, 3, 6) and M.flags.c_contiguous
+        np.testing.assert_array_equal(M[:, 0], np.swapaxes(m0, 1, 2))
+        np.testing.assert_array_equal(M[:, 1:], np.moveaxis(m1, 1, 3))
         for got, want in zip(_unblock(M), (m0, m1)):
             np.testing.assert_array_equal(got, want)
         b0, b1 = _unblock(_block(m0, m1, 0))
@@ -185,13 +202,13 @@ class TestSynthVelocity:
             node_velocity(ms, WEND, GRID)
 
     @pytest.mark.parametrize(
-        "spec, grid, points",
-        [pytest.param(WEND, GRID, None, id="wendland-2d")] + OPERATOR_CASES,
+        "spec, grid, points, first_order",
+        extended([pytest.param(WEND, GRID, None, id="wendland-2d")] + OPERATOR_CASES, (True,), {"zeroth": (False,)}),
     )
-    def test_matches_brute_force_sum(self, spec, grid, points, rng):
+    def test_matches_brute_force_sum(self, spec, grid, points, first_order, rng):
         ms = random_set(rng, (3, 2), 8.0, 15.0) if points is None else random_momenta(rng, points)
-        got = node_velocity(ms, spec, grid).reshape(-1, grid.ndim)
-        want = footprint_oracle(spec, grid, ms)
+        got = node_velocity(ms, spec, grid, first_order).reshape(-1, grid.ndim)
+        want = footprint_oracle(spec, grid, ms if first_order else zeroth_only(ms))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
@@ -207,6 +224,16 @@ def gram_energy(ms, spec):
     return KernelGrams(spec, ms.points).energy(_block(ms.m0, ms.m1))
 
 
+def dense_gram_energy(ms, spec):
+    """Kernel-norm energy of a momentum set, one dense kernel column K(x_j, x_k) at a time."""
+    want = 0.0
+    for k, y in enumerate(ms.points):
+        want += ms.m0 @ ms.m0[k] @ eval_kernel_many(spec, ms.points, y)
+        for i in range(ms.points.shape[1]):
+            want += ms.m1[:, i] @ ms.m1[k, i] @ eval_mixed_many(spec, i, ms.points, y)
+    return want
+
+
 class TestVEnergy:
     def test_zero_momenta(self, rng):
         assert gram_energy(MomentumSet.zeros(random_lattice(rng, (2, 2), 4.0, 20.0)), WEND) == 0.0
@@ -218,18 +245,23 @@ class TestVEnergy:
         assert gram_energy(ms, spec) == pytest.approx(float(a @ a))
 
     @pytest.mark.parametrize(
-        "spec, grid, points",
-        [pytest.param(WEND, GRID, None, id="spec0"), pytest.param(GAUSS, GRID, None, id="spec1")]
-        + OPERATOR_CASES,
+        "spec, grid, points, first_order, steps",
+        extended(
+            [pytest.param(WEND, GRID, None, id="spec0"), pytest.param(GAUSS, GRID, None, id="spec1")] + OPERATOR_CASES,
+            (True, None),
+            {"zeroth": (False, None), "steps": (True, 3)},
+        ),
     )
-    def test_matches_dense_gram_oracle(self, spec, grid, points, rng):
-        ms = random_set(rng, (2, 3)) if points is None else random_momenta(rng, points)
-        want = 0.0
-        for k, y in enumerate(ms.points):  # one kernel column K(x_j, x_k) at a time
-            want += ms.m0 @ ms.m0[k] @ eval_kernel_many(spec, ms.points, y)
-            for i in range(ms.points.shape[1]):
-                want += ms.m1[:, i] @ ms.m1[k, i] @ eval_mixed_many(spec, i, ms.points, y)
-        assert gram_energy(ms, spec) == pytest.approx(want, rel=1e-12)
+    def test_matches_dense_gram_oracle(self, spec, grid, points, first_order, steps, rng):
+        # ``steps`` stacks that many sets on a leading step axis, as the solver's block does
+        points = random_lattice(rng, (2, 3)) if points is None else points
+        sets = [random_momenta(rng, points) for _ in range(steps or 1)]
+        if not first_order:
+            sets = [zeroth_only(ms) for ms in sets]
+        M = np.stack([_block(ms.m0, ms.m1, None if first_order else 0) for ms in sets])
+        got = KernelGrams(spec, points, first_order).energy(M if steps else M[0])
+        want = sum(dense_gram_energy(ms, spec) for ms in sets)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_gaussian_energy_nonnegative(self, rng):
         # the smooth family has a true positive-semidefinite per-order Gram
@@ -263,17 +295,21 @@ class TestVEnergy:
 
 class TestAssemblerAdjoint:
     @pytest.mark.parametrize(
-        "spec, grid, points",
-        [
-            pytest.param(WEND, GRID, control_lattice(GRID, 4), id="spec0"),
-            pytest.param(GAUSS, GRID, control_lattice(GRID, 4), id="spec1"),
-        ]
-        + OPERATOR_CASES,
+        "spec, grid, points, first_order",
+        extended(
+            [
+                pytest.param(WEND, GRID, control_lattice(GRID, 4), id="spec0"),
+                pytest.param(GAUSS, GRID, control_lattice(GRID, 4), id="spec1"),
+            ]
+            + OPERATOR_CASES,
+            (True,),
+            {"zeroth": (False,)},
+        ),
     )
-    def test_adjoint_identity(self, spec, grid, points, rng):
-        asm = VelocityAssembler(spec, grid, points)
+    def test_adjoint_identity(self, spec, grid, points, first_order, rng):
+        asm = VelocityAssembler(spec, grid, points, first_order)
         n, d = points.shape
-        M = rng.standard_normal((n, d + 1, d))
+        M = rng.standard_normal((d + 1 if first_order else 1, d, n))
         vbar = rng.standard_normal((grid.node_count, d))
         v = asm.velocity(M)
         A = asm.adjoint(vbar)
@@ -300,8 +336,8 @@ class TestLattice:
         assert lattice.shape == shape
         for a, u in enumerate(lattice.axes):
             np.testing.assert_array_equal(u, np.unique(points[:, a]))
-        m = rng.standard_normal((len(points), 4, 2))
-        np.testing.assert_array_equal(lattice.scatter(m), m.reshape(shape + (4, 2)))
+        m = rng.standard_normal((4, 2, len(points)))
+        np.testing.assert_array_equal(lattice.scatter(m), m.reshape((4, 2) + shape))
         np.testing.assert_array_equal(lattice.gather(lattice.scatter(m)), m)
 
     @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
@@ -321,8 +357,8 @@ class TestLatticeScale:
         grams = KernelGrams(WEND, pts)
         j = int(np.flatnonzero(np.all(pts == [24.0, 10.0, 36.0], axis=1))[0])
         a = np.array([0.5, -1.0, 2.0])
-        M = np.zeros((n, 4, 3))
-        M[j, 0] = a
+        M = np.zeros((4, 3, n))
+        M[0, :, j] = a
         v = asm.velocity(M).reshape(grid.dims + (3,))
         np.testing.assert_allclose(v[24, 10, 36], a, atol=1e-14)
         assert grams.energy(M) == pytest.approx(float(a @ a), rel=1e-14)

@@ -221,7 +221,7 @@ class TestTotalEnergy:
         pair = gen_rectangle(16, 2)
         eng = _Engine(small_config(), pair.template, pair.reference)
         M = eng.zero_theta()
-        M[1, 3, 0, 0] = np.nan
+        M[1, 0, 0, 3] = np.nan
         with pytest.raises(DivergenceError):
             eng.forward(M)
 
@@ -379,39 +379,39 @@ class TestGradient:
 
 
 class TestSparsity:
-    """The solver's smoothed L1 prior on a momentum block (n, orders, d), at its own eps."""
+    """The solver's smoothed L1 prior on a momentum block (orders, d, n), at its own eps."""
 
     def test_zero_momenta(self):
-        M = np.zeros((4, 3, 2))
+        M = np.zeros((3, 2, 4))
         lam = np.array([0.5, 0.5, 0.5])
         assert _sparsity(M, lam) == 0.0
 
     def test_gradient_zero_at_zero_momenta(self):
-        assert np.all(_sparsity_grad(np.zeros((4, 3, 2)), np.array([0.7, 0.7, 0.7])) == 0.0)
+        assert np.all(_sparsity_grad(np.zeros((3, 2, 4)), np.array([0.7, 0.7, 0.7])) == 0.0)
 
     def test_single_momentum_l1_limit(self):
-        M = np.zeros((1, 3, 2))
-        M[0, 1] = [2.0, 0.0]
+        M = np.zeros((3, 2, 1))
+        M[1, :, 0] = [2.0, 0.0]
         got = _sparsity(M, np.array([0.0, 0.5, 0.5]))
         assert got == pytest.approx(1.0, abs=_SPARSITY_EPS)
 
     def test_matches_per_order_loop(self, rng):
         # the block core sums and scales order by order, bit for bit like a loop
-        M = rng.standard_normal((6, 3, 2))
+        M = rng.standard_normal((3, 2, 6))
         lam, eps = np.array([0.3, 0.7, 1.1]), _SPARSITY_EPS
-        norms = [np.sqrt(np.sum(M[:, o] ** 2, axis=1) + eps**2) for o in range(3)]
+        norms = [np.sqrt(np.sum(M[o] ** 2, axis=0) + eps**2) for o in range(3)]
         total = 0.0
         for w, nrm in zip(lam, norms):
             total += w * np.sum(nrm - eps)
         assert _sparsity(M, lam) == total
         G = _sparsity_grad(M, lam)
         for o in range(3):
-            np.testing.assert_array_equal(G[:, o], lam[o] * M[:, o] / norms[o][:, None])
+            np.testing.assert_array_equal(G[o], lam[o] * M[o] / norms[o])
 
     @settings(deadline=None, max_examples=25)
     @given(st.floats(0.0, 10.0))
     def test_below_unsmoothed_l1(self, norm):
-        M = np.zeros((1, 3, 2))
+        M = np.zeros((3, 2, 1))
         M[0, 0, 0] = norm
         got = _sparsity(M, np.array([1.0, 0.0, 0.0]))
         assert got <= norm
@@ -713,7 +713,7 @@ class TestWorkspace:
         if before == "diverged":
             eng.forward(M)
             bad = M.copy()
-            bad[1, 3, 0, 0] = np.nan
+            bad[1, 0, 0, 3] = np.nan
             with pytest.raises(DivergenceError):
                 eng.forward(bad)
         elif before == "spent":
@@ -813,17 +813,17 @@ class TestPyramid:
         eng = _Engine(small_config(orders=orders, control_stride=2), coarse, coarse)
         fine_pts = control_lattice(fine, 2)
         n = eng.points.shape[0]
-        cm = np.arange(1.0, eng.orders * d * n + 1).reshape(1, n, eng.orders, d)
+        cm = np.arange(1.0, eng.orders * d * n + 1).reshape(1, eng.orders, d, n)
         m = _prolong_momenta(eng.points, cm, fine, 2)
-        assert m.shape == (1, fine_pts.shape[0], eng.orders, d)
-        hit = np.flatnonzero(np.any(m[0] != 0.0, axis=(1, 2)))
+        assert m.shape == (1, eng.orders, d, fine_pts.shape[0])
+        hit = np.flatnonzero(np.any(m[0] != 0.0, axis=(0, 1)))
         assert len(hit) == n == 64
-        np.testing.assert_array_equal(np.sort(m[0, hit].ravel()), cm.ravel())
+        np.testing.assert_array_equal(np.sort(m[0][..., hit].ravel()), cm.ravel())
         # each lands on the fine node nearest to it
         for j, p in enumerate(eng.points):
-            k = int(np.flatnonzero(m[0, :, 0, 0] == cm[0, j, 0, 0])[0])
+            k = int(np.flatnonzero(m[0, 0, 0] == cm[0, 0, 0, j])[0])
             assert np.all(np.abs(fine_pts[k] - p) <= np.asarray(spacing))
-            np.testing.assert_array_equal(m[0, k], cm[0, j])
+            np.testing.assert_array_equal(m[0][..., k], cm[0][..., j])
 
 
 class TestConfigRoundTrip:
