@@ -39,10 +39,9 @@ class _Transport:
     ``maps[k]`` holds the inverse map psi_k channel-major, shape
     (d, node_count); ``maps[0]`` is the node positions and never changes.
     Stencil buffers k < T belong to step k + 1, buffers T to the ``final``
-    sample of psi_T; all T + 1 stencils share one cell-index scratch. An
-    owner that keeps the transport across passes allocates it once; each
-    :meth:`advect` overwrites what the last one wrote, and its step
-    ``stencils`` and ``final`` stay valid until the next.
+    sample of psi_T. An owner that keeps the transport across passes
+    allocates it once; each :meth:`advect` overwrites what the last one
+    wrote, and its step ``stencils`` and ``final`` stay valid until the next.
     """
 
     def __init__(self, grid: GridGeometry, T: int):
@@ -54,11 +53,10 @@ class _Transport:
         self.base = np.empty((T + 1, n), np.intp)
         self.frac = np.empty((T + 1, d, n))
         self.unclamped = np.empty((T + 1, d, n), bool)
-        self.index = np.empty((d, n), np.intp)
         self.stencils = self.final = None
 
     def _stencil(self, k: int, pts) -> Stencil:
-        return Stencil(self.grid, pts, (self.base[k], self.frac[k], self.unclamped[k], self.index))
+        return Stencil(self.grid, pts, (self.base[k], self.frac[k], self.unclamped[k]))
 
     def advect(self, velocities) -> None:
         """Transport psi_0 through the T per-step node velocities, each

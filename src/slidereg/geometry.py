@@ -199,16 +199,16 @@ def identity_map(geom: GridGeometry, direction: str = "forward") -> DeformationM
 # ---------------------------------------------------------------------------
 
 
-def _locate(geom: GridGeometry, pts: np.ndarray, i0, frac, unclamped) -> None:
-    """Fill the cell indices ``i0``, in-cell fractions ``frac`` and clamp
-    pass-through mask ``unclamped``, each (d, m), of the points ``pts`` (m, d).
+def _locate(geom: GridGeometry, pts: np.ndarray, base, frac, unclamped) -> None:
+    """Fill the flat lowest-corner index ``base`` (m,), in-cell fractions ``frac``
+    and clamp pass-through mask ``unclamped``, each (d, m), of the points ``pts`` (m, d).
 
-    Each axis is worked in its own rows with ``out=`` ufuncs, so there are
-    no temporaries: ``frac[a]`` holds the index coordinate, then its clamp
-    to the node range, then the fraction. ``unclamped`` is True per axis
-    where the raw coordinate lies strictly inside the domain, i.e. where
-    the clamp is locally the identity. A column of channel-major points
-    (a transposed (d, m) block) is read contiguously.
+    Each axis is worked in its own rows with ``out=`` ufuncs: ``frac[a]`` holds
+    the index coordinate, then its clamp to the node range, then the fraction;
+    the axis's cell index, the one temporary, folds into ``base * dims[a] + cell``.
+    ``unclamped`` is True per axis where the raw coordinate lies strictly inside
+    the domain, i.e. where the clamp is locally the identity. A column of
+    channel-major points (a transposed (d, m) block) is read contiguously.
     """
     for a in range(geom.ndim):
         u, inside, hi = frac[a], unclamped[a], geom.dims[a] - 1.0
@@ -217,9 +217,14 @@ def _locate(geom: GridGeometry, pts: np.ndarray, i0, frac, unclamped) -> None:
         np.greater(u, 0.0, out=inside)
         np.less(u, hi, out=inside, where=inside)
         np.clip(u, 0.0, hi, out=u)
-        i0[a] = u  # truncation, which is the floor of the clamped u >= 0
-        np.minimum(i0[a], geom.dims[a] - 2, out=i0[a])
-        u -= i0[a]
+        cell = u.astype(np.intp)  # truncation, which is the floor of the clamped u >= 0
+        np.minimum(cell, geom.dims[a] - 2, out=cell)
+        u -= cell
+        if a:
+            base *= geom.dims[a]
+            base += cell
+        else:
+            base[...] = cell
 
 
 class Stencil:
@@ -233,11 +238,8 @@ class Stencil:
     same corner and axis order, so gather and splat match a per-corner loop
     bit for bit; point_grad_dot regroups its sums.
 
-    ``buffers`` is ``(base, frac, unclamped, index)``, arrays of shapes
-    (m,), (d, m), (d, m) and (d, m) that the stencil fills and keeps (the
-    cell-index scratch ``index`` is not kept, so stencils built one after
-    another may share it); fresh ones by default. The flat index is an
-    in-place multiply-add over the cell indices, exact in integers.
+    ``buffers`` is ``(base, frac, unclamped)``, arrays of shapes (m,),
+    (d, m) and (d, m) that the stencil fills and keeps; fresh ones by default.
     Channel-major data, a transposed (c, m) row block as :meth:`gather` and
     :meth:`splat` return, enters every method without a transposing copy.
     """
@@ -250,13 +252,9 @@ class Stencil:
         pts = pts.reshape(-1, d)
         if buffers is None:
             m = len(pts)
-            buffers = np.empty(m, np.intp), np.empty((d, m)), np.empty((d, m), bool), np.empty((d, m), np.intp)
-        self.base, self.frac, self.unclamped, index = buffers
-        _locate(geom, pts, index, self.frac, self.unclamped)
-        self.base[...] = index[0]
-        for a in range(1, d):
-            self.base *= geom.dims[a]
-            self.base += index[a]
+            buffers = np.empty(m, np.intp), np.empty((d, m)), np.empty((d, m), bool)
+        self.base, self.frac, self.unclamped = buffers
+        _locate(geom, pts, self.base, self.frac, self.unclamped)
         strides = [math.prod(geom.dims[a + 1:]) for a in range(d)]
         corners = itertools.product((0, 1), repeat=d)
         self.corners = [(c, sum(s for s, bit in zip(strides, c) if bit)) for c in corners]
@@ -325,20 +323,19 @@ class Stencil:
 
         ``adj`` (shape ``lead`` or ``lead + (c,)``) becomes ``(node_count,)``
         or ``(node_count, c)``, channel-major like :meth:`gather`'s output.
-        One ``np.bincount`` per channel over a corner-major ``(2^d, m)``
-        block of flat indices and weight-times-adjoint products adds in the
-        order of a per-corner scatter; every channel's products reuse one block.
+        Corner by corner, in ``corners`` order, ``np.add.at`` scatters each channel's
+        weight-times-adjoint products into one zeroed (c, node_count) block, so
+        every node sums in the order of a per-corner loop.
         """
         adj = np.asarray(adj, float)
         channels = adj.shape[len(self.lead):]
-        idx = (self.base + np.array([off for _, off in self.corners])[:, None]).ravel()
-        w = np.empty((len(self.corners), self.base.size))
-        for row, wj in zip(w, self._weights()):
-            row[...] = wj
-        n, wcol = self.geom.node_count, np.empty_like(w)
         cols = adj.reshape(self.base.size, -1).T
-        out = [np.bincount(idx, np.multiply(w, col, out=wcol).ravel(), minlength=n) for col in cols]
-        return np.stack(out).T.reshape((n,) + channels)
+        out = np.zeros((len(cols), self.geom.node_count))
+        for (_, off), w in zip(self.corners, self._weights()):
+            idx = self.base + off
+            for row, col in zip(out, cols):
+                np.add.at(row, idx, w * col)
+        return out.T.reshape((self.geom.node_count,) + channels)
 
 
 def interp_values(values: np.ndarray, geom: GridGeometry, pts) -> np.ndarray:

@@ -249,6 +249,7 @@ class KernelGrams:
     of the per-order quadratic forms. Momenta come as a block
     (..., orders, d, n) with any leading step axes; with
     ``first_order=False`` the block holds order 0 alone and only G0 runs.
+    Each :meth:`energy` or :meth:`grad` call runs :meth:`products` once; nothing is cached.
     """
 
     def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
@@ -268,16 +269,14 @@ class KernelGrams:
             out[..., o, :, :] = lat.gather(_apply(ops, lat.scatter(M[..., o, :, :])))
         return out
 
-    @staticmethod
-    def energy_of(M: np.ndarray, products: np.ndarray) -> float:
-        """Energy from precomputed :meth:`products` of the same momenta. Order 0 and the
-        slots sum apart, so a block without slots sums bit for bit like one with zero slots."""
-        return float(np.sum(M[..., :1, :, :] * products[..., :1, :, :])
-                     + np.sum(M[..., 1:, :, :] * products[..., 1:, :, :]))
-
     def energy(self, M: np.ndarray) -> float:
-        return self.energy_of(M, self.products(M))
+        """Sum of the per-order quadratic forms. Order 0 and the slots sum apart, so a
+        block without slots sums bit for bit like one with zero slots."""
+        P = self.products(M)
+        return float(np.sum(M[..., :1, :, :] * P[..., :1, :, :]) + np.sum(M[..., 1:, :, :] * P[..., 1:, :, :]))
 
     def grad(self, M: np.ndarray) -> np.ndarray:
-        """Gradient of :meth:`energy`: 2 G M, order by order."""
-        return 2.0 * self.products(M)
+        """Gradient of :meth:`energy`: 2 G M, order by order, doubled in place."""
+        P = self.products(M)
+        P *= 2.0
+        return P

@@ -184,9 +184,9 @@ class _Engine:
     everywhere, sparsity included, and their gradient is zero.
 
     The engine owns one ``transport``, allocated here, and keeps its last
-    pass: :meth:`forward` advects the inverse map and leaves the Gram
-    products ``gms`` and residual ``resid``, which :meth:`backward`
-    consumes and releases.
+    pass: :meth:`forward` advects the inverse map and leaves the residual
+    ``resid``, which :meth:`backward` consumes and releases; the Gram
+    products are recomputed there, not kept.
     """
 
     def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage):
@@ -203,7 +203,7 @@ class _Engine:
         self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d, float)[: self.orders]
         self.transport = flowmod._Transport(grid, cfg.T)
         self.forward_passes = 0
-        self.gms = self.resid = None
+        self.resid = None
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros((self.cfg.T, self.orders, self.grid.ndim, len(self.points)))
@@ -216,35 +216,34 @@ class _Engine:
         """Energy parts at M; the pass replaces the last one on the engine."""
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
         self.forward_passes += 1
-        self.gms = self.resid = None
+        self.resid = None
         self.transport.advect(self.asm.velocity(M[k]) for k in range(T))
         resid = self.transport.final.gather(self.I0.values).reshape(grid.dims) - self.I1.values
         e_sim = 0.5 * float(np.mean(resid * resid))
         # huge but finite candidate momenta overflow here; the caller rejects the non-finite total
         with np.errstate(over="ignore", invalid="ignore"):
-            gms = self.grams.products(M)
-            e_reg = cfg.reg_weight * KernelGrams.energy_of(M, gms) / (2.0 * T)
+            e_reg = cfg.reg_weight * self.grams.energy(M) / (2.0 * T)
             e_sparse = _sparsity(M[0], self.lam)
-        self.gms, self.resid = gms, resid
+        self.resid = resid
         return EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
 
     def backward(self, M) -> np.ndarray:
         """Exact adjoint at M of the last :meth:`forward`, which ran at M: the
-        gradient block. Releases that pass's Gram products and residual, so a
-        pass has one backward; the transport keeps its pass."""
+        gradient block. Releases that pass's residual, so a pass has one
+        backward; the transport keeps its pass."""
         if self.resid is None:
             raise RuntimeError("backward needs a completed forward pass that no backward has consumed")
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
-        gms, resid, self.gms, self.resid = self.gms, self.resid, None, None
-        G = np.empty_like(M)
+        resid, self.resid = self.resid, None
+        G = self.grams.grad(M)
+        G *= cfg.reg_weight / (2.0 * T)
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
         psibar = self.transport.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
 
-        scale = cfg.reg_weight / (2.0 * T)
         for k in range(T - 1, -1, -1):
             vbar, psibar = self.transport.step_adjoint(k, psibar)
-            G[k] = self.asm.adjoint(vbar) + scale * (2.0 * gms[k])
+            G[k] += self.asm.adjoint(vbar)
 
         G[0] += _sparsity_grad(M[0], self.lam)
         return G
@@ -389,7 +388,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     warped = ScalarImage(geom, eng.transport.final.gather(I0.values).reshape(geom.dims))
     psi_T = eng.transport.inverse_map()
     # drop the last pass and the whole transport before the forward push
-    eng.transport = eng.gms = eng.resid = None
+    eng.transport = eng.resid = None
     fp = flowmod._flow_path((eng.asm.velocity(M[k]) for k in range(cfg.T)), psi_T, geom, cfg.T)
     return RegistrationResult(
         momenta=eng.to_time_momenta(M),

@@ -327,15 +327,12 @@ class TestStencil:
 
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
     def test_given_buffers_match_fresh_ones(self, geom, rng):
-        # a stencil filling caller-given buffers (here dirty, and sharing a
-        # cell-index scratch with an earlier stencil) equals a fresh one
+        # a stencil filling caller-given buffers (here dirty) equals a fresh one
         pts = _probe_points(geom, rng)
         lo, hi = geom.bounds
         assert np.any((pts < lo) | (pts > hi))  # clamped points are covered
         m, d = pts.shape
-        index = np.full((d, m), -7, np.intp)
-        Stencil(geom, pts[::-1], (np.empty(m, np.intp), np.empty((d, m)), np.empty((d, m), bool), index))
-        buffers = (np.full(m, 99, np.intp), np.full((d, m), np.nan), np.ones((d, m), bool), index)
+        buffers = (np.full(m, 99, np.intp), np.full((d, m), np.nan), np.ones((d, m), bool))
         given, fresh = Stencil(geom, pts, buffers), Stencil(geom, pts)
         for name, buf in zip(("base", "frac", "unclamped"), buffers):
             assert getattr(given, name) is buf
