@@ -196,7 +196,7 @@ def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:
     if index_base not in (0, 1):
         raise ValueError(f"index_base must be 0 or 1, got {index_base}")
     path = os.fspath(path)
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -219,6 +219,7 @@ def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:
                     f"{path}: line {lineno} has {len(coords)} coordinates, expected {width}"
                 )
             rows.append(coords)
+            linenos.append(lineno)
     if not rows:
         raise FormatError(f"{path}: no landmarks found")
     pts = np.asarray(rows, float) - float(index_base)
@@ -227,7 +228,7 @@ def read_landmarks(path, index_base: int = 1, dims=None) -> LandmarkSet:
         bad = np.nonzero(np.any((pts < 0) | (pts > dims_arr - 1), axis=1))[0]
         if bad.size:
             raise FormatError(
-                f"{path}: landmark on line {int(bad[0]) + 1} at "
+                f"{path}: landmark on line {linenos[bad[0]]} at "
                 f"{(pts[bad[0]] + index_base).tolist()} outside grid dims {tuple(dims)}"
             )
     return LandmarkSet(pts)

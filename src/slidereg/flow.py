@@ -32,27 +32,38 @@ class FlowPath:
     final_inverse: DeformationMap
 
 
+_MAX_NODES = 2**31  # the transport's int32 stencil base indices address fewer nodes
+
+
 class _Transport:
     """Semi-Lagrangian transport of the inverse map over T steps on ``grid``,
     the one transport loop, and its exact adjoint.
 
     ``maps[k]`` holds the inverse map psi_k channel-major, shape
     (d, node_count); ``maps[0]`` is the node positions and never changes.
-    Stencil buffers k < T belong to step k + 1, buffers T to the ``final``
+    With ``adjoint``, stencil buffers k < T belong to step k + 1 and a pass
+    keeps its step ``stencils`` for :meth:`step_adjoint`; a forward-only
+    transport runs every step through buffers 0, keeps no ``stencils`` and
+    refuses :meth:`step_adjoint`. The last buffers belong to the ``final``
     sample of psi_T. An owner that keeps the transport across passes
     allocates it once; each :meth:`advect` overwrites what the last one
-    wrote, and its step ``stencils`` and ``final`` stay valid until the next.
+    wrote, and its ``stencils`` and ``final`` stay valid until the next.
+    Base indices are int32, so a grid of ``_MAX_NODES`` nodes or more is
+    refused before anything is allocated.
     """
 
-    def __init__(self, grid: GridGeometry, T: int):
-        self.grid, self.T, self.dt = grid, T, 1.0 / T
+    def __init__(self, grid: GridGeometry, T: int, adjoint: bool = True):
         d, n = grid.ndim, grid.node_count
+        if n >= _MAX_NODES:
+            raise ValueError(f"the transport indexes nodes as int32; a grid of {n} nodes needs fewer than {_MAX_NODES}")
+        self.grid, self.T, self.dt, self.adjoint = grid, T, 1.0 / T, adjoint
         self.field_shape = grid.dims + (d,)
         self.maps = np.empty((T + 1, d, n))
         self.maps[0] = grid.node_positions().reshape(n, d).T
-        self.base = np.empty((T + 1, n), np.intp)
-        self.frac = np.empty((T + 1, d, n))
-        self.unclamped = np.empty((T + 1, d, n), bool)
+        sets = T + 1 if adjoint else 2
+        self.base = np.empty((sets, n), np.int32)
+        self.frac = np.empty((sets, d, n))
+        self.unclamped = np.empty((sets, d, n), bool)
         self.stencils = self.final = None
 
     def _stencil(self, k: int, pts) -> Stencil:
@@ -77,14 +88,18 @@ class _Transport:
             pts = self.maps[k + 1]
             np.multiply(v.T, self.dt, out=pts)
             np.subtract(self.maps[0], pts, out=pts)
-            stencils.append(self._stencil(k, pts.T))
+            stencils.append(self._stencil(k if self.adjoint else 0, pts.T))
             stencils[-1].gather(self.maps[k].T.reshape(self.field_shape), pts)
-        self.stencils, self.final = stencils, self._stencil(self.T, self.maps[self.T].T)
+        self.stencils = stencils if self.adjoint else None
+        self.final = self._stencil(-1, self.maps[self.T].T)
 
     def step_adjoint(self, k: int, psibar):
         """Adjoint of step k + 1 of the last pass at ``psibar``, the (node_count, d)
         adjoint of psi_{k+1}: the adjoint of the step's velocity and that of
-        psi_k, or None for k = 0, whose map psi_0 is fixed."""
+        psi_k, or None for k = 0, whose map psi_0 is fixed. A forward-only
+        transport raises RuntimeError."""
+        if not self.adjoint:
+            raise RuntimeError("a forward-only transport keeps no step stencils to differentiate")
         st = self.stencils[k]
         vbar = -self.dt * st.point_grad_dot(self.maps[k].T, psibar)
         return vbar, (st.splat(psibar) if k > 0 else None)
@@ -112,7 +127,7 @@ def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath
     """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice."""
     asm = VelocityAssembler(spec, grid, tm.points)
     velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
-    transport = _Transport(grid, tm.T)
+    transport = _Transport(grid, tm.T, adjoint=False)
     transport.advect(velocities)
     inverse = transport.inverse_map()
     del transport  # the whole transport goes before the forward push

@@ -286,7 +286,7 @@ class Stencil:
         acc = np.empty((rows.shape[0], self.base.size)) if out is None else out
         acc[...] = 0.0
         for (_, off), w in zip(self.corners, self._weights()):
-            corner = np.take(rows, self.base + off, axis=1)
+            corner = np.take(rows, np.add(self.base, off, dtype=np.intp), axis=1)
             corner *= w
             acc += corner
         return acc.T.reshape(self.lead + channels)
@@ -303,19 +303,21 @@ class Stencil:
         adj = np.ascontiguousarray(np.reshape(adj, (m, -1)).T)
         dots = np.empty((len(self.corners), m))
         for j, (_, off) in enumerate(self.corners):
-            np.einsum("cn,cn->n", np.take(rows, self.base + off, axis=1), adj, out=dots[j])
+            np.einsum("cn,cn->n", np.take(rows, np.add(self.base, off, dtype=np.intp), axis=1), adj, out=dots[j])
         dots = dots.reshape((2,) * d + (m,))
         inv_spacing = 1.0 / np.asarray(self.geom.spacing)
-        fac = (1.0 - self.frac, self.frac)
-        out = np.empty((d, m))
+        out, diff = np.empty((d, m)), np.empty((2,) * (d - 1) + (m,))
         for a in range(d):
             lo, hi = np.moveaxis(dots, a, 0)
-            t = hi - lo
+            t = np.subtract(hi, lo, out=diff)
             for b in [b for b in reversed(range(d)) if b != a]:
+                # lerp in place, rounding like t * (1 - frac) + t1 * frac
                 t, t1 = t[..., 0, :], t[..., 1, :]
-                t *= fac[0][b]
-                t += t1 * fac[1][b]
-            out[a] = t * inv_spacing[a] * self.unclamped[a]
+                t *= 1.0 - self.frac[b]
+                t1 *= self.frac[b]
+                t += t1
+            np.multiply(t, inv_spacing[a], out=out[a])
+            out[a] *= self.unclamped[a]
         return out.T.reshape(self.lead + (d,))
 
     def splat(self, adj) -> np.ndarray:
@@ -332,7 +334,7 @@ class Stencil:
         cols = adj.reshape(self.base.size, -1).T
         out = np.zeros((len(cols), self.geom.node_count))
         for (_, off), w in zip(self.corners, self._weights()):
-            idx = self.base + off
+            idx = np.add(self.base, off, dtype=np.intp)
             for row, col in zip(out, cols):
                 np.add.at(row, idx, w * col)
         return out.T.reshape((self.geom.node_count,) + channels)

@@ -249,7 +249,7 @@ class KernelGrams:
     of the per-order quadratic forms. Momenta come as a block
     (..., orders, d, n) with any leading step axes; with
     ``first_order=False`` the block holds order 0 alone and only G0 runs.
-    Each :meth:`energy` or :meth:`grad` call runs :meth:`products` once; nothing is cached.
+    Each :meth:`energy` or :meth:`grad` call applies each order's Gram once; nothing is cached.
     """
 
     def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
@@ -261,19 +261,28 @@ class KernelGrams:
         )
         self.ops = [_operands(mats) for mats in orders]
 
-    def products(self, M: np.ndarray) -> np.ndarray:
-        """Block of G0 M_0, then G1_i M_i, shaped like M; each order's product,
-        over every leading step and component at once, fills its (d, n) slabs."""
-        lat, out = self.lattice, np.empty(M.shape)
-        for o, ops in enumerate(self.ops):
+    def products(self, M: np.ndarray, orders: slice = slice(None)) -> np.ndarray:
+        """Block of G0 M_0, then G1_i M_i, over the ``orders`` of M (all by default);
+        each order's product, over every leading step and component at once,
+        fills its (d, n) slabs."""
+        lat, M = self.lattice, M[..., orders, :, :]
+        out = np.empty(M.shape)
+        for o, ops in enumerate(self.ops[orders]):
             out[..., o, :, :] = lat.gather(_apply(ops, lat.scatter(M[..., o, :, :])))
         return out
 
     def energy(self, M: np.ndarray) -> float:
         """Sum of the per-order quadratic forms. Order 0 and the slots sum apart, so a
-        block without slots sums bit for bit like one with zero slots."""
-        P = self.products(M)
-        return float(np.sum(M[..., :1, :, :] * P[..., :1, :, :]) + np.sum(M[..., 1:, :, :] * P[..., 1:, :, :]))
+        block without slots sums bit for bit like one with zero slots; each product
+        block is multiplied by its momenta in place, so no more than the slots' block
+        and one Gram apply's scratch are held at once."""
+        P = self.products(M, slice(0, 1))
+        P *= M[..., :1, :, :]
+        e0 = np.sum(P)
+        del P  # before the slot block
+        P = self.products(M, slice(1, None))
+        P *= M[..., 1:, :, :]
+        return float(e0 + np.sum(P))
 
     def grad(self, M: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`energy`: 2 G M, order by order, doubled in place."""

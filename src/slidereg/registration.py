@@ -186,10 +186,11 @@ class _Engine:
     The engine owns one ``transport``, allocated here, and keeps its last
     pass: :meth:`forward` advects the inverse map and leaves the residual
     ``resid``, which :meth:`backward` consumes and releases; the Gram
-    products are recomputed there, not kept.
+    products are recomputed there, not kept. A forward-only engine
+    (``adjoint=False``) keeps one step stencil instead of T and has no :meth:`backward`.
     """
 
-    def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage):
+    def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage, adjoint: bool = True):
         if I0.geometry != I1.geometry:
             raise ValueError(f"image geometries differ: template {I0.geometry} vs reference {I1.geometry}")
         grid = I0.geometry
@@ -201,7 +202,7 @@ class _Engine:
         self.asm = VelocityAssembler(cfg.kernel, grid, self.points, first_order)
         self.grams = KernelGrams(cfg.kernel, self.points, first_order)
         self.lam = np.array([cfg.lambda0] + [cfg.lambda1] * d, float)[: self.orders]
-        self.transport = flowmod._Transport(grid, cfg.T)
+        self.transport = flowmod._Transport(grid, cfg.T, adjoint)
         self.forward_passes = 0
         self.resid = None
 
@@ -230,7 +231,9 @@ class _Engine:
     def backward(self, M) -> np.ndarray:
         """Exact adjoint at M of the last :meth:`forward`, which ran at M: the
         gradient block. Releases that pass's residual, so a pass has one
-        backward; the transport keeps its pass."""
+        backward; the transport keeps its pass. A forward-only engine raises RuntimeError."""
+        if not self.transport.adjoint:
+            raise RuntimeError("backward needs an engine built with adjoint=True; this one is forward-only")
         if self.resid is None:
             raise RuntimeError("backward needs a completed forward pass that no backward has consumed")
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
@@ -249,9 +252,9 @@ class _Engine:
         return G
 
 
-def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage):
+def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage, adjoint: bool):
     """The config's engine for the images, and the state, checked against it, as its momentum block."""
-    eng = _Engine(cfg, I0, I1)
+    eng = _Engine(cfg, I0, I1, adjoint)
     if tm.T != cfg.T or not np.array_equal(tm.points, eng.points):
         raise ValueError(f"momenta must have the config's T={cfg.T} and lie on its control lattice of control_stride="
                          f"{cfg.control_stride} ({len(eng.points)} points); got T={tm.T} and {len(tm.points)} points")
@@ -260,15 +263,17 @@ def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: S
 
 def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
     """Energy parts (similarity, regularization, sparsity, total) of a state."""
-    eng, M = _engine_for(cfg, tm, I0, I1)
+    eng, M = _engine_for(cfg, tm, I0, I1, adjoint=False)
     return eng.forward(M)
 
 
 def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> TimeMomenta:
     """Exact gradient of :func:`total_energy` in TimeMomenta shape."""
-    eng, M = _engine_for(cfg, tm, I0, I1)
+    eng, M = _engine_for(cfg, tm, I0, I1, adjoint=True)
     eng.forward(M)
-    return eng.to_time_momenta(eng.backward(M))
+    G = eng.backward(M)
+    eng.transport = None  # before the gradient's copies
+    return eng.to_time_momenta(G)
 
 
 # Armijo backtracking with the textbook constants (Nocedal & Wright, *Numerical

@@ -176,6 +176,13 @@ class TestLandmarks:
         with pytest.raises(FormatError, match="line 2"):
             read_landmarks(path, index_base=1, dims=(10, 10))
 
+    def test_out_of_bounds_names_the_file_line_past_blank_lines(self, tmp_path):
+        # blank lines count: the bad point is on line 4, the second non-empty row
+        path = tmp_path / "lms.txt"
+        path.write_text("\n5 5\n\n40 3\n")
+        with pytest.raises(FormatError, match=r"landmark on line 4 at \[40.0, 3.0\]"):
+            read_landmarks(path, index_base=1, dims=(32, 32))
+
     def test_non_numeric_names_line(self, tmp_path):
         path = tmp_path / "lms.txt"
         path.write_text("1 2\nfoo 3\n")

@@ -127,6 +127,25 @@ class TestAdvectInverse:
             tr.advect([v, v, bad])
         assert tr.stencils is None and tr.final is None  # the failed pass leaves none, nor the last one
 
+    def test_grid_past_the_int32_index_is_refused_before_allocating(self, monkeypatch):
+        # the limit is lowered so that a small grid stands in for one of 2**31 nodes
+        import tracemalloc
+
+        from slidereg import flow
+
+        monkeypatch.setattr(flow, "_MAX_NODES", 100)
+        grid = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int32"):
+                _Transport(grid, 1000)  # its maps alone would be 4 MB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        monkeypatch.setattr(flow, "_MAX_NODES", 257)
+        assert _Transport(grid, 2).base.dtype == np.int32
+
 
 class TestJacobianFD:
     def test_identity(self):

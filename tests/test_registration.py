@@ -750,9 +750,10 @@ class TestWorkspace:
     def test_backward_peak_is_the_gradient_and_per_call_scratch(self, rng):
         # what one backward allocates above its entry: the gradient block G and
         # the transient work of one step at a time. On this 16^3 engine (m = 4096
-        # points, 8 corners) the peak over entry reads G.nbytes + 0.92 MB; a
-        # splat that builds (2^d, m) index, weight and product blocks read
-        # G.nbytes + 1.32 MB (numpy 2.4).
+        # points, 8 corners) the peak over entry reads G.nbytes + 0.73 MB; with a
+        # point_grad_dot that made a fresh difference table per axis it read
+        # G.nbytes + 0.92 MB, and with a splat that built (2^d, m) index, weight
+        # and product blocks G.nbytes + 1.32 MB (numpy 2.4).
         import tracemalloc
 
         I0, I1 = blob_pair_3d(16)
@@ -766,7 +767,70 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - entry <= G.nbytes + 1_100_000
+        assert peak - entry <= G.nbytes + 850_000
+
+    def test_total_energy_keeps_one_step_stencil_and_no_backward(self, monkeypatch, rng):
+        # a pass nothing differentiates keeps one stencil buffer set for its
+        # T steps and one for the final sample; gradient's transport keeps T + 1
+        from slidereg import flow
+
+        made = []
+
+        class Recorded(flow._Transport):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                made.append(self)
+
+        monkeypatch.setattr(flow, "_Transport", Recorded)
+        I0, I1 = blob_pair_3d(16)
+        cfg = small_config(T=4, control_stride=2)
+        tm = random_momenta(cfg, I0.geometry, rng)
+        total_energy(cfg, tm, I0, I1)
+        gradient(cfg, tm, I0, I1)
+        assert [len(tr.base) for tr in made] == [2, cfg.T + 1]
+        assert [len(tr.frac) for tr in made] == [2, cfg.T + 1]
+        assert made[0].stencils is None
+        eng = _Engine(cfg, I0, I1, adjoint=False)
+        M = eng.zero_theta()
+        eng.forward(M)
+        with pytest.raises(RuntimeError, match="forward-only"):
+            eng.backward(M)
+        with pytest.raises(RuntimeError, match="forward-only"):
+            eng.transport.step_adjoint(cfg.T - 1, np.zeros((I0.geometry.node_count, 3)))
+
+    def test_forward_only_passes_match_full_ones(self, rng):
+        from slidereg import flow
+
+        I0, I1 = blob_pair_3d(16)
+        cfg = small_config(T=4, control_stride=2)
+        tm = random_momenta(cfg, I0.geometry, rng)
+        full = _Engine(cfg, I0, I1)
+        M = np.stack([_block(ms.m0, ms.m1) for ms in tm.steps])
+        assert total_energy(cfg, tm, I0, I1) == full.forward(M)
+        tr = flow._Transport(I0.geometry, cfg.T, adjoint=True)
+        tr.advect(full.asm.velocity(M[k]) for k in range(cfg.T))
+        want = tr.inverse_map().targets
+        assert np.array_equal(integrate(tm, cfg.kernel, I0.geometry).final_inverse.targets, want)
+
+    def test_gram_energy_peak_is_the_slot_block_and_apply_scratch(self, rng):
+        # the energy multiplies each order's product block by M in place, order 0's
+        # slab first, then the slots' block. On this 16^3 engine (block 196,608 B,
+        # slot block 147,456 B, one order's slab 49,152 B) the peak over entry reads
+        # the slot block + 99,928 B, two slabs of _apply scratch; a full product
+        # block and two M * P temporaries read the slot block + 198,472 B (numpy 2.4).
+        import tracemalloc
+
+        I0, I1 = blob_pair_3d(16)
+        eng = _Engine(small_config(T=4, control_stride=2), I0, I1)
+        M = 0.3 * rng.standard_normal(eng.zero_theta().shape)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            eng.grams.energy(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= M[:, 1:].nbytes + 120_000
 
     def test_result_holds_only_the_end_maps(self):
         # what optimize leaves allocated is its result: the momenta, the
