@@ -39,15 +39,18 @@ class _Transport:
     """Semi-Lagrangian transport of the inverse map over T steps on ``grid``,
     the one transport loop, and its exact adjoint.
 
-    ``maps[k]`` holds the inverse map psi_k channel-major, shape
+    ``maps[_slot(k)]`` holds the inverse map psi_k channel-major, shape
     (d, node_count); ``maps[0]`` is the node positions and never changes.
-    With ``adjoint``, stencil buffers k < T belong to step k + 1 and a pass
-    keeps its step ``stencils`` for :meth:`step_adjoint`; a forward-only
-    transport runs every step through buffers 0, keeps no ``stencils`` and
-    refuses :meth:`step_adjoint`. The last buffers belong to the ``final``
-    sample of psi_T. An owner that keeps the transport across passes
-    allocates it once; each :meth:`advect` overwrites what the last one
-    wrote, and its ``stencils`` and ``final`` stay valid until the next.
+    With ``adjoint``, every psi_k keeps its own map, stencil buffers k < T
+    belong to step k + 1 and a pass keeps its step ``stencils`` for
+    :meth:`step_adjoint`. A forward-only transport keeps three maps, psi_0
+    and two that later steps alternate between (no step reads a map older
+    than its predecessor), runs every step through stencil buffers 0,
+    keeps no ``stencils`` and refuses :meth:`step_adjoint`. The last
+    buffers belong to the ``final`` sample of psi_T. An owner that keeps the
+    transport across passes allocates it once; each :meth:`advect`
+    overwrites what the last one wrote, and its ``stencils`` and ``final``
+    stay valid until the next.
     Base indices are int32, so a grid of ``_MAX_NODES`` nodes or more is
     refused before anything is allocated.
     """
@@ -58,13 +61,17 @@ class _Transport:
             raise ValueError(f"the transport indexes nodes as int32; a grid of {n} nodes needs fewer than {_MAX_NODES}")
         self.grid, self.T, self.dt, self.adjoint = grid, T, 1.0 / T, adjoint
         self.field_shape = grid.dims + (d,)
-        self.maps = np.empty((T + 1, d, n))
+        self.maps = np.empty((T + 1 if adjoint else min(T + 1, 3), d, n))
         self.maps[0] = grid.node_positions().reshape(n, d).T
         sets = T + 1 if adjoint else 2
         self.base = np.empty((sets, n), np.int32)
         self.frac = np.empty((sets, d, n))
         self.unclamped = np.empty((sets, d, n), bool)
         self.stencils = self.final = None
+
+    def _slot(self, k: int) -> int:
+        """Index in ``maps`` of psi_k."""
+        return k if self.adjoint or k == 0 else 2 - k % 2
 
     def _stencil(self, k: int, pts) -> Stencil:
         return Stencil(self.grid, pts, (self.base[k], self.frac[k], self.unclamped[k]))
@@ -85,13 +92,13 @@ class _Transport:
             if not np.all(np.isfinite(v)):
                 raise DivergenceError(f"velocity non-finite at step {k + 1}")
             # the upwind points are staged in the rows of psi_{k+1}, which the gather then fills
-            pts = self.maps[k + 1]
+            pts = self.maps[self._slot(k + 1)]
             np.multiply(v.T, self.dt, out=pts)
             np.subtract(self.maps[0], pts, out=pts)
             stencils.append(self._stencil(k if self.adjoint else 0, pts.T))
-            stencils[-1].gather(self.maps[k].T.reshape(self.field_shape), pts)
+            stencils[-1].gather(self.maps[self._slot(k)].T.reshape(self.field_shape), pts)
         self.stencils = stencils if self.adjoint else None
-        self.final = self._stencil(-1, self.maps[self.T].T)
+        self.final = self._stencil(-1, self.maps[self._slot(self.T)].T)
 
     def step_adjoint(self, k: int, psibar):
         """Adjoint of step k + 1 of the last pass at ``psibar``, the (node_count, d)
@@ -101,12 +108,13 @@ class _Transport:
         if not self.adjoint:
             raise RuntimeError("a forward-only transport keeps no step stencils to differentiate")
         st = self.stencils[k]
-        vbar = -self.dt * st.point_grad_dot(self.maps[k].T, psibar)
+        vbar = st.point_grad_dot(self.maps[k].T, psibar)
+        vbar *= -self.dt
         return vbar, (st.splat(psibar) if k > 0 else None)
 
     def inverse_map(self) -> DeformationMap:
         """A copy of psi_T, the inverse map at time 1."""
-        return DeformationMap(self.grid, self.maps[self.T].T.reshape(self.field_shape), "inverse")
+        return DeformationMap(self.grid, self.maps[self._slot(self.T)].T.reshape(self.field_shape), "inverse")
 
 
 def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) -> FlowPath:

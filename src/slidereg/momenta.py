@@ -250,6 +250,10 @@ class KernelGrams:
     (..., orders, d, n) with any leading step axes; with
     ``first_order=False`` the block holds order 0 alone and only G0 runs.
     Each :meth:`energy` or :meth:`grad` call applies each order's Gram once; nothing is cached.
+    :meth:`products` and :meth:`grad` fill an ``out`` block shaped like their
+    result when given one, else a fresh block. Each order's product reads only
+    that order's slab of M before it writes the same slab of ``out``, so
+    ``out`` may be M itself.
     """
 
     def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
@@ -261,12 +265,13 @@ class KernelGrams:
         )
         self.ops = [_operands(mats) for mats in orders]
 
-    def products(self, M: np.ndarray, orders: slice = slice(None)) -> np.ndarray:
+    def products(self, M: np.ndarray, orders: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """Block of G0 M_0, then G1_i M_i, over the ``orders`` of M (all by default);
         each order's product, over every leading step and component at once,
-        fills its (d, n) slabs."""
+        fills its (d, n) slabs of ``out``."""
         lat, M = self.lattice, M[..., orders, :, :]
-        out = np.empty(M.shape)
+        if out is None:
+            out = np.empty(M.shape)
         for o, ops in enumerate(self.ops[orders]):
             out[..., o, :, :] = lat.gather(_apply(ops, lat.scatter(M[..., o, :, :])))
         return out
@@ -284,8 +289,8 @@ class KernelGrams:
         P *= M[..., 1:, :, :]
         return float(e0 + np.sum(P))
 
-    def grad(self, M: np.ndarray) -> np.ndarray:
-        """Gradient of :meth:`energy`: 2 G M, order by order, doubled in place."""
-        P = self.products(M)
+    def grad(self, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of :meth:`energy`: 2 G M, order by order, doubled in place in ``out``."""
+        P = self.products(M, out=out)
         P *= 2.0
         return P

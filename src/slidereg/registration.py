@@ -228,9 +228,10 @@ class _Engine:
         self.resid = resid
         return EnergyParts(e_sim, e_reg, e_sparse, e_sim + e_reg + e_sparse)
 
-    def backward(self, M) -> np.ndarray:
+    def backward(self, M, out=None) -> np.ndarray:
         """Exact adjoint at M of the last :meth:`forward`, which ran at M: the
-        gradient block. Releases that pass's residual, so a pass has one
+        gradient block, written into ``out`` (a block like M, which may be M
+        itself) or a fresh one. Releases that pass's residual, so a pass has one
         backward; the transport keeps its pass. A forward-only engine raises RuntimeError."""
         if not self.transport.adjoint:
             raise RuntimeError("backward needs an engine built with adjoint=True; this one is forward-only")
@@ -238,7 +239,8 @@ class _Engine:
             raise RuntimeError("backward needs a completed forward pass that no backward has consumed")
         cfg, grid, T = self.cfg, self.grid, self.cfg.T
         resid, self.resid = self.resid, None
-        G = self.grams.grad(M)
+        sparse = _sparsity_grad(M[0], self.lam)  # before the Gram products may overwrite M
+        G = self.grams.grad(M, out)
         G *= cfg.reg_weight / (2.0 * T)
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
@@ -248,7 +250,7 @@ class _Engine:
             vbar, psibar = self.transport.step_adjoint(k, psibar)
             G[k] += self.asm.adjoint(vbar)
 
-        G[0] += _sparsity_grad(M[0], self.lam)
+        G[0] += sparse
         return G
 
 
@@ -258,7 +260,10 @@ def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: S
     if tm.T != cfg.T or not np.array_equal(tm.points, eng.points):
         raise ValueError(f"momenta must have the config's T={cfg.T} and lie on its control lattice of control_stride="
                          f"{cfg.control_stride} ({len(eng.points)} points); got T={tm.T} and {len(tm.points)} points")
-    return eng, np.stack([_block(ms.m0, ms.m1, eng.orders - 1) for ms in tm.steps])
+    M = eng.zero_theta()
+    for k, ms in enumerate(tm.steps):
+        M[k] = _block(ms.m0, ms.m1, eng.orders - 1)
+    return eng, M
 
 
 def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
@@ -271,7 +276,7 @@ def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: Scal
     """Exact gradient of :func:`total_energy` in TimeMomenta shape."""
     eng, M = _engine_for(cfg, tm, I0, I1, adjoint=True)
     eng.forward(M)
-    G = eng.backward(M)
+    G = eng.backward(M, out=M)  # M is this call's own copy
     eng.transport = None  # before the gradient's copies
     return eng.to_time_momenta(G)
 
@@ -294,9 +299,13 @@ def _descend(eng: _Engine, M):
     A search starts at the last accepted step if that search shrank, else
     at twice it, capped by ``_ARMIJO_INIT``, so a step the last search just
     found too long is not tried again (Nocedal & Wright, sec. 3.5).
-    Candidates are written into a second block that swaps roles with the
-    iterate on acceptance, so M's buffer is reused as scratch and the
-    descent makes no block-sized temporaries."""
+    Each gradient after the first lands in the block the last accepted step
+    vacated, and each search writes its candidates into a block allocated
+    after the backward, so a backward holds two blocks (M and G) and a
+    search three (M, G and the candidate). A caller that keeps a reference
+    to the start block keeps one block more: once vacated, that block
+    becomes the second gradient's and would otherwise be freed after that
+    search."""
     cfg = eng.cfg
     parts = eng.forward(M)
     if not np.isfinite(parts.total):
@@ -305,10 +314,11 @@ def _descend(eng: _Engine, M):
     steps = []
     stop_reason = "max_iters"
     alpha_prev, shrunk = _ARMIJO_INIT, False
-    C = np.empty_like(M)
+    spare = None  # the block the last accepted step vacated
 
     for _ in range(cfg.max_iters):
-        G = eng.backward(M)
+        G = eng.backward(M, spare)
+        C = np.empty_like(M)
         gnorm2 = float(np.sum(np.square(G, out=C)))
         if gnorm2 <= 1e-30:
             stop_reason = "gradient_zero"
@@ -332,8 +342,8 @@ def _descend(eng: _Engine, M):
             stop_reason = "line_search_stalled"
             eng.forward(M)
             break
-        M, C, parts = C, M, cand
-        del G  # before the next backward allocates its own
+        M, spare, parts = C, M, cand
+        del G, C  # G's block goes before the next backward fills spare
         alpha_prev, shrunk = alpha, tried > 1
         trace.append(cand)
         steps.append(LineSearchStep(alpha, tried))
@@ -362,6 +372,19 @@ def _prolong_momenta(coarse_pts, CM, fine_grid: GridGeometry, stride: int):
     return M
 
 
+def _warm_start(eng: _Engine, I0: ScalarImage, I1: ScalarImage):
+    """The pyramid's start block for the fine engine ``eng``: a half-resolution
+    solve (box-downsampled images, half the iterations) prolonged onto its
+    control lattice. The coarse passes count on ``eng``; the coarse engine and
+    its block are gone when this returns."""
+    cfg = eng.cfg
+    coarse_cfg = replace(cfg, pyramid=False, max_iters=max(1, cfg.max_iters // 2))
+    c_eng = _Engine(coarse_cfg, box_downsample(I0), box_downsample(I1))
+    CM = _descend(c_eng, c_eng.zero_theta())[0]
+    eng.forward_passes += c_eng.forward_passes
+    return _prolong_momenta(c_eng.points, CM, I0.geometry, cfg.control_stride)
+
+
 def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> RegistrationResult:
     """Gradient descent with Armijo backtracking from zero initial momenta.
 
@@ -377,18 +400,8 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     the reported trace is the fine-level one.
     """
     eng = _Engine(cfg, I0, I1)
-    M = eng.zero_theta()
-    coarse_passes = 0
-
-    if cfg.pyramid:
-        coarse_cfg = replace(cfg, pyramid=False, max_iters=max(1, cfg.max_iters // 2))
-        c_eng = _Engine(coarse_cfg, box_downsample(I0), box_downsample(I1))
-        CM = _descend(c_eng, c_eng.zero_theta())[0]
-        coarse_passes = c_eng.forward_passes
-        M = _prolong_momenta(c_eng.points, CM, I0.geometry, cfg.control_stride)
-        del c_eng  # and with it the coarse transport
-
-    M, trace, steps, stop_reason = _descend(eng, M)
+    # the start block is handed over, not named here, so the descent can free it once spent
+    M, trace, steps, stop_reason = _descend(eng, _warm_start(eng, I0, I1) if cfg.pyramid else eng.zero_theta())
     geom = I0.geometry
     warped = ScalarImage(geom, eng.transport.final.gather(I0.values).reshape(geom.dims))
     psi_T = eng.transport.inverse_map()
@@ -402,7 +415,7 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
         energy_trace=tuple(trace),
         stop_reason=stop_reason,
         line_search=tuple(steps),
-        forward_passes=coarse_passes + eng.forward_passes,
+        forward_passes=eng.forward_passes,
     )
 
 

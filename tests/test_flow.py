@@ -127,6 +127,18 @@ class TestAdvectInverse:
             tr.advect([v, v, bad])
         assert tr.stencils is None and tr.final is None  # the failed pass leaves none, nor the last one
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 6])
+    def test_forward_only_transport_keeps_three_maps_and_matches_a_full_one(self, T):
+        rng = np.random.default_rng(T)
+        vs = [rng.uniform(-2.0, 2.0, (GRID.node_count, 2)) for _ in range(T)]
+        full, short = _Transport(GRID, T), _Transport(GRID, T, adjoint=False)
+        full.advect(vs)
+        short.advect(vs)
+        assert len(short.maps) == min(T + 1, 3)
+        np.testing.assert_array_equal(short.inverse_map().targets, full.inverse_map().targets)
+        np.testing.assert_array_equal(short.final.base, full.final.base)
+        np.testing.assert_array_equal(short.final.frac, full.final.frac)
+
     def test_grid_past_the_int32_index_is_refused_before_allocating(self, monkeypatch):
         # the limit is lowered so that a small grid stands in for one of 2**31 nodes
         import tracemalloc

@@ -750,7 +750,8 @@ class TestWorkspace:
     def test_backward_peak_is_the_gradient_and_per_call_scratch(self, rng):
         # what one backward allocates above its entry: the gradient block G and
         # the transient work of one step at a time. On this 16^3 engine (m = 4096
-        # points, 8 corners) the peak over entry reads G.nbytes + 0.73 MB; with a
+        # points, 8 corners) the peak over entry reads G.nbytes + 0.78 MB (0.73 MB
+        # before the step-0 sparsity gradient was held across the pass); with a
         # point_grad_dot that made a fresh difference table per axis it read
         # G.nbytes + 0.92 MB, and with a splat that built (2^d, m) index, weight
         # and product blocks G.nbytes + 1.32 MB (numpy 2.4).
@@ -769,9 +770,78 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak - entry <= G.nbytes + 850_000
 
+    def test_backward_into_a_given_block_peaks_at_per_call_scratch(self, rng):
+        # with an out block the gradient costs nothing above the per-call scratch
+        # of the test above: 0.78 MB over entry on this engine, against
+        # G.nbytes (0.20 MB) more for a fresh block
+        import tracemalloc
+
+        I0, I1 = blob_pair_3d(16)
+        eng = _Engine(small_config(T=4, control_stride=2), I0, I1)
+        M = 0.3 * rng.standard_normal(eng.zero_theta().shape)
+        eng.forward(M)
+        out = np.empty_like(M)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            G = eng.backward(M, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G is out
+        assert peak - entry <= 850_000
+
+    @pytest.mark.parametrize("orders", ["zeroth_only", "zeroth_and_first"])
+    def test_gradient_in_place_equals_a_fresh_block_backward(self, rng, orders):
+        # gradient() writes the gradient over its own copy of the momenta
+        I0, I1 = blob_pair_3d(8)
+        cfg = small_config(T=3, control_stride=2, orders=orders)
+        tm = random_momenta(cfg, I0.geometry, rng)
+        eng = _Engine(cfg, I0, I1)
+        M = np.stack([_block(ms.m0, ms.m1, eng.orders - 1) for ms in tm.steps])
+        eng.forward(M)
+        want = eng.to_time_momenta(eng.backward(M))
+        got = gradient(cfg, tm, I0, I1)
+        for g, w in zip(got.steps, want.steps, strict=True):
+            assert np.array_equal(g.m0, w.m0) and np.array_equal(g.m1, w.m1)
+
+    def test_descent_gradient_lands_in_the_vacated_block(self, monkeypatch):
+        # each backward after the first fills the block the last accepted step
+        # vacated; of the blocks the descent has passed to forward or got from
+        # backward, only the iterate and that block are alive during it
+        import weakref
+
+        seen, prev, checked = [], [], []
+        real_forward, real_backward = _Engine.forward, _Engine.backward
+
+        def forward(self, M):
+            seen.append(weakref.ref(M))
+            return real_forward(self, M)
+
+        def backward(self, M, out=None):
+            live = [r() for r in seen]
+            assert all(a is None or a is M or a is out for a in live)
+            del live
+            if prev:
+                assert out is not None and out is prev[-1]()
+            G = real_backward(self, M, out)
+            assert out is None or np.shares_memory(G, out)
+            seen.append(weakref.ref(G))
+            prev.append(weakref.ref(M))
+            checked.append(out is not None)
+            return G
+
+        monkeypatch.setattr(_Engine, "forward", forward)
+        monkeypatch.setattr(_Engine, "backward", backward)
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(max_iters=5, stop_rel_tol=0.0), pair.template, pair.reference)
+        assert res.iterations_used == 5
+        assert checked == [False] + [True] * 4
+
     def test_total_energy_keeps_one_step_stencil_and_no_backward(self, monkeypatch, rng):
         # a pass nothing differentiates keeps one stencil buffer set for its
-        # T steps and one for the final sample; gradient's transport keeps T + 1
+        # T steps and one for the final sample, and three maps (psi_0 and two
+        # that alternate); gradient's transport keeps T + 1 of each
         from slidereg import flow
 
         made = []
@@ -789,6 +859,7 @@ class TestWorkspace:
         gradient(cfg, tm, I0, I1)
         assert [len(tr.base) for tr in made] == [2, cfg.T + 1]
         assert [len(tr.frac) for tr in made] == [2, cfg.T + 1]
+        assert [len(tr.maps) for tr in made] == [3, cfg.T + 1]
         assert made[0].stencils is None
         eng = _Engine(cfg, I0, I1, adjoint=False)
         M = eng.zero_theta()
@@ -886,6 +957,32 @@ class TestPyramid:
         totals = [p.total for p in warm.energy_trace]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
+
+    def test_coarse_block_and_start_are_not_kept_through_the_fine_descent(self, monkeypatch):
+        # optimize holds neither the coarse solution nor the prolonged start: the
+        # first is gone before the fine descent, the second once the fine
+        # descent's second gradient (written into it) is dropped
+        import weakref
+
+        refs, alive = [], []
+        real_prolong, real_backward = registration._prolong_momenta, _Engine.backward
+
+        def prolong(coarse_pts, CM, fine_grid, stride):
+            M = real_prolong(coarse_pts, CM, fine_grid, stride)
+            refs.extend([weakref.ref(CM), weakref.ref(M)])
+            return M
+
+        def backward(self, *a):
+            if refs:
+                alive.append(tuple(r() is not None for r in refs))
+            return real_backward(self, *a)
+
+        monkeypatch.setattr(registration, "_prolong_momenta", prolong)
+        monkeypatch.setattr(_Engine, "backward", backward)
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(max_iters=4, stop_rel_tol=0.0, pyramid=True), pair.template, pair.reference)
+        assert res.iterations_used == 4
+        assert alive == [(False, True)] * 2 + [(False, False)] * 2
 
     @pytest.mark.parametrize("orders", ["zeroth_only", "zeroth_and_first"])
     @pytest.mark.parametrize("spacing", [(2.5, 2.5), (2.5, 1.0), (2.5, 1.0, 2.5)])
