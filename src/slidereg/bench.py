@@ -191,13 +191,15 @@ def tre(ref_lms: LandmarkSet, tpl_lms: LandmarkSet, spacing, dmap: DeformationMa
     """Mean physical landmark error; ``dmap`` maps reference landmarks.
 
     With no map the landmarks are compared in place (before-registration
-    error). Landmark coordinates are voxel indices; spacing converts the
-    differences to physical units (mm for CT data). Both landmark sets, the
-    spacing and the map must have one dimension.
+    error). Landmark coordinates are voxel indices; spacing, finite and
+    positive, converts the differences to physical units (mm for CT data).
+    Both landmark sets, the spacing and the map must have one dimension.
     """
     if len(ref_lms) != len(tpl_lms):
         raise ValueError(f"landmark counts differ: {len(ref_lms)} vs {len(tpl_lms)}")
     spacing = np.asarray(spacing, float)
+    if not np.all(np.isfinite(spacing) & (spacing > 0)):
+        raise ValueError(f"spacing must be finite and positive, got {spacing.tolist()}")
     dims = {"reference landmarks": ref_lms.points.shape[1], "template landmarks": tpl_lms.points.shape[1],
             "spacing": spacing.size}
     if dmap is not None:
@@ -354,8 +356,7 @@ class ExperimentSpec:
 
 def _method_config(base: reg.RegistrationConfig, method: str) -> reg.RegistrationConfig:
     family, orders = METHODS[method]
-    kernel = KernelSpec(family, base.kernel.scale, base.kernel.window)
-    return replace(base, kernel=kernel, orders=orders)
+    return replace(base, kernel=replace(base.kernel, family=family), orders=orders)
 
 
 def _load_pair(spec: ExperimentSpec):
@@ -557,7 +558,7 @@ def demo_momentum(kind: str, out_dir: str | None = None) -> DemoResult:
         os.makedirs(out_dir, exist_ok=True)
         grid_img = warp_image(_grid_image(geom), fp.final_inverse)
         path = os.path.join(out_dir, f"{kind}_grid.pgm")
-        write_pgm(path, ScalarImage(geom, np.rint(np.clip(grid_img.values, 0, 255))))
+        _write_pgm_view(path, geom, np.clip(grid_img.values, 0, 255))
         files.append(path)
     return DemoResult(ms, spec, fp, tuple(files))
 

@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (FormatError, FileNotFoundError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -249,11 +249,8 @@ class KernelGrams:
     of the per-order quadratic forms. Momenta come as a block
     (..., orders, d, n) with any leading step axes; with
     ``first_order=False`` the block holds order 0 alone and only G0 runs.
-    Each :meth:`energy` or :meth:`grad` call applies each order's Gram once; nothing is cached.
-    :meth:`products` and :meth:`grad` fill an ``out`` block shaped like their
-    result when given one, else a fresh block. Each order's product reads only
-    that order's slab of M before it writes the same slab of ``out``, so
-    ``out`` may be M itself.
+    Each :meth:`energy` or :meth:`grad` call applies each order's Gram once,
+    one order at a time; nothing is cached.
     """
 
     def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
@@ -265,32 +262,30 @@ class KernelGrams:
         )
         self.ops = [_operands(mats) for mats in orders]
 
-    def products(self, M: np.ndarray, orders: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Block of G0 M_0, then G1_i M_i, over the ``orders`` of M (all by default);
-        each order's product, over every leading step and component at once,
-        fills its (d, n) slabs of ``out``."""
-        lat, M = self.lattice, M[..., orders, :, :]
-        if out is None:
-            out = np.empty(M.shape)
-        for o, ops in enumerate(self.ops[orders]):
-            out[..., o, :, :] = lat.gather(_apply(ops, lat.scatter(M[..., o, :, :])))
-        return out
+    def _product(self, M: np.ndarray, o: int) -> np.ndarray:
+        """G_o M_o over every leading step and component of order o's slab at once."""
+        lat = self.lattice
+        return lat.gather(_apply(self.ops[o], lat.scatter(M[..., o, :, :])))
 
     def energy(self, M: np.ndarray) -> float:
-        """Sum of the per-order quadratic forms. Order 0 and the slots sum apart, so a
-        block without slots sums bit for bit like one with zero slots; each product
-        block is multiplied by its momenta in place, so no more than the slots' block
-        and one Gram apply's scratch are held at once."""
-        P = self.products(M, slice(0, 1))
-        P *= M[..., :1, :, :]
-        e0 = np.sum(P)
-        del P  # before the slot block
-        P = self.products(M, slice(1, None))
-        P *= M[..., 1:, :, :]
-        return float(e0 + np.sum(P))
+        """Sum of the per-order quadratic forms, order by order: each order's product
+        is multiplied by its momenta in place and summed, then dropped before the
+        next is formed, so no more than one Gram apply's scratch is held. A zero
+        slot adds exactly 0.0, so a block without slots sums bit for bit like one
+        with zero slots."""
+        e = 0.0
+        for o in range(len(self.ops)):
+            P = self._product(M, o)
+            P *= M[..., o, :, :]
+            e += np.sum(P)
+            del P  # before the next order's product
+        return float(e)
 
     def grad(self, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of :meth:`energy`: 2 G M, order by order, doubled in place in ``out``."""
-        P = self.products(M, out=out)
-        P *= 2.0
-        return P
+        """Gradient of :meth:`energy`: 2 G_o M_o, order by order, in the slabs of
+        ``out`` (a fresh block without). Each order's product is formed before its
+        slab is written, so ``out`` may be M itself."""
+        out = np.empty(M.shape) if out is None else out
+        for o in range(len(self.ops)):
+            np.multiply(self._product(M, o), 2.0, out=out[..., o, :, :])
+        return out

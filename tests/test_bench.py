@@ -191,6 +191,14 @@ class TestTRE:
             tre(a, b, spacing, dmap)
         assert named in str(exc.value)
 
+    @pytest.mark.parametrize("spacing", [(np.nan, 1.0), (0.0, 0.0), (np.inf, 1.0), (-1.0, 1.0)],
+                             ids=["nan", "zero", "inf", "negative"])
+    def test_unusable_spacing_is_refused(self, rng, spacing):
+        # nan and inf used to come back as the mean error, 0 as a 0.0 mm error
+        lms = LandmarkSet(rng.uniform(0, 7, (4, 2)))
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            tre(lms, lms, spacing)
+
     def test_map_moves_landmarks(self):
         geom = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
         targets = geom.node_positions() - np.array([0.0, 2.0])

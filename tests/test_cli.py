@@ -348,6 +348,20 @@ class TestRegister:
         assert err.startswith("error:") and "tpl.json: sidecar 'dims' must be a list of numbers" in err
         assert out == "" and not out_dir.exists()
 
+    def test_input_too_large_to_allocate_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # "T": 1000000000 on a 32^2 pair used to end in numpy's _ArrayMemoryError traceback;
+        # the solve is stubbed so nothing is allocated
+        from slidereg import registration
+
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+        monkeypatch.setattr(registration, "optimize", too_large)
+        code, err, out_dir = register_with(tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error: Unable to allocate 7.45 TiB") and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             [
@@ -455,6 +469,15 @@ class TestTre:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("spacing", ["nan,1", "0,0", "inf,1"])
+    def test_unusable_spacing_is_usage_error(self, tmp_path, capsys, spacing):
+        # nan,1 used to print {"tre_mm": NaN, ...}, which is not JSON, and exit 0
+        path = tmp_path / "lms.txt"
+        path.write_text("1 1\n5 5\n")
+        code, out, err = run(["tre", "--ref-lms", str(path), "--tpl-lms", str(path), "--spacing", spacing], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: spacing must be finite and positive") and "Traceback" not in err
 
 
 DATASET = {"template": "tpl.pgm", "reference": "ref.pgm"}

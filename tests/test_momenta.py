@@ -9,6 +9,7 @@ from slidereg.momenta import (
     TimeMomenta,
     VelocityAssembler,
     _Lattice,
+    _apply,
     _block,
     _unblock,
     control_lattice,
@@ -286,6 +287,22 @@ class TestVEnergy:
         D = rng.standard_normal(M.shape)
         dd = (grams.energy(M + eps * D) - grams.energy(M - eps * D)) / (2 * eps)
         assert float(np.sum(G * D)) == pytest.approx(dd, rel=1e-7)
+
+    @pytest.mark.parametrize("first_order", [True, False], ids=["both", "zeroth"])
+    @pytest.mark.parametrize("steps", [(), (3,)], ids=["one-step", "steps"])
+    def test_matches_per_order_loop(self, first_order, steps, rng):
+        # energy and grad apply one order's Gram at a time, bit for bit like a loop
+        points = random_lattice(rng, (3, 4))
+        grams, lat = KernelGrams(WEND, points, first_order), _Lattice(points)
+        M = rng.standard_normal(steps + (3 if first_order else 1, 2, len(points)))
+        total, want = 0.0, np.empty(M.shape)
+        for o, ops in enumerate(grams.ops):
+            P = lat.gather(_apply(ops, lat.scatter(M[..., o, :, :])))
+            total += np.sum(P * M[..., o, :, :])
+            want[..., o, :, :] = 2.0 * P
+        assert grams.energy(M) == total
+        np.testing.assert_array_equal(grams.grad(M), want)
+        np.testing.assert_array_equal(grams.grad(M, out=M), want)
 
     @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
     def test_refuses_non_lattice(self, spec, grid, points):

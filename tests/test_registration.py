@@ -883,12 +883,12 @@ class TestWorkspace:
         want = tr.inverse_map().targets
         assert np.array_equal(integrate(tm, cfg.kernel, I0.geometry).final_inverse.targets, want)
 
-    def test_gram_energy_peak_is_the_slot_block_and_apply_scratch(self, rng):
-        # the energy multiplies each order's product block by M in place, order 0's
-        # slab first, then the slots' block. On this 16^3 engine (block 196,608 B,
-        # slot block 147,456 B, one order's slab 49,152 B) the peak over entry reads
-        # the slot block + 99,928 B, two slabs of _apply scratch; a full product
-        # block and two M * P temporaries read the slot block + 198,472 B (numpy 2.4).
+    def test_gram_energy_peak_is_one_order_and_apply_scratch(self, rng):
+        # the energy multiplies one order's product by M in place and sums it before
+        # the next order's is formed. On this 16^3 engine (block 196,608 B, one
+        # order's slab 49,152 B) the peak over entry reads one slab + 50,920 B, the
+        # two slabs of one _apply; a product block of all the slots read one slab
+        # + 198,232 B (numpy 2.4).
         import tracemalloc
 
         I0, I1 = blob_pair_3d(16)
@@ -901,7 +901,7 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - entry <= M[:, 1:].nbytes + 120_000
+        assert peak - entry <= M[:, 0].nbytes + 120_000
 
     def test_result_holds_only_the_end_maps(self):
         # what optimize leaves allocated is its result: the momenta, the
