@@ -18,7 +18,7 @@ from .geometry import (
 )
 from .kernels import KernelSpec, default_scale
 from .momenta import MomentumSet, TimeMomenta, control_lattice
-from .flow import FlowPath, integrate, jacobian_fd
+from .flow import FlowPath, integrate
 from .registration import (
     RegistrationConfig,
     RegistrationResult,

@@ -456,8 +456,8 @@ def write_registration_artifacts(out: str, result: reg.RegistrationResult) -> di
 
 def _interior_jacobian_dets(dmap: DeformationMap) -> np.ndarray:
     """Jacobian determinants at every node one or more from each face (none
-    when an axis has 2 nodes); the central differences equal ``jacobian_fd``
-    at h = spacing/2."""
+    when an axis has 2 nodes); each is the determinant of the central-difference
+    Jacobian of the interpolated map at that node with h = spacing/2."""
     geom = dmap.geometry
     grads = np.gradient(dmap.targets, *geom.spacing, axis=tuple(range(geom.ndim)))
     inner = (slice(1, -1),) * geom.ndim

@@ -20,7 +20,6 @@ from .momenta import TimeMomenta, VelocityAssembler, _block
 __all__ = [
     "FlowPath",
     "integrate",
-    "jacobian_fd",
 ]
 
 
@@ -140,21 +139,3 @@ def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath
     inverse = transport.inverse_map()
     del transport  # the whole transport goes before the forward push
     return _flow_path(velocities, inverse, grid, tm.T)
-
-
-def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:
-    """Central-difference Jacobian of the interpolated map at a point."""
-    x = np.asarray(x, float)
-    geom = dmap.geometry
-    lo, hi = geom.bounds
-    if np.any(x - h < lo) or np.any(x + h > hi):
-        raise ValueError(f"point {x.tolist()} closer than h={h} to the domain boundary")
-    d = geom.ndim
-    J = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        fp = interp_values(dmap.targets, geom, (x + e)[None, :])[0]
-        fm = interp_values(dmap.targets, geom, (x - e)[None, :])[0]
-        J[:, i] = (fp - fm) / (2.0 * h)
-    return J

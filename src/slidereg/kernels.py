@@ -1,22 +1,24 @@
-"""Kernel families and their partial derivatives.
+"""Kernel families as 1D factors and their derivatives.
 
-Two families are provided:
+Both families are products over axes of one 1D factor of the axis offset
+t = x - y between a point x and a control point y:
 
-* ``gaussian``: K(x, y) = exp(-|x - y|^2 / scale^2), smooth and globally
-  supported (synthesis truncates it to the window footprint).
-* ``wendland_c0_mult``: the product over axes of the one-dimensional C0
-  kernel ((1 - |dx|/scale) clipped at 0)^2. Compactly supported: exactly
-  zero as soon as any axis offset reaches ``scale``. Not differentiable on
-  the axis-aligned hyperplanes through the second argument; this kink is
-  what lets first-order momenta encode velocity jumps.
+* ``gaussian``: exp(-t^2 / scale^2), so K(x, y) = exp(-|x - y|^2 / scale^2),
+  smooth and globally supported (synthesis truncates it to the window
+  footprint).
+* ``wendland_c0_mult``: the C0 factor ((1 - |t|/scale) clipped at 0)^2.
+  Compactly supported: exactly zero once |t| reaches ``scale``. Not
+  differentiable at t = 0, so the kernel has a kink on the axis-aligned
+  hyperplanes through the control point; this kink is what lets
+  first-order momenta encode velocity jumps.
 
-Each ``eval_*_many`` evaluates one control point ``y`` (d,) against the
-rows of ``X`` (m, d); the separable operators of :mod:`slidereg.momenta`
-call them on 1D offsets, ``X`` of shape (m, 1) against ``y = 0``.
-Derivatives are taken with respect to the *second* argument (the control
-point). On the kink set the first partial uses the symmetric-subgradient
-value 0; the mixed second partial uses the positive diagonal limit
-``2/scale^2`` per 1D factor.
+Each ``eval_*_many`` maps an array of offsets, of any shape, to the
+factor, to its derivative with respect to the control coordinate y, or to
+the mixed second derivative d^2/dx dy. A slot-i term of the d-dimensional
+kernel swaps the axis-i factor for one of these, which is how the
+Kronecker operators of :mod:`slidereg.momenta` use them. At the Wendland
+kink the first derivative takes the symmetric-subgradient value 0
+(sign(0) = 0) and the mixed one the positive diagonal limit ``2/scale^2``.
 """
 from __future__ import annotations
 
@@ -67,33 +69,27 @@ def default_scale(grid: GridGeometry) -> float:
     return 4.0 * min(grid.spacing)
 
 
-def eval_kernel_many(spec: KernelSpec, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dx = np.atleast_2d(X) - y
+def eval_kernel_many(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
+    """The 1D factor at offsets ``t = x - y`` of any shape."""
     if spec.family == "gaussian":
-        return np.exp(-np.sum(dx * dx, axis=1) / spec.scale**2)
-    f = np.clip(1.0 - np.abs(dx) / spec.scale, 0.0, None)
-    return np.prod(f * f, axis=1)
+        return np.exp(-(t * t) / spec.scale**2)
+    f = np.clip(1.0 - np.abs(t) / spec.scale, 0.0, None)
+    return f * f
 
 
-def eval_partial_many(spec: KernelSpec, i: int, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dx = np.atleast_2d(X) - y
+def eval_partial_many(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
+    """d/dy of the 1D factor at offsets ``t = x - y``."""
     s = spec.scale
     if spec.family == "gaussian":
-        return 2.0 * dx[:, i] / s**2 * np.exp(-np.sum(dx * dx, axis=1) / s**2)
-    f = np.clip(1.0 - np.abs(dx) / s, 0.0, None)
-    rest = np.prod(np.delete(f * f, i, axis=1), axis=1)
-    # d/dy of the axis-i factor; sign(0) = 0 encodes the kink convention
-    return (2.0 / s) * f[:, i] * np.sign(dx[:, i]) * rest
+        return 2.0 * t / s**2 * np.exp(-(t * t) / s**2)
+    # sign(0) = 0 encodes the kink convention
+    return (2.0 / s) * np.clip(1.0 - np.abs(t) / s, 0.0, None) * np.sign(t)
 
 
-def eval_mixed_many(spec: KernelSpec, i: int, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dx = np.atleast_2d(X) - y
+def eval_mixed_many(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
+    """d^2/dx dy of the 1D factor at offsets ``t = x - y``; ``2/scale^2`` on the Wendland kink."""
     s = spec.scale
     if spec.family == "gaussian":
-        k = np.exp(-np.sum(dx * dx, axis=1) / s**2)
-        return (2.0 / s**2 - 4.0 * dx[:, i] ** 2 / s**4) * k
-    f = np.clip(1.0 - np.abs(dx) / s, 0.0, None)
-    rest = np.prod(np.delete(f * f, i, axis=1), axis=1)
-    adx = np.abs(dx[:, i])
-    c = np.where(adx == 0.0, 2.0 / s**2, np.where(adx < s, -2.0 / s**2, 0.0))
-    return c * rest
+        return (2.0 / s**2 - 4.0 * t**2 / s**4) * np.exp(-(t * t) / s**2)
+    at = np.abs(t)
+    return np.where(at == 0.0, 2.0 / s**2, np.where(at < s, -2.0 / s**2, 0.0))

@@ -120,11 +120,6 @@ def control_lattice(grid: GridGeometry, stride: int = 2) -> np.ndarray:
     return grid.to_physical(idx)
 
 
-def _factor(fn, spec: KernelSpec, offsets: np.ndarray, *slot) -> np.ndarray:
-    """Axis factor of a kernel term: ``fn``, a ``kernels.eval_*_many``, at 1D offsets x - y."""
-    return fn(spec, *slot, offsets.reshape(-1, 1), np.zeros(1)).reshape(offsets.shape)
-
-
 def _operands(mats, transpose: bool = False) -> list:
     """The :func:`_apply` operands of the Kronecker product of the per-axis ``mats``
     (or of its transpose): contiguous left factors, then the last axis's factor
@@ -218,9 +213,9 @@ class VelocityAssembler:
             near = np.clip(np.rint((u - grid.origin[a]) / grid.spacing[a]), 0, grid.dims[a] - 1)
             mask = np.abs(nodes[:, None] - near) <= spec.window // 2
             offsets = (grid.origin[a] + grid.spacing[a] * nodes)[:, None] - u
-            k.append(mask * _factor(kernels.eval_kernel_many, spec, offsets))
+            k.append(mask * kernels.eval_kernel_many(spec, offsets))
             if first_order:
-                dk.append(mask * _factor(kernels.eval_partial_many, spec, offsets, 0))
+                dk.append(mask * kernels.eval_partial_many(spec, offsets))
         orders = _per_order(k, dk)
         self.ops = [_operands(mats) for mats in orders]
         self.ops_T = [_operands(mats, transpose=True) for mats in orders]
@@ -257,8 +252,8 @@ class KernelGrams:
         self.lattice = _Lattice(points)
         offsets = [u[:, None] - u for u in self.lattice.axes]
         orders = _per_order(
-            [_factor(kernels.eval_kernel_many, spec, o) for o in offsets],
-            [_factor(kernels.eval_mixed_many, spec, o, 0) for o in offsets] if first_order else [],
+            [kernels.eval_kernel_many(spec, o) for o in offsets],
+            [kernels.eval_mixed_many(spec, o) for o in offsets] if first_order else [],
         )
         self.ops = [_operands(mats) for mats in orders]
 

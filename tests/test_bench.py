@@ -21,7 +21,6 @@ from slidereg.bench import (
     _interior_jacobian_dets,
 )
 from slidereg.fileio import read_pgm, write_pgm
-from slidereg.flow import jacobian_fd
 from slidereg.geometry import (
     DeformationMap,
     GridGeometry,
@@ -34,6 +33,8 @@ from slidereg.geometry import (
 from slidereg.kernels import KernelSpec
 from slidereg.momenta import VelocityAssembler, _block
 from slidereg.registration import RegistrationConfig
+
+from oracles import jacobian_fd, partial_nd
 
 
 class TestGenRectangle:
@@ -301,14 +302,12 @@ class TestDemoMomentum:
     @staticmethod
     def _kink_line_probe(demo):
         """Tangential velocity just off the kink line over the column peak."""
-        from slidereg.kernels import eval_partial_many
-
         y = demo.momenta.points[0]
         m = demo.momenta.m1[0, 0]  # derivative slot along rows
 
         def v_x(row):
             pts = np.array([[row, y[1]]])
-            return float(eval_partial_many(demo.kernel, 0, pts, y)[0] * m[1])
+            return float(partial_nd(demo.kernel, 0, pts, y)[0] * m[1])
 
         rows = np.linspace(y[0] - 6, y[0] + 6, 121)
         peak = max(abs(v_x(r)) for r in rows)

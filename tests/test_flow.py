@@ -4,13 +4,14 @@ import pytest
 from slidereg.errors import DivergenceError
 from slidereg.flow import (
     integrate,
-    jacobian_fd,
     _Transport,
     _flow_path,
 )
 from slidereg.geometry import DeformationMap, GridGeometry, identity_map, interp_values
 from slidereg.kernels import KernelSpec
 from slidereg.momenta import MomentumSet, TimeMomenta, VelocityAssembler, _block
+
+from oracles import jacobian_fd
 
 GRID = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
 GAUSS = KernelSpec("gaussian", 4.0, 9)

@@ -13,21 +13,22 @@ from slidereg.kernels import (
     eval_mixed_many,
     eval_partial_many,
 )
-from slidereg.momenta import MomentumSet, VelocityAssembler, _block, _factor
+from slidereg.momenta import MomentumSet, VelocityAssembler, _block
+
+from oracles import kernel_nd, mixed_nd, partial_nd
 
 GAUSS = KernelSpec("gaussian", 1.3, 9)
 WEND = KernelSpec("wendland_c0_mult", 1.3, 9)
 
 
-def at_pair(fn, spec, *args):
-    """``fn``, a ``kernels.eval_*_many``, at one pair (x, y): ``X`` is the single row x."""
-    *slot, x, y = args
-    return fn(spec, *slot, np.asarray(x, float)[None], np.asarray(y, float))[0]
+def at_pair(fn, *args):
+    """``fn``, a d-dimensional kernel term of ``oracles``, at one pair (x, y)."""
+    return fn(*args)[0]
 
 
-kernel_at = functools.partial(at_pair, eval_kernel_many)  # (spec, x, y)
-partial_at = functools.partial(at_pair, eval_partial_many)  # (spec, i, x, y)
-mixed_at = functools.partial(at_pair, eval_mixed_many)  # (spec, i, x, y)
+kernel_at = functools.partial(at_pair, kernel_nd)  # (spec, x, y)
+partial_at = functools.partial(at_pair, partial_nd)  # (spec, i, x, y)
+mixed_at = functools.partial(at_pair, mixed_nd)  # (spec, i, x, y)
 
 
 def fd_partial(spec, i, x, y, h):
@@ -114,11 +115,16 @@ class TestEval:
         for spec in (GAUSS, WEND):
             assert kernel_at(spec, x, y) == kernel_at(spec, y, x)
 
+    def test_gaussian_factors_multiply_to_the_radial_kernel(self, rng):
+        X, y = rng.uniform(-2, 2, (40, 3)), rng.uniform(-2, 2, 3)
+        want = np.exp(-np.sum((X - y) ** 2, axis=1) / GAUSS.scale**2)
+        np.testing.assert_allclose(kernel_nd(GAUSS, X, y), want, rtol=1e-14)
+
     @pytest.mark.parametrize("spec", [GAUSS, WEND])
     def test_gram_psd(self, spec, rng):
         for _ in range(10):
             pts = rng.uniform(-2, 2, (40, 2)) * spec.scale
-            gram = np.array([eval_kernel_many(spec, pts, b) for b in pts])
+            gram = np.array([kernel_nd(spec, pts, b) for b in pts])
             eig = np.linalg.eigvalsh(gram)
             assert eig[0] >= -1e-8 * eig[-1]
 
@@ -201,18 +207,26 @@ class TestCompactSupport:
 
 
 class TestProductionCallShape:
-    """Kink conventions on the call ``momenta._factor`` makes: 1D offsets as
-    ``X`` of shape (m, 1) against ``y = zeros(1)``."""
+    """Kink conventions on the calls ``VelocityAssembler`` and ``KernelGrams``
+    make: a whole matrix of 1D offsets at once."""
 
     OFFSETS = np.arange(-8.0, 9.0)[:, None] - np.arange(-2.0, 3.0)  # lattice step 1, |r| up to 10
     SPEC = KernelSpec("wendland_c0_mult", 4.0, 9)
 
     def factors(self, spec):
         return (
-            _factor(eval_kernel_many, spec, self.OFFSETS),
-            _factor(eval_partial_many, spec, self.OFFSETS, 0),
-            _factor(eval_mixed_many, spec, self.OFFSETS, 0),
+            eval_kernel_many(spec, self.OFFSETS),
+            eval_partial_many(spec, self.OFFSETS),
+            eval_mixed_many(spec, self.OFFSETS),
         )
+
+    @pytest.mark.parametrize("spec", [GAUSS, SPEC], ids=["gaussian", "wendland"])
+    def test_factors_are_elementwise_in_the_offsets(self, spec):
+        # offsets of any shape, a scalar included, each mapped on its own
+        for fn, f in zip((eval_kernel_many, eval_partial_many, eval_mixed_many), self.factors(spec)):
+            assert f.shape == self.OFFSETS.shape
+            np.testing.assert_array_equal(fn(spec, self.OFFSETS.T.reshape(5, 1, 17)), f.T.reshape(5, 1, 17))
+            np.testing.assert_array_equal([fn(spec, t) for t in self.OFFSETS.ravel()], f.ravel())
 
     @pytest.mark.parametrize("spec", [GAUSS, SPEC], ids=["gaussian", "wendland"])
     def test_partial_is_zero_at_zero_offset(self, spec):

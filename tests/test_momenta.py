@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slidereg.geometry import GridGeometry
-from slidereg.kernels import KernelSpec, eval_kernel_many, eval_mixed_many, eval_partial_many
+from slidereg.kernels import KernelSpec
 from slidereg.momenta import (
     KernelGrams,
     MomentumSet,
@@ -14,6 +14,8 @@ from slidereg.momenta import (
     _unblock,
     control_lattice,
 )
+
+from oracles import kernel_nd, mixed_nd, partial_nd
 
 GRID = GridGeometry((24, 24), (1.0, 1.0), (0.0, 0.0))
 WEND = KernelSpec("wendland_c0_mult", 4.0, 9)
@@ -110,9 +112,9 @@ def footprint_oracle(spec, grid, ms):
     for j, y in enumerate(ms.points):
         near = np.clip(np.rint(grid.to_index(y)), 0, np.asarray(grid.dims) - 1)
         inside = np.all(np.abs(nodes - near) <= half, axis=1)[:, None]
-        want += inside * eval_kernel_many(spec, pos, y)[:, None] * ms.m0[j]
+        want += inside * kernel_nd(spec, pos, y)[:, None] * ms.m0[j]
         for i in range(grid.ndim):
-            want += inside * eval_partial_many(spec, i, pos, y)[:, None] * ms.m1[j, i]
+            want += inside * partial_nd(spec, i, pos, y)[:, None] * ms.m1[j, i]
     return want
 
 
@@ -229,9 +231,9 @@ def dense_gram_energy(ms, spec):
     """Kernel-norm energy of a momentum set, one dense kernel column K(x_j, x_k) at a time."""
     want = 0.0
     for k, y in enumerate(ms.points):
-        want += ms.m0 @ ms.m0[k] @ eval_kernel_many(spec, ms.points, y)
+        want += ms.m0 @ ms.m0[k] @ kernel_nd(spec, ms.points, y)
         for i in range(ms.points.shape[1]):
-            want += ms.m1[:, i] @ ms.m1[k, i] @ eval_mixed_many(spec, i, ms.points, y)
+            want += ms.m1[:, i] @ ms.m1[k, i] @ mixed_nd(spec, i, ms.points, y)
     return want
 
 
