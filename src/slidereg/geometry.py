@@ -8,6 +8,7 @@ threads.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -215,8 +216,9 @@ def _locate(geom: GridGeometry, pts: np.ndarray, base, frac, unclamped) -> None:
         np.subtract(pts[:, a], geom.origin[a], out=u)
         np.divide(u, geom.spacing[a], out=u)
         np.greater(u, 0.0, out=inside)
-        np.less(u, hi, out=inside, where=inside)
-        np.clip(u, 0.0, hi, out=u)
+        inside &= u < hi
+        np.maximum(u, 0.0, out=u)
+        np.minimum(u, hi, out=u)
         cell = u.astype(np.intp)  # truncation, which is the floor of the clamped u >= 0
         np.minimum(cell, geom.dims[a] - 2, out=cell)
         u -= cell
@@ -225,6 +227,16 @@ def _locate(geom: GridGeometry, pts: np.ndarray, base, frac, unclamped) -> None:
             base += cell
         else:
             base[...] = cell
+
+
+@functools.lru_cache(maxsize=64)
+def _corners(dims: tuple[int, ...]) -> tuple:
+    """The 2^d cell corners of a grid of ``dims``, each a bit tuple with its flat
+    node offset, in lexicographic bit order (the last axis's bit flips fastest)."""
+    strides = [math.prod(dims[a + 1:]) for a in range(len(dims))]
+    return tuple(
+        (c, sum(s for s, bit in zip(strides, c) if bit)) for c in itertools.product((0, 1), repeat=len(dims))
+    )
 
 
 class Stencil:
@@ -237,6 +249,16 @@ class Stencil:
     weights are recomputed per use, not stored 2^d times, always in the
     same corner and axis order, so gather and splat match a per-corner loop
     bit for bit; point_grad_dot regroups its sums.
+
+    A corner's weight is the left-to-right product over the axes of
+    ``1 - frac`` or ``frac`` by corner bit. Corners come in lexicographic bit
+    order, so the corners that share their first bits are consecutive and
+    share the product over those axes: it is formed once, as a prefix, and
+    a 3D call makes 4 + 8 = 12 multiplies instead of 8 x 2 = 16, each
+    rounding as the left-to-right product does. Each corner's node data is
+    taken into one reused buffer by ``np.take(..., out=, mode="clip")``: the
+    indices ``base + offset`` lie in range by construction, so clipping
+    never changes one, and ``mode="raise"`` would stage ``out`` in a copy.
 
     ``buffers`` is ``(base, frac, unclamped)``, arrays of shapes (m,),
     (d, m) and (d, m) that the stencil fills and keeps; fresh ones by default.
@@ -255,24 +277,33 @@ class Stencil:
             buffers = np.empty(m, np.intp), np.empty((d, m)), np.empty((d, m), bool)
         self.base, self.frac, self.unclamped = buffers
         _locate(geom, pts, self.base, self.frac, self.unclamped)
-        strides = [math.prod(geom.dims[a + 1:]) for a in range(d)]
-        corners = itertools.product((0, 1), repeat=d)
-        self.corners = [(c, sum(s for s, bit in zip(strides, c) if bit)) for c in corners]
+        self.corners = _corners(geom.dims)
 
     def _weights(self):
-        """Corner weights in ``corners`` order: the left-to-right product over the
-        axes of ``1 - frac`` or ``frac`` by corner bit."""
-        fac = (1.0 - self.frac, self.frac)
-        for corner, _ in self.corners:
-            w = fac[corner[0]][0]
-            for a in range(1, len(corner)):
-                w = w * fac[corner[a]][a]
-            yield w
+        """Corner weights in ``corners`` order, as shared prefix products: row a - 1
+        of one (d - 1, m) block holds the product over axes 0..a of the current
+        corner, and only the rows from the first axis whose bit changed are
+        re-formed. Each weight is yielded in the block's last row, which the next
+        corner overwrites."""
+        fac, d = (1.0 - self.frac, self.frac), len(self.frac)
+        prefix = np.empty((d - 1, self.base.size))
+        for j, (corner, _) in enumerate(self.corners):
+            # corner j first differs from corner j - 1 on the axis of j's lowest set bit
+            changed = d - (j & -j).bit_length() if j else 0
+            for a in range(max(changed, 1), d):
+                left = prefix[a - 2] if a > 1 else fac[corner[0]][0]
+                np.multiply(left, fac[corner[a]][a], out=prefix[a - 1])
+            yield prefix[-1]
 
     def _rows(self, values: np.ndarray):
         """Channel shape and the node data as contiguous (c, node_count) rows."""
         channels = values.shape[self.geom.ndim:]
         return channels, np.ascontiguousarray(values.reshape(self.geom.node_count, -1).T)
+
+    def _take(self, rows: np.ndarray, off: int, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The rows of the corner at flat offset ``off`` into ``out``, through the index buffer ``idx``."""
+        np.add(self.base, off, out=idx, dtype=np.intp)
+        return np.take(rows, idx, axis=1, out=out, mode="clip")
 
     def gather(self, values: np.ndarray, out=None) -> np.ndarray:
         """Interpolate ``values`` (shape ``dims`` or ``dims + (c,)``) at the points.
@@ -280,15 +311,16 @@ class Stencil:
         Returns shape ``lead`` or ``lead + (c,)``, as a channel-major view of
         ``out``, a (c, m) row block that must not overlap ``values`` (fresh
         by default); the view is not C-contiguous when there are several
-        channels.
+        channels. The first corner is taken straight into ``out``.
         """
         channels, rows = self._rows(values)
         acc = np.empty((rows.shape[0], self.base.size)) if out is None else out
-        acc[...] = 0.0
-        for (_, off), w in zip(self.corners, self._weights()):
-            corner = np.take(rows, np.add(self.base, off, dtype=np.intp), axis=1)
-            corner *= w
-            acc += corner
+        idx, corner = np.empty(self.base.size, np.intp), np.empty(acc.shape)
+        for j, ((_, off), w) in enumerate(zip(self.corners, self._weights())):
+            for row in self._take(rows, off, idx, corner if j else acc):
+                row *= w  # channel by channel: a broadcast stages a buffer for small m
+            if j:
+                acc += corner
         return acc.T.reshape(self.lead + channels)
 
     def point_grad_dot(self, values: np.ndarray, adj) -> np.ndarray:
@@ -302,8 +334,10 @@ class Stencil:
         rows = self._rows(values)[1]
         adj = np.ascontiguousarray(np.reshape(adj, (m, -1)).T)
         dots = np.empty((len(self.corners), m))
+        idx, corner = np.empty(m, np.intp), np.empty(adj.shape)
         for j, (_, off) in enumerate(self.corners):
-            np.einsum("cn,cn->n", np.take(rows, np.add(self.base, off, dtype=np.intp), axis=1), adj, out=dots[j])
+            np.einsum("cn,cn->n", self._take(rows, off, idx, corner), adj, out=dots[j])
+        del rows, adj, idx, corner  # before the differences' scratch
         dots = dots.reshape((2,) * d + (m,))
         inv_spacing = 1.0 / np.asarray(self.geom.spacing)
         out, diff = np.empty((d, m)), np.empty((2,) * (d - 1) + (m,))
@@ -326,17 +360,19 @@ class Stencil:
         ``adj`` (shape ``lead`` or ``lead + (c,)``) becomes ``(node_count,)``
         or ``(node_count, c)``, channel-major like :meth:`gather`'s output.
         Corner by corner, in ``corners`` order, ``np.add.at`` scatters each channel's
-        weight-times-adjoint products into one zeroed (c, node_count) block, so
-        every node sums in the order of a per-corner loop.
+        weight-times-adjoint products, formed in one reused buffer, into one zeroed
+        (c, node_count) block, so every node sums in the order of a per-corner loop.
         """
         adj = np.asarray(adj, float)
         channels = adj.shape[len(self.lead):]
-        cols = adj.reshape(self.base.size, -1).T
+        m = self.base.size
+        cols = adj.reshape(m, -1).T
         out = np.zeros((len(cols), self.geom.node_count))
+        idx, prod = np.empty(m, np.intp), np.empty(m)
         for (_, off), w in zip(self.corners, self._weights()):
-            idx = np.add(self.base, off, dtype=np.intp)
+            np.add(self.base, off, out=idx, dtype=np.intp)
             for row, col in zip(out, cols):
-                np.add.at(row, idx, w * col)
+                np.add.at(row, idx, np.multiply(w, col, out=prod))
         return out.T.reshape((self.geom.node_count,) + channels)
 
 

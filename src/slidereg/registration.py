@@ -232,7 +232,8 @@ class _Engine:
         """Exact adjoint at M of the last :meth:`forward`, which ran at M: the
         gradient block, written into ``out`` (a block like M, which may be M
         itself) or a fresh one. Releases that pass's residual, so a pass has one
-        backward; the transport keeps its pass. A forward-only engine raises RuntimeError."""
+        backward, and drops it once the final sample is differentiated, before the
+        step loop; the transport keeps its pass. A forward-only engine raises RuntimeError."""
         if not self.transport.adjoint:
             raise RuntimeError("backward needs an engine built with adjoint=True; this one is forward-only")
         if self.resid is None:
@@ -245,6 +246,7 @@ class _Engine:
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
         psibar = self.transport.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
+        del resid
 
         for k in range(T - 1, -1, -1):
             vbar, psibar = self.transport.step_adjoint(k, psibar)

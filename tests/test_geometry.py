@@ -345,6 +345,29 @@ class TestStencil:
         np.testing.assert_array_equal(given.point_grad_dot(values, adj), fresh.point_grad_dot(values, adj))
         np.testing.assert_array_equal(given.splat(adj), fresh.splat(adj))
 
+    def test_gather_into_a_given_block_peaks_at_per_call_scratch(self, rng):
+        # what one 3-channel gather into a given block allocates above its entry
+        # on a 16^3 stencil (m = 4096 points, 8 corners): the contiguous node
+        # rows (3 x 4096 doubles), ``1 - frac``, the prefix-weight block and one
+        # reused corner row block and index buffer. It reads about 397,000 B; the
+        # bound is the 461,984 B it read with a fresh weight, index array and
+        # gathered block per corner and a broadcast weight multiply (numpy 2.4).
+        import tracemalloc
+
+        geom = GridGeometry((16, 16, 16), (1.0, 0.75, 1.5), (0.0, -2.0, 1.0))
+        st = Stencil(geom, geom.node_positions() + rng.uniform(-1.5, 1.5, geom.dims + (3,)))
+        values = rng.standard_normal(geom.dims + (3,))
+        out = np.empty((3, geom.node_count))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            got = st.gather(values, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, out)
+        assert peak - entry <= 461_984
+
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
     def test_flat_index_matches_ravel_multi_index(self, geom, rng):
         pts = _probe_points(geom, rng)

@@ -9,8 +9,10 @@ from slidereg.momenta import (
     TimeMomenta,
     VelocityAssembler,
     _Lattice,
+    _along,
     _apply,
     _block,
+    _per_order,
     _unblock,
     control_lattice,
 )
@@ -306,6 +308,26 @@ class TestVEnergy:
         np.testing.assert_array_equal(grams.grad(M), want)
         np.testing.assert_array_equal(grams.grad(M, out=M), want)
 
+    def test_last_axis_contraction_reads_a_strided_slab_in_place(self, rng):
+        # an order's slab of a multi-step block is strided over the steps; a GEMM
+        # over every leading row at once copied it first, one more slab of scratch
+        import tracemalloc
+
+        points = control_lattice(GRID3, 2)
+        grams = KernelGrams(WEND, points)
+        M = rng.standard_normal((5, 4, 3, len(points)))
+        X = grams.lattice.scatter(M[:, 1])
+        assert not X.flags.c_contiguous
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            Y = _along(*grams.ops[1][-1], X, X.ndim - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(Y, grams.lattice.scatter(M[:, 1].copy()) @ grams.ops[1][-1][1])
+        assert peak - entry <= Y.nbytes + 2_000
+
     @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
     def test_refuses_non_lattice(self, spec, grid, points):
         with pytest.raises(ValueError, match=NON_LATTICE):
@@ -336,6 +358,24 @@ class TestAssemblerAdjoint:
         lhs = float(np.sum(v * vbar))
         rhs = float(np.sum(M * A))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, grid, points, first_order", extended(OPERATOR_CASES, (True,), {"zeroth": (False,)}))
+    def test_sum_factorization_matches_per_order_products(self, spec, grid, points, first_order, rng):
+        # the orders one by one, each a Kronecker product; a single order runs in
+        # _apply's axis order in 2D, so zeroth-only 2D results are equal bit for bit
+        asm, lat = VelocityAssembler(spec, grid, points, first_order), _Lattice(points)
+        orders = _per_order(asm.k, asm.dk)
+        d = grid.ndim
+        M = rng.standard_normal((len(orders), d, len(points)))
+        vbar = rng.standard_normal((grid.node_count, d))
+        V = np.reshape(vbar.T, (d,) + grid.dims)
+        want_v = sum(_apply(pairs, lat.scatter(m)) for pairs, m in zip(orders, M)).reshape(d, -1).T
+        want_a = np.stack([lat.gather(_apply([p[::-1] for p in pairs], V)) for pairs in orders])
+        for got, want in ((asm.velocity(M), want_v), (asm.adjoint(vbar), want_a)):
+            if d == 2 and not first_order:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)
     def test_refuses_non_lattice(self, spec, grid, points):

@@ -791,6 +791,26 @@ class TestWorkspace:
         assert G is out
         assert peak - entry <= 850_000
 
+    def test_backward_drops_the_residual_before_the_step_loop(self, rng):
+        # the residual image (node_count doubles) is read only by the final
+        # sample's derivative, so no step of the loop holds it
+        import weakref
+
+        I0, I1 = blob_pair_3d(8)
+        eng = _Engine(small_config(T=3, control_stride=2), I0, I1)
+        M = 0.3 * rng.standard_normal(eng.zero_theta().shape)
+        eng.forward(M)
+        resid, alive = weakref.ref(eng.resid), []
+        step_adjoint = eng.transport.step_adjoint
+
+        def recorded(k, psibar):
+            alive.append(resid() is not None)
+            return step_adjoint(k, psibar)
+
+        eng.transport.step_adjoint = recorded
+        eng.backward(M)
+        assert alive == [False] * 3
+
     @pytest.mark.parametrize("orders", ["zeroth_only", "zeroth_and_first"])
     def test_gradient_in_place_equals_a_fresh_block_backward(self, rng, orders):
         # gradient() writes the gradient over its own copy of the momenta
