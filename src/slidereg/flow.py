@@ -40,16 +40,20 @@ class _Transport:
 
     ``maps[_slot(k)]`` holds the inverse map psi_k channel-major, shape
     (d, node_count); ``maps[0]`` is the node positions and never changes.
-    With ``adjoint``, every psi_k keeps its own map, stencil buffers k < T
-    belong to step k + 1 and a pass keeps its step ``stencils`` for
-    :meth:`step_adjoint`. A forward-only transport keeps three maps, psi_0
-    and two that later steps alternate between (no step reads a map older
-    than its predecessor), runs every step through stencil buffers 0,
-    keeps no ``stencils`` and refuses :meth:`step_adjoint`. The last
-    buffers belong to the ``final`` sample of psi_T. An owner that keeps the
-    transport across passes allocates it once; each :meth:`advect`
-    overwrites what the last one wrote, and its ``stencils`` and ``final``
-    stay valid until the next.
+    Every transport has two stencil buffer sets: set 0, which each step
+    overwrites, and set 1, which belongs to the ``final`` sample of psi_T.
+    ``adjoint`` only chooses how many maps a pass keeps. With it, every
+    psi_k keeps its own map, and :meth:`step_adjoint` locates step k + 1's
+    upwind points again, staged by :meth:`upwind` in the transport's
+    (d, node_count) ``points`` buffer, into set 0 instead of keeping T step
+    stencils: 8d bytes per node and step instead of 17d + 4 (24 instead of
+    55 in 3D), plus the one ``points`` block. A forward-only transport keeps
+    three maps, psi_0 and two that later steps alternate between (no step
+    reads a map older than its predecessor), has no ``points`` and refuses
+    :meth:`step_adjoint`. An owner that keeps the transport across passes
+    allocates it once; each :meth:`advect` overwrites what the last one
+    wrote, and its maps and ``final`` stay valid until the next, a
+    backward pass included.
     Base indices are int32, so a grid of ``_MAX_NODES`` nodes or more is
     refused before anything is allocated.
     """
@@ -62,18 +66,28 @@ class _Transport:
         self.field_shape = grid.dims + (d,)
         self.maps = np.empty((T + 1 if adjoint else min(T + 1, 3), d, n))
         self.maps[0] = grid.node_positions().reshape(n, d).T
-        sets = T + 1 if adjoint else 2
-        self.base = np.empty((sets, n), np.int32)
-        self.frac = np.empty((sets, d, n))
-        self.unclamped = np.empty((sets, d, n), bool)
-        self.stencils = self.final = None
+        self.points = np.empty((d, n)) if adjoint else None
+        self.base = np.empty((2, n), np.int32)
+        self.frac = np.empty((2, d, n))
+        self.unclamped = np.empty((2, d, n), bool)
+        self.final = None
 
     def _slot(self, k: int) -> int:
         """Index in ``maps`` of psi_k."""
         return k if self.adjoint or k == 0 else 2 - k % 2
 
-    def _stencil(self, k: int, pts) -> Stencil:
-        return Stencil(self.grid, pts, (self.base[k], self.frac[k], self.unclamped[k]))
+    def _stencil(self, s: int, pts) -> Stencil:
+        """The stencil of the (node_count, d) points ``pts`` in buffer set ``s``."""
+        return Stencil(self.grid, pts, (self.base[s], self.frac[s], self.unclamped[s]))
+
+    def upwind(self, v, out=None) -> np.ndarray:
+        """The upwind points ``x - v / T`` of the (node_count, d) velocity v as a
+        (d, node_count) block, written into ``out`` or else into ``points``, which
+        the next such call overwrites. The velocity v_k of the last pass gives its
+        step k + 1's points bit for bit, so a backward may drop v_k once they are staged."""
+        out = self.points if out is None else out
+        np.multiply(v.T, self.dt, out=out)
+        return np.subtract(self.maps[0], out, out=out)
 
     def advect(self, velocities) -> None:
         """Transport psi_0 through the T per-step node velocities, each
@@ -85,28 +99,24 @@ class _Transport:
         map finite, since each gather is a convex combination of the previous
         map's nodes.
         """
-        self.stencils = self.final = None
-        stencils = []
+        self.final = None
         for k, v in enumerate(velocities):
             if not np.all(np.isfinite(v)):
                 raise DivergenceError(f"velocity non-finite at step {k + 1}")
             # the upwind points are staged in the rows of psi_{k+1}, which the gather then fills
-            pts = self.maps[self._slot(k + 1)]
-            np.multiply(v.T, self.dt, out=pts)
-            np.subtract(self.maps[0], pts, out=pts)
-            stencils.append(self._stencil(k if self.adjoint else 0, pts.T))
-            stencils[-1].gather(self.maps[self._slot(k)].T.reshape(self.field_shape), pts)
-        self.stencils = stencils if self.adjoint else None
-        self.final = self._stencil(-1, self.maps[self._slot(self.T)].T)
+            pts = self.upwind(v, self.maps[self._slot(k + 1)])
+            self._stencil(0, pts.T).gather(self.maps[self._slot(k)].T.reshape(self.field_shape), pts)
+        self.final = self._stencil(1, self.maps[self._slot(self.T)].T)
 
-    def step_adjoint(self, k: int, psibar):
+    def step_adjoint(self, k: int, pts, psibar):
         """Adjoint of step k + 1 of the last pass at ``psibar``, the (node_count, d)
-        adjoint of psi_{k+1}: the adjoint of the step's velocity and that of
-        psi_k, or None for k = 0, whose map psi_0 is fixed. A forward-only
-        transport raises RuntimeError."""
+        adjoint of psi_{k+1}, given that step's (d, node_count) upwind points
+        ``pts`` (see :meth:`upwind`), which are located again in stencil set 0:
+        the adjoint of the step's velocity and that of psi_k, or None for k = 0,
+        whose map psi_0 is fixed. A forward-only transport raises RuntimeError."""
         if not self.adjoint:
-            raise RuntimeError("a forward-only transport keeps no step stencils to differentiate")
-        st = self.stencils[k]
+            raise RuntimeError("a forward-only transport keeps no step maps to differentiate")
+        st = self._stencil(0, pts.T)
         vbar = st.point_grad_dot(self.maps[k].T, psibar)
         vbar *= -self.dt
         return vbar, (st.splat(psibar) if k > 0 else None)

@@ -186,8 +186,9 @@ class _Engine:
     The engine owns one ``transport``, allocated here, and keeps its last
     pass: :meth:`forward` advects the inverse map and leaves the residual
     ``resid``, which :meth:`backward` consumes and releases; the Gram
-    products are recomputed there, not kept. A forward-only engine
-    (``adjoint=False``) keeps one step stencil instead of T and has no :meth:`backward`.
+    products and each step's velocity and stencil are recomputed there,
+    not kept. A forward-only engine (``adjoint=False``) keeps three maps
+    instead of T + 1 and has no :meth:`backward`.
     """
 
     def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage, adjoint: bool = True):
@@ -230,29 +231,34 @@ class _Engine:
 
     def backward(self, M, out=None) -> np.ndarray:
         """Exact adjoint at M of the last :meth:`forward`, which ran at M: the
-        gradient block, written into ``out`` (a block like M, which may be M
-        itself) or a fresh one. Releases that pass's residual, so a pass has one
-        backward, and drops it once the final sample is differentiated, before the
-        step loop; the transport keeps its pass. A forward-only engine raises RuntimeError."""
+        gradient block, written into ``out`` (a block like M that shares no memory
+        with it, else ValueError) or a fresh one. Releases that pass's residual, so
+        a pass has one backward, and drops it once the final sample is
+        differentiated, before the step loop. Step k re-synthesises v_k from M[k],
+        stages its upwind points in the transport and drops v_k before they are
+        located again, so M must be intact until the loop ends; the transport
+        keeps its pass. A forward-only engine raises RuntimeError."""
         if not self.transport.adjoint:
             raise RuntimeError("backward needs an engine built with adjoint=True; this one is forward-only")
+        if out is not None and np.shares_memory(out, M):
+            raise ValueError("backward re-reads M after the Gram products fill out, so out must not share memory with M")
         if self.resid is None:
             raise RuntimeError("backward needs a completed forward pass that no backward has consumed")
-        cfg, grid, T = self.cfg, self.grid, self.cfg.T
+        cfg, grid, T, tr = self.cfg, self.grid, self.cfg.T, self.transport
         resid, self.resid = self.resid, None
-        sparse = _sparsity_grad(M[0], self.lam)  # before the Gram products may overwrite M
         G = self.grams.grad(M, out)
         G *= cfg.reg_weight / (2.0 * T)
 
         # d E_S / d warped, then through the final image interpolation: (N, d)
-        psibar = self.transport.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
+        psibar = tr.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
         del resid
 
         for k in range(T - 1, -1, -1):
-            vbar, psibar = self.transport.step_adjoint(k, psibar)
+            pts = tr.upwind(self.asm.velocity(M[k]))  # v_k is gone once its points are staged
+            vbar, psibar = tr.step_adjoint(k, pts, psibar)
             G[k] += self.asm.adjoint(vbar)
 
-        G[0] += sparse
+        G[0] += _sparsity_grad(M[0], self.lam)
         return G
 
 
@@ -278,7 +284,7 @@ def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: Scal
     """Exact gradient of :func:`total_energy` in TimeMomenta shape."""
     eng, M = _engine_for(cfg, tm, I0, I1, adjoint=True)
     eng.forward(M)
-    G = eng.backward(M, out=M)  # M is this call's own copy
+    G = eng.backward(M)
     eng.transport = None  # before the gradient's copies
     return eng.to_time_momenta(G)
 

@@ -126,7 +126,7 @@ class TestAdvectInverse:
         tr.advect([v, v, v])
         with pytest.raises(DivergenceError, match="at step 3"):
             tr.advect([v, v, bad])
-        assert tr.stencils is None and tr.final is None  # the failed pass leaves none, nor the last one
+        assert tr.final is None  # the failed pass leaves no final sample, nor the last pass's
 
     @pytest.mark.parametrize("T", [1, 2, 3, 6])
     def test_forward_only_transport_keeps_three_maps_and_matches_a_full_one(self, T):
@@ -139,6 +139,14 @@ class TestAdvectInverse:
         np.testing.assert_array_equal(short.inverse_map().targets, full.inverse_map().targets)
         np.testing.assert_array_equal(short.final.base, full.final.base)
         np.testing.assert_array_equal(short.final.frac, full.final.frac)
+
+    @pytest.mark.parametrize("T", [2, 8])
+    def test_any_transport_keeps_two_stencil_buffer_sets(self, T):
+        # one set that every step overwrites and one for the final sample,
+        # whether or not the transport has an adjoint
+        for adjoint in (True, False):
+            tr = _Transport(GRID, T, adjoint)
+            assert len(tr.base) == len(tr.frac) == len(tr.unclamped) == 2
 
     def test_grid_past_the_int32_index_is_refused_before_allocating(self, monkeypatch):
         # the limit is lowered so that a small grid stands in for one of 2**31 nodes

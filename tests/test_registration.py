@@ -337,8 +337,9 @@ class TestGradient:
             np.testing.assert_array_equal(a.m0, b.m0)
 
     def test_one_lookup_per_point_set(self, rng, monkeypatch):
-        # the backward pass reuses the forward stencils: T transport steps
-        # plus the final template sample locate their points once each
+        # T transport steps plus the final template sample locate their points
+        # once each in the forward pass, and the backward pass locates each
+        # step's points once more from its re-synthesised velocity
         from slidereg import geometry
 
         calls = []
@@ -347,12 +348,13 @@ class TestGradient:
         pair = gen_rectangle(16, 2)
         cfg = small_config()
         gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
-        assert len(calls) == cfg.T + 1
+        assert len(calls) == 2 * cfg.T + 1
 
     def test_one_lookup_per_point_set_in_a_solve(self, monkeypatch):
-        # each forward pass locates its T step points and the final sample;
-        # the forward maps locate T more, and the warped image reuses the
-        # final sample's stencil
+        # each forward pass locates its T step points and the final sample,
+        # each backward pass (one per accepted iterate when the solve stops
+        # on max_iters) its T step points again; the forward maps locate T
+        # more, and the warped image reuses the final sample's stencil
         from slidereg import geometry
 
         calls = []
@@ -361,7 +363,8 @@ class TestGradient:
         pair = gen_rectangle(16, 2)
         cfg = small_config(max_iters=4, stop_rel_tol=0.0)
         res = optimize(cfg, pair.template, pair.reference)
-        assert len(calls) == (cfg.T + 1) * res.forward_passes + cfg.T
+        assert res.stop_reason == "max_iters"
+        assert len(calls) == (cfg.T + 1) * res.forward_passes + cfg.T * res.iterations_used + cfg.T
 
     def test_never_forms_point_jacobian(self, rng, monkeypatch):
         # the adjoint contracts psibar into each stencil through
@@ -674,10 +677,11 @@ class TestOptimize:
 
 
 def _transport_arrays(eng):
-    """The maps and stencil arrays of the engine's last pass, in a fixed order."""
+    """The maps and the two stencil buffer sets (the last step's and the final
+    sample's) of the engine's last pass, in a fixed order."""
     tr = eng.transport
     maps = [m.T for m in tr.maps]
-    return maps + [getattr(st, name) for st in tr.stencils + [tr.final] for name in ("base", "frac", "unclamped")]
+    return maps + [buf[s] for s in (0, 1) for buf in (tr.base, tr.frac, tr.unclamped)]
 
 
 class TestWorkspace:
@@ -750,8 +754,9 @@ class TestWorkspace:
     def test_backward_peak_is_the_gradient_and_per_call_scratch(self, rng):
         # what one backward allocates above its entry: the gradient block G and
         # the transient work of one step at a time. On this 16^3 engine (m = 4096
-        # points, 8 corners) the peak over entry reads G.nbytes + 0.78 MB (0.73 MB
-        # before the step-0 sparsity gradient was held across the pass); with a
+        # points, 8 corners) the peak over entry reads G.nbytes + 0.73 MB, with each
+        # step's re-synthesised velocity dropped once its points are staged (0.78 MB
+        # while the step-0 sparsity gradient was held across the pass); with a
         # point_grad_dot that made a fresh difference table per axis it read
         # G.nbytes + 0.92 MB, and with a splat that built (2^d, m) index, weight
         # and product blocks G.nbytes + 1.32 MB (numpy 2.4).
@@ -772,7 +777,7 @@ class TestWorkspace:
 
     def test_backward_into_a_given_block_peaks_at_per_call_scratch(self, rng):
         # with an out block the gradient costs nothing above the per-call scratch
-        # of the test above: 0.78 MB over entry on this engine, against
+        # of the test above: 0.73 MB over entry on this engine, against
         # G.nbytes (0.20 MB) more for a fresh block
         import tracemalloc
 
@@ -803,9 +808,9 @@ class TestWorkspace:
         resid, alive = weakref.ref(eng.resid), []
         step_adjoint = eng.transport.step_adjoint
 
-        def recorded(k, psibar):
+        def recorded(k, pts, psibar):
             alive.append(resid() is not None)
-            return step_adjoint(k, psibar)
+            return step_adjoint(k, pts, psibar)
 
         eng.transport.step_adjoint = recorded
         eng.backward(M)
@@ -813,7 +818,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("orders", ["zeroth_only", "zeroth_and_first"])
     def test_gradient_in_place_equals_a_fresh_block_backward(self, rng, orders):
-        # gradient() writes the gradient over its own copy of the momenta
+        # gradient() hands backward a fresh block, since the step loop re-reads M
         I0, I1 = blob_pair_3d(8)
         cfg = small_config(T=3, control_stride=2, orders=orders)
         tm = random_momenta(cfg, I0.geometry, rng)
@@ -824,6 +829,64 @@ class TestWorkspace:
         got = gradient(cfg, tm, I0, I1)
         for g, w in zip(got.steps, want.steps, strict=True):
             assert np.array_equal(g.m0, w.m0) and np.array_equal(g.m1, w.m1)
+
+    @pytest.mark.parametrize("alias", ["M", "a view of M"])
+    def test_backward_refuses_an_out_that_shares_memory_with_m(self, rng, alias):
+        # the step loop re-synthesises each velocity from M after the Gram
+        # products have filled out, so an aliased out would give a wrong gradient
+        I0, I1 = blob_pair_3d(8)
+        eng = _Engine(small_config(T=3, control_stride=2), I0, I1)
+        M = 0.3 * rng.standard_normal(eng.zero_theta().shape)
+        kept = M.copy()
+        eng.forward(M)
+        with pytest.raises(ValueError, match="must not share memory with M"):
+            eng.backward(M, M if alias == "M" else M[..., ::-1])
+        assert np.array_equal(M, kept)
+        want = _Engine(small_config(T=3, control_stride=2), I0, I1)
+        want.forward(M)
+        # the refused call left the pass to a backward of its own
+        assert np.array_equal(eng.backward(M, np.empty_like(M)), want.backward(M))
+
+    def test_backward_relocates_the_stencils_the_forward_built(self, rng):
+        # each backward step locates its upwind points again, from the velocity
+        # re-synthesised from M[k]; on a 3D pair whose points leave the domain
+        # (so the clamp acts) every step's stencil equals the forward's bit for bit
+        I0, I1 = blob_pair_3d(8)
+        eng = _Engine(small_config(T=3, control_stride=2), I0, I1)
+        tr = eng.transport
+        hi = np.array(I0.geometry.dims) - 1.0
+
+        def snapshot():
+            return [buf[0].copy() for buf in (tr.base, tr.frac, tr.unclamped)]
+
+        built, relocated, outside = [], {}, []
+        advect, step_adjoint = tr.advect, tr.step_adjoint
+
+        def recorded_advect(velocities):
+            def steps():
+                for k, v in enumerate(velocities):
+                    if k:
+                        built.append(snapshot())  # step k - 1 is done once v_k is drawn
+                    yield v
+                built.append(snapshot())
+
+            advect(steps())
+
+        def recorded_step_adjoint(k, pts, psibar):
+            outside.append(np.any((pts < 0.0) | (pts > hi[:, None])))
+            result = step_adjoint(k, pts, psibar)
+            relocated[k] = snapshot()
+            return result
+
+        tr.advect, tr.step_adjoint = recorded_advect, recorded_step_adjoint
+        M = 2.0 * rng.standard_normal(eng.zero_theta().shape)
+        eng.forward(M)
+        eng.backward(M)
+        assert any(outside)
+        assert len(built) == len(relocated) == 3
+        for k, arrays in enumerate(built):
+            for a, b in zip(arrays, relocated[k], strict=True):
+                assert np.array_equal(a, b)
 
     def test_descent_gradient_lands_in_the_vacated_block(self, monkeypatch):
         # each backward after the first fills the block the last accepted step
@@ -860,8 +923,9 @@ class TestWorkspace:
 
     def test_total_energy_keeps_one_step_stencil_and_no_backward(self, monkeypatch, rng):
         # a pass nothing differentiates keeps one stencil buffer set for its
-        # T steps and one for the final sample, and three maps (psi_0 and two
-        # that alternate); gradient's transport keeps T + 1 of each
+        # T steps and one for the final sample, three maps (psi_0 and two
+        # that alternate) and no points buffer; gradient's transport keeps the
+        # same two stencil sets and T + 1 maps
         from slidereg import flow
 
         made = []
@@ -877,17 +941,18 @@ class TestWorkspace:
         tm = random_momenta(cfg, I0.geometry, rng)
         total_energy(cfg, tm, I0, I1)
         gradient(cfg, tm, I0, I1)
-        assert [len(tr.base) for tr in made] == [2, cfg.T + 1]
-        assert [len(tr.frac) for tr in made] == [2, cfg.T + 1]
+        assert [len(tr.base) for tr in made] == [2, 2]
+        assert [len(tr.frac) for tr in made] == [2, 2]
         assert [len(tr.maps) for tr in made] == [3, cfg.T + 1]
-        assert made[0].stencils is None
+        assert made[0].points is None
         eng = _Engine(cfg, I0, I1, adjoint=False)
         M = eng.zero_theta()
         eng.forward(M)
         with pytest.raises(RuntimeError, match="forward-only"):
             eng.backward(M)
+        n = I0.geometry.node_count
         with pytest.raises(RuntimeError, match="forward-only"):
-            eng.transport.step_adjoint(cfg.T - 1, np.zeros((I0.geometry.node_count, 3)))
+            eng.transport.step_adjoint(cfg.T - 1, np.zeros((3, n)), np.zeros((n, 3)))
 
     def test_forward_only_passes_match_full_ones(self, rng):
         from slidereg import flow
