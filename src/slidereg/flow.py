@@ -40,20 +40,21 @@ class _Transport:
 
     ``maps[_slot(k)]`` holds the inverse map psi_k channel-major, shape
     (d, node_count); ``maps[0]`` is the node positions and never changes.
-    Every transport has two stencil buffer sets: set 0, which each step
-    overwrites, and set 1, which belongs to the ``final`` sample of psi_T.
-    ``adjoint`` only chooses how many maps a pass keeps. With it, every
-    psi_k keeps its own map, and :meth:`step_adjoint` locates step k + 1's
-    upwind points again, staged by :meth:`upwind` in the transport's
-    (d, node_count) ``points`` buffer, into set 0 instead of keeping T step
-    stencils: 8d bytes per node and step instead of 17d + 4 (24 instead of
-    55 in 3D), plus the one ``points`` block. A forward-only transport keeps
-    three maps, psi_0 and two that later steps alternate between (no step
-    reads a map older than its predecessor), has no ``points`` and refuses
-    :meth:`step_adjoint`. An owner that keeps the transport across passes
+    Step k stages its upwind points ``x - v_k / T`` in psi_{k+1}'s rows,
+    locates them and gathers psi_k into those rows. Every transport has two
+    stencil buffer sets: the steps of :meth:`advect` overwrite set 0, which
+    ends as ``last``, step T - 1's stencil, and set 1 holds the ``final``
+    sample of psi_T. ``adjoint`` only chooses how many maps a pass keeps.
+    With it, psi_k has its own map for even k and for k = T, and the odd
+    psi_k share one (T // 2 + 2 maps for even T), which :meth:`backward`
+    gathers again, as it locates the step stencils again (checkpointing,
+    Griewank & Walther, *Evaluating Derivatives*, ch. 12). A forward-only
+    transport keeps three maps, psi_0 and two that later steps alternate
+    between (no step reads a map older than its predecessor), and refuses
+    :meth:`backward`. An owner that keeps the transport across passes
     allocates it once; each :meth:`advect` overwrites what the last one
-    wrote, and its maps and ``final`` stay valid until the next, a
-    backward pass included.
+    wrote, and its maps, ``last`` and ``final`` stay valid until the next,
+    but for a backward, which releases both stencils; psi_T's map stays.
     Base indices are int32, so a grid of ``_MAX_NODES`` nodes or more is
     refused before anything is allocated.
     """
@@ -64,30 +65,34 @@ class _Transport:
             raise ValueError(f"the transport indexes nodes as int32; a grid of {n} nodes needs fewer than {_MAX_NODES}")
         self.grid, self.T, self.dt, self.adjoint = grid, T, 1.0 / T, adjoint
         self.field_shape = grid.dims + (d,)
-        self.maps = np.empty((T + 1 if adjoint else min(T + 1, 3), d, n))
+        # the adjoint keeps psi_0, psi_2, ..., psi_T and, for T > 1, one map the odd psi_k share
+        self.maps = np.empty(((T + 1) // 2 + 1 + (T > 1) if adjoint else min(T + 1, 3), d, n))
         self.maps[0] = grid.node_positions().reshape(n, d).T
-        self.points = np.empty((d, n)) if adjoint else None
         self.base = np.empty((2, n), np.int32)
         self.frac = np.empty((2, d, n))
         self.unclamped = np.empty((2, d, n), bool)
-        self.final = None
+        self.final = self.last = None
 
     def _slot(self, k: int) -> int:
         """Index in ``maps`` of psi_k."""
-        return k if self.adjoint or k == 0 else 2 - k % 2
+        if not self.adjoint:
+            return 2 - k % 2 if k else 0
+        return (k + 1) // 2 if k % 2 == 0 or k == self.T else len(self.maps) - 1
 
     def _stencil(self, s: int, pts) -> Stencil:
         """The stencil of the (node_count, d) points ``pts`` in buffer set ``s``."""
         return Stencil(self.grid, pts, (self.base[s], self.frac[s], self.unclamped[s]))
 
-    def upwind(self, v, out=None) -> np.ndarray:
-        """The upwind points ``x - v / T`` of the (node_count, d) velocity v as a
-        (d, node_count) block, written into ``out`` or else into ``points``, which
-        the next such call overwrites. The velocity v_k of the last pass gives its
-        step k + 1's points bit for bit, so a backward may drop v_k once they are staged."""
-        out = self.points if out is None else out
+    def _upwind(self, k: int, v) -> np.ndarray:
+        """Step k's upwind points ``x - v / T`` of the (node_count, d) velocity v,
+        staged as a (d, node_count) block in psi_{k+1}'s rows."""
+        out = self.maps[self._slot(k + 1)]
         np.multiply(v.T, self.dt, out=out)
         return np.subtract(self.maps[0], out, out=out)
+
+    def _gather(self, k: int, st: Stencil) -> None:
+        """psi_{k+1}, sampled from psi_k through step k's stencil ``st`` into its own rows."""
+        st.gather(self.maps[self._slot(k)].T.reshape(self.field_shape), self.maps[self._slot(k + 1)])
 
     def advect(self, velocities) -> None:
         """Transport psi_0 through the T per-step node velocities, each
@@ -99,25 +104,61 @@ class _Transport:
         map finite, since each gather is a convex combination of the previous
         map's nodes.
         """
-        self.final = None
+        self.final = self.last = None
+        st = None
         for k, v in enumerate(velocities):
             if not np.all(np.isfinite(v)):
                 raise DivergenceError(f"velocity non-finite at step {k + 1}")
-            # the upwind points are staged in the rows of psi_{k+1}, which the gather then fills
-            pts = self.upwind(v, self.maps[self._slot(k + 1)])
-            self._stencil(0, pts.T).gather(self.maps[self._slot(k)].T.reshape(self.field_shape), pts)
+            st = self._stencil(0, self._upwind(k, v).T)
+            self._gather(k, st)
+        self.last = st
         self.final = self._stencil(1, self.maps[self._slot(self.T)].T)
 
-    def step_adjoint(self, k: int, pts, psibar):
-        """Adjoint of step k + 1 of the last pass at ``psibar``, the (node_count, d)
-        adjoint of psi_{k+1}, given that step's (d, node_count) upwind points
-        ``pts`` (see :meth:`upwind`), which are located again in stencil set 0:
-        the adjoint of the step's velocity and that of psi_k, or None for k = 0,
-        whose map psi_0 is fixed. A forward-only transport raises RuntimeError."""
+    def _relocate(self, k: int, velocity) -> Stencil:
+        """Step k's stencil located again in set 1 - k % 2 from v_k = ``velocity(k)``,
+        which is dropped once its points are staged in psi_{k+1}'s rows."""
+        return self._stencil(1 - k % 2, self._upwind(k, velocity(k)).T)
+
+    def backward(self, velocity, psibar):
+        """Yield ``(k, vbar)``, the adjoint of step k's velocity, for k = T - 1
+        down to 0, through the last pass's steps from ``psibar``, the
+        (node_count, d) adjoint of psi_T; ``velocity(k)`` re-synthesises v_k,
+        bit for bit as the pass drew it.
+
+        ``final`` and ``last`` are released first, since the loop overwrites
+        both stencil sets. Step T - 1 reuses ``last``. The odd maps' slot
+        still holds the last odd map, T - 1 or T - 2, when its step comes;
+        any earlier odd step k stages step k - 1's points in that slot,
+        locates them in the set that does not hold step k's stencil and
+        gathers psi_{k-1} into that slot again, which gives psi_k back, and
+        step k - 1 then reuses that stencil. Every other step's points are
+        staged in psi_{k+1}'s rows, free once step k + 1's adjoint is done,
+        so psi_T's are never written. That makes T - 1 lookups and
+        (T - 2) // 2 gathers per pass (none for T < 4). A forward-only
+        transport, or one whose pass is gone, raises RuntimeError."""
         if not self.adjoint:
             raise RuntimeError("a forward-only transport keeps no step maps to differentiate")
-        st = self._stencil(0, pts.T)
-        vbar = st.point_grad_dot(self.maps[k].T, psibar)
+        if self.last is None:
+            raise RuntimeError("the transport has no pass to differentiate")
+        st, self.final, self.last = self.last, None, None
+        for k in range(self.T - 1, -1, -1):
+            if st is None:
+                st = self._relocate(k, velocity)
+            prev = None
+            if k % 2 and k + 2 < self.T:
+                prev = self._relocate(k - 1, velocity)
+                self._gather(k - 1, prev)
+            vbar, psibar = self.step_adjoint(k, st, psibar)
+            yield k, vbar
+            del vbar  # with the caller's, before the next step's scratch
+            st = prev
+
+    def step_adjoint(self, k: int, st: Stencil, psibar):
+        """Adjoint of step k of the last pass through its stencil ``st``, given
+        psi_k's map and ``psibar``, the (node_count, d) adjoint of psi_{k+1}: the
+        adjoint of the step's velocity and that of psi_k, or None for k = 0,
+        whose map psi_0 is fixed."""
+        vbar = st.point_grad_dot(self.maps[self._slot(k)].T, psibar)
         vbar *= -self.dt
         return vbar, (st.splat(psibar) if k > 0 else None)
 

@@ -256,9 +256,10 @@ class Stencil:
     share the product over those axes: it is formed once, as a prefix, and
     a 3D call makes 4 + 8 = 12 multiplies instead of 8 x 2 = 16, each
     rounding as the left-to-right product does. Each corner's node data is
-    taken into one reused buffer by ``np.take(..., out=, mode="clip")``: the
-    indices ``base + offset`` lie in range by construction, so clipping
-    never changes one, and ``mode="raise"`` would stage ``out`` in a copy.
+    taken into one reused buffer by ``np.take(..., out=, mode="wrap")``: the
+    indices ``base + offset`` lie in range by construction, so wrapping
+    never changes one; ``mode="raise"`` would stage ``out`` in a copy, and
+    ``"wrap"`` takes faster than ``"clip"``.
 
     ``buffers`` is ``(base, frac, unclamped)``, arrays of shapes (m,),
     (d, m) and (d, m) that the stencil fills and keeps; fresh ones by default.
@@ -303,7 +304,7 @@ class Stencil:
     def _take(self, rows: np.ndarray, off: int, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rows of the corner at flat offset ``off`` into ``out``, through the index buffer ``idx``."""
         np.add(self.base, off, out=idx, dtype=np.intp)
-        return np.take(rows, idx, axis=1, out=out, mode="clip")
+        return np.take(rows, idx, axis=1, out=out, mode="wrap")
 
     def gather(self, values: np.ndarray, out=None) -> np.ndarray:
         """Interpolate ``values`` (shape ``dims`` or ``dims + (c,)``) at the points.

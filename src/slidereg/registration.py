@@ -27,6 +27,7 @@ from .geometry import (
     _real,
     box_downsample,
     interp_values,  # noqa: F401 - perfbench's tests check that the tracer patches it here
+    warp_image,
 )
 from .kernels import KernelSpec
 from .momenta import (
@@ -186,9 +187,10 @@ class _Engine:
     The engine owns one ``transport``, allocated here, and keeps its last
     pass: :meth:`forward` advects the inverse map and leaves the residual
     ``resid``, which :meth:`backward` consumes and releases; the Gram
-    products and each step's velocity and stencil are recomputed there,
-    not kept. A forward-only engine (``adjoint=False``) keeps three maps
-    instead of T + 1 and has no :meth:`backward`.
+    products, each step's velocity and stencil and the odd steps' maps are
+    recomputed there, not kept. A forward-only engine (``adjoint=False``)
+    keeps three maps instead of the adjoint's T // 2 + 2 (even T) and has
+    no :meth:`backward`.
     """
 
     def __init__(self, cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage, adjoint: bool = True):
@@ -234,10 +236,11 @@ class _Engine:
         gradient block, written into ``out`` (a block like M that shares no memory
         with it, else ValueError) or a fresh one. Releases that pass's residual, so
         a pass has one backward, and drops it once the final sample is
-        differentiated, before the step loop. Step k re-synthesises v_k from M[k],
-        stages its upwind points in the transport and drops v_k before they are
-        located again, so M must be intact until the loop ends; the transport
-        keeps its pass. A forward-only engine raises RuntimeError."""
+        differentiated, before the step loop. The transport's
+        :meth:`~flow._Transport.backward` re-synthesises v_k from M[k] for each
+        step it locates again (all but step T - 1, whose stencil the pass left),
+        so M must be intact until the loop ends; the transport keeps psi_T but
+        releases its final-sample stencil. A forward-only engine raises RuntimeError."""
         if not self.transport.adjoint:
             raise RuntimeError("backward needs an engine built with adjoint=True; this one is forward-only")
         if out is not None and np.shares_memory(out, M):
@@ -249,14 +252,14 @@ class _Engine:
         G = self.grams.grad(M, out)
         G *= cfg.reg_weight / (2.0 * T)
 
-        # d E_S / d warped, then through the final image interpolation: (N, d)
-        psibar = tr.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count)
+        # d E_S / d warped, then through the final image interpolation: (N, d),
+        # handed over unnamed so the step loop frees it once step T - 1 is done
+        steps = tr.backward(lambda k: self.asm.velocity(M[k]),
+                            tr.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count))
         del resid
-
-        for k in range(T - 1, -1, -1):
-            pts = tr.upwind(self.asm.velocity(M[k]))  # v_k is gone once its points are staged
-            vbar, psibar = tr.step_adjoint(k, pts, psibar)
+        for k, vbar in steps:
             G[k] += self.asm.adjoint(vbar)
+            del vbar  # the transport drops its own reference too
 
         G[0] += _sparsity_grad(M[0], self.lam)
         return G
@@ -411,10 +414,11 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     # the start block is handed over, not named here, so the descent can free it once spent
     M, trace, steps, stop_reason = _descend(eng, _warm_start(eng, I0, I1) if cfg.pyramid else eng.zero_theta())
     geom = I0.geometry
-    warped = ScalarImage(geom, eng.transport.final.gather(I0.values).reshape(geom.dims))
     psi_T = eng.transport.inverse_map()
-    # drop the last pass and the whole transport before the forward push
+    # drop the last pass and the whole transport before the warped image and the forward push;
+    # a backward (a gradient_zero stop) has released the final-sample stencil anyway
     eng.transport = eng.resid = None
+    warped = warp_image(I0, psi_T)
     fp = flowmod._flow_path((eng.asm.velocity(M[k]) for k in range(cfg.T)), psi_T, geom, cfg.T)
     return RegistrationResult(
         momenta=eng.to_time_momenta(M),

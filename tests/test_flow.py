@@ -140,6 +140,11 @@ class TestAdvectInverse:
         np.testing.assert_array_equal(short.final.base, full.final.base)
         np.testing.assert_array_equal(short.final.frac, full.final.frac)
 
+    @pytest.mark.parametrize("T, count", [(1, 2), (2, 3), (3, 4), (10, 7)])
+    def test_adjoint_transport_keeps_the_even_maps_psi_T_and_one_odd_map(self, T, count):
+        # psi_0, psi_2, ..., psi_T and, for T > 1, one map the odd psi_k share
+        assert len(_Transport(GRID, T).maps) == count
+
     @pytest.mark.parametrize("T", [2, 8])
     def test_any_transport_keeps_two_stencil_buffer_sets(self, T):
         # one set that every step overwrites and one for the final sample,

@@ -271,6 +271,23 @@ class TestGradient:
         tm = random_momenta(cfg, grid, rng)
         assert fd_gradient_error(cfg, tm, blob([3.5, 3.5, 3.5]), blob([3.5, 4.5, 3.0]), rng) <= 1e-4
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+    def test_directional_derivative_matches_fd_for_each_step_count(self, T, rng):
+        # the backward re-gathers each odd psi_k but the last from its kept even
+        # predecessor, so both parities of T, psi_T on an odd step, T < 4 (no
+        # re-gather) and T = 1 (no odd maps) are checked
+        pair = gen_rectangle(16, 2)
+        cfg = small_config(T=T)
+        tm = random_momenta(cfg, GRID16, rng)
+        assert fd_gradient_error(cfg, tm, pair.template, pair.reference, rng) <= 1e-4
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_directional_derivative_matches_fd_3d_for_each_step_count(self, T, rng):
+        I0, I1 = blob_pair_3d(8)
+        cfg = small_config(T=T, control_stride=2)
+        tm = random_momenta(cfg, I0.geometry, rng)
+        assert fd_gradient_error(cfg, tm, I0, I1, rng) <= 1e-4
+
     def test_pure_regularizer_gradient_is_gram_product(self, rng):
         from dataclasses import replace
 
@@ -339,7 +356,8 @@ class TestGradient:
     def test_one_lookup_per_point_set(self, rng, monkeypatch):
         # T transport steps plus the final template sample locate their points
         # once each in the forward pass, and the backward pass locates each
-        # step's points once more from its re-synthesised velocity
+        # step's points once more from its re-synthesised velocity, but for
+        # step T - 1, whose stencil the forward left
         from slidereg import geometry
 
         calls = []
@@ -348,13 +366,13 @@ class TestGradient:
         pair = gen_rectangle(16, 2)
         cfg = small_config()
         gradient(cfg, random_momenta(cfg, GRID16, rng), pair.template, pair.reference)
-        assert len(calls) == 2 * cfg.T + 1
+        assert len(calls) == 2 * cfg.T
 
     def test_one_lookup_per_point_set_in_a_solve(self, monkeypatch):
         # each forward pass locates its T step points and the final sample,
         # each backward pass (one per accepted iterate when the solve stops
-        # on max_iters) its T step points again; the forward maps locate T
-        # more, and the warped image reuses the final sample's stencil
+        # on max_iters) its T - 1 first step points again; the forward maps
+        # locate T more, and the warped image one, from the copied psi_T
         from slidereg import geometry
 
         calls = []
@@ -364,7 +382,7 @@ class TestGradient:
         cfg = small_config(max_iters=4, stop_rel_tol=0.0)
         res = optimize(cfg, pair.template, pair.reference)
         assert res.stop_reason == "max_iters"
-        assert len(calls) == (cfg.T + 1) * res.forward_passes + cfg.T * res.iterations_used + cfg.T
+        assert len(calls) == (cfg.T + 1) * res.forward_passes + (cfg.T - 1) * res.iterations_used + cfg.T + 1
 
     def test_never_forms_point_jacobian(self, rng, monkeypatch):
         # the adjoint contracts psibar into each stencil through
@@ -848,45 +866,70 @@ class TestWorkspace:
         assert np.array_equal(eng.backward(M, np.empty_like(M)), want.backward(M))
 
     def test_backward_relocates_the_stencils_the_forward_built(self, rng):
-        # each backward step locates its upwind points again, from the velocity
-        # re-synthesised from M[k]; on a 3D pair whose points leave the domain
-        # (so the clamp acts) every step's stencil equals the forward's bit for bit
+        # each backward step's stencil is the forward's (step T - 1's is kept,
+        # the others are located again from velocities re-synthesised from M)
+        # and each step reads the forward's psi_k (an odd one but the last
+        # gathered again from psi_{k-1}); on a 3D pair whose upwind points leave the domain
+        # (so the clamp acts) both equal the forward's bit for bit, for odd
+        # and even T
         I0, I1 = blob_pair_3d(8)
-        eng = _Engine(small_config(T=3, control_stride=2), I0, I1)
-        tr = eng.transport
+        nodes = I0.geometry.node_positions().reshape(-1, 3)
         hi = np.array(I0.geometry.dims) - 1.0
+        for T in (3, 4):
+            eng = _Engine(small_config(T=T, control_stride=2), I0, I1)
+            tr = eng.transport
+            built, seen, outside, located = {}, {}, [], []
+            advect, step_adjoint, stencil = tr.advect, tr.step_adjoint, tr._stencil
 
-        def snapshot():
-            return [buf[0].copy() for buf in (tr.base, tr.frac, tr.unclamped)]
+            def snapshot(k, st):
+                return [a.copy() for a in (st.base, st.frac, st.unclamped, tr.maps[tr._slot(k)])]
 
-        built, relocated, outside = [], {}, []
-        advect, step_adjoint = tr.advect, tr.step_adjoint
+            def recorded_stencil(s, pts):
+                located.append(stencil(s, pts))
+                return located[-1]
 
-        def recorded_advect(velocities):
-            def steps():
-                for k, v in enumerate(velocities):
-                    if k:
-                        built.append(snapshot())  # step k - 1 is done once v_k is drawn
-                    yield v
-                built.append(snapshot())
+            def recorded_advect(velocities):
+                def steps():
+                    for k, v in enumerate(velocities):
+                        if k:
+                            built[k - 1] = snapshot(k - 1, located[-1])  # step k - 1 is done once v_k is drawn
+                        outside.append(np.any((nodes - v / T < 0.0) | (nodes - v / T > hi)))
+                        yield v
+                    built[T - 1] = snapshot(T - 1, located[-1])
 
-            advect(steps())
+                advect(steps())
 
-        def recorded_step_adjoint(k, pts, psibar):
-            outside.append(np.any((pts < 0.0) | (pts > hi[:, None])))
-            result = step_adjoint(k, pts, psibar)
-            relocated[k] = snapshot()
-            return result
+            def recorded_step_adjoint(k, st, psibar):
+                seen[k] = snapshot(k, st)
+                return step_adjoint(k, st, psibar)
 
-        tr.advect, tr.step_adjoint = recorded_advect, recorded_step_adjoint
-        M = 2.0 * rng.standard_normal(eng.zero_theta().shape)
+            tr.advect, tr.step_adjoint, tr._stencil = recorded_advect, recorded_step_adjoint, recorded_stencil
+            M = 2.0 * rng.standard_normal(eng.zero_theta().shape)
+            eng.forward(M)
+            eng.backward(M)
+            assert any(outside)
+            assert sorted(built) == sorted(seen) == list(range(T))
+            for k in range(T):
+                for a, b in zip(built[k], seen[k], strict=True):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+    def test_backward_keeps_psi_T_and_releases_the_final_sample(self, rng, T):
+        # the backward reuses both stencil sets and the odd maps' rows, but never
+        # psi_T's: the inverse map stays the pass's, and the final-sample stencil
+        # it overwrote is released rather than left stale
+        pair = gen_rectangle(16, 2)
+        eng = _Engine(small_config(T=T), pair.template, pair.reference)
+        tr = eng.transport
+        M = 0.4 * rng.standard_normal(eng.zero_theta().shape)
         eng.forward(M)
+        want = tr.inverse_map().targets
         eng.backward(M)
-        assert any(outside)
-        assert len(built) == len(relocated) == 3
-        for k, arrays in enumerate(built):
-            for a, b in zip(arrays, relocated[k], strict=True):
-                assert np.array_equal(a, b)
+        np.testing.assert_array_equal(tr.inverse_map().targets, want)
+        assert tr.final is None and tr.last is None
+        n = pair.template.geometry.node_count
+        with pytest.raises(RuntimeError, match="no pass"):
+            next(tr.backward(lambda k: np.zeros((n, 2)), np.zeros((n, 2))))
 
     def test_descent_gradient_lands_in_the_vacated_block(self, monkeypatch):
         # each backward after the first fills the block the last accepted step
@@ -923,9 +966,10 @@ class TestWorkspace:
 
     def test_total_energy_keeps_one_step_stencil_and_no_backward(self, monkeypatch, rng):
         # a pass nothing differentiates keeps one stencil buffer set for its
-        # T steps and one for the final sample, three maps (psi_0 and two
-        # that alternate) and no points buffer; gradient's transport keeps the
-        # same two stencil sets and T + 1 maps
+        # T steps and one for the final sample and three maps (psi_0 and two
+        # that alternate); gradient's transport keeps the same two stencil
+        # sets and T // 2 + 2 maps for even T (the even psi_k, psi_T and one
+        # the odd psi_k share); neither has a points buffer
         from slidereg import flow
 
         made = []
@@ -943,8 +987,8 @@ class TestWorkspace:
         gradient(cfg, tm, I0, I1)
         assert [len(tr.base) for tr in made] == [2, 2]
         assert [len(tr.frac) for tr in made] == [2, 2]
-        assert [len(tr.maps) for tr in made] == [3, cfg.T + 1]
-        assert made[0].points is None
+        assert [len(tr.maps) for tr in made] == [3, cfg.T // 2 + 2]
+        assert not any(hasattr(tr, "points") for tr in made)
         eng = _Engine(cfg, I0, I1, adjoint=False)
         M = eng.zero_theta()
         eng.forward(M)
@@ -952,7 +996,7 @@ class TestWorkspace:
             eng.backward(M)
         n = I0.geometry.node_count
         with pytest.raises(RuntimeError, match="forward-only"):
-            eng.transport.step_adjoint(cfg.T - 1, np.zeros((3, n)), np.zeros((n, 3)))
+            next(eng.transport.backward(lambda k: np.zeros((n, 3)), np.zeros((n, 3))))
 
     def test_forward_only_passes_match_full_ones(self, rng):
         from slidereg import flow
