@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DivergenceError
 from .geometry import DeformationMap, GridGeometry, Stencil, interp_values
 from .kernels import KernelSpec
-from .momenta import TimeMomenta, VelocityAssembler, _block
+from .momenta import TimeMomenta, VelocityAssembler
 
 __all__ = [
     "FlowPath",
@@ -184,7 +184,7 @@ def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) ->
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
     """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice."""
     asm = VelocityAssembler(spec, grid, tm.points)
-    velocities = [asm.velocity(_block(ms.m0, ms.m1)) for ms in tm.steps]
+    velocities = [asm.velocity(M) for M in tm.block]
     transport = _Transport(grid, tm.T, adjoint=False)
     transport.advect(velocities)
     inverse = transport.inverse_map()

@@ -32,7 +32,7 @@ contiguous lattice slabs while steps, orders and components ride in front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,17 @@ __all__ = [
     "KernelGrams",
     "control_lattice",
 ]
+
+
+def _control_points(points) -> np.ndarray:
+    """``points`` as a read-only (n, d) float copy; another shape or a non-finite entry raises ValueError."""
+    pts = np.asarray(points, float)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be (n, d), got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    return _readonly(pts)
+
 
 @dataclass(frozen=True)
 class MomentumSet:
@@ -63,9 +74,7 @@ class MomentumSet:
     m1: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, float)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be (n, d), got shape {pts.shape}")
+        pts = _control_points(self.points)
         n, d = pts.shape
         m0 = np.asarray(self.m0, float)
         m1 = np.asarray(self.m1, float)
@@ -73,10 +82,10 @@ class MomentumSet:
             raise ValueError(f"m0 shape {m0.shape} != {(n, d)}")
         if m1.shape != (n, d, d):
             raise ValueError(f"m1 shape {m1.shape} != {(n, d, d)}")
-        for name, arr in (("points", pts), ("m0", m0), ("m1", m1)):
+        for name, arr in (("m0", m0), ("m1", m1)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "points", _readonly(pts))
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "m0", _readonly(m0))
         object.__setattr__(self, "m1", _readonly(m1))
 
@@ -86,12 +95,31 @@ class MomentumSet:
         n, d = pts.shape
         return cls(pts, np.zeros((n, d)), np.zeros((n, d, d)))
 
+    @classmethod
+    def _view(cls, points: np.ndarray, M: np.ndarray) -> "MomentumSet":
+        """The set whose m0 and m1 are views of the block M (d + 1, d, n) at
+        ``points``, neither copied nor checked: the caller vouches for both."""
+        ms = cls.__new__(cls)
+        for name, arr in (("points", points), ("m0", M[0].T), ("m1", np.moveaxis(M[1:], -1, 0))):
+            object.__setattr__(ms, name, arr)
+        return ms
+
 
 @dataclass(frozen=True)
 class TimeMomenta:
-    """A sequence of momentum sets (one per timestep) sharing control points."""
+    """A sequence of momentum sets (one per timestep) sharing control points.
+
+    The steps live in one read-only ``block`` of shape (T, d + 1, d, n), laid
+    out as the operators take momenta (see the module docstring): ``block[k, 0]``
+    holds step k's m0 and ``block[k, 1 + i]`` its slot-i m1, each a (d, n)
+    slab. ``steps[k]`` is a :class:`MomentumSet` of read-only views into it,
+    and every step shares one read-only ``points``. The constructor checks the
+    steps and copies them into a new block, one step at a time; ``zeros``
+    allocates the block directly.
+    """
 
     steps: tuple
+    block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -101,7 +129,26 @@ class TimeMomenta:
         for k, ms in enumerate(steps[1:], start=1):
             if ms.points.shape != ref.shape or not np.array_equal(ms.points, ref):
                 raise ValueError(f"step {k} has different control points than step 0")
-        object.__setattr__(self, "steps", steps)
+        n, d = ref.shape
+        block = np.empty((len(steps), d + 1, d, n))
+        for k, ms in enumerate(steps):
+            block[k, 0], block[k, 1:] = ms.m0.T, np.moveaxis(ms.m1, 0, -1)
+        self._hold(ref, block)
+
+    def _hold(self, points: np.ndarray, block: np.ndarray):
+        """Keep ``block``, made read-only, and the steps as views into it at the read-only ``points``."""
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "steps", tuple(MomentumSet._view(points, B) for B in block))
+
+    @classmethod
+    def _wrap(cls, points: np.ndarray, block: np.ndarray) -> "TimeMomenta":
+        """Momenta over ``block`` (T, d + 1, d, n) itself, not a copy, which
+        becomes read-only, at ``points`` as :func:`_control_points` returns
+        them; the caller vouches that the block is finite."""
+        tm = cls.__new__(cls)
+        tm._hold(points, block)
+        return tm
 
     @property
     def T(self) -> int:
@@ -113,7 +160,11 @@ class TimeMomenta:
 
     @classmethod
     def zeros(cls, points, T: int) -> "TimeMomenta":
-        return cls(tuple(MomentumSet.zeros(points) for _ in range(T)))
+        if T < 1:
+            raise ValueError("need at least one timestep")
+        pts = _control_points(points)
+        n, d = pts.shape
+        return cls._wrap(pts, np.zeros((T, d + 1, d, n)))
 
 
 def control_lattice(grid: GridGeometry, stride: int = 2) -> np.ndarray:
@@ -158,20 +209,6 @@ def _apply(pairs, X: np.ndarray) -> np.ndarray:
 def _per_order(k: list, slot: list) -> list:
     """Factor lists of the zeroth order (``k``) and of each slot i (``slot[i]`` on axis i)."""
     return [k] + [[s if a == i else A for a, A in enumerate(k)] for i, s in enumerate(slot)]
-
-
-def _block(m0: np.ndarray, m1: np.ndarray, slots: int | None = None) -> np.ndarray:
-    """Momenta m0 (..., n, d) and m1 (..., n, d, d) as one block (..., orders, d, n):
-    order 0, then the first ``slots`` slots of m1 (all by default)."""
-    M = np.concatenate([m0[..., None, :], m1[..., :slots, :]], axis=-2)
-    return np.ascontiguousarray(np.moveaxis(M, -3, -1))
-
-
-def _unblock(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A block back to (m0, m1); slots past the block's orders read zero."""
-    M = np.moveaxis(M, -1, -3)
-    M = np.pad(M, [(0, 0)] * (M.ndim - 2) + [(0, M.shape[-1] + 1 - M.shape[-2]), (0, 0)])
-    return M[..., 0, :], M[..., 1:, :]
 
 
 class _Lattice:

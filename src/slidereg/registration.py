@@ -30,15 +30,7 @@ from .geometry import (
     warp_image,
 )
 from .kernels import KernelSpec
-from .momenta import (
-    KernelGrams,
-    MomentumSet,
-    TimeMomenta,
-    VelocityAssembler,
-    _block,
-    _unblock,
-    control_lattice,
-)
+from .momenta import KernelGrams, TimeMomenta, VelocityAssembler, _control_points, control_lattice
 from . import flow as flowmod
 
 __all__ = [
@@ -213,8 +205,13 @@ class _Engine:
         return np.zeros((self.cfg.T, self.orders, self.grid.ndim, len(self.points)))
 
     def to_time_momenta(self, M) -> TimeMomenta:
-        m0, m1 = _unblock(M)
-        return TimeMomenta(tuple(MomentumSet(self.points, m0[k], m1[k]) for k in range(self.cfg.T)))
+        """Momenta over the block M itself, which becomes read-only; a zeroth-only
+        block is first padded with zero slots. Non-finite momenta raise ValueError."""
+        if not np.all(np.isfinite(M)):
+            raise ValueError("momenta must be finite")
+        if self.orders == 1:
+            M = np.pad(M, [(0, 0), (0, self.grid.ndim), (0, 0), (0, 0)])
+        return TimeMomenta._wrap(_control_points(self.points), M)
 
     def forward(self, M) -> EnergyParts:
         """Energy parts at M; the pass replaces the last one on the engine."""
@@ -266,15 +263,13 @@ class _Engine:
 
 
 def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage, adjoint: bool):
-    """The config's engine for the images, and the state, checked against it, as its momentum block."""
+    """The config's engine for the images, and the state, checked against it, as its momentum block:
+    the orders of ``tm.block`` the engine uses, read in place."""
     eng = _Engine(cfg, I0, I1, adjoint)
     if tm.T != cfg.T or not np.array_equal(tm.points, eng.points):
         raise ValueError(f"momenta must have the config's T={cfg.T} and lie on its control lattice of control_stride="
                          f"{cfg.control_stride} ({len(eng.points)} points); got T={tm.T} and {len(tm.points)} points")
-    M = eng.zero_theta()
-    for k, ms in enumerate(tm.steps):
-        M[k] = _block(ms.m0, ms.m1, eng.orders - 1)
-    return eng, M
+    return eng, tm.block[:, :eng.orders]
 
 
 def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> EnergyParts:
@@ -284,11 +279,11 @@ def total_energy(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: 
 
 
 def gradient(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage) -> TimeMomenta:
-    """Exact gradient of :func:`total_energy` in TimeMomenta shape."""
+    """Exact gradient of :func:`total_energy` in TimeMomenta shape, over the engine's gradient block."""
     eng, M = _engine_for(cfg, tm, I0, I1, adjoint=True)
     eng.forward(M)
     G = eng.backward(M)
-    eng.transport = None  # before the gradient's copies
+    eng.transport = None  # before a zeroth-only gradient's padded copy
     return eng.to_time_momenta(G)
 
 

@@ -3,7 +3,9 @@
 The d-dimensional kernel terms are rebuilt here as products over axes of
 the 1D factors of :mod:`slidereg.kernels`, one point pair at a time, the
 way a brute-force sum over points needs them. ``jacobian_fd`` is a
-per-point central-difference Jacobian of an interpolated map.
+per-point central-difference Jacobian of an interpolated map. ``block``
+and ``unblock`` convert per-point m0 and m1 arrays to the operators'
+component-major momentum block and back.
 """
 import numpy as np
 
@@ -52,3 +54,18 @@ def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:
         fm = interp_values(dmap.targets, geom, (x - e)[None, :])[0]
         J[:, i] = (fp - fm) / (2.0 * h)
     return J
+
+
+def block(m0: np.ndarray, m1: np.ndarray, slots: int | None = None) -> np.ndarray:
+    """Momenta m0 (..., n, d) and m1 (..., n, d, d) as one block (..., orders, d, n):
+    order 0, then the first ``slots`` slots of m1 (all by default)."""
+    M = np.concatenate([m0[..., None, :], m1[..., :slots, :]], axis=-2)
+    return np.ascontiguousarray(np.moveaxis(M, -3, -1))
+
+
+def unblock(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block (..., orders, d, n) back to m0 (..., n, d) and m1 (..., n, d, d);
+    slots past the block's orders read zero."""
+    M = np.moveaxis(M, -1, -3)
+    M = np.pad(M, [(0, 0)] * (M.ndim - 2) + [(0, M.shape[-1] + 1 - M.shape[-2]), (0, 0)])
+    return M[..., 0, :], M[..., 1:, :]

@@ -31,10 +31,10 @@ from slidereg.geometry import (
     warp_image,
 )
 from slidereg.kernels import KernelSpec
-from slidereg.momenta import VelocityAssembler, _block
+from slidereg.momenta import VelocityAssembler
 from slidereg.registration import RegistrationConfig
 
-from oracles import jacobian_fd, partial_nd
+from oracles import block, jacobian_fd, partial_nd
 
 
 class TestGenRectangle:
@@ -330,7 +330,7 @@ class TestDemoMomentum:
         demo = demo_momentum("fig1b")
         grid = demo.flow.final.geometry
         ms = demo.momenta
-        v = VelocityAssembler(demo.kernel, grid, ms.points).velocity(_block(ms.m0, ms.m1))
+        v = VelocityAssembler(demo.kernel, grid, ms.points).velocity(block(ms.m0, ms.m1))
         v = v.reshape(grid.dims + (2,))
         assert np.max(np.abs(v)) > 0.0
         grads = np.gradient(v[..., 1])

@@ -9,9 +9,9 @@ from slidereg.flow import (
 )
 from slidereg.geometry import DeformationMap, GridGeometry, identity_map, interp_values
 from slidereg.kernels import KernelSpec
-from slidereg.momenta import MomentumSet, TimeMomenta, VelocityAssembler, _block
+from slidereg.momenta import MomentumSet, TimeMomenta, VelocityAssembler
 
-from oracles import jacobian_fd
+from oracles import block, jacobian_fd
 
 GRID = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
 GAUSS = KernelSpec("gaussian", 4.0, 9)
@@ -94,7 +94,7 @@ class TestFlowPath:
         def velocities():
             for k, step in enumerate(tm.steps):
                 drawn.append(k)
-                yield asm.velocity(_block(step.m0, step.m1))
+                yield asm.velocity(block(step.m0, step.m1))
 
         fp = _flow_path(velocities(), want.final_inverse, GRID, tm.T)
         assert drawn == [0, 1, 2, 3]

@@ -13,9 +13,9 @@ from slidereg.kernels import (
     eval_mixed_many,
     eval_partial_many,
 )
-from slidereg.momenta import MomentumSet, VelocityAssembler, _block
+from slidereg.momenta import MomentumSet, VelocityAssembler
 
-from oracles import kernel_nd, mixed_nd, partial_nd
+from oracles import block, kernel_nd, mixed_nd, partial_nd
 
 GAUSS = KernelSpec("gaussian", 1.3, 9)
 WEND = KernelSpec("wendland_c0_mult", 1.3, 9)
@@ -255,7 +255,7 @@ class TestProductionCallShape:
 def footprint(spec, center, grid):
     """Node multi-indices where a unit zeroth momentum at ``center`` is nonzero."""
     ms = MomentumSet(np.array([center], float), np.ones((1, grid.ndim)), np.zeros((1, grid.ndim, grid.ndim)))
-    v = VelocityAssembler(spec, grid, ms.points).velocity(_block(ms.m0, ms.m1)).reshape(grid.dims + (grid.ndim,))
+    v = VelocityAssembler(spec, grid, ms.points).velocity(block(ms.m0, ms.m1)).reshape(grid.dims + (grid.ndim,))
     return np.argwhere(np.any(v != 0.0, axis=-1))
 
 

@@ -11,13 +11,11 @@ from slidereg.momenta import (
     _Lattice,
     _along,
     _apply,
-    _block,
     _per_order,
-    _unblock,
     control_lattice,
 )
 
-from oracles import kernel_nd, mixed_nd, partial_nd
+from oracles import block, kernel_nd, mixed_nd, partial_nd
 
 GRID = GridGeometry((24, 24), (1.0, 1.0), (0.0, 0.0))
 WEND = KernelSpec("wendland_c0_mult", 4.0, 9)
@@ -44,7 +42,7 @@ def node_velocity(ms, spec, grid, first_order=True):
     """Velocity of the momentum set ``ms`` at the grid nodes, shape ``dims + (d,)``;
     with ``first_order=False`` its order 0 alone, as the zeroth-only solver synthesizes it."""
     asm = VelocityAssembler(spec, grid, ms.points, first_order)
-    return asm.velocity(_block(ms.m0, ms.m1, None if first_order else 0)).reshape(grid.dims + (grid.ndim,))
+    return asm.velocity(block(ms.m0, ms.m1, None if first_order else 0)).reshape(grid.dims + (grid.ndim,))
 
 
 def random_set(rng, shape=(2, 2), lo=6.0, hi=17.0):
@@ -132,19 +130,53 @@ class TestContainers:
         with pytest.raises(ValueError):
             TimeMomenta((a, b))
 
-    def test_block_round_trip(self, rng):
-        # component-major (..., orders, d, n): order 0 first, then the slots,
-        # each a C-contiguous (d, n) slab; slots left out of a block read zero
-        m0, m1 = rng.standard_normal((5, 6, 3)), rng.standard_normal((5, 6, 3, 3))
-        M = _block(m0, m1)
-        assert M.shape == (5, 4, 3, 6) and M.flags.c_contiguous
-        np.testing.assert_array_equal(M[:, 0], np.swapaxes(m0, 1, 2))
-        np.testing.assert_array_equal(M[:, 1:], np.moveaxis(m1, 1, 3))
-        for got, want in zip(_unblock(M), (m0, m1)):
-            np.testing.assert_array_equal(got, want)
-        b0, b1 = _unblock(_block(m0, m1, 0))
-        np.testing.assert_array_equal(b0, m0)
-        assert b1.shape == m1.shape and np.all(b1 == 0.0)
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2)], ids=["2d", "3d"])
+    def test_time_momenta_steps_are_views_of_one_read_only_block(self, rng, shape):
+        pts = random_lattice(rng, shape)
+        n, d = pts.shape
+        m0, m1 = rng.standard_normal((4, n, d)), rng.standard_normal((4, n, d, d))
+        tm = TimeMomenta(tuple(MomentumSet(pts, m0[k], m1[k]) for k in range(4)))
+        # component-major (T, d + 1, d, n): order 0 first, then the slots, each a
+        # C-contiguous (d, n) slab; the zeroth-only engine reads the order-0 prefix
+        assert tm.block.shape == (4, d + 1, d, n) and tm.block.flags.c_contiguous and not tm.block.flags.writeable
+        np.testing.assert_array_equal(tm.block[:, 0], np.swapaxes(m0, 1, 2))
+        np.testing.assert_array_equal(tm.block[:, 1:], np.moveaxis(m1, 1, 3))
+        np.testing.assert_array_equal(tm.block, block(m0, m1))
+        np.testing.assert_array_equal(tm.block[:, :1], block(m0, m1, 0))
+        assert tm.points is not pts and np.array_equal(tm.points, pts) and not tm.points.flags.writeable
+        for k, ms in enumerate(tm.steps):
+            assert ms.points is tm.points
+            assert np.array_equal(ms.m0, m0[k]) and np.array_equal(ms.m1, m1[k])
+            assert np.shares_memory(ms.m0, tm.block[k, 0]) and np.shares_memory(ms.m1, tm.block[k, 1:])
+        with pytest.raises(ValueError, match="read-only"):
+            tm.block[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            tm.steps[1].m0[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            tm.steps[2].m1[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(tm.block, block(m0, m1))
+
+    def test_time_momenta_zeros_allocates_one_block(self):
+        # the zero block and a read-only copy of the points, no per-step sets
+        import tracemalloc
+
+        pts = control_lattice(GridGeometry((32, 32, 32), (1.0,) * 3, (0.0,) * 3), 2)
+        tracemalloc.start()
+        try:
+            tm = TimeMomenta.zeros(pts, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, d = pts.shape
+        assert tm.block.shape == (10, d + 1, d, n) and not np.any(tm.block) and not tm.block.flags.writeable
+        assert all(ms.points is tm.points for ms in tm.steps)
+        # the block is 3,932,160 B and the points 98,304 B; the margin covers the step views
+        assert peak <= tm.block.nbytes + pts.nbytes + 32 * 1024
+
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_time_momenta_zeros_needs_a_step(self, T):
+        with pytest.raises(ValueError, match="need at least one timestep"):
+            TimeMomenta.zeros(control_lattice(GRID, 4), T)
 
     def test_control_lattice_stride(self):
         pts = control_lattice(GRID, 2)
@@ -226,7 +258,7 @@ class TestSynthVelocity:
 
 def gram_energy(ms, spec):
     """Kernel-norm energy of a momentum set, as the solver's Grams evaluate it."""
-    return KernelGrams(spec, ms.points).energy(_block(ms.m0, ms.m1))
+    return KernelGrams(spec, ms.points).energy(block(ms.m0, ms.m1))
 
 
 def dense_gram_energy(ms, spec):
@@ -263,7 +295,7 @@ class TestVEnergy:
         sets = [random_momenta(rng, points) for _ in range(steps or 1)]
         if not first_order:
             sets = [zeroth_only(ms) for ms in sets]
-        M = np.stack([_block(ms.m0, ms.m1, None if first_order else 0) for ms in sets])
+        M = np.stack([block(ms.m0, ms.m1, None if first_order else 0) for ms in sets])
         got = KernelGrams(spec, points, first_order).energy(M if steps else M[0])
         want = sum(dense_gram_energy(ms, spec) for ms in sets)
         assert got == pytest.approx(want, rel=1e-12)
@@ -285,7 +317,7 @@ class TestVEnergy:
     def test_grams_grad_matches_quadratic_form(self, rng):
         ms = random_set(rng, (2, 3))
         grams = KernelGrams(WEND, ms.points)
-        M = _block(ms.m0, ms.m1)
+        M = block(ms.m0, ms.m1)
         G = grams.grad(M)
         eps = 1e-6
         D = rng.standard_normal(M.shape)
