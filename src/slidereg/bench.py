@@ -44,8 +44,6 @@ __all__ = [
     "tre",
     "transition_width",
     "row_profile",
-    "radial_profile",
-    "sign_flip",
     "run_experiment",
     "write_registration_artifacts",
     "demo_momentum",
@@ -141,8 +139,7 @@ def gen_wheel(size: int = 64, angle_deg: float = 5.0, antialias: bool = True) ->
     """Spoked wheel: inner disk rotates +angle, outer annulus -angle.
 
     The wheel is centered on a grid node and the ring radius is an integer,
-    so the sliding interface lies on a radial-bin edge of
-    :func:`radial_profile` and crosses all four axis poles on lines of the
+    so the sliding interface crosses all four axis poles on lines of the
     default control-point sublattice.
     """
     size, angle_deg, antialias = _count("size", size), _real("angle_deg", angle_deg), _flag("antialias", antialias)
@@ -272,59 +269,6 @@ def transition_width(dmap: DeformationMap, interface_axis: int, interface_pos: i
     idx90 = np.nonzero(passed90 & (np.arange(seg.size) >= r10))[0]
     r90 = int(idx90[0]) if idx90.size else seg.size - 1
     return r90 - r10 + 1
-
-
-def radial_profile(dmap: DeformationMap, center, r_max: float) -> np.ndarray:
-    """Mean tangential displacement per radius bin [b, b+1) around ``center``.
-
-    Bin 0, which holds the centre, and bins with no node are NaN.
-    """
-    geom = dmap.geometry
-    pos = geom.node_positions()
-    center = np.asarray(center, float)
-    dy = pos[..., 0] - center[0]
-    dx = pos[..., 1] - center[1]
-    r = np.hypot(dy, dx)
-    safe = np.maximum(r, 1e-9)
-    t_hat = np.stack([-dx / safe, dy / safe], axis=-1)
-    tang = np.sum(dmap.displacement() * t_hat, axis=-1)
-    nbins = int(np.floor(r_max))
-    prof = np.full(nbins, np.nan)
-    rbin = np.floor(r).astype(int)
-    for b in range(1, nbins):
-        mask = rbin == b
-        if mask.any():
-            prof[b] = tang[mask].mean()
-    return prof
-
-
-def sign_flip(profile: np.ndarray, min_frac: float = 0.3, max_gap: int = 0) -> bool:
-    """True when the profile jumps between large opposite values.
-
-    Entries with magnitude below ``min_frac`` times the profile peak do not
-    count; a flip needs two significant entries of opposite sign separated
-    by at most ``max_gap`` insignificant entries. That keeps a gradual zero
-    crossing (many small entries in between) from registering.
-    """
-    p = np.asarray(profile, float)
-    finite = p[np.isfinite(p)]
-    if finite.size < 2:
-        return False
-    floor = min_frac * np.max(np.abs(finite))
-    if floor == 0:
-        return False
-    last_sign = 0
-    gap = 0
-    for v in p:
-        if not np.isfinite(v) or abs(v) < floor:
-            gap += 1
-            continue
-        s = 1 if v > 0 else -1
-        if last_sign and s != last_sign and gap <= max_gap:
-            return True
-        last_sign = s
-        gap = 0
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,13 @@ class _Transport:
     (d, node_count); ``maps[0]`` is the node positions and never changes.
     Step k stages its upwind points ``x - v_k / T`` in psi_{k+1}'s rows,
     locates them and gathers psi_k into those rows. Every transport has two
-    stencil buffer sets: the steps of :meth:`advect` overwrite set 0, which
-    ends as ``last``, step T - 1's stencil, and set 1 holds the ``final``
-    sample of psi_T. ``adjoint`` only chooses how many maps a pass keeps.
-    With it, psi_k has its own map for even k and for k = T, and the odd
-    psi_k share one (T // 2 + 2 maps for even T), which :meth:`backward`
-    gathers again, as it locates the step stencils again (checkpointing,
+    stencil buffer sets, each an int32 base index and the (d, node_count)
+    fractions (28 bytes per node in 3D): the steps of :meth:`advect`
+    overwrite set 0, which ends as ``last``, step T - 1's stencil, and set 1
+    holds the ``final`` sample of psi_T. ``adjoint`` only chooses how many
+    maps a pass keeps. With it, psi_k has its own map for even k and for
+    k = T, and the odd psi_k share one (T // 2 + 2 maps for even T), which
+    :meth:`backward` gathers again, as it locates the step stencils again (checkpointing,
     Griewank & Walther, *Evaluating Derivatives*, ch. 12). A forward-only
     transport keeps three maps, psi_0 and two that later steps alternate
     between (no step reads a map older than its predecessor), and refuses
@@ -70,7 +71,6 @@ class _Transport:
         self.maps[0] = grid.node_positions().reshape(n, d).T
         self.base = np.empty((2, n), np.int32)
         self.frac = np.empty((2, d, n))
-        self.unclamped = np.empty((2, d, n), bool)
         self.final = self.last = None
 
     def _slot(self, k: int) -> int:
@@ -81,7 +81,7 @@ class _Transport:
 
     def _stencil(self, s: int, pts) -> Stencil:
         """The stencil of the (node_count, d) points ``pts`` in buffer set ``s``."""
-        return Stencil(self.grid, pts, (self.base[s], self.frac[s], self.unclamped[s]))
+        return Stencil(self.grid, pts, (self.base[s], self.frac[s]))
 
     def _upwind(self, k: int, v) -> np.ndarray:
         """Step k's upwind points ``x - v / T`` of the (node_count, d) velocity v,
@@ -182,11 +182,13 @@ def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) ->
 
 
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:
-    """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice."""
+    """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice.
+
+    Each map draws the velocities from its own generator, so one velocity
+    field is held at a time and each is synthesised twice."""
     asm = VelocityAssembler(spec, grid, tm.points)
-    velocities = [asm.velocity(M) for M in tm.block]
     transport = _Transport(grid, tm.T, adjoint=False)
-    transport.advect(velocities)
+    transport.advect(asm.velocity(M) for M in tm.block)
     inverse = transport.inverse_map()
     del transport  # the whole transport goes before the forward push
-    return _flow_path(velocities, inverse, grid, tm.T)
+    return _flow_path((asm.velocity(M) for M in tm.block), inverse, grid, tm.T)

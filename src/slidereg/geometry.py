@@ -4,7 +4,8 @@ All spatial math runs in physical coordinates: the node with multi-index
 ``k`` sits at ``origin + k * spacing``. Arrays are row-major with axis 0
 slowest. Every container is immutable after construction (the backing
 numpy arrays are marked read-only), so instances are safe to share across
-threads.
+threads. Containers that hold arrays compare and hash by identity, as an
+elementwise ``==`` has no single truth value.
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ class GridGeometry:
         return (p - np.asarray(self.origin)) / np.asarray(self.spacing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarImage:
     """Scalar intensities on a grid; ``values`` has shape ``geometry.dims``."""
 
@@ -138,7 +139,7 @@ class ScalarImage:
         object.__setattr__(self, "values", _readonly(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeformationMap:
     """Per-node mapped physical positions; direction 'forward' or 'inverse'.
 
@@ -166,7 +167,7 @@ class DeformationMap:
         return self.targets - self.geometry.node_positions()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandmarkSet:
     """Landmark points in zero-based voxel index coordinates.
 
@@ -200,25 +201,21 @@ def identity_map(geom: GridGeometry, direction: str = "forward") -> DeformationM
 # ---------------------------------------------------------------------------
 
 
-def _locate(geom: GridGeometry, pts: np.ndarray, base, frac, unclamped) -> None:
-    """Fill the flat lowest-corner index ``base`` (m,), in-cell fractions ``frac``
-    and clamp pass-through mask ``unclamped``, each (d, m), of the points ``pts`` (m, d).
+def _locate(geom: GridGeometry, pts: np.ndarray, base, frac) -> None:
+    """Fill the flat lowest-corner index ``base`` (m,) and the in-cell fractions
+    ``frac`` (d, m) of the points ``pts`` (m, d).
 
     Each axis is worked in its own rows with ``out=`` ufuncs: ``frac[a]`` holds
     the index coordinate, then its clamp to the node range, then the fraction;
     the axis's cell index, the one temporary, folds into ``base * dims[a] + cell``.
-    ``unclamped`` is True per axis where the raw coordinate lies strictly inside
-    the domain, i.e. where the clamp is locally the identity. A column of
-    channel-major points (a transposed (d, m) block) is read contiguously.
+    A column of channel-major points (a transposed (d, m) block) is read contiguously.
     """
     for a in range(geom.ndim):
-        u, inside, hi = frac[a], unclamped[a], geom.dims[a] - 1.0
+        u = frac[a]
         np.subtract(pts[:, a], geom.origin[a], out=u)
         np.divide(u, geom.spacing[a], out=u)
-        np.greater(u, 0.0, out=inside)
-        inside &= u < hi
         np.maximum(u, 0.0, out=u)
-        np.minimum(u, hi, out=u)
+        np.minimum(u, geom.dims[a] - 1.0, out=u)
         cell = u.astype(np.intp)  # truncation, which is the floor of the clamped u >= 0
         np.minimum(cell, geom.dims[a] - 2, out=cell)
         u -= cell
@@ -243,12 +240,11 @@ class Stencil:
     """Multilinear interpolation stencil of a point set on a grid.
 
     Locates the points once and keeps the flat index of each point's lowest
-    cell corner (``base``), its in-cell fractions (``frac``, (d, m)) and its
-    clamp mask (``unclamped``, (d, m)); the gather, its contracted point
-    derivative and its transpose (the splat) share that lookup. Corner
-    weights are recomputed per use, not stored 2^d times, always in the
-    same corner and axis order, so gather and splat match a per-corner loop
-    bit for bit; point_grad_dot regroups its sums.
+    cell corner (``base``) and its in-cell fractions (``frac``, (d, m)); the
+    gather, its contracted point derivative and its transpose (the splat)
+    share that lookup. Corner weights are recomputed per use, not stored 2^d
+    times, always in the same corner and axis order, so gather and splat
+    match a per-corner loop bit for bit; point_grad_dot regroups its sums.
 
     A corner's weight is the left-to-right product over the axes of
     ``1 - frac`` or ``frac`` by corner bit. Corners come in lexicographic bit
@@ -261,8 +257,8 @@ class Stencil:
     never changes one; ``mode="raise"`` would stage ``out`` in a copy, and
     ``"wrap"`` takes faster than ``"clip"``.
 
-    ``buffers`` is ``(base, frac, unclamped)``, arrays of shapes (m,),
-    (d, m) and (d, m) that the stencil fills and keeps; fresh ones by default.
+    ``buffers`` is ``(base, frac)``, arrays of shapes (m,) and (d, m) that
+    the stencil fills and keeps; fresh ones by default.
     Channel-major data, a transposed (c, m) row block as :meth:`gather` and
     :meth:`splat` return, enters every method without a transposing copy.
     """
@@ -275,9 +271,9 @@ class Stencil:
         pts = pts.reshape(-1, d)
         if buffers is None:
             m = len(pts)
-            buffers = np.empty(m, np.intp), np.empty((d, m)), np.empty((d, m), bool)
-        self.base, self.frac, self.unclamped = buffers
-        _locate(geom, pts, self.base, self.frac, self.unclamped)
+            buffers = np.empty(m, np.intp), np.empty((d, m))
+        self.base, self.frac = buffers
+        _locate(geom, pts, self.base, self.frac)
         self.corners = _corners(geom.dims)
 
     def _weights(self):
@@ -330,7 +326,14 @@ class Stencil:
         ``lead + (d,)``, zero along any axis on which the point was clamped,
         as the transpose of a channel-major (d, m) row block.
         Each corner's node data is dotted with ``adj`` once; along axis a, the
-        differences of those dots across a are weighted by the other axes' factors."""
+        differences of those dots across a are weighted by the other axes' factors.
+
+        Axis a passes the point through where ``frac[a] < 1`` and either
+        ``frac[a] > 0`` or the point's axis-a cell index is above 0. As
+        ``frac = u - cell`` is exact, that is ``0 < u < dims[a] - 1`` for the
+        point's unclamped index coordinate u. Those 0 / 1 factors fill the
+        output block before the differences; a cell index is worked out from
+        ``base`` only for the points on a node plane (``frac[a] == 0``)."""
         d, m = self.geom.ndim, self.base.size
         rows = self._rows(values)[1]
         adj = np.ascontiguousarray(np.reshape(adj, (m, -1)).T)
@@ -338,10 +341,20 @@ class Stencil:
         idx, corner = np.empty(m, np.intp), np.empty(adj.shape)
         for j, (_, off) in enumerate(self.corners):
             np.einsum("cn,cn->n", self._take(rows, off, idx, corner), adj, out=dots[j])
-        del rows, adj, idx, corner  # before the differences' scratch
+        del rows, adj, idx, corner  # before the pass-through and the differences' scratch
         dots = dots.reshape((2,) * d + (m,))
+        # out starts as the 0 / 1 pass-through factors; on a node plane the cell
+        # index is above 0 where base is at least stride past its multiple of
+        # stride * dims[a]
+        out = np.less(self.frac, 1.0, out=np.empty((d, m)))
+        for a, stride in enumerate(math.prod(self.geom.dims[a + 1:]) for a in range(d)):
+            plane = self.frac[a] == 0.0
+            cells = self.base[plane]
+            cells %= stride * self.geom.dims[a]
+            out[a][plane] = cells >= stride  # out[a, plane] takes a slower indexing path
+        del plane, cells  # before the differences' scratch
         inv_spacing = 1.0 / np.asarray(self.geom.spacing)
-        out, diff = np.empty((d, m)), np.empty((2,) * (d - 1) + (m,))
+        diff = np.empty((2,) * (d - 1) + (m,))
         for a in range(d):
             lo, hi = np.moveaxis(dots, a, 0)
             t = np.subtract(hi, lo, out=diff)
@@ -351,8 +364,8 @@ class Stencil:
                 t *= 1.0 - self.frac[b]
                 t1 *= self.frac[b]
                 t += t1
-            np.multiply(t, inv_spacing[a], out=out[a])
-            out[a] *= self.unclamped[a]
+            t *= inv_spacing[a]
+            out[a] *= t  # a 0 / 1 factor times t rounds as t alone or gives a signed 0
         return out.T.reshape(self.lead + (d,))
 
     def splat(self, adj) -> np.ndarray:

@@ -28,6 +28,7 @@ The operators take momenta as one component-major block (..., orders, d, n):
 order 0 first, then the d slots, each order a (d, n) slab of d rows over the
 n control points. The lattice axes trail, so every Kronecker apply runs on
 contiguous lattice slabs while steps, orders and components ride in front.
+:class:`MomentumSet` and :class:`TimeMomenta` compare and hash by identity.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def _control_points(points) -> np.ndarray:
     return _readonly(pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentumSet:
     """Momenta at fixed control points.
 
@@ -105,7 +106,7 @@ class MomentumSet:
         return ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeMomenta:
     """A sequence of momentum sets (one per timestep) sharing control points.
 

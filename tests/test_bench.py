@@ -12,10 +12,8 @@ from slidereg.bench import (
     demo_momentum,
     gen_rectangle,
     gen_wheel,
-    radial_profile,
     row_profile,
     run_experiment,
-    sign_flip,
     transition_width,
     tre,
     _interior_jacobian_dets,
@@ -150,6 +148,34 @@ class TestGenWheel:
         with pytest.raises(ValueError):
             gen_wheel(64, 45.0)
 
+    def test_tangential_displacement_flips_sign_at_ring(self):
+        # the disk turns the map by -angle and the annulus by +angle, so each node's
+        # tangential displacement is -r sin(angle) inside the ring and +r sin(angle)
+        # out to the rim at radius 27: negative inside, positive outside, growing with radius
+        pair = gen_wheel(64, 5.0, antialias=False)
+        assert pair.ring_radius == 14
+        rel = pair.true_map.geometry.node_positions() - 32.0
+        r = np.hypot(rel[..., 0], rel[..., 1])
+        tangent = np.stack([-rel[..., 1], rel[..., 0]], axis=-1) / np.maximum(r, 1e-9)[..., None]
+        tang = np.sum(pair.true_map.displacement() * tangent, axis=-1)
+        inner, outer = (r > 0) & (r < 14), (r >= 14) & (r < 27)
+        s = np.sin(np.deg2rad(5.0))
+        np.testing.assert_allclose(tang[inner], -s * r[inner], rtol=1e-12)
+        np.testing.assert_allclose(tang[outer], s * r[outer], rtol=1e-12)
+        np.testing.assert_array_equal(tang[r >= 27], 0.0)
+
+    def test_map_keeps_each_node_at_its_radius(self):
+        # both pieces are rotations about the centre node (32, 32), so every
+        # target lies at its node's distance from the centre, and the nodes past
+        # the rim at radius 27 stay where they are
+        pair = gen_wheel(64, 5.0, antialias=False)
+        pos = pair.true_map.geometry.node_positions()
+        r = np.hypot(*np.moveaxis(pos - 32.0, -1, 0))
+        r_target = np.hypot(*np.moveaxis(pair.true_map.targets - 32.0, -1, 0))
+        np.testing.assert_allclose(r_target, r, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(pair.true_map.targets[r >= 27], pos[r >= 27])
+        assert np.all(np.linalg.norm(pair.true_map.displacement()[(r > 0) & (r < 27)], axis=-1) > 0)
+
 
 class TestTRE:
     def test_identity_identical_sets(self, rng):
@@ -231,42 +257,6 @@ class TestTransitionWidth:
         assert transition_width(dmap, 0, 32) is None
 
 
-class TestSignFlip:
-    def test_sharp_flip_detected(self):
-        prof = np.array([-1.0, -1.0, -0.9, 1.0, 1.0, 0.9])
-        assert sign_flip(prof)
-
-    def test_gradual_crossing_not_detected(self):
-        prof = np.array([-1.0, -0.6, -0.2, 0.2, 0.6, 1.0])
-        assert not sign_flip(prof)
-
-    def test_all_zero(self):
-        assert not sign_flip(np.zeros(6))
-
-    def test_nan_bins_skipped(self):
-        prof = np.array([np.nan, -1.0, 1.0, np.nan])
-        assert sign_flip(prof)
-
-
-class TestRadialProfile:
-    def test_wheel_profile_flips_sign_at_ring(self):
-        pair = gen_wheel(64, 5.0, antialias=False)
-        prof = radial_profile(pair.true_map, (32, 32), 0.42 * 64)
-        assert prof.shape == (26,) and np.isnan(prof[0])
-        ring = int(pair.ring_radius)
-        assert ring == 14
-        assert np.all(prof[1:ring] < 0) and np.all(prof[ring:] > 0)
-        assert np.all(np.diff(np.abs(prof[1:])) > 0)
-        assert sign_flip(prof)
-
-    def test_identity_profile_zero(self):
-        geom = gen_wheel(64, 5.0, antialias=False).true_map.geometry
-        prof = radial_profile(identity_map(geom, "inverse"), (32, 32), 0.42 * 64)
-        assert np.isnan(prof[0])
-        np.testing.assert_array_equal(prof[1:], 0.0)
-        assert not sign_flip(prof)
-
-
 class TestRowProfile:
     def test_uniform_shift_profile(self):
         geom = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
@@ -324,7 +314,9 @@ class TestDemoMomentum:
         demo = demo_momentum("fig1c")
         disp = demo.flow.final_inverse.displacement()
         prof = disp[:, 28:37, 1].mean(axis=1)  # tangential displacement over the columns around the momentum
-        assert sign_flip(prof, min_frac=0.5, max_gap=1)
+        line = int(demo.momenta.points[0, 0])
+        assert prof[line - 1] * prof[line + 1] < 0
+        assert min(abs(prof[line - 1]), abs(prof[line + 1])) >= 0.5 * np.max(np.abs(prof))
 
     def test_shear_demo_smooth_nonzero(self):
         demo = demo_momentum("fig1b")

@@ -227,11 +227,15 @@ def _oracle(values, geom, pts, adj):
 
 
 def _probe_points(geom, rng):
-    """Interior points, nodes, the upper faces, and points clamped past every face and corner."""
+    """Interior points, nodes, points on each lower face with the other axes
+    inside, the upper faces, and points clamped past every face and corner."""
     lo, hi = geom.bounds
     span = hi - lo
     inner = lo + span * rng.uniform(0, 1, (40, geom.ndim))
     nodes = geom.to_physical(rng.integers(0, np.asarray(geom.dims), (6, geom.ndim)))
+    # on a lower face frac is 0 as at an interior node; only the cell index tells them apart
+    lower = lo + span * rng.uniform(0.1, 0.9, (geom.ndim, geom.ndim))
+    lower[np.diag_indices(geom.ndim)] = lo
     outside = []
     for side in itertools.product((-1, 0, 1), repeat=geom.ndim):
         q = lo + span * rng.uniform(0.1, 0.9, geom.ndim)
@@ -239,7 +243,7 @@ def _probe_points(geom, rng):
         q = np.where(side < 0, lo - 1.5 * np.asarray(geom.spacing), q)
         q = np.where(side > 0, hi + 2.5 * np.asarray(geom.spacing), q)
         outside.append(q)
-    return np.concatenate([inner, nodes, [hi, lo], outside])
+    return np.concatenate([inner, nodes, lower, [hi, lo], outside])
 
 
 def _collision_points(geom, rng):
@@ -314,7 +318,7 @@ class TestStencil:
         np.testing.assert_array_equal(st.point_grad_dot(values, out), st.point_grad_dot(values, copy))
         np.testing.assert_array_equal(st.splat(out), st.splat(copy))
         again, again_copy = Stencil(geom, out), Stencil(geom, copy)
-        for name in ("base", "frac", "unclamped"):
+        for name in ("base", "frac"):
             np.testing.assert_array_equal(getattr(again, name), getattr(again_copy, name))
         np.testing.assert_array_equal(again.gather(values), again_copy.gather(values))
 
@@ -332,9 +336,9 @@ class TestStencil:
         lo, hi = geom.bounds
         assert np.any((pts < lo) | (pts > hi))  # clamped points are covered
         m, d = pts.shape
-        buffers = (np.full(m, 99, np.intp), np.full((d, m), np.nan), np.ones((d, m), bool))
+        buffers = (np.full(m, 99, np.intp), np.full((d, m), np.nan))
         given, fresh = Stencil(geom, pts, buffers), Stencil(geom, pts)
-        for name, buf in zip(("base", "frac", "unclamped"), buffers):
+        for name, buf in zip(("base", "frac"), buffers, strict=True):
             assert getattr(given, name) is buf
             np.testing.assert_array_equal(buf, getattr(fresh, name))
         values = rng.standard_normal(geom.dims + (3,))
@@ -386,6 +390,33 @@ class TestStencil:
             values = rng.standard_normal(geom.dims + channels)
             dot = st.point_grad_dot(values, rng.standard_normal((pts.shape[0],) + channels))
             assert np.all(dot[outside] == 0.0)
+
+    @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
+    def test_node_planes_pass_through_only_inside(self, geom):
+        # a linear field's gradient is its slope along every axis on which the
+        # point lies strictly inside, also on an inner node plane (frac 0, cell
+        # above 0) and just off the lower face, and exactly 0 on either face,
+        # where frac alone is 0 or 1 as on an inner plane
+        slope = np.arange(1.0, geom.ndim + 1.0)
+        values = geom.node_positions() @ slope
+        lo, hi = geom.bounds
+        mid = (lo + hi) / 2.0
+        cases = []
+        for a in range(geom.ndim):
+            h = geom.spacing[a]
+            for u, passes in ((lo[a], False), (lo[a] + 1e-3 * h, True), (lo[a] + h, True), (hi[a], False)):
+                p = mid.copy()
+                p[a] = u
+                cases.append((a, p, passes))
+        pts = np.array([p for _, p, _ in cases])
+        dot = Stencil(geom, pts).point_grad_dot(values, np.ones(len(pts)))
+        for row, (a, _, passes) in zip(dot, cases, strict=True):
+            if passes:
+                assert row[a] == pytest.approx(slope[a], rel=1e-12)
+            else:
+                assert row[a] == 0.0
+            others = np.delete(np.arange(geom.ndim), a)
+            np.testing.assert_allclose(row[others], slope[others], rtol=1e-12)
 
     def test_wrappers_keep_leading_shape(self, grid2d_aniso, rng):
         vals = rng.standard_normal(grid2d_aniso.dims + (2,))

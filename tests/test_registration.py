@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,14 @@ from slidereg import registration
 from slidereg.bench import gen_rectangle
 from slidereg.flow import integrate
 from slidereg.errors import DivergenceError
-from slidereg.geometry import GridGeometry, ScalarImage, box_downsample, warp_image
+from slidereg.geometry import (
+    DeformationMap,
+    GridGeometry,
+    LandmarkSet,
+    ScalarImage,
+    box_downsample,
+    warp_image,
+)
 from slidereg.kernels import KernelSpec
 from slidereg.momenta import KernelGrams, MomentumSet, TimeMomenta, control_lattice
 from slidereg.registration import (
@@ -696,12 +704,37 @@ class TestOptimize:
         )
 
 
+class TestEquality:
+    def test_array_holding_containers_compare_and_hash(self):
+        # == and != on these used to raise ValueError (an elementwise array ==
+        # has no truth value) and hash raised TypeError, also through the
+        # dataclasses that hold them; each is now equal only to itself, and
+        # those holders compare field by field
+        pair = gen_rectangle(16, 2)
+        res = optimize(small_config(max_iters=2), pair.template, pair.reference)
+        step, fwd, lms = res.momenta.steps[0], res.flow.final, pair.landmarks_template
+        twins = [
+            (pair.template, ScalarImage(pair.template.geometry, pair.template.values)),
+            (fwd, DeformationMap(fwd.geometry, fwd.targets, fwd.direction)),
+            (lms, LandmarkSet(lms.points)),
+            (step, MomentumSet(step.points, step.m0, step.m1)),
+            (res.momenta, TimeMomenta(res.momenta.steps)),
+        ]
+        for a, twin in twins:
+            assert a == a and not a != a and a != twin and not a == twin
+            assert hash(a) == hash(a) and a in {a} and a in [twin, a] and a not in [twin]
+        for a in (res.flow, res, pair):
+            twin = dataclasses.replace(a)
+            assert twin is not a and a == twin and not a != twin
+            assert hash(a) == hash(twin) and a in {twin} and a in [twin]
+
+
 def _transport_arrays(eng):
     """The maps and the two stencil buffer sets (the last step's and the final
     sample's) of the engine's last pass, in a fixed order."""
     tr = eng.transport
     maps = [m.T for m in tr.maps]
-    return maps + [buf[s] for s in (0, 1) for buf in (tr.base, tr.frac, tr.unclamped)]
+    return maps + [buf[s] for s in (0, 1) for buf in (tr.base, tr.frac)]
 
 
 class TestWorkspace:
@@ -757,7 +790,7 @@ class TestWorkspace:
         class Recorded(flow._Transport):
             def __init__(self, *a):
                 super().__init__(*a)
-                buffers.extend(weakref.ref(b) for b in (self.maps, self.base, self.frac, self.unclamped))
+                buffers.extend(weakref.ref(b) for b in (self.maps, self.base, self.frac))
 
         real = flow._flow_path
 
@@ -769,7 +802,7 @@ class TestWorkspace:
         monkeypatch.setattr(flow, "_flow_path", flow_path)
         pair = gen_rectangle(16, 2)
         optimize(small_config(max_iters=3), pair.template, pair.reference)
-        assert len(alive) == 4 and not any(alive)
+        assert len(alive) == 3 and not any(alive)
 
     def test_backward_peak_is_the_gradient_and_per_call_scratch(self, rng):
         # what one backward allocates above its entry: the gradient block G and
@@ -956,7 +989,7 @@ class TestWorkspace:
             advect, step_adjoint, stencil = tr.advect, tr.step_adjoint, tr._stencil
 
             def snapshot(k, st):
-                return [a.copy() for a in (st.base, st.frac, st.unclamped, tr.maps[tr._slot(k)])]
+                return [a.copy() for a in (st.base, st.frac, tr.maps[tr._slot(k)])]
 
             def recorded_stencil(s, pts):
                 located.append(stencil(s, pts))
@@ -1139,7 +1172,7 @@ class TestWorkspace:
         pair = gen_rectangle(16, 2)
         res = optimize(small_config(max_iters=3, pyramid=pyramid), pair.template, pair.reference)
         assert len(made) == 1 + pyramid
-        buffers = [b for tr in made for b in (tr.maps, tr.base, tr.frac, tr.unclamped)]
+        buffers = [b for tr in made for b in (tr.maps, tr.base, tr.frac)]
         arrays = [res.warped.values, res.flow.final.targets, res.flow.final_inverse.targets]
         arrays += [a for ms in res.momenta.steps for a in (ms.points, ms.m0, ms.m1)]
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
