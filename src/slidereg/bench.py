@@ -38,7 +38,6 @@ from .momenta import MomentumSet, TimeMomenta
 __all__ = [
     "RectanglePair",
     "WheelPair",
-    "ExperimentSpec",
     "gen_rectangle",
     "gen_wheel",
     "tre",
@@ -276,39 +275,27 @@ def transition_width(dmap: DeformationMap, interface_axis: int, interface_pos: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One benchmark: a data source, a base config, and methods to compare."""
-
-    name: str
-    config: reg.RegistrationConfig
-    out_dir: str
-    methods: tuple = ("gaussian", "wendland_zeroth", "wendland_both")
-    generator: dict | None = None
-    dataset: dict | None = None
-
-    def __post_init__(self):
-        if not self.methods:
-            raise ValueError("at least one method must be listed")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad:
-            raise ValueError(f"unknown methods {bad}; choose from {sorted(METHODS)}")
-        if (self.generator is None) == (self.dataset is None):
-            raise ValueError("exactly one of generator/dataset must be given")
-        object.__setattr__(self, "methods", tuple(self.methods))
-
-
 def _method_config(base: reg.RegistrationConfig, method: str) -> reg.RegistrationConfig:
     family, orders = METHODS[method]
     return replace(base, kernel=replace(base.kernel, family=family), orders=orders)
 
 
-def _load_pair(spec: ExperimentSpec):
-    """(template, reference, template landmarks, reference landmarks,
-    interface row), each of the last three None where the source has none."""
-    if spec.generator is not None:
-        g = spec.generator
-        gen = {"rectangle": gen_rectangle, "wheel": gen_wheel}.get(g.get("kind") if isinstance(g, dict) else None)
+def _string(what: str, doc: dict, key: str) -> str:
+    if not isinstance(doc[key], str):
+        raise ValueError(f"{what} key {key!r} must be a string, got {json.dumps(doc[key])}")
+    return doc[key]
+
+
+def _load_pair(g, ds):
+    """Check an experiment's ``generator`` or ``dataset`` (exactly one is
+    None), then return (template, reference, template landmarks, reference
+    landmarks, interface row), each of the last three None where the source
+    has none. A malformed source raises ValueError before any file is read."""
+    if (g is None) == (ds is None):
+        raise ValueError("exactly one of generator/dataset must be given")
+    if g is not None:
+        kind = g.get("kind") if isinstance(g, dict) else None
+        gen = {"rectangle": gen_rectangle, "wheel": gen_wheel}.get(kind) if isinstance(kind, str) else None
         if gen is None:
             raise ValueError(f"generator must be a JSON object of kind 'rectangle' or 'wheel', got {g!r}")
         _check_keys(g, "generator", ("kind",), inspect.signature(gen).parameters)
@@ -316,8 +303,10 @@ def _load_pair(spec: ExperimentSpec):
         if gen is gen_wheel:
             return p.template, p.reference, None, None, None
         return p.template, p.reference, p.landmarks_template, p.landmarks_reference, p.interface_row
-    ds = _check_keys(spec.dataset, "dataset", ("template", "reference"),
-                     ("sidecar", "template_landmarks", "reference_landmarks", "landmark_base"))
+    _check_keys(ds, "dataset", ("template", "reference"),
+                ("sidecar", "template_landmarks", "reference_landmarks", "landmark_base"))
+    for key in [k for k in ds if k != "landmark_base"]:
+        _string("dataset", ds, key)
     keys = ("template_landmarks", "reference_landmarks")
     if (keys[0] in ds) != (keys[1] in ds):
         given, missing = keys if keys[0] in ds else keys[::-1]
@@ -408,10 +397,12 @@ def _interior_jacobian_dets(dmap: DeformationMap) -> np.ndarray:
     return np.linalg.det(np.stack(grads, axis=-1)[inner]).ravel()  # J[..., c, a] = d target_c / d x_a
 
 
-def run_experiment(spec: ExperimentSpec) -> dict:
-    """Run every method of an experiment, writing artifacts and a report; returns the report.
+def run_experiment(doc: dict) -> dict:
+    """Run every method of a parsed experiment document, writing artifacts and
+    a report; returns the report.
 
-    Each method's subdirectory receives what
+    The whole document is checked before anything is read or written: a
+    malformed one raises ValueError. Each method's subdirectory receives what
     :func:`write_registration_artifacts` writes. The report holds the
     experiment's ``name`` and ``methods``, ``ssd_before`` and
     ``tre_before_mm`` (None without landmarks), and ``runs``: per method its
@@ -420,22 +411,35 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     unchanged to ``report.json`` in the experiment root. Partial artifacts
     are removed when any method fails.
     """
-    template, reference, lms_t, lms_r, interface_row = _load_pair(spec)
+    _check_keys(doc, "experiment", ("name", "out", "config"), ("methods", "generator", "dataset"))
+    name, out = _string("experiment", doc, "name"), _string("experiment", doc, "out")
+    methods = doc.get("methods", list(METHODS))
+    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+        raise ValueError(f"experiment key 'methods' must be a list of strings, got {json.dumps(methods)}")
+    if not methods:
+        raise ValueError("at least one method must be listed")
+    bad = [m for m in methods if m not in METHODS]
+    if bad:
+        raise ValueError(f"unknown methods {bad}; choose from {sorted(METHODS)}")
+    cfg = reg.config_from_dict(doc["config"])
+    if "orders" in doc["config"]:
+        raise ValueError("experiment config must not hold 'orders': each method sets it")
+    template, reference, lms_t, lms_r, interface_row = _load_pair(doc.get("generator"), doc.get("dataset"))
     spacing = np.asarray(template.geometry.spacing)
     report = {
-        "name": spec.name,
-        "methods": list(spec.methods),
+        "name": name,
+        "methods": list(methods),
         "ssd_before": reg.ssd(template, reference),
         "tre_before_mm": tre(lms_r, lms_t, spacing) if lms_t is not None else None,
         "runs": {},
     }
-    out_root = os.path.join(spec.out_dir, spec.name)
+    out_root = os.path.join(out, name)
     existed = os.path.isdir(out_root)
     os.makedirs(out_root, exist_ok=True)
     created = []
     try:
-        for method in spec.methods:
-            result = reg.optimize(_method_config(spec.config, method), template, reference)
+        for method in methods:
+            result = reg.optimize(_method_config(cfg, method), template, reference)
             mdir = os.path.join(out_root, method)
             created.append(mdir)
             run = report["runs"][method] = write_registration_artifacts(mdir, result)

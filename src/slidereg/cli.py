@@ -16,7 +16,6 @@ import numpy as np
 from . import bench, fileio
 from . import registration as reg
 from .errors import DivergenceError, FormatError
-from .fileio import _check_keys
 from .geometry import DeformationMap, GridGeometry, ScalarImage
 
 NUMERICAL_ERRORS = (DivergenceError, np.linalg.LinAlgError)
@@ -134,20 +133,8 @@ def _cmd_tre(args) -> int:
 
 def _cmd_run(args) -> int:
     with open(args.experiment) as fh:
-        doc = _check_keys(json.load(fh), "experiment", ("name", "out", "config"), ("methods", "generator", "dataset"))
-    methods = doc.get("methods", list(bench.METHODS))
-    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
-        raise ValueError(f"experiment key 'methods' must be a list of strings, got {json.dumps(methods)}")
-    cfg = reg.config_from_dict(doc["config"])
-    spec = bench.ExperimentSpec(
-        name=doc["name"],
-        config=cfg,
-        out_dir=doc["out"],
-        methods=tuple(methods),
-        generator=doc.get("generator"),
-        dataset=doc.get("dataset"),
-    )
-    print(json.dumps(bench.run_experiment(spec), indent=2))
+        doc = json.load(fh)
+    print(json.dumps(bench.run_experiment(doc), indent=2))
     return 0
 
 

@@ -8,7 +8,6 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from slidereg.bench import (
-    ExperimentSpec,
     demo_momentum,
     gen_rectangle,
     gen_wheel,
@@ -28,9 +27,7 @@ from slidereg.geometry import (
     identity_map,
     warp_image,
 )
-from slidereg.kernels import KernelSpec
 from slidereg.momenta import VelocityAssembler
-from slidereg.registration import RegistrationConfig
 
 from oracles import block, jacobian_fd, partial_nd
 
@@ -345,25 +342,6 @@ class TestDemoMomentum:
         assert img.geometry.dims == (64, 64)
 
 
-class TestExperimentSpec:
-    def _cfg(self):
-        return RegistrationConfig(kernel=KernelSpec("gaussian", 4.0, 9))
-
-    def test_needs_method(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentSpec("x", self._cfg(), str(tmp_path), methods=(),
-                           generator={"kind": "rectangle"})
-
-    def test_needs_exactly_one_source(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentSpec("x", self._cfg(), str(tmp_path), methods=("gaussian",))
-
-    def test_unknown_method(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentSpec("x", self._cfg(), str(tmp_path), methods=("splines",),
-                           generator={"kind": "rectangle"})
-
-
 class TestInteriorJacobian:
     @staticmethod
     def per_node_dets(dmap):
@@ -415,15 +393,31 @@ class TestInteriorJacobian:
 
 
 class TestRunExperiment:
+    @staticmethod
+    def doc(name, out, methods, T=2, max_iters=3, **source):
+        """An experiment document over a small gaussian config with ``T`` steps and
+        ``max_iters`` iterations, its source given as ``generator=`` or ``dataset=``."""
+        config = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": T, "max_iters": max_iters,
+                  "control_stride": 4}
+        return {"name": name, "out": str(out), "methods": methods, "config": config, **source}
+
+    @pytest.mark.parametrize(
+        "methods, source, named",
+        [([], {"generator": {"kind": "rectangle"}}, "at least one method"),
+         (["gaussian"], {}, "exactly one of generator/dataset"),
+         (["gaussian"], {"generator": {"kind": "rectangle"}, "dataset": {"template": "t.pgm", "reference": "r.pgm"}},
+          "exactly one of generator/dataset"),
+         (["splines"], {"generator": {"kind": "rectangle"}}, "unknown methods")],
+        ids=["no_method", "no_source", "both_sources", "unknown_method"],
+    )
+    def test_refused_before_any_output(self, tmp_path, methods, source, named):
+        with pytest.raises(ValueError, match=named):
+            run_experiment(self.doc("x", tmp_path / "out", methods, **source))
+        assert not (tmp_path / "out").exists()
+
     def test_identical_images_all_zero(self, tmp_path):
-        cfg = RegistrationConfig(
-            kernel=KernelSpec("gaussian", 4.0, 9), T=3, max_iters=5, control_stride=4
-        )
-        spec = ExperimentSpec(
-            "null", cfg, str(tmp_path), methods=("gaussian",),
-            generator={"kind": "rectangle", "size": 32, "shift": 0},
-        )
-        report = run_experiment(spec)
+        report = run_experiment(self.doc("null", tmp_path, ["gaussian"], T=3, max_iters=5,
+                                         generator={"kind": "rectangle", "size": 32, "shift": 0}))
         assert report["ssd_before"] == 0.0
         assert report["runs"]["gaussian"]["ssd_final"] == pytest.approx(0.0, abs=1e-12)
         payload = json.loads((tmp_path / "null" / "report.json").read_text())
@@ -438,14 +432,8 @@ class TestRunExperiment:
             assert (tmp_path / "null" / "gaussian" / artifact).exists()
 
     def test_trace_csv_has_header(self, tmp_path):
-        cfg = RegistrationConfig(
-            kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=3, control_stride=4
-        )
-        spec = ExperimentSpec(
-            "small", cfg, str(tmp_path), methods=("gaussian",),
-            generator={"kind": "rectangle", "size": 32, "shift": 2},
-        )
-        report = run_experiment(spec)
+        report = run_experiment(self.doc("small", tmp_path, ["gaussian"],
+                                         generator={"kind": "rectangle", "size": 32, "shift": 2}))
         lines = (tmp_path / "small" / "gaussian" / "trace.csv").read_text().splitlines()
         assert lines[0] == "iter,E_S,E_R,sparsity,total,alpha,candidates"
         assert len(lines) == 2 + report["runs"]["gaussian"]["iterations"]
@@ -463,17 +451,13 @@ class TestRunExperiment:
             write_pgm(data / name, ScalarImage(img.geometry, np.rint(img.values)))
         np.savetxt(data / "tpl_lms.txt", pair.landmarks_template.points + 1.0, fmt="%.1f")
         np.savetxt(data / "ref_lms.txt", pair.landmarks_reference.points + 1.0, fmt="%.1f")
-        cfg = RegistrationConfig(kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=3, control_stride=4)
-        spec = ExperimentSpec(
-            "pgm", cfg, str(tmp_path / "out"), methods=("wendland_both",),
-            dataset={
-                "template": str(data / "tpl.pgm"),
-                "reference": str(data / "ref.pgm"),
-                "template_landmarks": str(data / "tpl_lms.txt"),
-                "reference_landmarks": str(data / "ref_lms.txt"),
-            },
-        )
-        report = run_experiment(spec)
+        dataset = {
+            "template": str(data / "tpl.pgm"),
+            "reference": str(data / "ref.pgm"),
+            "template_landmarks": str(data / "tpl_lms.txt"),
+            "reference_landmarks": str(data / "ref_lms.txt"),
+        }
+        report = run_experiment(self.doc("pgm", tmp_path / "out", ["wendland_both"], dataset=dataset))
         # the generator's 0-based landmarks sit 2 px apart along the rows
         assert report["tre_before_mm"] == pytest.approx(2.0)
         assert set(report["runs"]) == {"wendland_both"} and "tre_mm" in report["runs"]["wendland_both"]
@@ -487,12 +471,8 @@ class TestRunExperiment:
         pair = gen_rectangle(24, 2)
         tpl = write_raw16(tmp_path / "tpl", np.rint(pair.template.values), (1.5, 1.0))
         ref = write_raw16(tmp_path / "ref", np.rint(pair.reference.values), (1.5, 1.0))
-        cfg = RegistrationConfig(kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=2, control_stride=4)
-        spec = ExperimentSpec(
-            "raw", cfg, str(tmp_path / "out"), methods=("gaussian",),
-            dataset={"template": str(tpl), "reference": str(ref)},
-        )
-        report = run_experiment(spec)
+        report = run_experiment(self.doc("raw", tmp_path / "out", ["gaussian"], max_iters=2,
+                                         dataset={"template": str(tpl), "reference": str(ref)}))
         expected = 0.5 * np.mean((np.rint(pair.template.values) - np.rint(pair.reference.values)) ** 2)
         assert report["ssd_before"] == pytest.approx(expected)
         assert report["runs"]["gaussian"]["ssd_final"] < report["ssd_before"]
@@ -505,12 +485,8 @@ class TestRunExperiment:
         inside = (np.abs(y - 7.5) < 4) & (np.abs(x - 7.5) < 4)
         tpl = write_raw16(tmp_path / "tpl", np.where(inside, 200, 20), (2.0, 1.0, 1.0))
         ref = write_raw16(tmp_path / "ref", np.where(np.roll(inside, 1, axis=2), 200, 20), (2.0, 1.0, 1.0))
-        cfg = RegistrationConfig(kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=2, control_stride=4)
-        spec = ExperimentSpec(
-            "vol", cfg, str(tmp_path / "out"), methods=("gaussian",),
-            dataset={"template": str(tpl), "reference": str(ref)},
-        )
-        report = run_experiment(spec)
+        report = run_experiment(self.doc("vol", tmp_path / "out", ["gaussian"], max_iters=2,
+                                         dataset={"template": str(tpl), "reference": str(ref)}))
         assert report["runs"]["gaussian"]["ssd_final"] < report["ssd_before"]
         assert report["runs"]["gaussian"]["fold_count"] == 0
         for artifact in ("warped.pgm", "deformation_magnitude.pgm", "deformed_grid.pgm"):
@@ -519,13 +495,8 @@ class TestRunExperiment:
     def test_failure_removes_partial_artifacts(self, tmp_path, monkeypatch):
         import slidereg.bench as bench_mod
 
-        cfg = RegistrationConfig(
-            kernel=KernelSpec("gaussian", 4.0, 9), T=2, max_iters=3, control_stride=4
-        )
-        spec = ExperimentSpec(
-            "doomed", cfg, str(tmp_path), methods=("gaussian", "wendland_zeroth"),
-            generator={"kind": "rectangle", "size": 32, "shift": 2},
-        )
+        doc = self.doc("doomed", tmp_path, ["gaussian", "wendland_zeroth"],
+                       generator={"kind": "rectangle", "size": 32, "shift": 2})
         calls = {"n": 0}
         real = bench_mod.reg.optimize
 
@@ -537,5 +508,5 @@ class TestRunExperiment:
 
         monkeypatch.setattr(bench_mod.reg, "optimize", explode)
         with pytest.raises(bench_mod.DivergenceError):
-            run_experiment(spec)
+            run_experiment(doc)
         assert not (tmp_path / "doomed").exists()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from slidereg.bench import gen_rectangle
 from slidereg.cli import main
 from slidereg.fileio import read_pgm
 from slidereg.geometry import GridGeometry
+from slidereg.kernels import KernelSpec
+from slidereg.registration import RegistrationConfig, config_from_dict
 
 
 def run(argv, capsys):
@@ -582,11 +585,19 @@ class TestRun:
          ({"generator": None, "dataset": {**DATASET, **LANDMARKS, "landmark_base": "one"}},
           "landmark_base must be an integer, got 'one'"),
          ({"generator": None, "dataset": {**DATASET, **LANDMARKS, "landmark_base": 1.7}},
-          "landmark_base must be an integer, got 1.7")],
+          "landmark_base must be an integer, got 1.7"),
+         ({"name": 5}, "experiment key 'name' must be a string, got 5"),
+         ({"out": 7}, "experiment key 'out' must be a string, got 7"),
+         ({"generator": None, "dataset": {"template": 3, "reference": 4}},
+          "dataset key 'template' must be a string, got 3"),
+         ({"generator": {"kind": ["rectangle"]}}, "of kind 'rectangle' or 'wheel', got {'kind': ['rectangle']}"),
+         ({"config": {"kernel": {"family": "gaussian", "scale": 4.0}, "orders": "zeroth_only"}},
+          "experiment config must not hold 'orders'")],
         ids=["generator_key_typo", "generator_kind_missing", "top_level_typo", "methods_string", "name_missing",
              "out_missing", "dataset_reference_missing", "size_string", "shift_fraction", "angle_string",
              "antialias_string", "reference_landmarks_missing", "template_landmarks_missing", "landmark_base_string",
-             "landmark_base_fraction"],
+             "landmark_base_fraction", "name_number", "out_number", "dataset_path_number", "generator_kind_list",
+             "config_orders"],
     )
     def test_experiment_shape_is_usage_error(self, tmp_path, capsys, change, named):
         # a generator typo used to end in a TypeError traceback, "metods" ran all
@@ -594,7 +605,8 @@ class TestRun:
         # missing name or dataset image printed only "error: 'name'" or "error: 'reference'";
         # a string size or angle ended in a TypeError traceback, shift 2.7 ran as 2,
         # antialias "no" blurred, a lone landmark key printed "error: 'reference_landmarks'"
-        # and landmark_base 1.7 was read as 1
+        # and landmark_base 1.7 was read as 1; a number as name, out or a dataset path and
+        # a list as generator kind ended in a TypeError traceback, and orders was dropped
         doc = {
             "name": "mini",
             "out": str(tmp_path / "exp"),
@@ -610,3 +622,48 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and named in err and out == ""
         assert not (tmp_path / "exp").exists()
+
+
+EXPERIMENT_FILES = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
+
+# the settings of the two synthetic experiments; a change to a checked-in file is a change to these
+EXPERIMENT_SETTINGS = {
+    "rectangle": (
+        {"name": "rectangle", "out": "results", "methods": ["gaussian", "wendland_zeroth", "wendland_both"],
+         "generator": {"kind": "rectangle", "size": 64, "shift": 5}},
+        RegistrationConfig(kernel=KernelSpec("wendland_c0_mult", 4.0, 9), T=10, lambda0=0.05, lambda1=0.05,
+                           reg_weight=0.2, max_iters=120, stop_rel_tol=1e-6, control_stride=2),
+    ),
+    "wheel": (
+        {"name": "wheel", "out": "results", "methods": ["gaussian", "wendland_both"],
+         "generator": {"kind": "wheel", "size": 64, "angle_deg": 5.0, "antialias": False}},
+        RegistrationConfig(kernel=KernelSpec("wendland_c0_mult", 4.0, 9), T=10, lambda0=0.005, lambda1=0.005,
+                           reg_weight=0.02, max_iters=300, stop_rel_tol=1e-7, control_stride=2),
+    ),
+}
+
+
+def test_each_experiment_has_its_file():
+    assert [p.stem for p in EXPERIMENT_FILES] == sorted(EXPERIMENT_SETTINGS)
+
+
+@pytest.mark.parametrize("path", EXPERIMENT_FILES, ids=lambda p: p.stem)
+class TestExperimentFiles:
+    def test_holds_the_experiment_settings(self, path):
+        doc = json.loads(path.read_text())
+        settings, cfg = EXPERIMENT_SETTINGS[path.stem]
+        assert {k: v for k, v in doc.items() if k != "config"} == settings
+        assert config_from_dict(doc["config"]) == cfg
+
+    def test_toy_size_copy_runs(self, path, tmp_path, capsys):
+        doc = json.loads(path.read_text())
+        doc["generator"]["size"] = 32
+        doc["config"]["max_iters"] = 3
+        doc["out"] = str(tmp_path / "out")
+        copy = tmp_path / path.name
+        copy.write_text(json.dumps(doc))
+        code, out, err = run(["run", "--experiment", str(copy)], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["methods"] == list(report["runs"]) == doc["methods"]
+        assert (tmp_path / "out" / doc["name"] / "report.json").read_text() == out
