@@ -413,6 +413,8 @@ def run_experiment(doc: dict) -> dict:
     """
     _check_keys(doc, "experiment", ("name", "out", "config"), ("methods", "generator", "dataset"))
     name, out = _string("experiment", doc, "name"), _string("experiment", doc, "out")
+    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ValueError(f"experiment key 'name' must be one plain path component, got {json.dumps(name)}")
     methods = doc.get("methods", list(METHODS))
     if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
         raise ValueError(f"experiment key 'methods' must be a list of strings, got {json.dumps(methods)}")
@@ -421,6 +423,8 @@ def run_experiment(doc: dict) -> dict:
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ValueError(f"unknown methods {bad}; choose from {sorted(METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods {sorted({m for m in methods if methods.count(m) > 1})} are listed more than once")
     cfg = reg.config_from_dict(doc["config"])
     if "orders" in doc["config"]:
         raise ValueError("experiment config must not hold 'orders': each method sets it")

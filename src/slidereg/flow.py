@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .geometry import DeformationMap, GridGeometry, Stencil, interp_values
+from .geometry import DeformationMap, GridGeometry, Stencil
 from .kernels import KernelSpec
 from .momenta import TimeMomenta, VelocityAssembler
 
@@ -65,7 +65,6 @@ class _Transport:
         if n >= _MAX_NODES:
             raise ValueError(f"the transport indexes nodes as int32; a grid of {n} nodes needs fewer than {_MAX_NODES}")
         self.grid, self.T, self.dt, self.adjoint = grid, T, 1.0 / T, adjoint
-        self.field_shape = grid.dims + (d,)
         # the adjoint keeps psi_0, psi_2, ..., psi_T and, for T > 1, one map the odd psi_k share
         self.maps = np.empty(((T + 1) // 2 + 1 + (T > 1) if adjoint else min(T + 1, 3), d, n))
         self.maps[0] = grid.node_positions().reshape(n, d).T
@@ -80,23 +79,23 @@ class _Transport:
         return (k + 1) // 2 if k % 2 == 0 or k == self.T else len(self.maps) - 1
 
     def _stencil(self, s: int, pts) -> Stencil:
-        """The stencil of the (node_count, d) points ``pts`` in buffer set ``s``."""
+        """The stencil of the (d, node_count) points ``pts`` in buffer set ``s``."""
         return Stencil(self.grid, pts, (self.base[s], self.frac[s]))
 
     def _upwind(self, k: int, v) -> np.ndarray:
-        """Step k's upwind points ``x - v / T`` of the (node_count, d) velocity v,
-        staged as a (d, node_count) block in psi_{k+1}'s rows."""
+        """Step k's upwind points ``x - v / T`` of the (d, node_count) velocity v,
+        staged in psi_{k+1}'s rows."""
         out = self.maps[self._slot(k + 1)]
-        np.multiply(v.T, self.dt, out=out)
+        np.multiply(v, self.dt, out=out)
         return np.subtract(self.maps[0], out, out=out)
 
     def _gather(self, k: int, st: Stencil) -> None:
         """psi_{k+1}, sampled from psi_k through step k's stencil ``st`` into its own rows."""
-        st.gather(self.maps[self._slot(k)].T.reshape(self.field_shape), self.maps[self._slot(k + 1)])
+        st.gather(self.maps[self._slot(k)], self.maps[self._slot(k + 1)])
 
     def advect(self, velocities) -> None:
         """Transport psi_0 through the T per-step node velocities, each
-        (node_count, d), drawn from any iterable (a generator will do).
+        (d, node_count), drawn from any iterable (a generator will do).
 
         Step k samples the previous map at the upwind points ``x - v_k / T``
         through one stencil. A non-finite velocity raises
@@ -109,20 +108,20 @@ class _Transport:
         for k, v in enumerate(velocities):
             if not np.all(np.isfinite(v)):
                 raise DivergenceError(f"velocity non-finite at step {k + 1}")
-            st = self._stencil(0, self._upwind(k, v).T)
+            st = self._stencil(0, self._upwind(k, v))
             self._gather(k, st)
         self.last = st
-        self.final = self._stencil(1, self.maps[self._slot(self.T)].T)
+        self.final = self._stencil(1, self.maps[self._slot(self.T)])
 
     def _relocate(self, k: int, velocity) -> Stencil:
         """Step k's stencil located again in set 1 - k % 2 from v_k = ``velocity(k)``,
         which is dropped once its points are staged in psi_{k+1}'s rows."""
-        return self._stencil(1 - k % 2, self._upwind(k, velocity(k)).T)
+        return self._stencil(1 - k % 2, self._upwind(k, velocity(k)))
 
     def backward(self, velocity, psibar):
         """Yield ``(k, vbar)``, the adjoint of step k's velocity, for k = T - 1
         down to 0, through the last pass's steps from ``psibar``, the
-        (node_count, d) adjoint of psi_T; ``velocity(k)`` re-synthesises v_k,
+        (d, node_count) adjoint of psi_T; ``velocity(k)`` re-synthesises v_k,
         bit for bit as the pass drew it.
 
         ``final`` and ``last`` are released first, since the loop overwrites
@@ -155,30 +154,29 @@ class _Transport:
 
     def step_adjoint(self, k: int, st: Stencil, psibar):
         """Adjoint of step k of the last pass through its stencil ``st``, given
-        psi_k's map and ``psibar``, the (node_count, d) adjoint of psi_{k+1}: the
+        psi_k's map and ``psibar``, the (d, node_count) adjoint of psi_{k+1}: the
         adjoint of the step's velocity and that of psi_k, or None for k = 0,
         whose map psi_0 is fixed."""
-        vbar = st.point_grad_dot(self.maps[self._slot(k)].T, psibar)
+        vbar = st.point_grad_dot(self.maps[self._slot(k)], psibar)
         vbar *= -self.dt
         return vbar, (st.splat(psibar) if k > 0 else None)
 
     def inverse_map(self) -> DeformationMap:
         """A copy of psi_T, the inverse map at time 1."""
-        return DeformationMap(self.grid, self.maps[self._slot(self.T)].T.reshape(self.field_shape), "inverse")
+        return DeformationMap(self.grid, self.maps[self._slot(self.T)].T.reshape(self.grid.dims + (-1,)), "inverse")
 
 
 def _flow_path(velocities, psi_T: DeformationMap, grid: GridGeometry, T: int) -> FlowPath:
     """FlowPath of the inverse map ``psi_T`` and of the forward map at time 1, an
     Euler push of the node positions that keeps one map at a time and draws the
-    T ``velocities`` from any iterable (a generator will do)."""
+    T (d, node_count) ``velocities`` from any iterable (a generator will do)."""
     dt = 1.0 / T
-    field_shape = grid.dims + (grid.ndim,)
-    phi = grid.node_positions().reshape(-1, grid.ndim)
+    phi = grid.node_positions().reshape(-1, grid.ndim).T
     for k, v in enumerate(velocities):
-        phi = phi + dt * interp_values(v.reshape(field_shape), grid, phi)
+        phi = phi + dt * Stencil(grid, phi).gather(v)
         if not np.all(np.isfinite(phi)):
             raise DivergenceError(f"forward map non-finite after step {k + 1}")
-    return FlowPath(DeformationMap(grid, phi.reshape(field_shape), "forward"), psi_T)
+    return FlowPath(DeformationMap(grid, phi.T.reshape(grid.dims + (-1,)), "forward"), psi_T)
 
 
 def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath:

@@ -5,7 +5,10 @@ All spatial math runs in physical coordinates: the node with multi-index
 slowest. Every container is immutable after construction (the backing
 numpy arrays are marked read-only), so instances are safe to share across
 threads. Containers that hold arrays compare and hash by identity, as an
-elementwise ``==`` has no single truth value.
+elementwise ``==`` has no single truth value. Containers hold node data node-major,
+``dims + (c,)``; :class:`Stencil` takes rows, (d, m) points, (c, node_count) node data
+and (c, m) samples, and :func:`interp_values`, :func:`interp_with_point_grad` and
+:func:`splat_adjoint` convert between the two.
 """
 from __future__ import annotations
 
@@ -203,16 +206,16 @@ def identity_map(geom: GridGeometry, direction: str = "forward") -> DeformationM
 
 def _locate(geom: GridGeometry, pts: np.ndarray, base, frac) -> None:
     """Fill the flat lowest-corner index ``base`` (m,) and the in-cell fractions
-    ``frac`` (d, m) of the points ``pts`` (m, d).
+    ``frac`` (d, m) of the (d, m) points ``pts``.
 
     Each axis is worked in its own rows with ``out=`` ufuncs: ``frac[a]`` holds
-    the index coordinate, then its clamp to the node range, then the fraction;
-    the axis's cell index, the one temporary, folds into ``base * dims[a] + cell``.
-    A column of channel-major points (a transposed (d, m) block) is read contiguously.
+    the index coordinate of row ``pts[a]``, then its clamp to the node range,
+    then the fraction; the axis's cell index, the one temporary, folds into
+    ``base * dims[a] + cell``.
     """
     for a in range(geom.ndim):
         u = frac[a]
-        np.subtract(pts[:, a], geom.origin[a], out=u)
+        np.subtract(pts[a], geom.origin[a], out=u)
         np.divide(u, geom.spacing[a], out=u)
         np.maximum(u, 0.0, out=u)
         np.minimum(u, geom.dims[a] - 1.0, out=u)
@@ -237,7 +240,9 @@ def _corners(dims: tuple[int, ...]) -> tuple:
 
 
 class Stencil:
-    """Multilinear interpolation stencil of a point set on a grid.
+    """Multilinear interpolation stencil of the (d, m) points ``pts`` on a grid,
+    whose methods take and return rows: (c, node_count) node data, (c, m)
+    samples and their adjoints, and (d, m) point derivatives.
 
     Locates the points once and keeps the flat index of each point's lowest
     cell corner (``base``) and its in-cell fractions (``frac``, (d, m)); the
@@ -255,23 +260,16 @@ class Stencil:
     taken into one reused buffer by ``np.take(..., out=, mode="wrap")``: the
     indices ``base + offset`` lie in range by construction, so wrapping
     never changes one; ``mode="raise"`` would stage ``out`` in a copy, and
-    ``"wrap"`` takes faster than ``"clip"``.
+    ``"wrap"`` takes faster than ``"clip"``; ``np.take`` copies rows that are not C-contiguous.
 
     ``buffers`` is ``(base, frac)``, arrays of shapes (m,) and (d, m) that
     the stencil fills and keeps; fresh ones by default.
-    Channel-major data, a transposed (c, m) row block as :meth:`gather` and
-    :meth:`splat` return, enters every method without a transposing copy.
     """
 
-    def __init__(self, geom: GridGeometry, pts, buffers=None):
-        pts = np.asarray(pts, float)
-        d = geom.ndim
+    def __init__(self, geom: GridGeometry, pts: np.ndarray, buffers=None):
         self.geom = geom
-        self.lead = pts.shape[:-1]
-        pts = pts.reshape(-1, d)
         if buffers is None:
-            m = len(pts)
-            buffers = np.empty(m, np.intp), np.empty((d, m))
+            buffers = np.empty(pts.shape[1], np.intp), np.empty(pts.shape)
         self.base, self.frac = buffers
         _locate(geom, pts, self.base, self.frac)
         self.corners = _corners(geom.dims)
@@ -292,39 +290,30 @@ class Stencil:
                 np.multiply(left, fac[corner[a]][a], out=prefix[a - 1])
             yield prefix[-1]
 
-    def _rows(self, values: np.ndarray):
-        """Channel shape and the node data as contiguous (c, node_count) rows."""
-        channels = values.shape[self.geom.ndim:]
-        return channels, np.ascontiguousarray(values.reshape(self.geom.node_count, -1).T)
-
     def _take(self, rows: np.ndarray, off: int, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rows of the corner at flat offset ``off`` into ``out``, through the index buffer ``idx``."""
         np.add(self.base, off, out=idx, dtype=np.intp)
         return np.take(rows, idx, axis=1, out=out, mode="wrap")
 
-    def gather(self, values: np.ndarray, out=None) -> np.ndarray:
-        """Interpolate ``values`` (shape ``dims`` or ``dims + (c,)``) at the points.
-
-        Returns shape ``lead`` or ``lead + (c,)``, as a channel-major view of
-        ``out``, a (c, m) row block that must not overlap ``values`` (fresh
-        by default); the view is not C-contiguous when there are several
-        channels. The first corner is taken straight into ``out``.
+    def gather(self, rows: np.ndarray, out=None) -> np.ndarray:
+        """Interpolate the (c, node_count) node data ``rows`` at the points into
+        ``out``, a (c, m) block that must not overlap ``rows`` (fresh by
+        default), and return it. The first corner is taken straight into ``out``.
         """
-        channels, rows = self._rows(values)
-        acc = np.empty((rows.shape[0], self.base.size)) if out is None else out
+        acc = np.empty((len(rows), self.base.size)) if out is None else out
         idx, corner = np.empty(self.base.size, np.intp), np.empty(acc.shape)
         for j, ((_, off), w) in enumerate(zip(self.corners, self._weights())):
             for row in self._take(rows, off, idx, corner if j else acc):
                 row *= w  # channel by channel: a broadcast stages a buffer for small m
             if j:
                 acc += corner
-        return acc.T.reshape(self.lead + channels)
+        return acc
 
-    def point_grad_dot(self, values: np.ndarray, adj) -> np.ndarray:
-        """Derivative of :meth:`gather` with respect to the point, contracted with
-        ``adj`` (shaped like :meth:`gather`'s output) over the channels; shape
-        ``lead + (d,)``, zero along any axis on which the point was clamped,
-        as the transpose of a channel-major (d, m) row block.
+    def point_grad_dot(self, rows: np.ndarray, adj) -> np.ndarray:
+        """Derivative of :meth:`gather` of ``rows`` with respect to the point,
+        contracted with ``adj`` (a (c, m) block like :meth:`gather`'s output)
+        over the channels: a (d, m) block, zero along any axis on which the
+        point was clamped.
         Each corner's node data is dotted with ``adj`` once; along axis a, the
         differences of those dots across a are weighted by the other axes' factors.
 
@@ -335,13 +324,11 @@ class Stencil:
         output block before the differences; a cell index is worked out from
         ``base`` only for the points on a node plane (``frac[a] == 0``)."""
         d, m = self.geom.ndim, self.base.size
-        rows = self._rows(values)[1]
-        adj = np.ascontiguousarray(np.reshape(adj, (m, -1)).T)
         dots = np.empty((len(self.corners), m))
         idx, corner = np.empty(m, np.intp), np.empty(adj.shape)
         for j, (_, off) in enumerate(self.corners):
             np.einsum("cn,cn->n", self._take(rows, off, idx, corner), adj, out=dots[j])
-        del rows, adj, idx, corner  # before the pass-through and the differences' scratch
+        del idx, corner  # before the pass-through and the differences' scratch
         dots = dots.reshape((2,) * d + (m,))
         # out starts as the 0 / 1 pass-through factors; on a node plane the cell
         # index is above 0 where base is at least stride past its multiple of
@@ -366,28 +353,35 @@ class Stencil:
                 t += t1
             t *= inv_spacing[a]
             out[a] *= t  # a 0 / 1 factor times t rounds as t alone or gives a signed 0
-        return out.T.reshape(self.lead + (d,))
+        return out
 
     def splat(self, adj) -> np.ndarray:
-        """Transpose of :meth:`gather`: accumulate ``adj`` onto the nodes.
+        """Transpose of :meth:`gather`: accumulate the (c, m) block ``adj`` onto
+        the nodes as a (c, node_count) block.
 
-        ``adj`` (shape ``lead`` or ``lead + (c,)``) becomes ``(node_count,)``
-        or ``(node_count, c)``, channel-major like :meth:`gather`'s output.
         Corner by corner, in ``corners`` order, ``np.add.at`` scatters each channel's
         weight-times-adjoint products, formed in one reused buffer, into one zeroed
         (c, node_count) block, so every node sums in the order of a per-corner loop.
         """
-        adj = np.asarray(adj, float)
-        channels = adj.shape[len(self.lead):]
         m = self.base.size
-        cols = adj.reshape(m, -1).T
-        out = np.zeros((len(cols), self.geom.node_count))
+        out = np.zeros((len(adj), self.geom.node_count))
         idx, prod = np.empty(m, np.intp), np.empty(m)
         for (_, off), w in zip(self.corners, self._weights()):
             np.add(self.base, off, out=idx, dtype=np.intp)
-            for row, col in zip(out, cols):
+            for row, col in zip(out, adj):
                 np.add.at(row, idx, np.multiply(w, col, out=prod))
-        return out.T.reshape((self.geom.node_count,) + channels)
+        return out
+
+
+def _node_rows(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """Node data of shape ``dims`` or ``dims + (c,)`` as contiguous (c, node_count) rows."""
+    return np.ascontiguousarray(np.reshape(values, (geom.node_count, -1)).T)
+
+
+def _located(geom: GridGeometry, pts):
+    """The leading shape of the points ``pts`` (..., d) and their stencil, located through a (d, m) row view."""
+    pts = np.asarray(pts, float)
+    return pts.shape[:-1], Stencil(geom, pts.reshape(-1, geom.ndim).T)
 
 
 def interp_values(values: np.ndarray, geom: GridGeometry, pts) -> np.ndarray:
@@ -396,7 +390,8 @@ def interp_values(values: np.ndarray, geom: GridGeometry, pts) -> np.ndarray:
     ``values`` has shape ``dims`` (scalar) or ``dims + (c,)`` (c channels);
     ``pts`` has shape ``(..., d)``. Returns shape ``(...,)`` or ``(..., c)``.
     """
-    return Stencil(geom, pts).gather(values)
+    lead, st = _located(geom, pts)
+    return st.gather(_node_rows(values, geom)).T.reshape(lead + values.shape[geom.ndim:])
 
 
 def interp_with_point_grad(values: np.ndarray, geom: GridGeometry, pts):
@@ -406,11 +401,11 @@ def interp_with_point_grad(values: np.ndarray, geom: GridGeometry, pts):
     with ``grad[..., a] = d(vals)/dp_a``, one :meth:`Stencil.point_grad_dot`
     per channel with a unit adjoint.
     """
-    st = Stencil(geom, pts)
-    vals = st.gather(values)
-    chan = values.reshape(geom.dims + (-1,))
-    grad = [st.point_grad_dot(chan[..., k], np.ones(st.lead)) for k in range(chan.shape[-1])]
-    return vals, np.stack(grad, axis=-2).reshape(vals.shape + (geom.ndim,))
+    lead, st = _located(geom, pts)
+    nodes = _node_rows(values, geom)
+    vals = st.gather(nodes).T.reshape(lead + values.shape[geom.ndim:])
+    grad = np.stack([st.point_grad_dot(row[None], np.ones((1, st.base.size))) for row in nodes])  # (c, d, m)
+    return vals, np.moveaxis(grad, -1, 0).reshape(vals.shape + (geom.ndim,))
 
 
 def splat_adjoint(shape: tuple, geom: GridGeometry, pts, adj) -> np.ndarray:
@@ -420,8 +415,8 @@ def splat_adjoint(shape: tuple, geom: GridGeometry, pts, adj) -> np.ndarray:
     ``shape`` (``dims`` or ``dims + (c,)``) using the same corner weights the
     interpolation gather would use at ``pts``.
     """
-    st = Stencil(geom, pts)
-    return st.splat(np.reshape(adj, st.lead + tuple(shape[geom.ndim:]))).reshape(shape)
+    st = _located(geom, pts)[1]
+    return st.splat(np.reshape(adj, (st.base.size, -1)).T).T.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ class VelocityAssembler:
     of these; slot i swaps in the partial factor on axis i. The adjoint
     uses the transposes. Momenta come as a block (orders, d, n), order 0
     first, then the slots; with ``first_order=False`` the block holds
-    order 0 alone. Velocities are filled channel-major, (d, node_count).
+    order 0 alone. Velocities are (d, node_count) rows, as
+    :class:`~slidereg.geometry.Stencil` takes node data.
 
     Both directions contract the lattice axes last to first. Synthesis
     keeps a running sum that starts as order 0; at axis a it takes the
@@ -278,8 +279,7 @@ class VelocityAssembler:
         self.k, self.dk = k, dk
 
     def velocity(self, M: np.ndarray) -> np.ndarray:
-        """Node velocities of the block M, shape (node_count, d): the transpose
-        of a channel-major (d, node_count) array."""
+        """Node velocities of the block M as (d, node_count) rows."""
         d = self.grid.ndim
         S, slots = self.lattice.scatter(M[0]), [self.lattice.scatter(m) for m in M[1:]]
         for a in reversed(range(d)):
@@ -287,12 +287,12 @@ class VelocityAssembler:
             if slots:
                 S += _along(*self.dk[a], slots.pop(), a + 1)
                 slots = [_along(*self.k[a], X, a + 1) for X in slots]
-        return S.reshape(d, -1).T
+        return S.reshape(d, -1)
 
     def adjoint(self, vbar: np.ndarray) -> np.ndarray:
-        """Pull node-velocity adjoints (node_count, d) back to a block (orders, d, n)."""
+        """Pull node-velocity adjoint rows (d, node_count) back to a block (orders, d, n)."""
         d = self.grid.ndim
-        U, slots = np.reshape(vbar.T, (d,) + self.grid.dims), []
+        U, slots = np.reshape(vbar, (d,) + self.grid.dims), []
         for a in reversed(range(d)):
             k_T = self.k[a][::-1]
             if self.dk:

@@ -189,7 +189,8 @@ class _Engine:
         if I0.geometry != I1.geometry:
             raise ValueError(f"image geometries differ: template {I0.geometry} vs reference {I1.geometry}")
         grid = I0.geometry
-        self.cfg, self.I0, self.I1, self.grid = cfg, I0, I1, grid
+        self.cfg, self.grid = cfg, grid
+        self.I0_row, self.I1_row = I0.values.reshape(1, -1), I1.values.reshape(1, -1)
         self.points = control_lattice(grid, cfg.control_stride)
         d = grid.ndim
         first_order = cfg.orders == "zeroth_and_first"
@@ -215,11 +216,11 @@ class _Engine:
 
     def forward(self, M) -> EnergyParts:
         """Energy parts at M; the pass replaces the last one on the engine."""
-        cfg, grid, T = self.cfg, self.grid, self.cfg.T
+        cfg, T = self.cfg, self.cfg.T
         self.forward_passes += 1
         self.resid = None
         self.transport.advect(self.asm.velocity(M[k]) for k in range(T))
-        resid = self.transport.final.gather(self.I0.values).reshape(grid.dims) - self.I1.values
+        resid = self.transport.final.gather(self.I0_row) - self.I1_row
         e_sim = 0.5 * float(np.mean(resid * resid))
         # huge but finite candidate momenta overflow here; the caller rejects the non-finite total
         with np.errstate(over="ignore", invalid="ignore"):
@@ -249,10 +250,10 @@ class _Engine:
         G = self.grams.grad(M, out)
         G *= cfg.reg_weight / (2.0 * T)
 
-        # d E_S / d warped, then through the final image interpolation: (N, d),
+        # d E_S / d warped, then through the final image interpolation: (d, N),
         # handed over unnamed so the step loop frees it once step T - 1 is done
         steps = tr.backward(lambda k: self.asm.velocity(M[k]),
-                            tr.final.point_grad_dot(self.I0.values, resid.reshape(-1) / grid.node_count))
+                            tr.final.point_grad_dot(self.I0_row, resid / grid.node_count))
         del resid
         for k, vbar in steps:
             G[k] += self.asm.adjoint(vbar)

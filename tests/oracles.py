@@ -3,8 +3,9 @@
 The d-dimensional kernel terms are rebuilt here as products over axes of
 the 1D factors of :mod:`slidereg.kernels`, one point pair at a time, the
 way a brute-force sum over points needs them. ``jacobian_fd`` is a
-per-point central-difference Jacobian of an interpolated map. ``block``
-and ``unblock`` convert per-point m0 and m1 arrays to the operators'
+per-point central-difference Jacobian of an interpolated map, and ``push``
+the forward map's Euler push on node-major arrays. ``block`` and
+``unblock`` convert per-point m0 and m1 arrays to the operators'
 component-major momentum block and back.
 """
 import numpy as np
@@ -54,6 +55,17 @@ def jacobian_fd(dmap: DeformationMap, x, h: float) -> np.ndarray:
         fm = interp_values(dmap.targets, geom, (x - e)[None, :])[0]
         J[:, i] = (fp - fm) / (2.0 * h)
     return J
+
+
+def push(velocities, grid, T: int) -> np.ndarray:
+    """Targets of the forward map at time 1, shape ``dims + (d,)``: the Euler push
+    ``phi + dt * v(phi)`` of the node positions through the (d, node_count)
+    velocity rows, each sampled at the node-major points by ``interp_values``."""
+    field_shape = grid.dims + (grid.ndim,)
+    phi = grid.node_positions().reshape(-1, grid.ndim)
+    for v in velocities:
+        phi = phi + (1.0 / T) * interp_values(v.T.reshape(field_shape), grid, phi)
+    return phi.reshape(field_shape)
 
 
 def block(m0: np.ndarray, m1: np.ndarray, slots: int | None = None) -> np.ndarray:

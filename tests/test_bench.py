@@ -320,7 +320,7 @@ class TestDemoMomentum:
         grid = demo.flow.final.geometry
         ms = demo.momenta
         v = VelocityAssembler(demo.kernel, grid, ms.points).velocity(block(ms.m0, ms.m1))
-        v = v.reshape(grid.dims + (2,))
+        v = v.T.reshape(grid.dims + (2,))
         assert np.max(np.abs(v)) > 0.0
         grads = np.gradient(v[..., 1])
         assert np.all(np.isfinite(grads))
@@ -402,18 +402,30 @@ class TestRunExperiment:
         return {"name": name, "out": str(out), "methods": methods, "config": config, **source}
 
     @pytest.mark.parametrize(
-        "methods, source, named",
-        [([], {"generator": {"kind": "rectangle"}}, "at least one method"),
-         (["gaussian"], {}, "exactly one of generator/dataset"),
-         (["gaussian"], {"generator": {"kind": "rectangle"}, "dataset": {"template": "t.pgm", "reference": "r.pgm"}},
+        "name, methods, source, named",
+        [("x", [], {"generator": {"kind": "rectangle"}}, "at least one method"),
+         ("x", ["gaussian"], {}, "exactly one of generator/dataset"),
+         ("x", ["gaussian"], {"generator": {"kind": "rectangle"}, "dataset": {"template": "t.pgm", "reference": "r.pgm"}},
           "exactly one of generator/dataset"),
-         (["splines"], {"generator": {"kind": "rectangle"}}, "unknown methods")],
-        ids=["no_method", "no_source", "both_sources", "unknown_method"],
+         ("x", ["splines"], {"generator": {"kind": "rectangle"}}, "unknown methods"),
+         ("x", ["gaussian", "wendland_both", "gaussian"], {"generator": {"kind": "rectangle"}},
+          r"methods \['gaussian'\] are listed more than once"),
+         ("../escaped", ["gaussian"], {"generator": {"kind": "rectangle"}}, "one plain path component"),
+         ("sub/dir", ["gaussian"], {"generator": {"kind": "rectangle"}}, "one plain path component"),
+         ("", ["gaussian"], {"generator": {"kind": "rectangle"}}, "one plain path component"),
+         (".", ["gaussian"], {"generator": {"kind": "rectangle"}}, "one plain path component"),
+         ("..", ["gaussian"], {"generator": {"kind": "rectangle"}}, "one plain path component"),
+         ("{tmp}/abs", ["gaussian"], {"generator": {"kind": "rectangle"}}, "one plain path component")],
+        ids=["no_method", "no_source", "both_sources", "unknown_method", "repeated_method", "name_escapes",
+             "name_nested", "name_empty", "name_dot", "name_dotdot", "name_absolute"],
     )
-    def test_refused_before_any_output(self, tmp_path, methods, source, named):
+    def test_refused_before_any_output(self, tmp_path, name, methods, source, named):
+        # a repeated method used to solve twice, its second run overwriting the
+        # first's artifacts; "../escaped" wrote beside out, "" and "." into out
+        # itself, and an absolute name (here under tmp_path) there
         with pytest.raises(ValueError, match=named):
-            run_experiment(self.doc("x", tmp_path / "out", methods, **source))
-        assert not (tmp_path / "out").exists()
+            run_experiment(self.doc(name.format(tmp=tmp_path), tmp_path / "out", methods, **source))
+        assert not any((tmp_path / p).exists() for p in ("out", "escaped", "abs"))
 
     def test_identical_images_all_zero(self, tmp_path):
         report = run_experiment(self.doc("null", tmp_path, ["gaussian"], T=3, max_iters=5,

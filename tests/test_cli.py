@@ -592,12 +592,19 @@ class TestRun:
           "dataset key 'template' must be a string, got 3"),
          ({"generator": {"kind": ["rectangle"]}}, "of kind 'rectangle' or 'wheel', got {'kind': ['rectangle']}"),
          ({"config": {"kernel": {"family": "gaussian", "scale": 4.0}, "orders": "zeroth_only"}},
-          "experiment config must not hold 'orders'")],
+          "experiment config must not hold 'orders'"),
+         ({"methods": ["gaussian", "gaussian"]}, "methods ['gaussian'] are listed more than once"),
+         ({"name": "../escaped"}, "experiment key 'name' must be one plain path component, got \"../escaped\""),
+         ({"name": "{tmp}/abs"}, "experiment key 'name' must be one plain path component"),
+         ({"name": ""}, "experiment key 'name' must be one plain path component, got \"\""),
+         ({"name": "."}, "experiment key 'name' must be one plain path component, got \".\""),
+         ({"name": ".."}, "experiment key 'name' must be one plain path component, got \"..\"")],
         ids=["generator_key_typo", "generator_kind_missing", "top_level_typo", "methods_string", "name_missing",
              "out_missing", "dataset_reference_missing", "size_string", "shift_fraction", "angle_string",
              "antialias_string", "reference_landmarks_missing", "template_landmarks_missing", "landmark_base_string",
              "landmark_base_fraction", "name_number", "out_number", "dataset_path_number", "generator_kind_list",
-             "config_orders"],
+             "config_orders", "repeated_method", "name_escapes", "name_absolute", "name_empty", "name_dot",
+             "name_dotdot"],
     )
     def test_experiment_shape_is_usage_error(self, tmp_path, capsys, change, named):
         # a generator typo used to end in a TypeError traceback, "metods" ran all
@@ -606,7 +613,9 @@ class TestRun:
         # a string size or angle ended in a TypeError traceback, shift 2.7 ran as 2,
         # antialias "no" blurred, a lone landmark key printed "error: 'reference_landmarks'"
         # and landmark_base 1.7 was read as 1; a number as name, out or a dataset path and
-        # a list as generator kind ended in a TypeError traceback, and orders was dropped
+        # a list as generator kind ended in a TypeError traceback, and orders was dropped;
+        # a repeated method solved twice into one directory, and a name of "..", "", "."
+        # or one holding a separator wrote outside out/<name> (here "{tmp}" is tmp_path)
         doc = {
             "name": "mini",
             "out": str(tmp_path / "exp"),
@@ -615,13 +624,15 @@ class TestRun:
             "config": {"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 2, "control_stride": 4},
         }
         doc.update(change)
+        if isinstance(doc["name"], str):
+            doc["name"] = doc["name"].replace("{tmp}", str(tmp_path))
         doc = {k: v for k, v in doc.items() if v is not None}
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(["run", "--experiment", str(path)], capsys)
         assert code == 1
         assert err.startswith("error:") and named in err and out == ""
-        assert not (tmp_path / "exp").exists()
+        assert not any((tmp_path / p).exists() for p in ("exp", "escaped", "abs"))
 
 
 EXPERIMENT_FILES = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))

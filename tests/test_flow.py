@@ -11,7 +11,7 @@ from slidereg.geometry import DeformationMap, GridGeometry, identity_map, interp
 from slidereg.kernels import KernelSpec
 from slidereg.momenta import MomentumSet, TimeMomenta, VelocityAssembler, control_lattice
 
-from oracles import block, jacobian_fd
+from oracles import block, jacobian_fd, push
 
 GRID = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
 GAUSS = KernelSpec("gaussian", 4.0, 9)
@@ -145,10 +145,24 @@ class TestFlowPath:
         assert fp.final_inverse is want.final_inverse
 
     def test_non_finite_forward_map_raises(self):
-        v = np.zeros((GRID.node_count, 2))
+        v = np.zeros((2, GRID.node_count))
         bad = np.full_like(v, np.nan)
         with pytest.raises(DivergenceError, match="after step 2"):
             _flow_path(iter([v, bad, v]), identity_map(GRID, "inverse"), GRID, 3)
+
+    @pytest.mark.parametrize(
+        "grid", [GRID, GridGeometry((6, 5, 7), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5))], ids=["2d", "3d"]
+    )
+    def test_matches_the_node_major_push(self, grid, rng):
+        # the push through a stencil of channel-major rows equals phi + dt * interp_values(v, grid, phi)
+        # on node-major arrays bit for bit, also where the points are pushed past the faces
+        T, d = 3, grid.ndim
+        extent = (np.asarray(grid.dims) - 1.0) * np.asarray(grid.spacing)
+        velocities = [rng.uniform(-0.5, 0.5, (d, grid.node_count)) * extent[:, None] for _ in range(T)]
+        fp = _flow_path(iter(velocities), identity_map(grid, "inverse"), grid, T)
+        lo, hi = grid.bounds
+        assert np.any((fp.final.targets < lo) | (fp.final.targets > hi))
+        np.testing.assert_array_equal(fp.final.targets, push(velocities, grid, T))
 
 
 class TestAdvectInverse:
@@ -156,13 +170,13 @@ class TestAdvectInverse:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_velocity_raises(self, bad):
-        v = np.zeros((GRID.node_count, 2))
-        v[7, 1] = bad
+        v = np.zeros((2, GRID.node_count))
+        v[1, 7] = bad
         with pytest.raises(DivergenceError, match="at step 1"):
             _Transport(GRID, 1).advect([v])
 
     def test_raises_at_the_bad_step(self):
-        v = np.zeros((GRID.node_count, 2))
+        v = np.zeros((2, GRID.node_count))
         bad = v.copy()
         bad[0, 0] = np.nan
         tr = _Transport(GRID, 3)
@@ -174,7 +188,7 @@ class TestAdvectInverse:
     @pytest.mark.parametrize("T", [1, 2, 3, 6])
     def test_forward_only_transport_keeps_three_maps_and_matches_a_full_one(self, T):
         rng = np.random.default_rng(T)
-        vs = [rng.uniform(-2.0, 2.0, (GRID.node_count, 2)) for _ in range(T)]
+        vs = [rng.uniform(-2.0, 2.0, (2, GRID.node_count)) for _ in range(T)]
         full, short = _Transport(GRID, T), _Transport(GRID, T, adjoint=False)
         full.advect(vs)
         short.advect(vs)

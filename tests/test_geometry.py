@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -269,65 +270,62 @@ GEOMS = [
 
 
 class TestStencil:
+    """The stencil on rows: (d, m) points, (c, node_count) node data and (c, m) samples."""
+
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
     @pytest.mark.parametrize("channels", [(), (3,)], ids=["scalar", "channels"])
     def test_matches_per_corner_loop(self, geom, channels, rng):
         pts = _probe_points(geom, rng)
-        values = rng.standard_normal(geom.dims + channels)
-        adj = rng.standard_normal((pts.shape[0],) + channels)
-        vals, grad, splat = _oracle(values, geom, pts, adj)
-        st = Stencil(geom, pts)
-        np.testing.assert_array_equal(st.gather(values), vals.reshape(st.gather(values).shape))
-        np.testing.assert_array_equal(
-            st.splat(adj).reshape(geom.dims + channels), splat.reshape(geom.dims + channels)
-        )
+        m, c = len(pts), math.prod(channels)
+        rows, adj = rng.standard_normal((c, geom.node_count)), rng.standard_normal((c, m))
+        values = rows.T.reshape(geom.dims + channels)
+        vals, grad, splat = _oracle(values, geom, pts, adj.T)
+        st = Stencil(geom, pts.T)
+        np.testing.assert_array_equal(st.gather(rows), vals.T)
+        np.testing.assert_array_equal(st.splat(adj), splat.reshape(-1, c).T)
         # the contraction regroups the oracle's sums, so it matches to rounding
-        want = np.einsum("nca,nc->na", grad, adj.reshape(pts.shape[0], -1))
-        got = st.point_grad_dot(values, adj)
+        want = np.einsum("nca,cn->an", grad, adj)
+        got = st.point_grad_dot(rows, adj)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # the wrapper's Jacobian, one unit-adjoint contraction per channel
         jac = interp_with_point_grad(values, geom, pts)[1]
-        assert jac.shape == (pts.shape[0],) + channels + (geom.ndim,)
+        assert jac.shape == (m,) + channels + (geom.ndim,)
         assert np.max(np.abs(jac - grad.reshape(jac.shape))) <= 1e-12 * np.max(np.abs(grad))
 
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
-    @pytest.mark.parametrize("channels", [(), (3,)], ids=["scalar", "channels"])
-    def test_colliding_points_match_per_corner_loop(self, geom, channels, rng):
+    @pytest.mark.parametrize("c", [1, 3], ids=["scalar", "channels"])
+    def test_colliding_points_match_per_corner_loop(self, geom, c, rng):
         # the splat adds many weights onto the same nodes, so its order shows
         pts = _collision_points(geom, rng)
-        values = rng.standard_normal(geom.dims + channels)
-        adj = rng.standard_normal((pts.shape[0],) + channels)
-        vals, _, splat = _oracle(values, geom, pts, adj)
-        st = Stencil(geom, pts)
-        np.testing.assert_array_equal(st.gather(values), vals.reshape((pts.shape[0],) + channels))
-        np.testing.assert_array_equal(st.splat(adj), splat.reshape((geom.node_count,) + channels))
+        rows, adj = rng.standard_normal((c, geom.node_count)), rng.standard_normal((c, len(pts)))
+        vals, _, splat = _oracle(rows.T.reshape(geom.dims + (c,)), geom, pts, adj.T)
+        st = Stencil(geom, pts.T)
+        np.testing.assert_array_equal(st.gather(rows), vals.T)
+        np.testing.assert_array_equal(st.splat(adj), splat.reshape(-1, c).T)
 
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
     def test_channel_major_gather_output_feeds_back(self, geom, rng):
-        # the transport passes each gathered map on as node data, adjoint
-        # and points; its layout must not change any result
+        # the transport passes each gathered (d, node_count) block on as node
+        # data, adjoint and points; a strided block, such as the transpose of a
+        # node-major field, must give what its contiguous copy gives
         lo, hi = geom.bounds
-        st = Stencil(geom, lo + (hi - lo) * rng.uniform(-0.1, 1.1, geom.dims + (geom.ndim,)))
-        out = st.gather(rng.standard_normal(geom.dims + (geom.ndim,)))
-        assert not out.flags.c_contiguous
-        copy = np.ascontiguousarray(out)
-        values = rng.standard_normal(geom.dims + (geom.ndim,))
-        np.testing.assert_array_equal(st.gather(out), st.gather(copy))
-        np.testing.assert_array_equal(st.point_grad_dot(out, values), st.point_grad_dot(copy, values))
-        np.testing.assert_array_equal(st.point_grad_dot(values, out), st.point_grad_dot(values, copy))
-        np.testing.assert_array_equal(st.splat(out), st.splat(copy))
-        again, again_copy = Stencil(geom, out), Stencil(geom, copy)
+        d, n = geom.ndim, geom.node_count
+        st = Stencil(geom, (lo + (hi - lo) * rng.uniform(-0.1, 1.1, (n, d))).T)
+        out = st.gather(rng.standard_normal((d, n)))
+        assert out.shape == (d, n) and out.flags.c_contiguous
+        strided = rng.standard_normal((n, d)).T
+        assert not strided.flags.c_contiguous
+        copy = np.ascontiguousarray(strided)
+        np.testing.assert_array_equal(st.gather(strided), st.gather(copy))
+        np.testing.assert_array_equal(st.point_grad_dot(strided, out), st.point_grad_dot(copy, out))
+        np.testing.assert_array_equal(st.point_grad_dot(out, strided), st.point_grad_dot(out, copy))
+        np.testing.assert_array_equal(st.splat(strided), st.splat(copy))
+        points = (lo + (hi - lo) * rng.uniform(-0.1, 1.1, (n, d))).T
+        again, again_copy = Stencil(geom, points), Stencil(geom, np.ascontiguousarray(points))
         for name in ("base", "frac"):
             np.testing.assert_array_equal(getattr(again, name), getattr(again_copy, name))
-        np.testing.assert_array_equal(again.gather(values), again_copy.gather(values))
-
-    def test_gather_output_rows_are_not_copied(self, rng):
-        geom = GEOMS[0]
-        st = Stencil(geom, geom.node_positions() + rng.uniform(-1.0, 1.0, geom.dims + (2,)))
-        out = st.gather(rng.standard_normal(geom.dims + (3,)))
-        assert out.shape == geom.dims + (3,)
-        assert np.shares_memory(st._rows(out)[1], out)
+        np.testing.assert_array_equal(again.gather(out), again_copy.gather(out))
 
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
     def test_given_buffers_match_fresh_ones(self, geom, rng):
@@ -337,58 +335,60 @@ class TestStencil:
         assert np.any((pts < lo) | (pts > hi))  # clamped points are covered
         m, d = pts.shape
         buffers = (np.full(m, 99, np.intp), np.full((d, m), np.nan))
-        given, fresh = Stencil(geom, pts, buffers), Stencil(geom, pts)
+        given, fresh = Stencil(geom, pts.T, buffers), Stencil(geom, pts.T)
         for name, buf in zip(("base", "frac"), buffers, strict=True):
             assert getattr(given, name) is buf
             np.testing.assert_array_equal(buf, getattr(fresh, name))
-        values = rng.standard_normal(geom.dims + (3,))
-        adj = rng.standard_normal((m, 3))
+        rows = rng.standard_normal((3, geom.node_count))
+        adj = rng.standard_normal((3, m))
         out = np.full((3, m), np.nan)
-        np.testing.assert_array_equal(given.gather(values, out), fresh.gather(values))
-        assert np.shares_memory(given.gather(values, out), out)
-        np.testing.assert_array_equal(given.point_grad_dot(values, adj), fresh.point_grad_dot(values, adj))
+        np.testing.assert_array_equal(given.gather(rows, out), fresh.gather(rows))
+        assert given.gather(rows, out) is out
+        np.testing.assert_array_equal(given.point_grad_dot(rows, adj), fresh.point_grad_dot(rows, adj))
         np.testing.assert_array_equal(given.splat(adj), fresh.splat(adj))
 
     def test_gather_into_a_given_block_peaks_at_per_call_scratch(self, rng):
-        # what one 3-channel gather into a given block allocates above its entry
-        # on a 16^3 stencil (m = 4096 points, 8 corners): the contiguous node
-        # rows (3 x 4096 doubles), ``1 - frac``, the prefix-weight block and one
-        # reused corner row block and index buffer. It reads about 397,000 B; the
-        # bound is the 461,984 B it read with a fresh weight, index array and
-        # gathered block per corner and a broadcast weight multiply (numpy 2.4).
+        # what one 3-channel gather of contiguous node rows into a given block
+        # allocates above its entry on a 16^3 stencil (m = 4096 points, 8
+        # corners): ``1 - frac``, the prefix-weight block and one reused corner
+        # row block and index buffer. It reads about 299,000 B; the bound is
+        # the 461,984 B it read with a fresh weight, index array and gathered
+        # block per corner and a broadcast weight multiply (numpy 2.4), less the
+        # 98,304 B of the contiguous copy of node-major data that it made then.
         import tracemalloc
 
         geom = GridGeometry((16, 16, 16), (1.0, 0.75, 1.5), (0.0, -2.0, 1.0))
-        st = Stencil(geom, geom.node_positions() + rng.uniform(-1.5, 1.5, geom.dims + (3,)))
-        values = rng.standard_normal(geom.dims + (3,))
+        pts = geom.node_positions() + rng.uniform(-1.5, 1.5, geom.dims + (3,))
+        st = Stencil(geom, pts.reshape(-1, 3).T)
+        rows = rng.standard_normal((3, geom.node_count))
         out = np.empty((3, geom.node_count))
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            got = st.gather(values, out)
+            got = st.gather(rows, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(got, out)
-        assert peak - entry <= 461_984
+        assert got is out
+        assert peak - entry <= 461_984 - 98_304
 
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
     def test_flat_index_matches_ravel_multi_index(self, geom, rng):
         pts = _probe_points(geom, rng)
         upper = np.asarray(geom.dims) - 1
         cells = np.minimum(np.clip(geom.to_index(pts), 0, upper).astype(np.intp), upper - 1)
-        np.testing.assert_array_equal(Stencil(geom, pts).base, np.ravel_multi_index(tuple(cells.T), geom.dims))
+        np.testing.assert_array_equal(Stencil(geom, pts.T).base, np.ravel_multi_index(tuple(cells.T), geom.dims))
 
     def test_clamped_axes_have_zero_gradient(self, rng):
         geom = GridGeometry((5, 4, 6), (1.5, 0.75, 1.0), (2.0, -1.0, 0.5))
         pts = _probe_points(geom, rng)
         lo, hi = geom.bounds
-        outside = (pts <= lo) | (pts >= hi)
+        outside = ((pts <= lo) | (pts >= hi)).T
         assert outside.any()
-        st = Stencil(geom, pts)
-        for channels in [(), (3,)]:
-            values = rng.standard_normal(geom.dims + channels)
-            dot = st.point_grad_dot(values, rng.standard_normal((pts.shape[0],) + channels))
+        st = Stencil(geom, pts.T)
+        for c in (1, 3):
+            rows = rng.standard_normal((c, geom.node_count))
+            dot = st.point_grad_dot(rows, rng.standard_normal((c, len(pts))))
             assert np.all(dot[outside] == 0.0)
 
     @pytest.mark.parametrize("geom", GEOMS, ids=["2d", "3d"])
@@ -398,7 +398,7 @@ class TestStencil:
         # above 0) and just off the lower face, and exactly 0 on either face,
         # where frac alone is 0 or 1 as on an inner plane
         slope = np.arange(1.0, geom.ndim + 1.0)
-        values = geom.node_positions() @ slope
+        rows = (geom.node_positions() @ slope).reshape(1, -1)
         lo, hi = geom.bounds
         mid = (lo + hi) / 2.0
         cases = []
@@ -409,8 +409,8 @@ class TestStencil:
                 p[a] = u
                 cases.append((a, p, passes))
         pts = np.array([p for _, p, _ in cases])
-        dot = Stencil(geom, pts).point_grad_dot(values, np.ones(len(pts)))
-        for row, (a, _, passes) in zip(dot, cases, strict=True):
+        dot = Stencil(geom, pts.T).point_grad_dot(rows, np.ones((1, len(pts))))
+        for row, (a, _, passes) in zip(dot.T, cases, strict=True):
             if passes:
                 assert row[a] == pytest.approx(slope[a], rel=1e-12)
             else:

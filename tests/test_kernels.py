@@ -255,7 +255,7 @@ class TestProductionCallShape:
 def footprint(spec, center, grid):
     """Node multi-indices where a unit zeroth momentum at ``center`` is nonzero."""
     ms = MomentumSet(np.array([center], float), np.ones((1, grid.ndim)), np.zeros((1, grid.ndim, grid.ndim)))
-    v = VelocityAssembler(spec, grid, ms.points).velocity(block(ms.m0, ms.m1)).reshape(grid.dims + (grid.ndim,))
+    v = VelocityAssembler(spec, grid, ms.points).velocity(block(ms.m0, ms.m1)).T.reshape(grid.dims + (grid.ndim,))
     return np.argwhere(np.any(v != 0.0, axis=-1))
 
 

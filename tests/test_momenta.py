@@ -42,7 +42,7 @@ def node_velocity(ms, spec, grid, first_order=True):
     """Velocity of the momentum set ``ms`` at the grid nodes, shape ``dims + (d,)``;
     with ``first_order=False`` its order 0 alone, as the zeroth-only solver synthesizes it."""
     asm = VelocityAssembler(spec, grid, ms.points, first_order)
-    return asm.velocity(block(ms.m0, ms.m1, None if first_order else 0)).reshape(grid.dims + (grid.ndim,))
+    return asm.velocity(block(ms.m0, ms.m1, None if first_order else 0)).T.reshape(grid.dims + (grid.ndim,))
 
 
 def random_set(rng, shape=(2, 2), lo=6.0, hi=17.0):
@@ -383,7 +383,7 @@ class TestAssemblerAdjoint:
         asm = VelocityAssembler(spec, grid, points, first_order)
         n, d = points.shape
         M = rng.standard_normal((d + 1 if first_order else 1, d, n))
-        vbar = rng.standard_normal((grid.node_count, d))
+        vbar = rng.standard_normal((d, grid.node_count))
         v = asm.velocity(M)
         A = asm.adjoint(vbar)
         assert A.shape == M.shape
@@ -399,9 +399,9 @@ class TestAssemblerAdjoint:
         orders = _per_order(asm.k, asm.dk)
         d = grid.ndim
         M = rng.standard_normal((len(orders), d, len(points)))
-        vbar = rng.standard_normal((grid.node_count, d))
-        V = np.reshape(vbar.T, (d,) + grid.dims)
-        want_v = sum(_apply(pairs, lat.scatter(m)) for pairs, m in zip(orders, M)).reshape(d, -1).T
+        vbar = rng.standard_normal((d, grid.node_count))
+        V = np.reshape(vbar, (d,) + grid.dims)
+        want_v = sum(_apply(pairs, lat.scatter(m)) for pairs, m in zip(orders, M)).reshape(d, -1)
         want_a = np.stack([lat.gather(_apply([p[::-1] for p in pairs], V)) for pairs in orders])
         for got, want in ((asm.velocity(M), want_v), (asm.adjoint(vbar), want_a)):
             if d == 2 and not first_order:
@@ -450,6 +450,6 @@ class TestLatticeScale:
         a = np.array([0.5, -1.0, 2.0])
         M = np.zeros((4, 3, n))
         M[0, :, j] = a
-        v = asm.velocity(M).reshape(grid.dims + (3,))
-        np.testing.assert_allclose(v[24, 10, 36], a, atol=1e-14)
+        v = asm.velocity(M).reshape((3,) + grid.dims)
+        np.testing.assert_allclose(v[:, 24, 10, 36], a, atol=1e-14)
         assert grams.energy(M) == pytest.approx(float(a @ a), rel=1e-14)

@@ -980,8 +980,8 @@ class TestWorkspace:
         # (so the clamp acts) both equal the forward's bit for bit, for odd
         # and even T
         I0, I1 = blob_pair_3d(8)
-        nodes = I0.geometry.node_positions().reshape(-1, 3)
-        hi = np.array(I0.geometry.dims) - 1.0
+        nodes = I0.geometry.node_positions().reshape(-1, 3).T
+        hi = np.array(I0.geometry.dims)[:, None] - 1.0
         for T in (3, 4):
             eng = _Engine(small_config(T=T, control_stride=2), I0, I1)
             tr = eng.transport
