@@ -12,6 +12,7 @@ import inspect
 import json
 import os
 import shutil
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -408,8 +409,10 @@ def run_experiment(doc: dict) -> dict:
     ``tre_before_mm`` (None without landmarks), and ``runs``: per method its
     summary, plus ``tre_mm`` when the source has landmarks and
     ``transition_width_rows`` when it has an interface row. It is written
-    unchanged to ``report.json`` in the experiment root. Partial artifacts
-    are removed when any method fails.
+    unchanged to ``report.json`` in the experiment root, ``<out>/<name>``.
+    The run is written into a temporary directory under ``out`` that replaces
+    ``<out>/<name>`` once every method has succeeded; when any fails, the
+    temporary directory is removed and ``<out>/<name>`` is left untouched.
     """
     _check_keys(doc, "experiment", ("name", "out", "config"), ("methods", "generator", "dataset"))
     name, out = _string("experiment", doc, "name"), _string("experiment", doc, "out")
@@ -437,34 +440,29 @@ def run_experiment(doc: dict) -> dict:
         "tre_before_mm": tre(lms_r, lms_t, spacing) if lms_t is not None else None,
         "runs": {},
     }
-    out_root = os.path.join(out, name)
-    existed = os.path.isdir(out_root)
-    os.makedirs(out_root, exist_ok=True)
-    created = []
+    os.makedirs(out, exist_ok=True)
+    # staged under out, so both renames stay on its filesystem; the run goes into a
+    # subdirectory, made with os.mkdir's permissions rather than mkdtemp's 0700
+    stage = tempfile.mkdtemp(prefix=f".{name}-", dir=out)
     try:
+        new = os.path.join(stage, "new")
+        os.mkdir(new)
         for method in methods:
             result = reg.optimize(_method_config(cfg, method), template, reference)
-            mdir = os.path.join(out_root, method)
-            created.append(mdir)
-            run = report["runs"][method] = write_registration_artifacts(mdir, result)
+            run = report["runs"][method] = write_registration_artifacts(os.path.join(new, method), result)
             if lms_t is not None:
                 run["tre_mm"] = tre(lms_r, lms_t, spacing, result.flow.final_inverse)
             if interface_row is not None:
                 run["transition_width_rows"] = transition_width(result.flow.final_inverse, 0, interface_row)
-        path = os.path.join(out_root, "report.json")
-        created.append(path)
-        with open(path, "w") as fh:
+        with open(os.path.join(new, "report.json"), "w") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
+        out_root = os.path.join(out, name)
+        if os.path.isdir(out_root):
+            os.rename(out_root, os.path.join(stage, "old"))
+        os.rename(new, out_root)
         return report
-    except Exception:
-        for path in created:
-            if os.path.isdir(path):
-                shutil.rmtree(path, ignore_errors=True)
-            elif os.path.exists(path):
-                os.unlink(path)
-        if not existed:
-            shutil.rmtree(out_root, ignore_errors=True)
-        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

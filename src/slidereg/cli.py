@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench, fileio
 from . import registration as reg
-from .errors import DivergenceError, FormatError
+from .errors import DivergenceError
 from .geometry import DeformationMap, GridGeometry, ScalarImage
 
 NUMERICAL_ERRORS = (DivergenceError, np.linalg.LinAlgError)
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, FileNotFoundError, ValueError, KeyError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -196,22 +196,6 @@ def _along(A: np.ndarray, A_T: np.ndarray, X: np.ndarray, axis: int) -> np.ndarr
     return np.matmul(A, X.reshape(math.prod(X.shape[:axis]), X.shape[axis], -1)).reshape(shape)
 
 
-def _apply(pairs, X: np.ndarray) -> np.ndarray:
-    """The Kronecker product of the per-axis factor ``pairs`` (see :func:`_pair`)
-    applied to the trailing lattice axes of X: the last axis first, then the
-    others in order. Leading axes of X ride along in front."""
-    lead = X.ndim - len(pairs)
-    X = _along(*pairs[-1], X, X.ndim - 1)
-    for a, pair in enumerate(pairs[:-1], start=lead):
-        X = _along(*pair, X, a)
-    return X
-
-
-def _per_order(k: list, slot: list) -> list:
-    """Factor lists of the zeroth order (``k``) and of each slot i (``slot[i]`` on axis i)."""
-    return [k] + [[s if a == i else A for a, A in enumerate(k)] for i, s in enumerate(slot)]
-
-
 class _Lattice:
     """A control-point set, which must be the C-order product of its per-axis unique
     coordinates as ``control_lattice`` builds it (a single point is one node); a
@@ -257,7 +241,7 @@ class VelocityAssembler:
     against 4 x 3 = 12 for the orders one by one, and 2 against 4 on the
     full grid: synthesis's last, on axis 0, and the adjoint's first, on
     axis 2. A block of order 0 alone runs one Kronecker product in that
-    order, which in 2D is the order of :func:`_apply`.
+    order.
     """
 
     def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray, first_order: bool = True):
@@ -318,15 +302,19 @@ class KernelGrams:
     def __init__(self, spec: KernelSpec, points: np.ndarray, first_order: bool = True):
         self.lattice = _Lattice(points)
         offsets = [u[:, None] - u for u in self.lattice.axes]
-        self.ops = _per_order(
-            [_pair(kernels.eval_kernel_many(spec, o)) for o in offsets],
-            [_pair(kernels.eval_mixed_many(spec, o)) for o in offsets] if first_order else [],
-        )
+        self.k = [_pair(kernels.eval_kernel_many(spec, o)) for o in offsets]
+        self.mixed = [_pair(kernels.eval_mixed_many(spec, o)) for o in offsets] if first_order else []
 
     def _product(self, M: np.ndarray, o: int) -> np.ndarray:
-        """G_o M_o over every leading step and component of order o's slab at once."""
+        """G_o M_o over every leading step and component of order o's slab at once,
+        contracting the lattice axes last to first; slot o = a + 1 takes the mixed
+        factor on axis a."""
         lat = self.lattice
-        return lat.gather(_apply(self.ops[o], lat.scatter(M[..., o, :, :])))
+        X = lat.scatter(M[..., o, :, :])
+        lead = X.ndim - len(self.k)
+        for a in reversed(range(len(self.k))):
+            X = _along(*(self.mixed[a] if o == a + 1 else self.k[a]), X, lead + a)
+        return lat.gather(X)
 
     def energy(self, M: np.ndarray) -> float:
         """Sum of the per-order quadratic forms, order by order: each order's product
@@ -335,7 +323,7 @@ class KernelGrams:
         slot adds exactly 0.0, so a block without slots sums bit for bit like one
         with zero slots."""
         e = 0.0
-        for o in range(len(self.ops)):
+        for o in range(1 + len(self.mixed)):
             P = self._product(M, o)
             P *= M[..., o, :, :]
             e += np.sum(P)
@@ -347,6 +335,6 @@ class KernelGrams:
         ``out`` (a fresh block without). Each order's product is formed before its
         slab is written, so ``out`` may be M itself."""
         out = np.empty(M.shape) if out is None else out
-        for o in range(len(self.ops)):
+        for o in range(1 + len(self.mixed)):
             np.multiply(self._product(M, o), 2.0, out=out[..., o, :, :])
         return out

@@ -6,12 +6,16 @@ way a brute-force sum over points needs them. ``jacobian_fd`` is a
 per-point central-difference Jacobian of an interpolated map, and ``push``
 the forward map's Euler push on node-major arrays. ``block`` and
 ``unblock`` convert per-point m0 and m1 arrays to the operators'
-component-major momentum block and back.
+component-major momentum block and back. ``_per_order`` and ``_apply`` are
+the per-order reference for the lattice operators: each order's per-axis
+factors, applied as one Kronecker product at a time, the last lattice axis
+first and then the others in order.
 """
 import numpy as np
 
 from slidereg.geometry import DeformationMap, interp_values
 from slidereg.kernels import eval_kernel_many, eval_mixed_many, eval_partial_many
+from slidereg.momenta import _along
 
 
 def _term(spec, X, y, i=None, factor=None) -> np.ndarray:
@@ -81,3 +85,19 @@ def unblock(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = np.moveaxis(M, -1, -3)
     M = np.pad(M, [(0, 0)] * (M.ndim - 2) + [(0, M.shape[-1] + 1 - M.shape[-2]), (0, 0)])
     return M[..., 0, :], M[..., 1:, :]
+
+
+def _apply(pairs, X: np.ndarray) -> np.ndarray:
+    """The Kronecker product of the per-axis factor ``pairs`` (each a factor and
+    its contiguous transpose) applied to the trailing lattice axes of X: the last
+    axis first, then the others in order. Leading axes of X ride along in front."""
+    lead = X.ndim - len(pairs)
+    X = _along(*pairs[-1], X, X.ndim - 1)
+    for a, pair in enumerate(pairs[:-1], start=lead):
+        X = _along(*pair, X, a)
+    return X
+
+
+def _per_order(k: list, slot: list) -> list:
+    """Factor lists of the zeroth order (``k``) and of each slot i (``slot[i]`` on axis i)."""
+    return [k] + [[s if a == i else A for a, A in enumerate(k)] for i, s in enumerate(slot)]

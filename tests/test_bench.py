@@ -522,3 +522,37 @@ class TestRunExperiment:
         with pytest.raises(bench_mod.DivergenceError):
             run_experiment(doc)
         assert not (tmp_path / "doomed").exists()
+        assert list(tmp_path.iterdir()) == []  # nor the temporary directory the run was staged in
+
+    def test_failed_rerun_leaves_the_previous_run_untouched(self, tmp_path, monkeypatch):
+        # the rollback used to delete the first method's new directory and keep the
+        # rest: the old report then listed a run whose artifacts were gone
+        import slidereg.bench as bench_mod
+
+        doc = self.doc("toy", tmp_path, ["gaussian", "wendland_both"],
+                       generator={"kind": "rectangle", "size": 16, "shift": 2})
+        run_experiment(doc)
+        root = tmp_path / "toy"
+
+        def snapshot():
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        before = snapshot()
+        real = bench_mod.reg.optimize
+        calls = {"n": 0}
+
+        def explode(*a, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise bench_mod.DivergenceError("boom")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(bench_mod.reg, "optimize", explode)
+        with pytest.raises(bench_mod.DivergenceError):
+            run_experiment(dict(doc, config=dict(doc["config"], max_iters=2)))
+        assert snapshot() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy"]
+        monkeypatch.setattr(bench_mod.reg, "optimize", real)
+        run_experiment(dict(doc, methods=["gaussian"]))  # a successful run replaces the directory whole
+        assert sorted(p.name for p in root.iterdir()) == ["gaussian", "report.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy"]

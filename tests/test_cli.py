@@ -365,6 +365,14 @@ class TestRegister:
         assert err.startswith("error: Unable to allocate 7.45 TiB") and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        # the solve ran, then writing the artifacts ended in a FileExistsError traceback
+        (tmp_path / "result").write_text("keep\n")
+        code, err, out_dir = register_with(tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out_dir.read_text() == "keep\n"
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             [
@@ -472,6 +480,14 @@ class TestTre:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and named in err
+
+    def test_landmarks_that_are_a_directory_is_usage_error(self, tmp_path, capsys):
+        # reading them ended in an IsADirectoryError traceback
+        path = tmp_path / "lms.txt"
+        path.write_text("1 1\n5 5\n")
+        code, out, err = run(["tre", "--ref-lms", str(tmp_path), "--tpl-lms", str(path), "--spacing", "1,1"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("spacing", ["nan,1", "0,0", "inf,1"])
     def test_unusable_spacing_is_usage_error(self, tmp_path, capsys, spacing):

@@ -10,12 +10,10 @@ from slidereg.momenta import (
     VelocityAssembler,
     _Lattice,
     _along,
-    _apply,
-    _per_order,
     control_lattice,
 )
 
-from oracles import block, kernel_nd, mixed_nd, partial_nd
+from oracles import _apply, _per_order, block, kernel_nd, mixed_nd, partial_nd
 
 GRID = GridGeometry((24, 24), (1.0, 1.0), (0.0, 0.0))
 WEND = KernelSpec("wendland_c0_mult", 4.0, 9)
@@ -326,19 +324,30 @@ class TestVEnergy:
 
     @pytest.mark.parametrize("first_order", [True, False], ids=["both", "zeroth"])
     @pytest.mark.parametrize("steps", [(), (3,)], ids=["one-step", "steps"])
-    def test_matches_per_order_loop(self, first_order, steps, rng):
-        # energy and grad apply one order's Gram at a time, bit for bit like a loop
-        points = random_lattice(rng, (3, 4))
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2)], ids=["2d", "3d"])
+    def test_matches_per_order_loop(self, shape, first_order, steps, rng):
+        # energy and grad apply one order's Gram at a time, like a loop of _apply's
+        # Kronecker products: bit for bit in 2D, where both contract the last axis
+        # first and then the other, and to rounding in 3D, where _apply's axis
+        # order (2, 0, 1) is not the operator's (2, 1, 0)
+        points, d = random_lattice(rng, shape), len(shape)
         grams, lat = KernelGrams(WEND, points, first_order), _Lattice(points)
-        M = rng.standard_normal(steps + (3 if first_order else 1, 2, len(points)))
-        total, want = 0.0, np.empty(M.shape)
-        for o, ops in enumerate(grams.ops):
-            P = lat.gather(_apply(ops, lat.scatter(M[..., o, :, :])))
+        M = rng.standard_normal(steps + (d + 1 if first_order else 1, d, len(points)))
+        total, scale, want = 0.0, 0.0, np.empty(M.shape)
+        for o, pairs in enumerate(_per_order(grams.k, grams.mixed)):
+            P = lat.gather(_apply(pairs, lat.scatter(M[..., o, :, :])))
             total += np.sum(P * M[..., o, :, :])
+            scale += np.sum(np.abs(P * M[..., o, :, :]))
             want[..., o, :, :] = 2.0 * P
-        assert grams.energy(M) == total
-        np.testing.assert_array_equal(grams.grad(M), want)
-        np.testing.assert_array_equal(grams.grad(M, out=M), want)
+        if d == 2:
+            assert grams.energy(M) == total
+            np.testing.assert_array_equal(grams.grad(M), want)
+            np.testing.assert_array_equal(grams.grad(M, out=M), want)
+        else:
+            assert abs(grams.energy(M) - total) <= 1e-14 * scale
+            tol = 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(grams.grad(M) - want)) <= tol
+            assert np.max(np.abs(grams.grad(M, out=M) - want)) <= tol
 
     def test_last_axis_contraction_reads_a_strided_slab_in_place(self, rng):
         # an order's slab of a multi-step block is strided over the steps; a GEMM
@@ -353,11 +362,11 @@ class TestVEnergy:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            Y = _along(*grams.ops[1][-1], X, X.ndim - 1)
+            Y = _along(*grams.k[-1], X, X.ndim - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(Y, grams.lattice.scatter(M[:, 1].copy()) @ grams.ops[1][-1][1])
+        np.testing.assert_array_equal(Y, grams.lattice.scatter(M[:, 1].copy()) @ grams.k[-1][1])
         assert peak - entry <= Y.nbytes + 2_000
 
     @pytest.mark.parametrize("spec, grid, points", NON_LATTICE_CASES)

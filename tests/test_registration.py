@@ -1123,7 +1123,7 @@ class TestWorkspace:
         # the energy multiplies one order's product by M in place and sums it before
         # the next order's is formed. On this 16^3 engine (block 196,608 B, one
         # order's slab 49,152 B) the peak over entry reads one slab + 50,920 B, the
-        # two slabs of one _apply; a product block of all the slots read one slab
+        # two slabs of one order's Gram apply; a product block of all the slots read one slab
         # + 198,232 B (numpy 2.4).
         import tracemalloc
 
