@@ -412,7 +412,9 @@ def run_experiment(doc: dict) -> dict:
     unchanged to ``report.json`` in the experiment root, ``<out>/<name>``.
     The run is written into a temporary directory under ``out`` that replaces
     ``<out>/<name>`` once every method has succeeded; when any fails, the
-    temporary directory is removed and ``<out>/<name>`` is left untouched.
+    temporary directory is removed and ``<out>/<name>`` is left untouched. An
+    existing ``<out>/<name>`` that is not a directory raises NotADirectoryError
+    before anything is solved or written.
     """
     _check_keys(doc, "experiment", ("name", "out", "config"), ("methods", "generator", "dataset"))
     name, out = _string("experiment", doc, "name"), _string("experiment", doc, "out")
@@ -440,6 +442,9 @@ def run_experiment(doc: dict) -> dict:
         "tre_before_mm": tre(lms_r, lms_t, spacing) if lms_t is not None else None,
         "runs": {},
     }
+    out_root = os.path.join(out, name)
+    if os.path.lexists(out_root) and not os.path.isdir(out_root):
+        raise NotADirectoryError(f"{out_root} exists and is not a directory")
     os.makedirs(out, exist_ok=True)
     # staged under out, so both renames stay on its filesystem; the run goes into a
     # subdirectory, made with os.mkdir's permissions rather than mkdtemp's 0700
@@ -456,7 +461,6 @@ def run_experiment(doc: dict) -> dict:
                 run["transition_width_rows"] = transition_width(result.flow.final_inverse, 0, interface_row)
         with open(os.path.join(new, "report.json"), "w") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
-        out_root = os.path.join(out, name)
         if os.path.isdir(out_root):
             os.rename(out_root, os.path.join(stage, "old"))
         os.rename(new, out_root)

@@ -89,6 +89,8 @@ def _cmd_register(args) -> int:
         cfg = reg.config_from_dict(json.load(fh))
     template = fileio.read_image(args.template)
     reference = fileio.read_image(args.reference)
+    if os.path.lexists(args.out) and not os.path.isdir(args.out):
+        raise NotADirectoryError(f"--out {args.out} exists and is not a directory")
     result = reg.optimize(cfg, template, reference)
     summary = bench.write_registration_artifacts(args.out, result)
     inverse = result.flow.final_inverse

@@ -47,7 +47,8 @@ class _Transport:
     overwrite set 0, which ends as ``last``, step T - 1's stencil, and set 1
     holds the ``final`` sample of psi_T. ``adjoint`` only chooses how many
     maps a pass keeps. With it, psi_k has its own map for even k and for
-    k = T, and the odd psi_k share one (T // 2 + 2 maps for even T), which
+    k = T, and the odd psi_k share one (T // 2 + 2 maps for even T,
+    (T + 1) // 2 + 2 for odd T > 1 and two for T = 1), which
     :meth:`backward` gathers again, as it locates the step stencils again (checkpointing,
     Griewank & Walther, *Evaluating Derivatives*, ch. 12). A forward-only
     transport keeps three maps, psi_0 and two that later steps alternate
@@ -129,7 +130,9 @@ class _Transport:
         still holds the last odd map, T - 1 or T - 2, when its step comes;
         any earlier odd step k stages step k - 1's points in that slot,
         locates them in the set that does not hold step k's stencil and
-        gathers psi_{k-1} into that slot again, which gives psi_k back, and
+        gathers psi_{k-1} into that slot again, which gives psi_k back (the
+        synthesis, the lookup and the gather are deterministic, so every
+        stencil and map equals the forward's bit for bit), and
         step k - 1 then reuses that stencil. Every other step's points are
         staged in psi_{k+1}'s rows, free once step k + 1's adjoint is done,
         so psi_T's are never written. That makes T - 1 lookups and
@@ -183,7 +186,8 @@ def integrate(tm: TimeMomenta, spec: KernelSpec, grid: GridGeometry) -> FlowPath
     """Integrate the forward and inverse maps at time 1 from per-step momenta on a product lattice.
 
     Each map draws the velocities from its own generator, so one velocity
-    field is held at a time and each is synthesised twice."""
+    field is held at a time and each is synthesised twice. Control points
+    that do not form a product lattice raise ValueError."""
     asm = VelocityAssembler(spec, grid, tm.points)
     transport = _Transport(grid, tm.T, adjoint=False)
     transport.advect(asm.velocity(M) for M in tm.block)

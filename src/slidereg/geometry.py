@@ -7,8 +7,9 @@ numpy arrays are marked read-only), so instances are safe to share across
 threads. Containers that hold arrays compare and hash by identity, as an
 elementwise ``==`` has no single truth value. Containers hold node data node-major,
 ``dims + (c,)``; :class:`Stencil` takes rows, (d, m) points, (c, node_count) node data
-and (c, m) samples, and :func:`interp_values`, :func:`interp_with_point_grad` and
-:func:`splat_adjoint` convert between the two.
+and (c, m) samples, so the transport, its adjoint and the forward push hand rows from
+one call to the next with no reshape or transpose. :func:`interp_values`,
+:func:`interp_with_point_grad` and :func:`splat_adjoint` convert between the two.
 """
 from __future__ import annotations
 
@@ -211,7 +212,9 @@ def _locate(geom: GridGeometry, pts: np.ndarray, base, frac) -> None:
     Each axis is worked in its own rows with ``out=`` ufuncs: ``frac[a]`` holds
     the index coordinate of row ``pts[a]``, then its clamp to the node range,
     then the fraction; the axis's cell index, the one temporary, folds into
-    ``base * dims[a] + cell``.
+    ``base * dims[a] + cell``. No clamp mask is kept: only
+    :meth:`Stencil.point_grad_dot` needs one, and it works it out from
+    ``frac`` and ``base``.
     """
     for a in range(geom.ndim):
         u = frac[a]
@@ -252,11 +255,7 @@ class Stencil:
     match a per-corner loop bit for bit; point_grad_dot regroups its sums.
 
     A corner's weight is the left-to-right product over the axes of
-    ``1 - frac`` or ``frac`` by corner bit. Corners come in lexicographic bit
-    order, so the corners that share their first bits are consecutive and
-    share the product over those axes: it is formed once, as a prefix, and
-    a 3D call makes 4 + 8 = 12 multiplies instead of 8 x 2 = 16, each
-    rounding as the left-to-right product does. Each corner's node data is
+    ``1 - frac`` or ``frac`` by corner bit. Each corner's node data is
     taken into one reused buffer by ``np.take(..., out=, mode="wrap")``: the
     indices ``base + offset`` lie in range by construction, so wrapping
     never changes one; ``mode="raise"`` would stage ``out`` in a copy, and
@@ -275,20 +274,15 @@ class Stencil:
         self.corners = _corners(geom.dims)
 
     def _weights(self):
-        """Corner weights in ``corners`` order, as shared prefix products: row a - 1
-        of one (d - 1, m) block holds the product over axes 0..a of the current
-        corner, and only the rows from the first axis whose bit changed are
-        re-formed. Each weight is yielded in the block's last row, which the next
-        corner overwrites."""
-        fac, d = (1.0 - self.frac, self.frac), len(self.frac)
-        prefix = np.empty((d - 1, self.base.size))
-        for j, (corner, _) in enumerate(self.corners):
-            # corner j first differs from corner j - 1 on the axis of j's lowest set bit
-            changed = d - (j & -j).bit_length() if j else 0
-            for a in range(max(changed, 1), d):
-                left = prefix[a - 2] if a > 1 else fac[corner[0]][0]
-                np.multiply(left, fac[corner[a]][a], out=prefix[a - 1])
-            yield prefix[-1]
+        """Corner weights in ``corners`` order, each the left-to-right product over
+        the axes, formed in one (m,) buffer that the next corner overwrites."""
+        fac = (1.0 - self.frac, self.frac)
+        w = np.empty(self.base.size)
+        for c, _ in self.corners:
+            np.multiply(fac[c[0]][0], fac[c[1]][1], out=w)
+            for a in range(2, len(c)):
+                w *= fac[c[a]][a]
+            yield w
 
     def _take(self, rows: np.ndarray, off: int, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rows of the corner at flat offset ``off`` into ``out``, through the index buffer ``idx``."""
@@ -374,7 +368,8 @@ class Stencil:
 
 
 def _node_rows(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    """Node data of shape ``dims`` or ``dims + (c,)`` as contiguous (c, node_count) rows."""
+    """Node data of shape ``dims`` or ``dims + (c,)`` as contiguous (c, node_count) rows,
+    copied once, since ``np.take`` would copy strided rows for every corner."""
     return np.ascontiguousarray(np.reshape(values, (geom.node_count, -1)).T)
 
 

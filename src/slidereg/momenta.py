@@ -241,7 +241,14 @@ class VelocityAssembler:
     against 4 x 3 = 12 for the orders one by one, and 2 against 4 on the
     full grid: synthesis's last, on axis 0, and the adjoint's first, on
     axis 2. A block of order 0 alone runs one Kronecker product in that
-    order.
+    order. First-order synthesis equals the sum of the per-order Kronecker
+    products to rounding.
+
+    The mask cuts the Gaussian, whose factor is nowhere zero: at scale 4,
+    window 9 and unit spacing it is still e^-1 (about 0.37) on the last
+    node inside the window, so a Gaussian velocity jumps there.
+    :class:`KernelGrams` uses the untruncated factor, so the Gaussian
+    regulariser is not the norm of the field synthesized here.
     """
 
     def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray, first_order: bool = True):
@@ -292,7 +299,9 @@ class KernelGrams:
     Each is a Kronecker product of untruncated n_a x n_a axis factors on
     the points' lattice (slot i swaps in the mixed factor on axis i) and
     is never formed. The energy has no cross-order blocks: it is the sum
-    of the per-order quadratic forms. Momenta come as a block
+    of the per-order quadratic forms, with no m0-m1 or cross-slot terms,
+    so it is not the squared kernel norm of the synthesized field, not
+    even for the Gaussian. Momenta come as a block
     (..., orders, d, n) with any leading step axes; with
     ``first_order=False`` the block holds order 0 alone and only G0 runs.
     Each :meth:`energy` or :meth:`grad` call applies each order's Gram once,

@@ -238,7 +238,9 @@ class _Engine:
         :meth:`~flow._Transport.backward` re-synthesises v_k from M[k] for each
         step it locates again (all but step T - 1, whose stencil the pass left),
         so M must be intact until the loop ends; the transport keeps psi_T but
-        releases its final-sample stencil. A forward-only engine raises RuntimeError."""
+        releases its final-sample stencil. A forward-only engine, a fresh one, one
+        whose last forward raised and a second backward after one forward raise
+        RuntimeError."""
         if not self.transport.adjoint:
             raise RuntimeError("backward needs an engine built with adjoint=True; this one is forward-only")
         if out is not None and np.shares_memory(out, M):
@@ -265,7 +267,8 @@ class _Engine:
 
 def _engine_for(cfg: RegistrationConfig, tm: TimeMomenta, I0: ScalarImage, I1: ScalarImage, adjoint: bool):
     """The config's engine for the images, and the state, checked against it, as its momentum block:
-    the orders of ``tm.block`` the engine uses, read in place."""
+    the orders of ``tm.block`` the engine uses, read in place. The engine never writes it, and
+    the block's read-only flag makes a stray write raise."""
     eng = _Engine(cfg, I0, I1, adjoint)
     if tm.T != cfg.T or not np.array_equal(tm.points, eng.points):
         raise ValueError(f"momenta must have the config's T={cfg.T} and lie on its control lattice of control_stride="
@@ -312,7 +315,12 @@ def _descend(eng: _Engine, M):
     search three (M, G and the candidate). A caller that keeps a reference
     to the start block keeps one block more: once vacated, that block
     becomes the second gradient's and would otherwise be freed after that
-    search."""
+    search. A candidate whose momenta are not finite is rejected before it
+    is synthesized; one whose transport raises DivergenceError, or whose
+    total is not finite (huge momenta can overflow the regularizer or the
+    prior, which are evaluated without warnings), is rejected like one that
+    fails the Armijo rule. A stalled search runs one more pass at the final
+    block."""
     cfg = eng.cfg
     parts = eng.forward(M)
     if not np.isfinite(parts.total):
@@ -404,7 +412,10 @@ def optimize(cfg: RegistrationConfig, I0: ScalarImage, I1: ScalarImage) -> Regis
     the sparsity smoothing (``_SPARSITY_EPS``) are constants, not
     settings. With ``cfg.pyramid`` a half-resolution solve (box-downsampled
     images, half the iterations) warm-starts the full-resolution descent;
-    the reported trace is the fine-level one.
+    the reported trace is the fine-level one. The result's inverse map is a
+    copy of the last pass's psi_T, and the template is warped through that
+    copy; the forward map is an Euler push through the final velocities.
+    The transport is dropped first, so no result array shares its memory.
     """
     eng = _Engine(cfg, I0, I1)
     # the start block is handed over, not named here, so the descent can free it once spent

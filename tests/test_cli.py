@@ -42,6 +42,16 @@ def register_with(tmp_path, capsys, config=None, **settings):
     return code, err, out_dir
 
 
+def forbid_solve(monkeypatch):
+    """Make any call of ``registration.optimize`` fail the test."""
+    from slidereg import registration
+
+    def no_solve(*args):
+        raise AssertionError("optimize ran although the output location cannot be written")
+
+    monkeypatch.setattr(registration, "optimize", no_solve)
+
+
 SUMMARY_KEYS = ["iterations", "converged", "stop_reason", "forward_passes", "ssd_initial", "ssd_final",
                 "total_initial", "total_final", "magnitude_scale", "jacobian_min", "fold_count"]
 
@@ -365,12 +375,13 @@ class TestRegister:
         assert err.startswith("error: Unable to allocate 7.45 TiB") and "Traceback" not in err
         assert not out_dir.exists()
 
-    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
-        # the solve ran, then writing the artifacts ended in a FileExistsError traceback
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the whole solve used to run before writing the artifacts failed
+        forbid_solve(monkeypatch)
         (tmp_path / "result").write_text("keep\n")
         code, err, out_dir = register_with(tmp_path, capsys)
         assert code == 1
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error: --out") and "not a directory" in err and "Traceback" not in err
         assert out_dir.read_text() == "keep\n"
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
@@ -568,6 +579,16 @@ class TestRun:
             assert entry["jacobian_min"] == 1.0 and entry["fold_count"] == 0
             # the landmarks used to sit on rows -3 and 7, and the map's clamping gave a tre_mm of 3.5
             assert entry["tre_mm"] == report["tre_before_mm"] == 0.0
+
+    def test_experiment_root_that_is_a_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # every method used to be solved before the final rename failed
+        forbid_solve(monkeypatch)
+        (tmp_path / "exp").mkdir()
+        (tmp_path / "exp" / "mini").write_text("keep\n")
+        code, out, err, root = self.experiment(tmp_path, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not a directory" in err and "Traceback" not in err
+        assert root.read_text() == "keep\n" and sorted(os.listdir(tmp_path / "exp")) == ["mini"]
 
     def test_dataset_of_different_geometry_is_usage_error(self, tmp_path, capsys, write_raw16):
         # the pair used to be solved in the template's geometry
