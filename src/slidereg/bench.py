@@ -498,11 +498,11 @@ def demo_momentum(kind: str, out_dir: str | None = None) -> DemoResult:
     m0 = np.zeros((1, d))
     m1 = np.zeros((1, d, d))
     if kind == "fig1a":
-        spec = KernelSpec("gaussian", scale, 9)
+        spec = KernelSpec("gaussian", scale)
         m0[0] = (0.0, 3.0)
     else:
         family = "gaussian" if kind == "fig1b" else "wendland_c0_mult"
-        spec = KernelSpec(family, scale, 9)
+        spec = KernelSpec(family, scale)
         m1[0, 0] = (0.0, 6.0)  # derivative slot: rows; vector: along columns
     ms = MomentumSet(center[None, :], m0, m1)
     tm = TimeMomenta(tuple(ms for _ in range(10)))

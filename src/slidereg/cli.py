@@ -62,21 +62,16 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    if args.scene == "rectangle":
+    rect = args.scene == "rectangle"
+    if rect:
         pair = bench.gen_rectangle(args.size, args.shift, not args.no_antialias)
-        np.savetxt(
-            os.path.join(args.out, "landmarks_template.txt"),
-            pair.landmarks_template.points + 1.0,
-            fmt="%.1f",
-        )
-        np.savetxt(
-            os.path.join(args.out, "landmarks_reference.txt"),
-            pair.landmarks_reference.points + 1.0,
-            fmt="%.1f",
-        )
     else:
         pair = bench.gen_wheel(args.size, args.angle, not args.no_antialias)
+    os.makedirs(args.out, exist_ok=True)  # only once the arguments made a pair
+    if rect:
+        for name, lms in (("landmarks_template.txt", pair.landmarks_template),
+                          ("landmarks_reference.txt", pair.landmarks_reference)):
+            np.savetxt(os.path.join(args.out, name), lms.points + 1.0, fmt="%.1f")
     for name, img in (("template.pgm", pair.template), ("reference.pgm", pair.reference)):
         fileio.write_pgm(os.path.join(args.out, name), ScalarImage(img.geometry, np.rint(img.values)))
     np.save(os.path.join(args.out, "true_map.npy"), pair.true_map.targets)

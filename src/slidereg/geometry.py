@@ -247,6 +247,10 @@ class Stencil:
     whose methods take and return rows: (c, node_count) node data, (c, m)
     samples and their adjoints, and (d, m) point derivatives.
 
+    The points must be finite, unchecked here (a NaN casts to an index that
+    ``np.take`` never returns from); the interpolation functions check theirs,
+    the transport and forward push the velocities and maps that move them.
+
     Locates the points once and keeps the flat index of each point's lowest
     cell corner (``base``) and its in-cell fractions (``frac``, (d, m)); the
     gather, its contracted point derivative and its transpose (the splat)
@@ -374,8 +378,13 @@ def _node_rows(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
 
 
 def _located(geom: GridGeometry, pts):
-    """The leading shape of the points ``pts`` (..., d) and their stencil, located through a (d, m) row view."""
+    """The leading shape of the points ``pts`` (..., d) and their stencil, located through a (d, m) row view.
+    Points of another last axis, or with a non-finite coordinate, raise ValueError."""
     pts = np.asarray(pts, float)
+    if pts.shape[-1:] != (geom.ndim,):
+        raise ValueError(f"points must have shape (..., {geom.ndim}), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     return pts.shape[:-1], Stencil(geom, pts.reshape(-1, geom.ndim).T)
 
 

@@ -4,8 +4,8 @@ Both families are products over axes of one 1D factor of the axis offset
 t = x - y between a point x and a control point y:
 
 * ``gaussian``: exp(-t^2 / scale^2), so K(x, y) = exp(-|x - y|^2 / scale^2),
-  smooth and globally supported (synthesis truncates it to the window
-  footprint).
+  smooth and globally supported; synthesis cuts each factor at |t| = scale,
+  where it is still e^-1, while the regulariser's Gram uses it untruncated.
 * ``wendland_c0_mult``: the C0 factor ((1 - |t|/scale) clipped at 0)^2.
   Compactly supported: exactly zero once |t| reaches ``scale``. Not
   differentiable at t = 0, so the kernel has a kink on the axis-aligned
@@ -23,11 +23,11 @@ kink the first derivative takes the symmetric-subgradient value 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .geometry import GridGeometry, _count, _real
+from .geometry import GridGeometry, _real
 
 __all__ = [
     "KernelSpec",
@@ -42,30 +42,25 @@ FAMILIES = ("gaussian", "wendland_c0_mult")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family, finite positive physical scale (stored as a float), and odd
-    discrete window size (an integer count)."""
+    """Kernel family and finite positive physical scale (stored as a float). The
+    scale alone sets where a momentum acts: |t| < scale for the Wendland
+    factor, |t| <= scale for the cut Gaussian."""
 
     family: str
     scale: float
-    window: int = 9
+    window: InitVar[int | None] = None  # ignored; the benchmark's workloads still pass a third positional argument
 
-    def __post_init__(self):
+    def __post_init__(self, window):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         object.__setattr__(self, "scale", _real("scale", self.scale))
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
-        object.__setattr__(self, "window", _count("window", self.window))
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 3, got {self.window}")
 
 
 def default_scale(grid: GridGeometry) -> float:
-    """Default physical scale: 4 x the finest grid spacing.
-
-    With the default 9-node window the compact support then just fills the
-    discrete footprint.
-    """
+    """Default physical scale: 4 x the finest grid spacing, so a momentum acts on
+    at most 4 nodes on each side along the finest axis."""
     return 4.0 * min(grid.spacing)
 
 

@@ -6,10 +6,12 @@ is
 
     v(x) = sum_j [ K(x, x_j) m0_j + sum_i dK/dy_i(x, x_j) m1_{j,i} ],
 
-accumulated only over the discrete kernel footprint of each control point.
-Zeroth-order terms translate locally; first-order terms shear, and on the
-non-differentiable wendland kernel they produce velocity jumps across the
-axis hyperplanes through the control point (sliding).
+accumulated only where every axis offset |x_a - x_{j,a}| is at most the
+kernel scale: the Wendland support, and a cut of the Gaussian where it is
+still e^-1 (the Gram uses the untruncated factor). Zeroth-order terms
+translate locally; first-order terms shear, and on the non-differentiable
+wendland kernel they produce velocity jumps across the axis hyperplanes
+through the control point (sliding).
 
 Both kernel families are products of 1D factors and a slot-i derivative
 changes only the axis-i factor, so synthesis, its adjoint and the Gram
@@ -223,9 +225,8 @@ class VelocityAssembler:
     """Separable synthesis operator from momenta to node velocities.
 
     Per axis a, an N_a x n_a matrix holds the 1D kernel factor between the
-    grid and lattice coordinates, masked to the discrete footprint: the
-    window of nodes around the node nearest each control coordinate,
-    clipped to the grid. Zeroth-order synthesis is the Kronecker product
+    grid and lattice coordinates, cut to zero where the physical offset
+    exceeds the kernel scale. Zeroth-order synthesis is the Kronecker product
     of these; slot i swaps in the partial factor on axis i. The adjoint
     uses the transposes. Momenta come as a block (orders, d, n), order 0
     first, then the slots; with ``first_order=False`` the block holds
@@ -244,11 +245,11 @@ class VelocityAssembler:
     order. First-order synthesis equals the sum of the per-order Kronecker
     products to rounding.
 
-    The mask cuts the Gaussian, whose factor is nowhere zero: at scale 4,
-    window 9 and unit spacing it is still e^-1 (about 0.37) on the last
-    node inside the window, so a Gaussian velocity jumps there.
-    :class:`KernelGrams` uses the untruncated factor, so the Gaussian
-    regulariser is not the norm of the field synthesized here.
+    The cut is the Wendland factor's exact support, but it truncates the
+    Gaussian, whose factor is still e^-1 (about 0.37) at |t| = scale, so a
+    Gaussian velocity jumps there. :class:`KernelGrams` uses the untruncated
+    factor, so the Gaussian regulariser is not the norm of the field
+    synthesized here.
     """
 
     def __init__(self, spec: KernelSpec, grid: GridGeometry, points: np.ndarray, first_order: bool = True):
@@ -260,10 +261,8 @@ class VelocityAssembler:
         self.lattice = _Lattice(self.points)
         k, dk = [], []
         for a, u in enumerate(self.lattice.axes):
-            nodes = np.arange(grid.dims[a])
-            near = np.clip(np.rint((u - grid.origin[a]) / grid.spacing[a]), 0, grid.dims[a] - 1)
-            mask = np.abs(nodes[:, None] - near) <= spec.window // 2
-            offsets = (grid.origin[a] + grid.spacing[a] * nodes)[:, None] - u
+            offsets = (grid.origin[a] + grid.spacing[a] * np.arange(grid.dims[a]))[:, None] - u
+            mask = np.abs(offsets) <= spec.scale
             k.append(_pair(mask * kernels.eval_kernel_many(spec, offsets)))
             if first_order:
                 dk.append(_pair(mask * kernels.eval_partial_many(spec, offsets)))

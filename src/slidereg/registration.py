@@ -452,5 +452,5 @@ def config_from_dict(data: dict) -> RegistrationConfig:
     kspec = data["kernel"]
     if not isinstance(kspec, dict):
         raise ValueError(f"config key 'kernel' must be a JSON object, got {type(kspec).__name__}")
-    _check_keys(kspec, "kernel", ("family", "scale"), ("window",))
+    _check_keys(kspec, "kernel", ("family", "scale"), ())
     return RegistrationConfig(**{**data, "kernel": KernelSpec(**kspec)})

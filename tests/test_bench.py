@@ -397,7 +397,7 @@ class TestRunExperiment:
     def doc(name, out, methods, T=2, max_iters=3, **source):
         """An experiment document over a small gaussian config with ``T`` steps and
         ``max_iters`` iterations, its source given as ``generator=`` or ``dataset=``."""
-        config = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": T, "max_iters": max_iters,
+        config = {"kernel": {"family": "gaussian", "scale": 4.0}, "T": T, "max_iters": max_iters,
                   "control_stride": 4}
         return {"name": name, "out": str(out), "methods": methods, "config": config, **source}
 

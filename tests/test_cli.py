@@ -29,7 +29,7 @@ def register_with(tmp_path, capsys, config=None, **settings):
     data = tmp_path / "data"
     assert run(["synth", "rectangle", "--size", "16", "--shift", "2", "--out", str(data)], capsys)[0] == 0
     if config is None:
-        config = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+        config = {"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 3,
                   "control_stride": 4, **settings}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -66,7 +66,7 @@ def register_raw16(tmp_path, capsys, write_raw16, **sidecar):
     meta = json.loads((tmp_path / "tpl.json").read_text())
     (tmp_path / "tpl.json").write_text(json.dumps({**meta, **sidecar}))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2,
+    cfg_path.write_text(json.dumps({"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2,
                                     "max_iters": 3, "control_stride": 4}))
     out_dir = tmp_path / "result"
     code, out, err = run(
@@ -99,6 +99,17 @@ class TestSynth:
         assert code == 0
         assert (tmp_path / "template.pgm").exists()
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [(["rectangle", "--size", "3"], "shift 5 must lie in [0, size/4)"), (["wheel", "--angle", "50"], "angle")],
+        ids=["rectangle_too_small", "wheel_angle"],
+    )
+    def test_refused_synth_leaves_no_out(self, tmp_path, capsys, args, named):
+        # --out used to be created before the generator checked its arguments
+        code, _, err = run(["synth", *args, "--out", str(tmp_path / "d")], capsys)
+        assert code == 1 and err.startswith("error:") and named in err
+        assert not (tmp_path / "d").exists()
+
     def test_bad_scene_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "hexagon", "--out", str(tmp_path)])
@@ -127,7 +138,7 @@ class TestRegister:
         )
         assert code == 0
         cfg = {
-            "kernel": {"family": "wendland_c0_mult", "scale": 4.0, "window": 9},
+            "kernel": {"family": "wendland_c0_mult", "scale": 4.0},
             "orders": "zeroth_and_first",
             "T": 3,
             "max_iters": 8,
@@ -161,7 +172,7 @@ class TestRegister:
         pair = gen_rectangle(24, 2)
         tpl = write_raw16(tmp_path / "tpl", np.rint(pair.template.values), (1.5, 1.0))
         ref = write_raw16(tmp_path / "ref", np.rint(pair.reference.values), (1.5, 1.0))
-        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+        cfg = {"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 3,
                "control_stride": 4}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -184,7 +195,7 @@ class TestRegister:
         inside = (np.abs(y - 7.5) < 4) & (np.abs(x - 7.5) < 4)
         tpl = write_raw16(tmp_path / "tpl", np.where(inside, 200, 20), (2.0, 1.0, 1.0))
         ref = write_raw16(tmp_path / "ref", np.where(np.roll(inside, 1, axis=2), 200, 20), (2.0, 1.0, 1.0))
-        cfg = {"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}, "T": 2, "max_iters": 3,
+        cfg = {"kernel": {"family": "gaussian", "scale": 4.0}, "T": 2, "max_iters": 3,
                "control_stride": 4}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -288,12 +299,12 @@ class TestRegister:
     @pytest.mark.parametrize(
         "settings, named",
         [({"lambda0": float("nan")}, "weights"), ({"reg_weight": float("inf")}, "weights"),
-         ({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9.7}}, "window")],
-        ids=["nan_lambda0", "inf_reg_weight", "fractional_window"],
+         ({"kernel": {"family": "gaussian", "scale": 4.0, "window": 9}}, "unknown kernel keys: ['window']")],
+        ids=["nan_lambda0", "inf_reg_weight", "window"],
     )
     def test_invalid_weight_or_window_is_usage_error(self, tmp_path, capsys, settings, named):
         # a NaN weight used to pass validation and exit 2 as a numerical
-        # failure, and a 9.7 window used to act as 9
+        # failure; the kernel scale alone sets the footprint, so a window is refused
         code, err, out_dir = register_with(tmp_path, capsys, **settings)
         assert code == 1
         assert err.startswith("error:") and named in err
@@ -522,7 +533,7 @@ class TestRun:
             "methods": ["gaussian"],
             "generator": {"kind": "rectangle", "size": 32, "shift": 2},
             "config": {
-                "kernel": {"family": "gaussian", "scale": 4.0, "window": 9},
+                "kernel": {"family": "gaussian", "scale": 4.0},
                 "T": 3,
                 "max_iters": 6,
                 "control_stride": 4,
@@ -679,13 +690,13 @@ EXPERIMENT_SETTINGS = {
     "rectangle": (
         {"name": "rectangle", "out": "results", "methods": ["gaussian", "wendland_zeroth", "wendland_both"],
          "generator": {"kind": "rectangle", "size": 64, "shift": 5}},
-        RegistrationConfig(kernel=KernelSpec("wendland_c0_mult", 4.0, 9), T=10, lambda0=0.05, lambda1=0.05,
+        RegistrationConfig(kernel=KernelSpec("wendland_c0_mult", 4.0), T=10, lambda0=0.05, lambda1=0.05,
                            reg_weight=0.2, max_iters=120, stop_rel_tol=1e-6, control_stride=2),
     ),
     "wheel": (
         {"name": "wheel", "out": "results", "methods": ["gaussian", "wendland_both"],
          "generator": {"kind": "wheel", "size": 64, "angle_deg": 5.0, "antialias": False}},
-        RegistrationConfig(kernel=KernelSpec("wendland_c0_mult", 4.0, 9), T=10, lambda0=0.005, lambda1=0.005,
+        RegistrationConfig(kernel=KernelSpec("wendland_c0_mult", 4.0), T=10, lambda0=0.005, lambda1=0.005,
                            reg_weight=0.02, max_iters=300, stop_rel_tol=1e-7, control_stride=2),
     ),
 }

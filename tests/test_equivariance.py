@@ -22,7 +22,7 @@ def config(method):
     """The rectangle script's weights for ``method``, 3 iterations."""
     family, orders = METHODS[method]
     return RegistrationConfig(
-        KernelSpec(family, 4.0, 9), orders, T=10, lambda0=0.05, lambda1=0.05, reg_weight=0.2,
+        KernelSpec(family, 4.0), orders, T=10, lambda0=0.05, lambda1=0.05, reg_weight=0.2,
         max_iters=3, control_stride=2,
     )
 

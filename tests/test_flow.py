@@ -14,7 +14,7 @@ from slidereg.momenta import MomentumSet, TimeMomenta, VelocityAssembler, contro
 from oracles import block, jacobian_fd, push
 
 GRID = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
-GAUSS = KernelSpec("gaussian", 4.0, 9)
+GAUSS = KernelSpec("gaussian", 4.0)
 
 
 def constant_momenta(ms, T):
@@ -44,7 +44,7 @@ class TestIntegrate:
         pts = GRID.node_positions().reshape(-1, 2)
         # solve for momenta giving exactly v=c at nodes: with wendland scale
         # below the node spacing the Gram is the identity
-        spec = KernelSpec("wendland_c0_mult", 0.9, 9)
+        spec = KernelSpec("wendland_c0_mult", 0.9)
         m0 = np.tile(c, (pts.shape[0], 1))
         ms = MomentumSet(pts, m0, np.zeros((pts.shape[0], 2, 2)))
         fp = integrate(constant_momenta(ms, 4), spec, GRID)
@@ -95,7 +95,7 @@ class TestIntegrate:
             MomentumSet(pts, 0.3 * rng.standard_normal((n, 3)), 0.3 * rng.standard_normal((n, 3, 3)))
             for _ in range(10)
         ))
-        spec = KernelSpec("wendland_c0_mult", 4.0, 9)
+        spec = KernelSpec("wendland_c0_mult", 4.0)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]

@@ -176,6 +176,31 @@ class TestInterpInternals:
         assert np.dot(gathered, adj) == pytest.approx(np.sum(vals * splatted), rel=1e-12)
 
 
+class TestRefusedPoints:
+    """The interpolation functions refuse points a stencil cannot locate."""
+
+    GEOM = GridGeometry((4, 4), (1.0, 1.0), (0.0, 0.0))
+    ADAPTERS = {
+        "interp_values": lambda g, p: interp_values(np.zeros(g.dims), g, p),
+        "interp_with_point_grad": lambda g, p: interp_with_point_grad(np.zeros(g.dims), g, p),
+        "splat_adjoint": lambda g, p: splat_adjoint(g.dims, g, p, np.ones(len(p))),
+    }
+
+    @pytest.mark.parametrize("adapter", ADAPTERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_non_finite_point(self, adapter, bad):
+        # a NaN on the last axis used to hang in np.take on the index it casts to
+        for pts in ([[bad, 1.0]], [[1.0, 1.0], [1.0, bad]]):
+            with pytest.raises(ValueError, match="points must be finite"):
+                self.ADAPTERS[adapter](self.GEOM, np.array(pts))
+
+    @pytest.mark.parametrize("adapter", ADAPTERS)
+    def test_wrong_point_dimension(self, adapter):
+        # it used to fail later in a bare reshape
+        with pytest.raises(ValueError, match=r"points must have shape \(\.\.\., 2\), got \(2, 3\)"):
+            self.ADAPTERS[adapter](self.GEOM, np.ones((2, 3)))
+
+
 def _oracle(values, geom, pts, adj):
     """Per-point, per-corner scalar loops: gather, point gradient and splat.
 

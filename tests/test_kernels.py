@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -7,18 +8,19 @@ from hypothesis import strategies as st
 
 from slidereg.geometry import GridGeometry
 from slidereg.kernels import (
+    FAMILIES,
     KernelSpec,
     default_scale,
     eval_kernel_many,
     eval_mixed_many,
     eval_partial_many,
 )
-from slidereg.momenta import MomentumSet, VelocityAssembler
+from slidereg.momenta import MomentumSet, VelocityAssembler, control_lattice
 
 from oracles import block, kernel_nd, mixed_nd, partial_nd
 
-GAUSS = KernelSpec("gaussian", 1.3, 9)
-WEND = KernelSpec("wendland_c0_mult", 1.3, 9)
+GAUSS = KernelSpec("gaussian", 1.3)
+WEND = KernelSpec("wendland_c0_mult", 1.3)
 
 
 def at_pair(fn, *args):
@@ -66,25 +68,24 @@ def sample_pairs(spec, rng, count, dim=2):
 class TestSpec:
     def test_bad_family(self):
         with pytest.raises(ValueError):
-            KernelSpec("triangles", 1.0, 9)
+            KernelSpec("triangles", 1.0)
 
-    def test_even_window(self):
-        with pytest.raises(ValueError):
-            KernelSpec("gaussian", 1.0, 8)
-
-    @pytest.mark.parametrize("window", [9.7, True, "9", float("nan")], ids=repr)
-    def test_window_must_be_an_integer(self, window):
-        # a fractional window used to act as its floor
-        with pytest.raises(ValueError, match="window must be an integer"):
-            KernelSpec("gaussian", 1.0, window)
-
-    def test_integral_float_window_becomes_int(self):
-        spec = KernelSpec("gaussian", 1.0, 9.0)
-        assert spec.window == 9 and type(spec.window) is int
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_third_argument_is_ignored(self, family, rng):
+        # the scale alone sets the footprint; a node-count window used to cut it
+        assert [f.name for f in dataclasses.fields(KernelSpec)] == ["family", "scale"]
+        grid = GridGeometry((12, 10), (1.0, 1.0), (0.0, 0.0))
+        pts = control_lattice(grid, 3)
+        M = rng.standard_normal((3, 2, len(pts)))
+        specs = [KernelSpec(family, 2.5, w) for w in (None, 3, 9, 17)]
+        want = VelocityAssembler(specs[0], grid, pts).velocity(M)
+        for spec in specs[1:]:
+            assert spec == specs[0] and hash(spec) == hash(specs[0]) and repr(spec) == repr(specs[0])
+            np.testing.assert_array_equal(VelocityAssembler(spec, grid, pts).velocity(M), want)
 
     def test_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            KernelSpec("gaussian", 0.0, 9)
+            KernelSpec("gaussian", 0.0)
 
     def test_default_scale(self):
         grid = GridGeometry((10, 10), (0.5, 2.0), (0.0, 0.0))
@@ -102,7 +103,7 @@ class TestEval:
         assert kernel_at(WEND, [0.0, 0.0], [WEND.scale, 0.2]) == 0.0
 
     def test_wendland_half_offsets(self):
-        w = KernelSpec("wendland_c0_mult", 1.0, 9)
+        w = KernelSpec("wendland_c0_mult", 1.0)
         got = kernel_at(w, [0.0, 0.0], [0.5, 0.5])
         assert got == pytest.approx(0.0625)
 
@@ -134,7 +135,7 @@ class TestPartial:
         assert partial_at(GAUSS, 0, [0.4, 0.2], [0.4, 0.2]) == 0.0
 
     def test_wendland_1d_half_scale(self):
-        w = KernelSpec("wendland_c0_mult", 2.0, 9)
+        w = KernelSpec("wendland_c0_mult", 2.0)
         # x=0, y=scale/2: derivative of the squared hat gives -1/scale
         got = fd_partial(w, 0, np.array([0.0]), np.array([1.0]), 1e-6 * w.scale)
         assert partial_at(w, 0, [0.0], [1.0]) == pytest.approx(-1.0 / w.scale)
@@ -165,11 +166,11 @@ class TestPartial:
 
 class TestMixed:
     def test_gaussian_diagonal(self):
-        g = KernelSpec("gaussian", 1.0, 9)
+        g = KernelSpec("gaussian", 1.0)
         assert mixed_at(g, 0, [0.3], [0.3]) == pytest.approx(2.0)
 
     def test_wendland_diagonal_limit(self):
-        w = KernelSpec("wendland_c0_mult", 2.0, 9)
+        w = KernelSpec("wendland_c0_mult", 2.0)
         assert mixed_at(w, 0, [0.5], [0.5]) == pytest.approx(2.0 / w.scale**2)
 
     @pytest.mark.parametrize("spec", [GAUSS, WEND])
@@ -211,7 +212,7 @@ class TestProductionCallShape:
     make: a whole matrix of 1D offsets at once."""
 
     OFFSETS = np.arange(-8.0, 9.0)[:, None] - np.arange(-2.0, 3.0)  # lattice step 1, |r| up to 10
-    SPEC = KernelSpec("wendland_c0_mult", 4.0, 9)
+    SPEC = KernelSpec("wendland_c0_mult", 4.0)
 
     def factors(self, spec):
         return (
@@ -264,32 +265,42 @@ class TestSupportNodes:
 
     def test_interior_window_at_most_81(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
-        spec = KernelSpec("gaussian", 4.0, 9)
+        spec = KernelSpec("gaussian", 4.0)
         nodes = footprint(spec, [16.0, 16.0], grid)
         assert len(nodes) == 81
         assert np.all(np.abs(nodes - 16) <= 4)
 
     def test_corner_clipped(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
-        spec = KernelSpec("gaussian", 4.0, 9)
+        spec = KernelSpec("gaussian", 4.0)
         nodes = footprint(spec, [0.0, 0.0], grid)
-        assert len(nodes) == 25  # 5 x 5 quarter window
+        assert len(nodes) == 25  # 5 x 5: the quarter within one scale
         assert nodes.min() == 0 and nodes.max() == 4
 
     def test_tiny_wendland_support_keeps_center_only(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
-        spec = KernelSpec("wendland_c0_mult", 0.9, 9)
+        spec = KernelSpec("wendland_c0_mult", 0.9)
         nodes = footprint(spec, [16.0, 16.0], grid)
         assert nodes.shape == (1, 2)
         np.testing.assert_array_equal(nodes[0], [16, 16])
 
     def test_wendland_filtered_by_exact_support(self):
         grid = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
-        spec = KernelSpec("wendland_c0_mult", 3.0, 9)
+        spec = KernelSpec("wendland_c0_mult", 3.0)
         nodes = footprint(spec, [16.0, 16.0], grid)
         assert len(nodes) == 25  # offsets -2..2 per axis survive |dx| < 3
         pos = grid.to_physical(nodes)
         assert np.all(np.abs(pos - [16.0, 16.0]) < spec.scale)
+
+    def test_gaussian_cut_at_one_scale_on_every_axis(self):
+        # physical offsets, not node counts: |t_0| <= 2.5 holds on 10 nodes at spacing 0.5
+        # and |t_1| <= 2.5 on 4 at spacing 1.25, around a center off the nodes
+        grid = GridGeometry((24, 16), (0.5, 1.25), (-1.0, 2.0))
+        spec, center = KernelSpec("gaussian", 2.5), np.array([4.3, 10.9])
+        nodes = footprint(spec, center, grid)
+        assert len(nodes) == 40
+        inside = np.all(np.abs(grid.node_positions() - center) <= spec.scale, axis=-1)
+        np.testing.assert_array_equal(nodes, np.argwhere(inside))
 
     def test_center_outside_domain_rejected(self):
         grid = GridGeometry((8, 8), (1.0, 1.0), (0.0, 0.0))

@@ -16,14 +16,14 @@ from slidereg.momenta import (
 from oracles import _apply, _per_order, block, kernel_nd, mixed_nd, partial_nd
 
 GRID = GridGeometry((24, 24), (1.0, 1.0), (0.0, 0.0))
-WEND = KernelSpec("wendland_c0_mult", 4.0, 9)
-GAUSS = KernelSpec("gaussian", 4.0, 9)
+WEND = KernelSpec("wendland_c0_mult", 4.0)
+GAUSS = KernelSpec("gaussian", 4.0)
 
 
 GRID3 = GridGeometry((9, 8, 7), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 ANISO = GridGeometry((20, 14), (0.7, 1.9), (-3.0, 5.0))
-SMALL = KernelSpec("wendland_c0_mult", 2.0, 5)
-SMALL_GAUSS = KernelSpec("gaussian", 1.5, 5)
+SMALL = KernelSpec("wendland_c0_mult", 2.0)
+SMALL_GAUSS = KernelSpec("gaussian", 1.5)
 
 
 def product_points(*axes):
@@ -72,7 +72,7 @@ def f_order(pts):
 _AXES = np.random.default_rng(7)
 
 # (spec, grid, points) cases beyond the default 2D unit grid; the gaussian
-# windows of the points near the grid corners are clipped by the boundary
+# footprints of the points near the grid corners are clipped by the boundary
 OPERATOR_CASES = [
     pytest.param(WEND, GRID3, control_lattice(GRID3, 3), id="wendland-3d-lattice"),
     pytest.param(GAUSS, GRID3, control_lattice(GRID3, 3), id="gaussian-3d-lattice"),
@@ -102,14 +102,11 @@ def extended(cases, defaults, variants):
 
 
 def footprint_oracle(spec, grid, ms):
-    """Sum over every (node, point) pair, masked to each point's window."""
+    """Sum over every (node, point) pair, cut where an axis offset exceeds the scale."""
     pos = grid.node_positions().reshape(-1, grid.ndim)
-    nodes = np.indices(grid.dims).reshape(grid.ndim, -1).T
-    half = spec.window // 2
     want = np.zeros_like(pos)
     for j, y in enumerate(ms.points):
-        near = np.clip(np.rint(grid.to_index(y)), 0, np.asarray(grid.dims) - 1)
-        inside = np.all(np.abs(nodes - near) <= half, axis=1)[:, None]
+        inside = np.all(np.abs(pos - y) <= spec.scale, axis=1)[:, None]
         want += inside * kernel_nd(spec, pos, y)[:, None] * ms.m0[j]
         for i in range(grid.ndim):
             want += inside * partial_nd(spec, i, pos, y)[:, None] * ms.m1[j, i]

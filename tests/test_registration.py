@@ -42,7 +42,7 @@ GRID16 = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
 
 def small_config(family="wendland_c0_mult", **kw):
     defaults = dict(
-        kernel=KernelSpec(family, 4.0, 9),
+        kernel=KernelSpec(family, 4.0),
         orders="zeroth_and_first",
         T=3,
         lambda0=0.01,
@@ -1327,11 +1327,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=f"weights must be finite and >= 0, got .*'{name}': {value}"):
             small_config(**{name: value})
 
-    def test_fractional_window_rejected(self):
-        # config_from_dict used to truncate it through int()
+    def test_window_key_refused(self):
+        # the kernel scale alone sets the footprint, so a window is an unknown key
         data = config_to_dict(small_config())
-        data["kernel"]["window"] = 9.7
-        with pytest.raises(ValueError, match="window must be an integer, got 9.7"):
+        assert set(data["kernel"]) == {"family", "scale"}
+        data["kernel"]["window"] = 9
+        with pytest.raises(ValueError, match=r"unknown kernel keys: \['window'\]"):
             config_from_dict(data)
 
     def test_integral_float_counts_become_ints(self):
@@ -1371,7 +1372,7 @@ class TestConfigRoundTrip:
     def test_kernel_scale_becomes_a_float(self):
         cfg = config_from_dict({"kernel": {"family": "gaussian", "scale": 4}, "lambda0": 0})
         assert type(cfg.kernel.scale) is float and type(cfg.lambda0) is float
-        assert cfg.kernel == KernelSpec("gaussian", 4.0, 9)  # the window defaults in KernelSpec alone
+        assert cfg.kernel == KernelSpec("gaussian", 4.0)
 
     @pytest.mark.parametrize(
         "data, named",
